@@ -192,12 +192,49 @@ def wirt_zzbar(grid: Grid, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def wirt_tz(grid: Grid, v: np.ndarray) -> np.ndarray:
-    return dt1(grid, wirt_z(grid, v))
+def second_order_stencil(grid: Grid, planes: dict):
+    """Variable-coefficient second-order operator on the interior t-planes.
 
+    planes maps tt, xx, yy, xy, tx, ty to real (nt-2, nx, ny) arrays; the
+    returned apply(v, out=None) sums each plane times the matching central
+    second difference of a real or complex (nt, nx, ny) array v, the same
+    differences as dt2, dx2, dy2, dxy, dt1(dx1), dt1(dy1).  Mesh factors are
+    folded in once, so repeated applies only do slice arithmetic in place.
+    """
+    nt, nx, ny = grid.shape
+    ht, hx, hy = grid.ht, grid.hx, grid.hy
+    tt, xx, yy = (planes["tt"] / ht**2, planes["xx"] / hx**2,
+                  planes["yy"] / hy**2)
+    centre = -2.0 * (tt + xx + yy)
+    # (coefficient, two (t, x, y) offsets added, offsets subtracted)
+    legs = ((tt, ((1, 0, 0), (-1, 0, 0)), ()),
+            (xx, ((0, 1, 0), (0, -1, 0)), ()),
+            (yy, ((0, 0, 1), (0, 0, -1)), ()),
+            (planes["xy"] / (4 * hx * hy), ((0, 1, 1), (0, -1, -1)),
+             ((0, 1, -1), (0, -1, 1))),
+            (planes["tx"] / (4 * ht * hx), ((1, 1, 0), (-1, -1, 0)),
+             ((1, -1, 0), (-1, 1, 0))),
+            (planes["ty"] / (4 * ht * hy), ((1, 0, 1), (-1, 0, -1)),
+             ((1, 0, -1), (-1, 0, 1))))
 
-def wirt_tzbar(grid: Grid, v: np.ndarray) -> np.ndarray:
-    return dt1(grid, wirt_zbar(grid, v))
+    def apply(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        p = np.pad(v, ((0, 0), (1, 1), (1, 1)), mode="wrap")
+
+        def at(d):
+            return p[1 + d[0]:nt - 1 + d[0], 1 + d[1]:nx + 1 + d[1],
+                     1 + d[2]:ny + 1 + d[2]]
+
+        out = np.multiply(at((0, 0, 0)), centre, out=out)
+        tmp = np.empty_like(out)
+        for coeff, (d1, d2), minus in legs:
+            np.add(at(d1), at(d2), out=tmp)
+            for d in minus:
+                tmp -= at(d)
+            tmp *= coeff
+            out += tmp
+        return out
+
+    return apply
 
 
 # --- jets --------------------------------------------------------------------

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Jet, ScalarField, dt1, dt2, wirt_z, wirt_zbar,
-                   wirt_zzbar)
+from .grid import Jet, ScalarField, second_order_stencil
 
 
 class DegenerateMetricError(ValueError):
@@ -283,6 +282,32 @@ def _strip_frame(solution):
     return g, m, q, det
 
 
+def _strip_planes(grid, c00, c10, c11) -> dict:
+    """Stencil planes of c00 w_zetazetabar + c10 w_z zetabar
+    + conj(c10) w_zeta zbar + c11 w_z zbar (strip frame, w s-independent).
+
+    With w_zetazetabar = w_tt/4, w_z zetabar = w_tz/2 and d/dz = k1 d/dx +
+    k2 d/dy every plane is real (the t-mixed ones are Re(c10 k)), so the
+    operator is exact on complex w as well.
+    """
+    k1, k2 = grid.lattice.dz_coefficients
+    return {"tt": 0.25 * c00, "xx": c11 * abs(k1) ** 2,
+            "yy": c11 * abs(k2) ** 2,
+            "xy": c11 * (2.0 * (k1 * np.conj(k2)).real),
+            "tx": (c10 * k1).real, "ty": (c10 * k2).real}
+
+
+def h_coefficient_planes(phi: ScalarField) -> dict:
+    """Interior stencil planes of 4 adj(h); the caller checks admissibility.
+
+    Applied, they are Newton's Jacobian (1+a) w_tt + Phi_tt w_zzbar
+    - 2 Re(Phi_tz w_tzbar); divided by 4 det h, the h-Laplacian.
+    """
+    j = phi.jets
+    return _strip_planes(phi.grid, 4.0 * (1.0 + j.a[1:-1]),
+                         -2.0 * j.d_tzb[1:-1], j.d_tt[1:-1])
+
+
 def h_contract(solution, values: np.ndarray) -> np.ndarray:
     """Interior h^{ij*} w_{ij*} of a (possibly complex) grid array w.
 
@@ -293,13 +318,9 @@ def h_contract(solution, values: np.ndarray) -> np.ndarray:
     grid = solution.grid
     if values.shape != grid.shape:
         raise ValueError("field shape does not match the solution grid")
-    g, m, q, det = _strip_frame(solution)
-    w_zz = 0.25 * dt2(grid, values)[1:-1]
-    w_zzbar = wirt_zzbar(grid, values)[1:-1]
-    w_tz = dt1(grid, wirt_z(grid, values))[1:-1]
-    w_tzb = dt1(grid, wirt_zbar(grid, values))[1:-1]
-    return (g * w_zz - m * 0.5 * w_tz - np.conj(m) * 0.5 * w_tzb
-            + q * w_zzbar) / det
+    _, _, _, det = _strip_frame(solution)
+    apply = second_order_stencil(grid, h_coefficient_planes(solution.phi))
+    return apply(values) / (4.0 * det)
 
 
 def l_coefficient_fields(solution):
@@ -326,14 +347,10 @@ def apply_L(solution, field: ScalarField) -> ScalarField:
     grid = solution.grid
     if field.grid.shape != grid.shape:
         raise ValueError("field lives on a different grid")
-    L00, L01, L10, L11 = l_coefficient_fields(solution)
-    j = field.jets
-    w_zz = 0.25 * j.d_tt[1:-1]
-    w_tz = 0.5 * j.d_tz[1:-1]
-    w_tzb = 0.5 * j.d_tzb[1:-1]
-    w_zzbar = j.a[1:-1]
+    L00, _, L10, L11 = l_coefficient_fields(solution)
     out = np.zeros(grid.shape)
-    out[1:-1] = (L00 * w_zz + L01 * w_tzb + L10 * w_tz + L11 * w_zzbar).real
+    second_order_stencil(grid, _strip_planes(grid, L00, L10, L11))(
+        field.values, out=out[1:-1])
     return ScalarField(grid, out)
 
 

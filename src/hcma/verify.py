@@ -3,8 +3,9 @@
 Every check compares an interior extremum against a boundary quantity with a
 discretization allowance C*h^p (p = 2 for second-derivative inputs, p = 1
 for third-derivative inputs).  Checks never throw on bad data: violations
-produce failing records, and data outside a theorem's hypotheses produces a
-"vacuous" record that does not fail the suite.
+and inadmissible solutions produce failing records, and data outside a
+theorem's hypotheses produces a "vacuous" record that does not fail the
+suite.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import ScalarField
-from .quantities import (NonConvexBoundaryError, apply_L, boundary_S,
-                         boundary_delta, choose_K, h_contract,
+from .quantities import (DegenerateMetricError, InadmissibleSolutionError,
+                         InfeasibleKError, NonConvexBoundaryError, apply_L,
+                         boundary_S, boundary_delta, choose_K, h_contract,
                          sigma_roots)
 from .solver import Solution
 
@@ -290,7 +292,7 @@ def check_ekq_subharmonic(solution: Solution) -> CheckRecord:
     K = choose_K(max_bnd)
     sigma2 = sigma_roots(K)[1]
     W = np.exp(np.minimum(K * Q, 700.0))   # clip only out-of-hypothesis nodes
-    contraction = h_contract(solution, W.astype(complex)).real
+    contraction = h_contract(solution, W)
     in_hyp = Q[1:-1] < sigma2
     n_out = int((~in_hyp).sum())
     if not in_hyp.any():
@@ -439,7 +441,8 @@ def run_checks(solution: Solution, names=None, seed: int | None = None,
     for name in selected:
         if name not in CHECKS and name != "jet_map":
             raise KeyError(f"unknown check {name!r}")
-        # degenerate data puts a check outside its hypotheses; record, don't throw
+        # data outside a theorem's hypotheses is vacuous; an inadmissible
+        # solution fails; anything else is a defect and propagates
         try:
             if name == "jet_map":
                 _, record = jet_map_export(solution)
@@ -447,9 +450,14 @@ def run_checks(solution: Solution, names=None, seed: int | None = None,
                 record = check_weighted_max_principle(solution, d_R=d_R)
             else:
                 record = CHECKS[name](solution)
-        except (ValueError, FloatingPointError) as exc:
+        except (NonConvexBoundaryError, InfeasibleKError,
+                DegenerateMetricError) as exc:
             record = CheckRecord(name=name, passed=True, measured=0.0,
                                  bound=0.0, tolerance=0.0, vacuous=True,
                                  note=f"out of hypothesis: {exc}")
+        except InadmissibleSolutionError as exc:
+            record = CheckRecord(name=name, passed=False, measured=0.0,
+                                 bound=0.0, tolerance=0.0,
+                                 note=f"inadmissible solution: {exc}")
         report.add(record)
     return report

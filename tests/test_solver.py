@@ -8,7 +8,7 @@ from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, FieldRhs,
 from hcma.grid import ScalarField
 from hcma.quantities import NonConvexBoundaryError
 from hcma.solver import (ContinuationFailure, InadmissibleStateError,
-                         SolverConfig, linearize, residual)
+                         Solution, SolverConfig, linearize, residual)
 
 
 class TestProfiles:
@@ -232,3 +232,77 @@ class TestLambdaSweep:
         with pytest.raises(ValueError):
             lambda_sweep(grid_small, COS_BOUNDARY, [1.5],
                          AnnulusProfile(1e-3))
+
+
+class TestSharedOperator:
+    """Newton's Jacobian is 4 det(h) times the verifier's h-Laplacian."""
+
+    @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
+    def test_jacobian_is_scaled_h_contract(self, modulus):
+        from hcma.grid import dt1, dt2, wirt_z, wirt_zbar, wirt_zzbar
+        from hcma.quantities import _strip_frame, h_contract
+        g = make_grid(9, 16, 16, modulus)
+        phi = ScalarField.from_function(
+            g, lambda t, x, y: 0.2 * t**2
+            + 0.01 * t * np.cos(2 * np.pi * x)
+            + 0.004 * t * np.sin(2 * np.pi * y)
+            + 0.005 * np.sin(2 * np.pi * (x + y)))
+        sol = Solution(phi=phi, grid=g, profile=ConstantProfile(0.4),
+                       boundary=BoundarySpec(), converged=True,
+                       final_residual=0.0, iterations=0)
+        gg, m, q, det = _strip_frame(sol)
+        assert np.abs(m).max() > 1e-3           # mixed t-z terms present
+        rng = np.random.default_rng(7)
+        w = rng.standard_normal(g.shape)
+        jw = (linearize(phi) @ w.ravel()).reshape(g.shape)
+        hw = h_contract(sol, w)
+        assert np.allclose(jw[1:-1], 4.0 * det * hw, rtol=1e-13,
+                           atol=1e-13 * np.abs(jw[1:-1]).max())
+        assert np.array_equal(jw[[0, -1]], w[[0, -1]])
+        # reference: the Wirtinger form built from the grid's own stencils
+        ref = (gg * 0.25 * dt2(g, w)[1:-1]
+               - m * 0.5 * dt1(g, wirt_z(g, w))[1:-1]
+               - np.conj(m) * 0.5 * dt1(g, wirt_zbar(g, w))[1:-1]
+               + q * wirt_zzbar(g, w)[1:-1]) / det
+        assert np.allclose(hw, ref.real, rtol=1e-12,
+                           atol=1e-12 * np.abs(ref).max())
+        assert np.abs(ref.imag).max() <= 1e-12 * np.abs(ref).max()
+        wc = w + 1j * rng.standard_normal(g.shape)
+        split = h_contract(sol, wc.real) + 1j * h_contract(sol, wc.imag)
+        assert np.allclose(h_contract(sol, wc), split, rtol=1e-13,
+                           atol=1e-13 * np.abs(split).max())
+
+
+class TestLinearSolve:
+    """GMRES results are judged on their true residual; no direct fallback."""
+
+    @pytest.fixture()
+    def no_splu(self, monkeypatch):
+        import hcma.solver
+
+        def splu(*args, **kwargs):
+            raise AssertionError("sparse direct factorization called")
+        monkeypatch.setattr(hcma.solver.spla, "splu", splu)
+        return hcma.solver.spla
+
+    def test_accepts_good_result_despite_info(self, grid_small, no_splu,
+                                              monkeypatch):
+        expected = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
+        gmres = no_splu.gmres
+        monkeypatch.setattr(no_splu, "gmres",
+                            lambda *a, **kw: (gmres(*a, **kw)[0], 1))
+        sol = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
+        assert sol.converged
+        assert np.array_equal(sol.phi.values, expected.phi.values)
+
+    def test_failure_carries_gmres_statistics(self, grid_small, no_splu,
+                                              monkeypatch):
+        monkeypatch.setattr(no_splu, "gmres",
+                            lambda A, b, **kw: (np.zeros_like(b), 7))
+        sol = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
+        assert not sol.converged
+        assert sol.iterations == 0
+        assert sol.message.startswith("linear-solve-failure")
+        assert "info=7" in sol.message
+        assert "0 preconditioner applies" in sol.message
+        assert "relative residual 1.000e+00" in sol.message

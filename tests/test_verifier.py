@@ -224,6 +224,11 @@ class TestRunChecks:
         report = run_checks(sol)
         assert not report["convexity"].passed
         assert not report.all_pass
+        # inadmissible data fails the h-operator checks; it is not vacuous
+        for name in ("ab_equations", "ekq_subharmonic", "lq_ratio"):
+            assert not report[name].passed
+            assert not report[name].vacuous
+            assert "min(1+a)" in report[name].note
 
     def test_q_field_matches_pointwise(self, sol_cos):
         from hcma.grid import wirtinger_jet
