@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import dataclasses
 import json
 import struct
 from dataclasses import dataclass, field as dc_field
@@ -115,7 +116,7 @@ class ExperimentConfig:
 
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         try:
             cp.read_string(text)
         except configparser.Error as exc:
@@ -266,7 +267,14 @@ class Snapshot:
 
     @classmethod
     def from_solution(cls, solution, config: ExperimentConfig) -> "Snapshot":
+        """Snapshot whose config echo carries the solution's own epsilon and
+        boundary modes (a ladder rung's, not the base config's)."""
         g = solution.grid
+        key = "epsilon0" if config.profile_kind == "constant" else "epsilon"
+        config = dataclasses.replace(
+            config, phi0_modes=solution.boundary.phi0,
+            phi1_modes=solution.boundary.phi1,
+            **{key: getattr(solution.profile, key, getattr(config, key))})
         return cls(config_text=config.serialize(), nt=g.nt, nx=g.nx, ny=g.ny,
                    modulus=g.lattice.modulus, converged=solution.converged,
                    iterations=solution.iterations,
@@ -302,7 +310,10 @@ class Snapshot:
         mre, mim = struct.unpack_from("<dd", raw, 24)
         conv, iters, res = struct.unpack_from("<IId", raw, 40)
         (cfg_len,) = struct.unpack_from("<I", raw, 56)
-        cfg = raw[60:60 + cfg_len].decode("utf-8")
+        try:
+            cfg = raw[60:60 + cfg_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SnapshotError(f"config echo is not UTF-8: {exc}") from None
         n = nt * nx * ny
         body = raw[60 + cfg_len:]
         if len(body) != 8 * n:
@@ -318,11 +329,16 @@ class Snapshot:
         from .grid import ScalarField
         from .solver import Solution
         config = ExperimentConfig.parse(self.config_text)
-        grid = make_grid(self.nt, self.nx, self.ny, self.modulus)
+        try:
+            grid = make_grid(self.nt, self.nx, self.ny, self.modulus)
+            phi = ScalarField(grid, self.values)
+            profile = config.make_profile()
+        except ValueError as exc:     # GridError, or a non-positive epsilon
+            raise SnapshotError(f"snapshot is not a solution: {exc}") from None
         return Solution(
-            phi=ScalarField(grid, self.values), grid=grid,
-            profile=config.make_profile(), boundary=config.make_boundary(),
-            converged=self.converged, final_residual=self.final_residual,
+            phi=phi, grid=grid, profile=profile,
+            boundary=config.make_boundary(), converged=self.converged,
+            final_residual=self.final_residual,
             iterations=self.iterations), config
 
 
@@ -346,16 +362,13 @@ def write_report(report_dict: dict, path) -> None:
 
 def write_fields_csv(path, grid: Grid, fields: dict) -> None:
     """Node-per-row CSV: it, ix, iy, then one column per named field."""
-    names = list(fields)
+    columns = np.indices(grid.shape).reshape(3, -1).tolist()
+    columns += [map(repr, np.asarray(f, dtype=float).ravel().tolist())
+                for f in fields.values()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["it", "ix", "iy"] + names)
-        for it in range(grid.nt):
-            for ix in range(grid.nx):
-                for iy in range(grid.ny):
-                    w.writerow([it, ix, iy] +
-                               [repr(float(fields[n][it, ix, iy]))
-                                for n in names])
+        w.writerow(["it", "ix", "iy"] + list(fields))
+        w.writerows(zip(*columns))
 
 
 def write_leaf_csv(path, path_obj) -> None:

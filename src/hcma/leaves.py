@@ -17,6 +17,10 @@ from .grid import interpolate_array
 from .solver import Solution
 
 
+T_END = 1.0          # leaves are traced up to the t = 1 plane
+QB_LIMIT = 0.5       # Q_B bound of the leaf-convexity hypothesis
+
+
 class LeafError(ValueError):
     pass
 
@@ -45,27 +49,29 @@ def _z_to_lattice(z: complex, modulus: complex) -> tuple[float, float]:
     return x % 1.0, y % 1.0
 
 
-def rk4_path(velocity, t0: float, z0: complex, t1: float = 1.0,
-             step: float = 0.01):
+def _rk4_steps(velocity, t, z, step):
     """Classical explicit 4th-order integration of dz/dt = velocity(t, z).
 
-    Returns (ts, zs); the last step is shortened to land exactly on t1.
-    Raises whatever `velocity` raises (used by trace_leaf to abort on
-    degenerate interpolated states).
+    Yields the start (t, z) and then (t, z) after each step; the last step
+    is shortened to land exactly on T_END.  Whatever `velocity` raises
+    propagates, after every point already reached has been yielded.
     """
-    ts = [t0]
-    zs = [complex(z0)]
-    t, z = t0, complex(z0)
-    while t < t1 - 1e-14:
-        h = min(step, t1 - t)
+    z = complex(z)
+    yield t, z
+    while t < T_END - 1e-14:
+        h = min(step, T_END - t)
         k1 = velocity(t, z)
         k2 = velocity(t + h / 2, z + h / 2 * k1)
         k3 = velocity(t + h / 2, z + h / 2 * k2)
         k4 = velocity(t + h, z + h * k3)
         z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t = t + h
-        ts.append(t)
-        zs.append(z)
+        yield t, z
+
+
+def rk4_path(velocity, t0: float, z0: complex, step: float = 0.01):
+    """RK4 path of dz/dt = velocity(t, z) from (t0, z0) to T_END as (ts, zs)."""
+    ts, zs = zip(*_rk4_steps(velocity, t0, z0, step))
     return np.array(ts), np.array(zs)
 
 
@@ -83,43 +89,27 @@ def trace_leaf(solution: Solution, start: tuple, step: float = 0.01) -> LeafPath
     a_arr = jets.a.astype(float)
     b_arr = jets.b
 
-    def sample(t, z):
+    def velocity(t, z):
         x, y = _z_to_lattice(complex(z), modulus)
         a = float(interpolate_array(grid, a_arr, t, x, y).real)
-        w = interpolate_array(grid, d_tzb, t, x, y)
-        return a, complex(w)
-
-    def velocity(t, z):
-        a, w = sample(t, z)
+        w = complex(interpolate_array(grid, d_tzb, t, x, y))
         if 1.0 + a <= 0.0:
             raise _DegenerateLeafState(t, z)
         return -w / (2.0 * (1.0 + a))
 
-    # step-by-step RK4 so an abort keeps the partial path
-    ts = [t0]
-    zs = [complex(z0)]
-    t, z = t0, complex(z0)
+    points = []
     aborted, message = False, "ok"
-    while t < 1.0 - 1e-14:
-        h = min(step, 1.0 - t)
-        try:
-            k1 = velocity(t, z)
-            k2 = velocity(t + h / 2, z + h / 2 * k1)
-            k3 = velocity(t + h / 2, z + h / 2 * k2)
-            k4 = velocity(t + h, z + h * k3)
-        except _DegenerateLeafState as exc:
-            aborted, message = True, f"degenerate state near t={exc.t:.4f}"
-            break
-        z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + h
-        ts.append(t)
-        zs.append(z)
-    ts = np.array(ts)
+    try:
+        for point in _rk4_steps(velocity, t0, z0, step):
+            points.append(point)
+    except _DegenerateLeafState as exc:
+        aborted, message = True, f"degenerate state near t={exc.t:.4f}"
+    ts = np.array([t for t, _ in points])
 
     a_s = np.empty(len(ts))
     qb_s = np.empty(len(ts))
     zs_mod = np.empty(len(ts), dtype=complex)
-    for k, (t, z) in enumerate(zip(ts, zs)):
+    for k, (t, z) in enumerate(points):
         x, y = _z_to_lattice(complex(z), modulus)
         a = float(interpolate_array(grid, a_arr, t, x, y).real)
         b = interpolate_array(grid, b_arr, t, x, y)
@@ -137,12 +127,13 @@ class _DegenerateLeafState(Exception):
         self.t, self.z = t, z
 
 
-def qb_along_leaf(solution: Solution, path: LeafPath, margin: float = 0.0):
+def qb_along_leaf(solution: Solution, path: LeafPath):
     """Q_B along a leaf and its discrete second derivative in the X-direction.
 
     (Q_B)_XXbar is estimated as one quarter of the second t-difference of
     Q_B along the path (the zeta-scaling of the leaf direction).  Returns
-    (qb, second_diff, record_dict); out-of-hypothesis when Q_B reaches 1/2.
+    (qb, second_diff, record_dict); out-of-hypothesis when Q_B reaches
+    QB_LIMIT.
     """
     if path.n_samples < 3:
         raise LeafError("need at least 3 samples for a second difference")
@@ -157,7 +148,7 @@ def qb_along_leaf(solution: Solution, path: LeafPath, margin: float = 0.0):
         n_uniform = int(np.argmax(np.abs(dt - h) > 1e-12)) or len(dt)
         q = qb[:n_uniform + 1]
         second = 0.25 * (q[:-2] - 2.0 * q[1:-1] + q[2:]) / h**2
-    in_hypothesis = bool(np.nanmax(qb) < 0.5 - margin)
+    in_hypothesis = bool(np.nanmax(qb) < QB_LIMIT)
     record = {
         "min_second_diff": float(np.nanmin(second)) if len(second) else 0.0,
         "max_qb": float(np.nanmax(qb)),

@@ -266,16 +266,23 @@ class InadmissibleSolutionError(ValueError):
     """Operator application requested on a non-admissible solution."""
 
 
-def _strip_frame(solution):
+def strip_h(phi: ScalarField):
     """Interior arrays (g, m, q, det) of the strip h-matrix [[q, m], [m*, g]].
 
-    q = Phi_tt/4, m = Phi_tzbar/2, g = 1 + a; det = q g - |m|^2.
+    q = Phi_tt/4, m = Phi_tzbar/2, g = 1 + a; det = q g - |m|^2.  Does not
+    check admissibility.
     """
-    j = solution.phi.jets
+    j = phi.jets
     g = 1.0 + j.a[1:-1]
     m = 0.5 * j.d_tzb[1:-1]
     q = 0.25 * j.d_tt[1:-1]
-    det = q * g - np.abs(m) ** 2
+    return g, m, q, q * g - np.abs(m) ** 2
+
+
+def _strip_frame(solution):
+    """strip_h of a solution; raises InadmissibleSolutionError unless
+    1 + a > 0 and det h > 0 at every interior node."""
+    g, m, q, det = strip_h(solution.phi)
     if g.min() <= 0.0 or det.min() <= 0.0:
         raise InadmissibleSolutionError(
             f"min(1+a)={g.min():.3e}, min(det h)={det.min():.3e}")
@@ -303,9 +310,8 @@ def h_coefficient_planes(phi: ScalarField) -> dict:
     Applied, they are Newton's Jacobian (1+a) w_tt + Phi_tt w_zzbar
     - 2 Re(Phi_tz w_tzbar); divided by 4 det h, the h-Laplacian.
     """
-    j = phi.jets
-    return _strip_planes(phi.grid, 4.0 * (1.0 + j.a[1:-1]),
-                         -2.0 * j.d_tzb[1:-1], j.d_tt[1:-1])
+    g, m, q, _ = strip_h(phi)
+    return _strip_planes(phi.grid, 4.0 * g, -4.0 * m, 4.0 * q)
 
 
 def h_contract(solution, values: np.ndarray) -> np.ndarray:
@@ -354,7 +360,7 @@ def apply_L(solution, field: ScalarField) -> ScalarField:
     return ScalarField(grid, out)
 
 
-def flat_jet_from_torus(jet: Jet, strip: bool = True) -> FlatJet:
+def flat_jet_from_torus(jet: Jet) -> FlatJet:
     """Package an order-3 torus jet as an n=1 FlatJet in strip normalization.
 
     Strip normalization: Phi_zetazbar = Phi_tzbar / 2 and derivative slots
@@ -363,19 +369,18 @@ def flat_jet_from_torus(jet: Jet, strip: bool = True) -> FlatJet:
     """
     if jet.order < 3:
         raise ValueError("order-3 jet required")
-    half = 0.5 if strip else 1.0
     A = np.array([[jet.a]], dtype=complex)
     B = np.array([[jet.b]], dtype=complex)
     a_z = jet.d_zzbz
-    a_tau = half * jet.d_tzzb
+    a_tau = 0.5 * jet.d_tzzb
     b_zbar = jet.d_zzzb
     # Im(zeta)-independence: d/dzetabar b = (d/dt b)/2, same as d/dzeta b
-    b_taubar = half * jet.d_tzz
+    b_taubar = 0.5 * jet.d_tzz
     A_d = np.array([[[a_tau]], [[a_z]]], dtype=complex)
     B_dbar = np.array([[[b_taubar]], [[b_zbar]]], dtype=complex)
     return FlatJet(
         A=A, B=B,
         grad=np.array([jet.d_z], dtype=complex),
-        tau_alphabar=np.array([half * jet.d_tzb], dtype=complex),
-        tau_alpha=np.array([half * jet.d_tz], dtype=complex),
+        tau_alphabar=np.array([0.5 * jet.d_tzb], dtype=complex),
+        tau_alpha=np.array([0.5 * jet.d_tz], dtype=complex),
         A_d=A_d, B_dbar=B_dbar)

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .grid import Grid, ScalarField, second_order_stencil
-from .quantities import NonConvexBoundaryError, h_coefficient_planes
+from .quantities import NonConvexBoundaryError, h_coefficient_planes, strip_h
 
 
 class SolverError(RuntimeError):
@@ -32,11 +32,15 @@ class InadmissibleStateError(SolverError):
 
 
 class ContinuationFailure(SolverError):
-    def __init__(self, index: int, epsilon: float, solution: "Solution"):
-        super().__init__(
-            f"continuation rung {index} (eps={epsilon}) failed: {solution.message}")
+    """Rung `index` of a warm-start ladder, at parameter name=value, failed."""
+
+    def __init__(self, index: int, name: str, value: float,
+                 solution: "Solution"):
+        super().__init__(f"continuation rung {index} ({name}={value}) "
+                         f"failed: {solution.message}")
         self.index = index
-        self.epsilon = epsilon
+        self.name = name
+        self.value = value
         self.solution = solution
 
 
@@ -229,9 +233,7 @@ class Solution:
 
     def interior_det_h(self) -> np.ndarray:
         """det of the strip-frame h matrix = (Phi_tt(1+a) - |Phi_tzbar|^2)/4."""
-        j = self.phi.jets
-        return 0.25 * (j.d_tt[1:-1] * (1.0 + j.a[1:-1])
-                       - np.abs(j.d_tzb[1:-1]) ** 2)
+        return strip_h(self.phi)[3]
 
     @property
     def admissible(self) -> bool:
@@ -242,21 +244,18 @@ class Solution:
 # --- residual and linearization ---------------------------------------------
 
 def residual(phi: ScalarField, profile) -> ScalarField:
-    """Interior residual Phi_tt (1+a) - |Phi_tzbar|^2 - eps_tilde; boundary 0."""
+    """Interior residual Phi_tt (1+a) - |Phi_tzbar|^2 - eps_tilde, that is
+    4 det h - eps_tilde; boundary 0."""
     grid = phi.grid
-    j = phi.jets
-    rhs = profile.rhs_on(grid)
     r = np.zeros(grid.shape)
-    r[1:-1] = (j.d_tt[1:-1] * (1.0 + j.a[1:-1])
-               - np.abs(j.d_tzb[1:-1]) ** 2 - rhs[1:-1])
+    r[1:-1] = 4.0 * strip_h(phi)[3] - profile.rhs_on(grid)[1:-1]
     return ScalarField(grid, r)
 
 
 def _admissibility(phi: ScalarField):
-    j = phi.jets
-    opa = 1.0 + j.a[1:-1]
-    quad = j.d_tt[1:-1] * opa - np.abs(j.d_tzb[1:-1]) ** 2
-    return float(opa.min()), float(quad.min())
+    """(min 1 + a, min 4 det h) over the interior."""
+    g, _, _, det = strip_h(phi)
+    return float(g.min()), 4.0 * float(det.min())
 
 
 def linearize(phi: ScalarField, profile=None) -> spla.LinearOperator:
@@ -321,7 +320,6 @@ class _SeparablePreconditioner:
         rhs = np.fft.fft2(r[1:-1], axes=(1, 2))
         z0 = np.fft.fft2(r[0])
         z1 = np.fft.fft2(r[-1])
-        rhs = rhs.copy()
         rhs[0] -= self.off[0] * z0
         rhs[-1] -= self.off[-1] * z1
         # Thomas sweep over the t-index, vectorized over all (kx, ky) modes
@@ -419,12 +417,14 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
     r = residual(phi, profile)
     rn = float(np.abs(r.values[1:-1]).max())
     history.append(rn)
-    for k in range(config.max_newton_iters):
+    for k in range(config.max_newton_iters + 1):
         if rn <= config.newton_tol:
             return Solution(phi=phi, grid=grid, profile=profile,
                             boundary=boundary, converged=True,
                             final_residual=rn, iterations=k,
                             residual_history=history)
+        if k == config.max_newton_iters:
+            return fail("max-iterations-exceeded", rn, k)
         try:
             jac = linearize(phi, profile)
         except InadmissibleStateError as exc:
@@ -452,25 +452,20 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         phi, r, rn = accepted
         history.append(rn)
 
-    if rn <= config.newton_tol:
-        return Solution(phi=phi, grid=grid, profile=profile, boundary=boundary,
-                        converged=True, final_residual=rn,
-                        iterations=config.max_newton_iters,
-                        residual_history=history)
-    return fail("max-iterations-exceeded", rn, config.max_newton_iters)
 
+def _warm_start_ladder(grid: Grid, name: str, rungs,
+                       config: SolverConfig) -> list[Solution]:
+    """Solve each (value, boundary, profile) rung, warm-starting the next.
 
-def _warm_start_ladder(grid: Grid, rungs, config: SolverConfig) -> list[Solution]:
-    """Solve each (label, boundary, profile) rung, warm-starting the next.
-
-    Raises ContinuationFailure at the first rung that does not converge.
+    Raises ContinuationFailure, labelled name=value, at the first rung that
+    does not converge.
     """
     out = []
     warm = None
-    for k, (label, boundary, profile) in enumerate(rungs):
+    for k, (value, boundary, profile) in enumerate(rungs):
         sol = newton_solve(grid, boundary, profile, config, initial=warm)
         if not sol.converged:
-            raise ContinuationFailure(k, label, sol)
+            raise ContinuationFailure(k, name, value, sol)
         out.append(sol)
         warm = sol.phi
     return out
@@ -486,7 +481,8 @@ def continuation_solve(grid: Grid, boundary: BoundarySpec, schedule,
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
     return _warm_start_ladder(
-        grid, ((eps, boundary, make_profile(eps)) for eps in schedule), config)
+        grid, "eps", ((eps, boundary, make_profile(eps)) for eps in schedule),
+        config)
 
 
 def lambda_sweep(grid: Grid, boundary: BoundarySpec, lambdas, profile,
@@ -498,4 +494,5 @@ def lambda_sweep(grid: Grid, boundary: BoundarySpec, lambdas, profile,
     if any(b < a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambda ladder must be non-decreasing")
     return _warm_start_ladder(
-        grid, ((lam, boundary.scaled(lam), profile) for lam in lambdas), config)
+        grid, "lambda",
+        ((lam, boundary.scaled(lam), profile) for lam in lambdas), config)

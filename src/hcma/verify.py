@@ -19,7 +19,7 @@ from .grid import ScalarField
 from .quantities import (DegenerateMetricError, InadmissibleSolutionError,
                          InfeasibleKError, NonConvexBoundaryError, apply_L,
                          boundary_S, boundary_delta, choose_K, h_contract,
-                         sigma_roots)
+                         sigma_roots, _strip_frame)
 from .solver import Solution
 
 # allowance constants, fixed per check (bands are C * h^p)
@@ -27,6 +27,9 @@ C_H2 = 10.0     # second-derivative checks
 C_H1 = 10.0     # third-derivative checks (a/b equations), relative to scale
 REL_SLACK = 1e-3
 MONOTONE_SLACK = 1e-8
+U_FD_STEP = 1e-3  # finite-difference step of the u-identity check
+N_ANGLES = 16     # annulus angles sampled by the weighted max principle
+Q_FLOOR = 1e-12   # lq_ratio skips nodes with Q at or below this
 
 
 @dataclass
@@ -154,13 +157,13 @@ def weight_u(tau: np.ndarray, d_R: float) -> np.ndarray:
     return np.cos(k * tau.real) * np.cos(k * tau.imag)
 
 
-def check_u_identity(d_R: float, fd_step: float = 1e-3) -> CheckRecord:
+def check_u_identity(d_R: float) -> CheckRecord:
     """Finite-difference verification of u_tautaubar = -(pi^2/(32 d_R^2)) u."""
     rng_t = np.linspace(0.05, 0.95, 7)
     rng_s = np.linspace(0.0, 2.0 * math.pi, 9)
     t, s = np.meshgrid(rng_t, rng_s, indexing="ij")
     tau = np.exp(t + 1j * s)
-    h = fd_step
+    h = U_FD_STEP
     lap = (weight_u(tau + h, d_R) + weight_u(tau - h, d_R)
            + weight_u(tau + 1j * h, d_R) + weight_u(tau - 1j * h, d_R)
            - 4.0 * weight_u(tau, d_R)) / h**2
@@ -172,8 +175,7 @@ def check_u_identity(d_R: float, fd_step: float = 1e-3) -> CheckRecord:
 
 
 def check_weighted_max_principle(solution: Solution,
-                                 d_R: float = 2.0 * math.e,
-                                 n_angles: int = 16) -> CheckRecord:
+                                 d_R: float = 2.0 * math.e) -> CheckRecord:
     """Max principle for Q/u on the annulus image tau = e^{t+is}."""
     if not hasattr(solution.profile, "epsilon"):
         return CheckRecord(name="weighted_max_principle", passed=True,
@@ -182,10 +184,10 @@ def check_weighted_max_principle(solution: Solution,
     ident = check_u_identity(d_R)
     Q = q_field(solution)
     t = solution.grid.t_values
-    s = np.arange(n_angles) * 2.0 * math.pi / n_angles
+    s = np.arange(N_ANGLES) * 2.0 * math.pi / N_ANGLES
     tau = np.exp(t[:, None] + 1j * s[None, :])
-    u = weight_u(tau, d_R)                 # (nt, n_angles), positive
-    ratio = Q[:, None] / u[:, :, None, None]   # (nt, n_angles, nx, ny)
+    u = weight_u(tau, d_R)                 # (nt, N_ANGLES), positive
+    ratio = Q[:, None] / u[:, :, None, None]   # (nt, N_ANGLES, nx, ny)
     measured = float(ratio[1:-1].max())
     bound = float(ratio[[0, -1]].max())
     h2 = C_H2 * _h_scale(solution.grid) ** 2
@@ -235,7 +237,6 @@ def _grad_pairs(solution: Solution, values: np.ndarray):
 
 def _h_bilinear(solution: Solution, u0, u1, w0, w1) -> np.ndarray:
     """Interior h^{ij*} u_i w_j* for component arrays indexed (zeta, z)."""
-    from .quantities import _strip_frame
     g, m, q, det = _strip_frame(solution)
     i = np.s_[1:-1]
     return (g * u0[i] * w0[i] - m * u1[i] * w0[i]
@@ -250,9 +251,8 @@ def check_ab_equations(solution: Solution) -> CheckRecord:
     so the band is C * h * scale.
     """
     j = solution.phi.jets
-    a = j.a.astype(complex)
-    b = j.b
-    opa = 1.0 + j.a[1:-1]
+    a, b = j.a, j.b
+    opa = 1.0 + a[1:-1]
 
     a_zeta, a_z = _grad_pairs(solution, a)
     b_zeta, b_z = _grad_pairs(solution, b)
@@ -300,15 +300,13 @@ def check_ekq_subharmonic(solution: Solution) -> CheckRecord:
                            bound=0.0, tolerance=0.0, vacuous=True,
                            note="no interior node inside the hypothesis region")
     # allowance scales with the contracted magnitude (h-inverse included)
-    from .quantities import _strip_frame
     g, m, q, det = _strip_frame(solution)
-    from .grid import dt1, dt2, wirt_z, wirt_zbar, wirt_zzbar
+    from .grid import dt1, dt2, wirt_z, wirt_zzbar
     grd = solution.grid
-    Wc = W.astype(complex)
-    mag = (g * np.abs(0.25 * dt2(grd, Wc)[1:-1])
-           + np.abs(m) * np.abs(0.5 * dt1(grd, wirt_z(grd, Wc))[1:-1])
-           + np.abs(m) * np.abs(0.5 * dt1(grd, wirt_zbar(grd, Wc))[1:-1])
-           + q * np.abs(wirt_zzbar(grd, Wc)[1:-1])) / det
+    # W is real, so |W_zeta zbar| = |W_z zetabar|: one term, added twice
+    mixed = np.abs(m) * np.abs(0.5 * dt1(grd, wirt_z(grd, W))[1:-1])
+    mag = (g * np.abs(0.25 * dt2(grd, W)[1:-1]) + mixed + mixed
+           + q * np.abs(wirt_zzbar(grd, W)[1:-1])) / det
     scale = max(1.0, float(mag.max()))
     tol = C_H2 * _h_scale(grd) ** 2 * scale
     measured = float(contraction[in_hyp].min())
@@ -318,12 +316,12 @@ def check_ekq_subharmonic(solution: Solution) -> CheckRecord:
         extra={"K": K, "sigma2": sigma2, "out_of_hypothesis_nodes": n_out})
 
 
-def lq_ratio_report(solution: Solution, q_floor: float = 1e-12) -> CheckRecord:
+def lq_ratio_report(solution: Solution) -> CheckRecord:
     """Diagnostic ratio rho = min interior LQ/(eps_tilde Q) for composite Q."""
     Q = composite_q_field(solution)
     LQ = apply_L(solution, ScalarField(solution.grid, Q)).values[1:-1]
     eps = solution.profile.rhs_on(solution.grid)[1:-1]
-    mask = Q[1:-1] > q_floor
+    mask = Q[1:-1] > Q_FLOOR
     if not mask.any():
         return CheckRecord(name="lq_ratio", passed=True, measured=0.0,
                            bound=0.0, tolerance=0.0, vacuous=True,

@@ -1,12 +1,18 @@
+import csv
+import io
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcma import cli
-from hcma.io import (ConfigError, ExperimentConfig, Snapshot, SnapshotError,
-                     load_config, report_json, write_fields_csv)
+from hcma.io import (_SCHEMA, MAGIC, ConfigError, ExperimentConfig, Snapshot,
+                     SnapshotError, load_config, report_json,
+                     write_fields_csv)
 
 SMALL_CONFIG = """\
 [grid]
@@ -34,6 +40,57 @@ def write_config(tmp_path, text=SMALL_CONFIG, name="run.ini"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def snapshot_bytes(dims, modulus, echo: bytes, payload: bytes) -> bytes:
+    """Raw snapshot with a valid header around arbitrary contents."""
+    return (MAGIC + struct.pack("<IIII", 1, *dims)
+            + struct.pack("<dd", modulus.real, modulus.imag)
+            + struct.pack("<IId", 1, 0, 0.0) + struct.pack("<I", len(echo))
+            + echo + payload)
+
+
+VALID_ECHO = ExperimentConfig().serialize().encode()
+CONFIG_KEYS = [(sec, key) for sec, keys in sorted(_SCHEMA.items())
+               for key in sorted(keys)]
+
+
+@st.composite
+def config_texts(draw):
+    """INI text over the real sections and keys with arbitrary values."""
+    chars = st.one_of(st.sampled_from("%()$:;,.-+ej0123456789 \n="),
+                      st.characters())
+    pairs = draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=6,
+                          unique=True))
+    lines = []
+    for sec in sorted({sec for sec, _ in pairs}):
+        lines.append(f"[{sec}]")
+        for key in (k for s, k in pairs if s == sec):
+            lines.append(f"{key} = {draw(st.text(chars, max_size=20))}")
+    return "\n".join(lines)
+
+
+@st.composite
+def snapshot_files(draw):
+    dims = draw(st.tuples(*[st.integers(0, 5)] * 3))
+    modulus = draw(st.one_of(
+        st.sampled_from([1j, 1 + 0j, 0.3 + 1.1j]),
+        st.complex_numbers(allow_nan=True, allow_infinity=True)))
+    echo = draw(st.one_of(
+        st.sampled_from([VALID_ECHO,
+                         VALID_ECHO.replace(b"epsilon = 0.001",
+                                            b"epsilon = -1.0"),
+                         VALID_ECHO.replace(b"kind = annulus",
+                                            b"kind = constant").replace(
+                             b"epsilon0 = 0.25", b"epsilon0 = 0.0"),
+                         b"\xff\xfe" + VALID_ECHO]),
+        st.binary(max_size=40)))
+    n = dims[0] * dims[1] * dims[2]
+    payload = draw(st.one_of(
+        st.lists(st.floats(), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype="<f8").tobytes()),
+        st.binary(max_size=64)))
+    return snapshot_bytes(dims, modulus, echo, payload)
 
 
 class TestConfigParse:
@@ -80,6 +137,18 @@ class TestConfigParse:
         assert grid.shape == (9, 16, 16)
         assert cfg.make_profile().epsilon == 1e-3
         assert cfg.make_boundary().phi1 == ((1, 0, 0.005 + 0j),)
+
+    def test_percent_is_literal(self):
+        cfg = ExperimentConfig.parse("[run]\nout_dir = 100%\n")
+        assert cfg.out_dir == "100%"
+
+    @given(st.one_of(st.text(), config_texts()))
+    @settings(max_examples=300, deadline=None)
+    def test_only_config_error_escapes(self, text):
+        try:
+            ExperimentConfig.parse(text)
+        except ConfigError:
+            pass
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -148,6 +217,31 @@ class TestSnapshot:
         with pytest.raises(SnapshotError):
             Snapshot.load(tmp_path / "nope.snap")
 
+    @pytest.mark.parametrize("dims, modulus, echo, values", [
+        ((3, 4, 4), 1j, b"\xff" + VALID_ECHO, np.zeros(48)),
+        ((0, 0, 0), 1j, VALID_ECHO, np.zeros(0)),
+        ((3, 4, 4), 1 + 0j, VALID_ECHO, np.zeros(48)),
+        ((3, 4, 4), 1j, VALID_ECHO, np.full(48, np.nan)),
+    ])
+    def test_malformed_is_snapshot_error(self, tmp_path, dims, modulus, echo,
+                                         values):
+        p = tmp_path / "m.snap"
+        p.write_bytes(snapshot_bytes(dims, modulus, echo,
+                                     values.astype("<f8").tobytes()))
+        with pytest.raises(SnapshotError):
+            Snapshot.load(p).to_solution()
+
+    @given(snapshot_files())
+    @settings(max_examples=300, deadline=None)
+    def test_only_snapshot_or_config_error_escapes(self, tmp_path_factory,
+                                                   raw):
+        p = tmp_path_factory.mktemp("fuzz") / "f.snap"
+        p.write_bytes(raw)
+        try:
+            Snapshot.load(p).to_solution()
+        except (SnapshotError, ConfigError):
+            pass
+
 
 class TestReports:
     def test_deterministic_after_stripping_timestamp(self):
@@ -164,6 +258,22 @@ class TestReports:
         lines = p.read_text().splitlines()
         assert lines[0] == "it,ix,iy,one"
         assert len(lines) == 1 + grid_small.n_nodes
+
+    def test_fields_csv_bytes(self, tmp_path):
+        from hcma import make_grid
+        grid = make_grid(3, 4, 5)
+        special = [1e300, -1e-300, -0.0, 1.0 / 3.0, 5e-324, 0.1, -7.0]
+        u = np.resize(special, grid.n_nodes).reshape(grid.shape)
+        fields = {"u": u, "v": -2.0 * u[::-1]}
+        p = tmp_path / "f.csv"
+        write_fields_csv(p, grid, fields)
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        w.writerow(["it", "ix", "iy", "u", "v"])
+        for node in np.ndindex(grid.shape):
+            w.writerow(list(node) + [repr(float(f[node]))
+                                     for f in fields.values()])
+        assert p.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 class TestCliEndToEnd:
@@ -230,6 +340,21 @@ class TestCliEndToEnd:
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
         assert "failure" in summary
 
+    def test_percent_in_config_exit_2(self, tmp_path):
+        text = SMALL_CONFIG.replace("epsilon = 1e-3", "epsilon = 1e-3%")
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["solve", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("dims, echo", [
+        ((3, 4, 4), b"\xff\xfe" + VALID_ECHO), ((0, 0, 0), VALID_ECHO)])
+    def test_malformed_snapshot_exit_2(self, tmp_path, dims, echo):
+        p = tmp_path / "m.snap"
+        n = dims[0] * dims[1] * dims[2]
+        p.write_bytes(snapshot_bytes(dims, 1j, echo, bytes(8 * n)))
+        assert cli.main(["verify", "--snapshot", str(p),
+                         "--out", str(tmp_path / "o")]) == 2
+
     def test_corrupted_snapshot_exit_2(self, tmp_path):
         p = tmp_path / "bad.snap"
         p.write_bytes(b"NOTASNAP" + b"\x00" * 64)
@@ -283,6 +408,24 @@ class TestCliEndToEnd:
         out = str(tmp_path / "o")
         assert cli.main(["sweep", "--config", cfg, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "lambda_002.snap"))
+
+    def test_rung_snapshots_echo_their_own_parameter(self, tmp_path):
+        text = SMALL_CONFIG.replace(
+            "epsilon = 1e-3", "epsilon = 1e-3\nschedule = 1e-1, 1e-2")
+        cfg = write_config(tmp_path, text + "\n[sweep]\nlambdas = 0.0, 1.0\n")
+        out = str(tmp_path / "o")
+        assert cli.main(["sweep", "--config", cfg, "--out", out]) == 0
+        v = str(tmp_path / "v")
+        assert cli.main(["verify", "--snapshot",
+                         os.path.join(out, "eps_000.snap"), "--out", v]) == 0
+        report = json.loads(open(os.path.join(v, "report.json")).read())
+        assert report["meta"]["profile"] == "annulus(eps=0.1)"
+        with open(os.path.join(v, "fields.csv"), newline="") as fh:
+            res = [abs(float(row["residual"])) for row in csv.DictReader(fh)]
+        assert max(res) <= 1e-9
+        rung0 = Snapshot.load(os.path.join(out, "lambda_000.snap"))
+        _, echo = rung0.to_solution()
+        assert [amp for _, _, amp in echo.phi1_modes] == [0j]
 
     def test_bad_trace_start_exit_2(self, tmp_path):
         text = SMALL_CONFIG.replace("starts = 0.0,0.25,0.5",

@@ -208,6 +208,18 @@ class TestContinuation:
             continuation_solve(grid_small, BoundarySpec(), [1e-2], cfg)
         assert err.value.index == 0
 
+    def test_failure_names_the_ladder_parameter(self, grid_small):
+        cfg = SolverConfig(newton_tol=1e-16, max_newton_iters=0)
+        with pytest.raises(ContinuationFailure) as err:
+            continuation_solve(grid_small, BoundarySpec(), [1e-2], cfg)
+        assert str(err.value).startswith("continuation rung 0 (eps=0.01) failed")
+        with pytest.raises(ContinuationFailure) as err:
+            lambda_sweep(grid_small, COS_BOUNDARY, [0.5],
+                         AnnulusProfile(1e-3), cfg)
+        assert str(err.value).startswith(
+            "continuation rung 0 (lambda=0.5) failed")
+        assert (err.value.name, err.value.value) == ("lambda", 0.5)
+
 
 class TestLambdaSweep:
     def test_endpoints(self, grid_mid, sol_cos):
