@@ -45,16 +45,9 @@ class SnapshotError(ValueError):
     pass
 
 
-_SCHEMA = {
-    "grid": {"nt", "nx", "ny", "modulus"},
-    "profile": {"kind", "epsilon", "epsilon0", "schedule"},
-    "boundary": {"phi0", "phi1"},
-    "sweep": {"lambdas"},
-    "solver": {"newton_tol", "max_newton_iters", "max_halvings",
-               "admissibility_margin"},
-    "run": {"out_dir", "seed", "checks"},
-    "trace": {"starts", "step"},
-}
+# profile kind -> (profile class, the config field holding its epsilon)
+_PROFILES = {"annulus": (AnnulusProfile, "epsilon"),
+             "constant": (ConstantProfile, "epsilon0")}
 
 
 def _parse_modes(text: str):
@@ -91,28 +84,67 @@ def _parse_floats(text: str):
         raise ConfigError(f"bad number list {text!r}: {exc}") from None
 
 
+def _fmt_floats(values) -> str:
+    return ", ".join(map(repr, values))
+
+
+def _parse_kind(text: str) -> str:
+    kind = text.strip().lower()
+    if kind not in _PROFILES:
+        raise ConfigError(f"unknown profile kind {kind!r}")
+    return kind
+
+
+def _parse_checks(text: str):
+    names = tuple(c.strip() for c in text.split(","))
+    return None if names in (("",), ("all",)) else names
+
+
+def _parse_starts(text: str):
+    starts = tuple(map(_parse_floats, text.split(";"))) if text.strip() else ()
+    if any(len(s) != 3 for s in starts):
+        raise ConfigError(f"bad trace starts {text!r}: want t,x,y; ...")
+    return starts
+
+
+def _key(section: str, default, parse, fmt=str, key: str | None = None):
+    """A config field: the [section] and key (default: the field name) it is
+    read from and echoed to, its default, and its text parser and formatter."""
+    return dc_field(default=default, metadata={
+        "section": section, "key": key, "parse": parse, "fmt": fmt})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    nt: int = 9
-    nx: int = 16
-    ny: int = 16
-    modulus: complex = 1j
-    profile_kind: str = "annulus"          # "annulus" | "constant"
-    epsilon: float = 1e-3
-    epsilon0: float = 0.25
-    schedule: tuple = ()                   # continuation epsilons, decreasing
-    phi0_modes: tuple = ()
-    phi1_modes: tuple = ()
-    lambdas: tuple = ()
-    newton_tol: float = 1e-10
-    max_newton_iters: int = 50
-    max_halvings: int = 30
-    admissibility_margin: float = 1e-8
-    out_dir: str = "out"
-    seed: int = 0
-    checks: tuple | None = None            # None = all
-    trace_starts: tuple = ()
-    trace_step: float = 0.01
+    """One run's settings; each field is one INI key, declared once."""
+
+    nt: int = _key("grid", 9, int)
+    nx: int = _key("grid", 16, int)
+    ny: int = _key("grid", 16, int)
+    modulus: complex = _key("grid", 1j, lambda s: complex(s.replace(" ", "")),
+                            lambda m: f"{m.real!r}{m.imag:+}j")
+    profile_kind: str = _key("profile", "annulus", _parse_kind, key="kind")
+    epsilon: float = _key("profile", 1e-3, float, repr)
+    epsilon0: float = _key("profile", 0.25, float, repr)
+    # continuation epsilons, decreasing
+    schedule: tuple = _key("profile", (), _parse_floats, _fmt_floats)
+    phi0_modes: tuple = _key("boundary", (), _parse_modes, _fmt_modes, "phi0")
+    phi1_modes: tuple = _key("boundary", (), _parse_modes, _fmt_modes, "phi1")
+    lambdas: tuple = _key("sweep", (), _parse_floats, _fmt_floats)
+    newton_tol: float = _key("solver", SolverConfig.newton_tol, float, repr)
+    max_newton_iters: int = _key("solver", SolverConfig.max_newton_iters, int)
+    max_halvings: int = _key("solver", SolverConfig.max_halvings, int)
+    admissibility_margin: float = _key(
+        "solver", SolverConfig.admissibility_margin, float, repr)
+    out_dir: str = _key("run", "out", str.strip)
+    seed: int = _key("run", 0, int)
+    checks: tuple | None = _key("run", None, _parse_checks,  # None = all
+                                lambda c: "all" if c is None else ", ".join(c))
+    trace_starts: tuple = _key(
+        "trace", (), _parse_starts,
+        lambda starts: "; ".join(f"{t!r},{x!r},{y!r}" for t, x, y in starts),
+        "starts")
+    trace_step: float = _key("trace", 0.01, float, repr, "step")
 
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":
@@ -127,120 +159,44 @@ class ExperimentConfig:
             for key in cp[section]:
                 if key not in _SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in [{section}]")
-
-        def get(section, key, default, conv):
+        values = {}
+        for section, key, f in _KEYS:
             if cp.has_option(section, key):
-                raw = cp.get(section, key)
                 try:
-                    return conv(raw)
+                    values[f.name] = f.metadata["parse"](cp.get(section, key))
                 except (ValueError, TypeError) as exc:
                     raise ConfigError(
                         f"bad value for {key!r} in [{section}]: {exc}") from None
-            return default
-
-        kind = get("profile", "kind", cls.profile_kind, str).strip().lower()
-        if kind not in ("annulus", "constant"):
-            raise ConfigError(f"unknown profile kind {kind!r}")
-        checks_raw = get("run", "checks", "all", str).strip()
-        checks = None if checks_raw in ("", "all") else tuple(
-            c.strip() for c in checks_raw.split(","))
-        starts_raw = get("trace", "starts", "", str).strip()
-        starts = ()
-        if starts_raw:
-            triples = []
-            for chunk in starts_raw.split(";"):
-                vals = _parse_floats(chunk)
-                if len(vals) != 3:
-                    raise ConfigError(f"bad trace start {chunk!r}: want t,x,y")
-                triples.append(vals)
-            starts = tuple(triples)
-        return cls(
-            nt=get("grid", "nt", cls.nt, int),
-            nx=get("grid", "nx", cls.nx, int),
-            ny=get("grid", "ny", cls.ny, int),
-            modulus=get("grid", "modulus", cls.modulus,
-                        lambda s: complex(s.replace(" ", ""))),
-            profile_kind=kind,
-            epsilon=get("profile", "epsilon", cls.epsilon, float),
-            epsilon0=get("profile", "epsilon0", cls.epsilon0, float),
-            schedule=get("profile", "schedule", (), _parse_floats),
-            phi0_modes=get("boundary", "phi0", (), _parse_modes),
-            phi1_modes=get("boundary", "phi1", (), _parse_modes),
-            lambdas=get("sweep", "lambdas", (), _parse_floats),
-            newton_tol=get("solver", "newton_tol", cls.newton_tol, float),
-            max_newton_iters=get("solver", "max_newton_iters",
-                                 cls.max_newton_iters, int),
-            max_halvings=get("solver", "max_halvings", cls.max_halvings, int),
-            admissibility_margin=get("solver", "admissibility_margin",
-                                     cls.admissibility_margin, float),
-            out_dir=get("run", "out_dir", cls.out_dir, str).strip(),
-            seed=get("run", "seed", cls.seed, int),
-            checks=checks,
-            trace_starts=starts,
-            trace_step=get("trace", "step", cls.trace_step, float),
-        )
+        return cls(**values)
 
     def serialize(self) -> str:
-        m = self.modulus
-        lines = [
-            "[grid]",
-            f"nt = {self.nt}",
-            f"nx = {self.nx}",
-            f"ny = {self.ny}",
-            f"modulus = {m.real!r}{m.imag:+}j",
-            "",
-            "[profile]",
-            f"kind = {self.profile_kind}",
-            f"epsilon = {self.epsilon!r}",
-            f"epsilon0 = {self.epsilon0!r}",
-            f"schedule = {', '.join(repr(v) for v in self.schedule)}",
-            "",
-            "[boundary]",
-            f"phi0 = {_fmt_modes(self.phi0_modes)}",
-            f"phi1 = {_fmt_modes(self.phi1_modes)}",
-            "",
-            "[sweep]",
-            f"lambdas = {', '.join(repr(v) for v in self.lambdas)}",
-            "",
-            "[solver]",
-            f"newton_tol = {self.newton_tol!r}",
-            f"max_newton_iters = {self.max_newton_iters}",
-            f"max_halvings = {self.max_halvings}",
-            f"admissibility_margin = {self.admissibility_margin!r}",
-            "",
-            "[run]",
-            f"out_dir = {self.out_dir}",
-            f"seed = {self.seed}",
-            "checks = " + ("all" if self.checks is None
-                           else ", ".join(self.checks)),
-            "",
-            "[trace]",
-            "starts = " + "; ".join(
-                f"{t!r},{x!r},{y!r}" for t, x, y in self.trace_starts),
-            f"step = {self.trace_step!r}",
-            "",
-        ]
-        return "\n".join(lines)
+        blocks = {}
+        for section, key, f in _KEYS:
+            blocks.setdefault(section, [f"[{section}]"]).append(
+                f"{key} = {f.metadata['fmt'](getattr(self, f.name))}")
+        return "\n".join("\n".join(lines) + "\n" for lines in blocks.values())
 
     # --- object factories ---
     def make_grid(self) -> Grid:
         return make_grid(self.nt, self.nx, self.ny, self.modulus)
 
     def make_profile(self, epsilon: float | None = None):
-        if self.profile_kind == "constant":
-            return ConstantProfile(self.epsilon0 if epsilon is None
-                                   else epsilon)
-        return AnnulusProfile(self.epsilon if epsilon is None else epsilon)
+        profile, key = _PROFILES[self.profile_kind]
+        return profile(getattr(self, key) if epsilon is None else epsilon)
 
     def make_boundary(self) -> BoundarySpec:
         return BoundarySpec(phi0=self.phi0_modes, phi1=self.phi1_modes)
 
     def make_solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            newton_tol=self.newton_tol,
-            max_newton_iters=self.max_newton_iters,
-            max_halvings=self.max_halvings,
-            admissibility_margin=self.admissibility_margin)
+        return SolverConfig(**{f.name: getattr(self, f.name)
+                               for f in dataclasses.fields(SolverConfig)})
+
+
+# (section, key, field) of every config key, in echo order
+_KEYS = tuple((f.metadata["section"], f.metadata["key"] or f.name, f)
+              for f in dataclasses.fields(ExperimentConfig))
+_SCHEMA = {section: {key for s, key, _ in _KEYS if s == section}
+           for section, _, _ in _KEYS}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -270,7 +226,7 @@ class Snapshot:
         """Snapshot whose config echo carries the solution's own epsilon and
         boundary modes (a ladder rung's, not the base config's)."""
         g = solution.grid
-        key = "epsilon0" if config.profile_kind == "constant" else "epsilon"
+        key = _PROFILES[config.profile_kind][1]
         config = dataclasses.replace(
             config, phi0_modes=solution.boundary.phi0,
             phi1_modes=solution.boundary.phi1,

@@ -22,6 +22,8 @@ import scipy.sparse.linalg as spla
 from .grid import Grid, ScalarField, second_order_stencil
 from .quantities import NonConvexBoundaryError, h_coefficient_planes, strip_h
 
+LINEAR_RTOL = 1e-12    # relative residual of each Newton linear solve
+
 
 class SolverError(RuntimeError):
     pass
@@ -208,10 +210,9 @@ class SolverConfig:
     max_newton_iters: int = 50
     max_halvings: int = 30
     admissibility_margin: float = 1e-8
-    linear_rtol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("newton_tol", "admissibility_margin", "linear_rtol"):
+        for name in ("newton_tol", "admissibility_margin"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -264,14 +265,16 @@ def linearize(phi: ScalarField, profile=None) -> spla.LinearOperator:
     First variation: (1+a) dPhi_tt + Phi_tt da - 2 Re(Phi_tz dPhi_tzbar),
     expressed through the same central stencils the residual uses, so Newton
     is exactly quadratic.  Applied matrix-free: it is 4 det(h) times the
-    verifier's h_contract, through the same stencil planes.
+    verifier's h_contract, through the same stencil planes, which also
+    build the operator's ``preconditioner``.
     """
     grid = phi.grid
     opa_min, quad_min = _admissibility(phi)
     if opa_min <= 0.0 or quad_min <= 0.0:
         raise InadmissibleStateError(
             f"min(1+a)={opa_min:.3e}, min(det-form)={quad_min:.3e}")
-    apply = second_order_stencil(grid, h_coefficient_planes(phi))
+    planes = h_coefficient_planes(phi)
+    apply = second_order_stencil(grid, planes)
 
     def matvec(x):
         v = x.reshape(grid.shape)
@@ -281,7 +284,9 @@ def linearize(phi: ScalarField, profile=None) -> spla.LinearOperator:
         return out.ravel()
 
     n = grid.n_nodes
-    return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    jac = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    jac.preconditioner = _SeparablePreconditioner(grid, planes)
+    return jac
 
 
 class _SeparablePreconditioner:
@@ -344,9 +349,9 @@ class _SeparablePreconditioner:
         return spla.LinearOperator((n, n), matvec=self.solve, dtype=float)
 
 
-def _solve_linear(grid: Grid, jac: spla.LinearOperator, rhs: np.ndarray,
-                  coeffs: dict, rtol: float) -> np.ndarray:
-    """Solve jac @ x = rhs to relative residual <= rtol by preconditioned GMRES.
+def _solve_linear(jac: spla.LinearOperator, rhs, rtol: float) -> np.ndarray:
+    """Solve jac @ x = rhs to relative residual <= rtol by GMRES with the
+    ``preconditioner`` that linearize attached to jac.
 
     A result is accepted on its true residual, whatever GMRES reports;
     otherwise SolverError carries GMRES info, its preconditioner applies
@@ -355,7 +360,7 @@ def _solve_linear(grid: Grid, jac: spla.LinearOperator, rhs: np.ndarray,
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
-    pre = _SeparablePreconditioner(grid, coeffs)
+    pre = jac.preconditioner
     x, info = spla.gmres(jac, rhs, M=pre.as_operator(), rtol=0.1 * rtol,
                          atol=0.0, restart=60, maxiter=20)
     rel = np.linalg.norm(jac @ x - rhs) / rhs_norm
@@ -430,8 +435,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         except InadmissibleStateError as exc:
             return fail(f"inadmissible iterate: {exc}", rn, k)
         try:
-            step = _solve_linear(grid, jac, -r.values.ravel(),
-                                 h_coefficient_planes(phi), config.linear_rtol)
+            step = _solve_linear(jac, -r.values.ravel(), LINEAR_RTOL)
         except SolverError as exc:
             return fail(f"linear-solve-failure: {exc}", rn, k)
         step = step.reshape(grid.shape)

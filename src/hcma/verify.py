@@ -122,6 +122,17 @@ def _argmin_node(arr_interior: np.ndarray) -> tuple:
 
 # --- individual checks -------------------------------------------------------
 
+def check_converged(solution: Solution) -> CheckRecord:
+    """The Newton solve converged, so the other checks test a solution."""
+    note = "" if solution.converged else (
+        f"not converged: final residual {solution.final_residual:.3e} "
+        f"after {solution.iterations} Newton iterations")
+    return CheckRecord(
+        name="converged", passed=bool(solution.converged),
+        measured=solution.final_residual, bound=0.0, tolerance=0.0,
+        note=note, extra={"iterations": solution.iterations})
+
+
 def check_convexity(solution: Solution) -> CheckRecord:
     """Interior slices stay strictly omega_0-convex: |b| < 1+a and 1+a > 0."""
     j = solution.phi.jets
@@ -255,7 +266,6 @@ def check_ab_equations(solution: Solution) -> CheckRecord:
     opa = 1.0 + a[1:-1]
 
     a_zeta, a_z = _grad_pairs(solution, a)
-    b_zeta, b_z = _grad_pairs(solution, b)
     from .grid import dt1, wirt_zbar
     g = solution.grid
     b_zetabar = 0.5 * dt1(g, b)            # Im(zeta)-independent field
@@ -410,6 +420,7 @@ def jet_map_export(solution: Solution):
 # --- orchestration -----------------------------------------------------------
 
 CHECKS = {
+    "converged": check_converged,
     "convexity": check_convexity,
     "max_principle_Q": check_max_principle_Q,
     "weighted_max_principle": check_weighted_max_principle,

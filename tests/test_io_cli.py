@@ -50,6 +50,78 @@ def snapshot_bytes(dims, modulus, echo: bytes, payload: bytes) -> bytes:
             + echo + payload)
 
 
+# snapshot v1 config echoes of the default config and of one that sets
+# every key to a non-default value
+DEFAULT_ECHO = """\
+[grid]
+nt = 9
+nx = 16
+ny = 16
+modulus = 0.0+1.0j
+
+[profile]
+kind = annulus
+epsilon = 0.001
+epsilon0 = 0.25
+schedule =\x20
+
+[boundary]
+phi0 =\x20
+phi1 =\x20
+
+[sweep]
+lambdas =\x20
+
+[solver]
+newton_tol = 1e-10
+max_newton_iters = 50
+max_halvings = 30
+admissibility_margin = 1e-08
+
+[run]
+out_dir = out
+seed = 0
+checks = all
+
+[trace]
+starts =\x20
+step = 0.01
+"""
+FULL_ECHO = """\
+[grid]
+nt = 17
+nx = 24
+ny = 20
+modulus = 0.25+1.5j
+
+[profile]
+kind = constant
+epsilon = 0.002
+epsilon0 = 0.5
+schedule = 0.1, 0.01, 0.001
+
+[boundary]
+phi0 = 0,1,0.001,-0.002
+phi1 = 1,0,0.005,0.0; 2,-1,0.0,0.0001
+
+[sweep]
+lambdas = 0.0, 0.5, 1.0
+
+[solver]
+newton_tol = 1e-12
+max_newton_iters = 7
+max_halvings = 12
+admissibility_margin = 1e-09
+
+[run]
+out_dir = results/run 1
+seed = 42
+checks = convexity, lq_ratio
+
+[trace]
+starts = 0.0,0.25,0.5; 0.5,0.1,0.9
+step = 0.05
+"""
 VALID_ECHO = ExperimentConfig().serialize().encode()
 CONFIG_KEYS = [(sec, key) for sec, keys in sorted(_SCHEMA.items())
                for key in sorted(keys)]
@@ -153,6 +225,24 @@ class TestConfigParse:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
+
+    @pytest.mark.parametrize("cfg, echo", [
+        (ExperimentConfig(), DEFAULT_ECHO),
+        (ExperimentConfig(
+            nt=17, nx=24, ny=20, modulus=0.25 + 1.5j, profile_kind="constant",
+            epsilon=0.002, epsilon0=0.5, schedule=(0.1, 0.01, 0.001),
+            phi0_modes=((0, 1, 0.001 - 0.002j),),
+            phi1_modes=((1, 0, 0.005 + 0j), (2, -1, 0.0001j)),
+            lambdas=(0.0, 0.5, 1.0), newton_tol=1e-12, max_newton_iters=7,
+            max_halvings=12, admissibility_margin=1e-9,
+            out_dir="results/run 1", seed=42, checks=("convexity", "lq_ratio"),
+            trace_starts=((0.0, 0.25, 0.5), (0.5, 0.1, 0.9)), trace_step=0.05),
+         FULL_ECHO),
+    ])
+    def test_echo_text_is_pinned(self, cfg, echo):
+        """The config echo is part of snapshot format v1."""
+        assert cfg.serialize() == echo
+        assert ExperimentConfig.parse(echo) == cfg
 
 
 class TestSnapshot:
@@ -339,6 +429,21 @@ class TestCliEndToEnd:
         assert os.path.exists(os.path.join(out, "diagnostics.snap"))
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
         assert "failure" in summary
+
+    def test_unconverged_snapshot_verify_exit_4(self, tmp_path):
+        text = SMALL_CONFIG + "\n[solver]\nmax_newton_iters = 0\n"
+        cfg = write_config(tmp_path, text)
+        out = str(tmp_path / "o")
+        assert cli.main(["solve", "--config", cfg, "--out", out]) == 3
+        v = str(tmp_path / "v")
+        assert cli.main(["verify", "--snapshot",
+                         os.path.join(out, "diagnostics.snap"),
+                         "--out", v]) == 4
+        report = json.loads(open(os.path.join(v, "report.json")).read())
+        rec = next(c for c in report["checks"] if c["name"] == "converged")
+        assert not rec["pass"] and not rec["vacuous"]
+        assert rec["measured"] > 1e-3 and rec["extra"]["iterations"] == 0
+        assert "not converged" in rec["note"]
 
     def test_percent_in_config_exit_2(self, tmp_path):
         text = SMALL_CONFIG.replace("epsilon = 1e-3", "epsilon = 1e-3%")
