@@ -17,9 +17,11 @@ import numpy as np
 from . import io as hio
 from .leaves import LeafError, qb_along_leaf, trace_leaf
 from .quantities import NonConvexBoundaryError
-from .solver import ContinuationFailure, newton_solve
-from .verify import (check_eps_monotone_limit, check_lambda_monotonicity,
-                     jet_map_export, q_field, run_checks)
+from .solver import (ContinuationFailure, continuation_solve, lambda_sweep,
+                     newton_solve)
+from .verify import (CheckRecord, check_eps_monotone_limit,
+                     check_lambda_monotonicity, jet_map_export, q_field,
+                     run_checks)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,10 +40,22 @@ def _ensure_out(args, config) -> str:
     return out
 
 
-def _load_config(args):
+def _load_problem(args):
     if not args.config:
         raise hio.ConfigError("--config is required")
-    return hio.load_config(args.config)
+    config = hio.load_config(args.config)
+    grid = config.make_grid()
+    boundary = config.make_boundary()
+    boundary.validate(grid)
+    return config, grid, boundary
+
+
+def _save_snapshots(out, config, sols, stem, lone=False) -> list[str]:
+    names = ([f"{stem}.snap"] if lone and len(sols) == 1 else
+             [f"{stem}_{k:03d}.snap" for k in range(len(sols))])
+    for name, sol in zip(names, sols):
+        hio.Snapshot.from_solution(sol, config).save(os.path.join(out, name))
+    return names
 
 
 def _solution_meta(config, solution) -> dict:
@@ -57,10 +71,7 @@ def _solution_meta(config, solution) -> dict:
 
 def cmd_solve(args) -> int:
     try:
-        config = _load_config(args)
-        grid = config.make_grid()
-        boundary = config.make_boundary()
-        boundary.validate(grid)
+        config, grid, boundary = _load_problem(args)
     except (hio.ConfigError, NonConvexBoundaryError, ValueError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
     out = _ensure_out(args, config)
@@ -70,7 +81,6 @@ def cmd_solve(args) -> int:
     failed = None
     if config.schedule:
         try:
-            from .solver import continuation_solve
             solutions = continuation_solve(
                 grid, boundary, config.schedule, solver_cfg,
                 make_profile=config.make_profile)
@@ -98,10 +108,7 @@ def cmd_solve(args) -> int:
             os.path.join(out, "summary.json"))
         return _fail(EXIT_SOLVER, f"solver failed: {failed.message}")
 
-    names = (["solution.snap"] if len(solutions) == 1 else
-             [f"solution_{k:03d}.snap" for k in range(len(solutions))])
-    for name, sol in zip(names, solutions):
-        hio.Snapshot.from_solution(sol, config).save(os.path.join(out, name))
+    names = _save_snapshots(out, config, solutions, "solution", lone=True)
     last = solutions[-1]
     summary = {
         "meta": _solution_meta(config, last),
@@ -160,10 +167,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        config = _load_config(args)
-        grid = config.make_grid()
-        boundary = config.make_boundary()
-        boundary.validate(grid)
+        config, grid, boundary = _load_problem(args)
         if not config.schedule and not config.lambdas:
             raise hio.ConfigError(
                 "sweep needs a [profile] schedule or [sweep] lambdas")
@@ -177,29 +181,22 @@ def cmd_sweep(args) -> int:
 
     try:
         if config.lambdas:
-            from .solver import lambda_sweep
             sols = lambda_sweep(grid, boundary, config.lambdas,
                                 config.make_profile(), solver_cfg)
-            for k, s in enumerate(sols):
-                hio.Snapshot.from_solution(s, config).save(
-                    os.path.join(out, f"lambda_{k:03d}.snap"))
+            _save_snapshots(out, config, sols, "lambda")
             checks.append(check_lambda_monotonicity(sols).to_dict())
         if config.schedule:
-            from .solver import continuation_solve
             sols = continuation_solve(grid, boundary, config.schedule,
                                       solver_cfg,
                                       make_profile=config.make_profile)
-            for k, s in enumerate(sols):
-                hio.Snapshot.from_solution(s, config).save(
-                    os.path.join(out, f"eps_{k:03d}.snap"))
+            _save_snapshots(out, config, sols, "eps")
             checks.append(check_eps_monotone_limit(sols).to_dict())
             minima = [float(s.interior_one_plus_a().min()) for s in sols]
             spread = max(minima) - min(minima)
-            checks.append({
-                "name": "metric_lower_bound_stability", "pass": spread <= 0.05,
-                "vacuous": False, "measured": spread, "bound": 0.05,
-                "tolerance": 0.0, "worst_node": None, "note": "",
-                "extra": {"min_one_plus_a_per_rung": minima}})
+            checks.append(CheckRecord(
+                name="metric_lower_bound_stability", passed=spread <= 0.05,
+                measured=spread, bound=0.05, tolerance=0.0,
+                extra={"min_one_plus_a_per_rung": minima}).to_dict())
     except (ContinuationFailure, ValueError) as exc:
         return _fail(EXIT_SOLVER, str(exc))
 

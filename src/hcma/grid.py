@@ -34,7 +34,6 @@ class TorusLattice:
     """Flat torus C / (Z + modulus*Z); fundamental domain z = x + modulus*y."""
 
     modulus: complex = 1j
-    period_one: float = 1.0
 
     def __post_init__(self):
         if self.modulus.imag == 0.0:
@@ -270,38 +269,40 @@ class Jet:
 
 
 class JetFields:
-    """Whole-grid derivative arrays of one ScalarField, computed lazily.
+    """Whole-grid derivative arrays of one field's values, computed lazily.
 
     Single code path for pointwise jets and vectorized consumers (solver,
-    verifier): wirtinger_jet just reads these arrays at a node.
+    verifier): wirtinger_jet just reads these arrays at a node.  No reference
+    back to the ScalarField, so a dropped field is freed without the cyclic GC.
     """
 
-    def __init__(self, fld: "ScalarField"):
-        self._f = fld
+    def __init__(self, grid: Grid, values: np.ndarray):
+        self._grid = grid
+        self._values = values
 
     @cached_property
     def d_t(self):
-        return dt1(self._f.grid, self._f.values)
+        return dt1(self._grid, self._values)
 
     @cached_property
     def d_tt(self):
-        return dt2(self._f.grid, self._f.values)
+        return dt2(self._grid, self._values)
 
     @cached_property
     def d_z(self):
-        return wirt_z(self._f.grid, self._f.values)
+        return wirt_z(self._grid, self._values)
 
     @cached_property
     def a(self):
-        return wirt_zzbar(self._f.grid, self._f.values).real
+        return wirt_zzbar(self._grid, self._values).real
 
     @cached_property
     def b(self):
-        return wirt_zz(self._f.grid, self._f.values)
+        return wirt_zz(self._grid, self._values)
 
     @cached_property
     def d_tz(self):
-        return dt1(self._f.grid, self.d_z)
+        return dt1(self._grid, self.d_z)
 
     @cached_property
     def d_tzb(self):
@@ -310,23 +311,23 @@ class JetFields:
     # third order: difference the second-order jets (O(h) accepted)
     @cached_property
     def d_zzz(self):
-        return wirt_z(self._f.grid, self.b)
+        return wirt_z(self._grid, self.b)
 
     @cached_property
     def d_zzzb(self):
-        return wirt_zbar(self._f.grid, self.b)
+        return wirt_zbar(self._grid, self.b)
 
     @cached_property
     def d_zzbz(self):
-        return wirt_z(self._f.grid, self.a)
+        return wirt_z(self._grid, self.a)
 
     @cached_property
     def d_tzz(self):
-        return dt1(self._f.grid, self.b)
+        return dt1(self._grid, self.b)
 
     @cached_property
     def d_tzzb(self):
-        return dt1(self._f.grid, self.a.astype(complex))
+        return dt1(self._grid, self.a.astype(complex))
 
 
 class ScalarField:
@@ -343,7 +344,7 @@ class ScalarField:
         values.setflags(write=False)
         self.grid = grid
         self.values = values
-        self.jets = JetFields(self)
+        self.jets = JetFields(grid, values)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "ScalarField":

@@ -95,8 +95,16 @@ def _parse_kind(text: str) -> str:
     return kind
 
 
+def _one_line(text: str) -> str:
+    """Stripped text; a line break inside it would not survive the echo."""
+    text = text.strip()
+    if "\n" in text:
+        raise ConfigError(f"line break in {text!r}")
+    return text
+
+
 def _parse_checks(text: str):
-    names = tuple(c.strip() for c in text.split(","))
+    names = tuple(map(_one_line, text.split(",")))
     return None if names in (("",), ("all",)) else names
 
 
@@ -136,7 +144,7 @@ class ExperimentConfig:
     max_halvings: int = _key("solver", SolverConfig.max_halvings, int)
     admissibility_margin: float = _key(
         "solver", SolverConfig.admissibility_margin, float, repr)
-    out_dir: str = _key("run", "out", str.strip)
+    out_dir: str = _key("run", "out", _one_line)
     seed: int = _key("run", 0, int)
     checks: tuple | None = _key("run", None, _parse_checks,  # None = all
                                 lambda c: "all" if c is None else ", ".join(c))

@@ -9,7 +9,7 @@ threshold carries epsilon-dependent slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class LeafPath:
     step: float
     aborted: bool = False
     message: str = "ok"
-    diagnostics: dict = dc_field(default_factory=dict)
 
     @property
     def n_samples(self) -> int:

@@ -110,14 +110,17 @@ def boundary_jet_pairs(solution: Solution):
     return out
 
 
-def _argmax_node(arr_interior: np.ndarray) -> tuple:
-    it, ix, iy = np.unravel_index(np.argmax(arr_interior), arr_interior.shape)
+def _interior_node(arr_interior: np.ndarray, pick=np.argmax) -> tuple:
+    """Grid node (it, ix, iy) of the entry pick selects from interior planes."""
+    it, ix, iy = np.unravel_index(pick(arr_interior), arr_interior.shape)
     return (int(it) + 1, int(ix), int(iy))
 
 
-def _argmin_node(arr_interior: np.ndarray) -> tuple:
-    it, ix, iy = np.unravel_index(np.argmin(arr_interior), arr_interior.shape)
-    return (int(it) + 1, int(ix), int(iy))
+def _vacuous(name: str, note: str, **fields) -> CheckRecord:
+    """A record for data outside the check's hypotheses; it does not fail."""
+    fields = {"measured": 0.0, "bound": 0.0, "tolerance": 0.0, **fields}
+    return CheckRecord(name=name, passed=True, vacuous=True, note=note,
+                       **fields)
 
 
 # --- individual checks -------------------------------------------------------
@@ -143,7 +146,7 @@ def check_convexity(solution: Solution) -> CheckRecord:
     passed = measured < h2 and min_opa > -h2
     return CheckRecord(
         name="convexity", passed=passed, measured=measured, bound=0.0,
-        tolerance=h2, worst_node=_argmax_node(gap),
+        tolerance=h2, worst_node=_interior_node(gap),
         extra={"min_one_plus_a": min_opa})
 
 
@@ -158,7 +161,7 @@ def check_max_principle_Q(solution: Solution) -> CheckRecord:
     factor2 = measured <= 2.0 * bound + h2
     return CheckRecord(
         name="max_principle_Q", passed=plain and factor2, measured=measured,
-        bound=bound, tolerance=h2, worst_node=_argmax_node(qi),
+        bound=bound, tolerance=h2, worst_node=_interior_node(qi),
         extra={"factor2_pass": bool(factor2), "factor2_bound": 2.0 * bound})
 
 
@@ -189,9 +192,7 @@ def check_weighted_max_principle(solution: Solution,
                                  d_R: float = 2.0 * math.e) -> CheckRecord:
     """Max principle for Q/u on the annulus image tau = e^{t+is}."""
     if not hasattr(solution.profile, "epsilon"):
-        return CheckRecord(name="weighted_max_principle", passed=True,
-                           measured=0.0, bound=0.0, tolerance=0.0,
-                           vacuous=True, note="requires annulus profile")
+        return _vacuous("weighted_max_principle", "requires annulus profile")
     ident = check_u_identity(d_R)
     Q = q_field(solution)
     t = solution.grid.t_values
@@ -218,13 +219,12 @@ def check_metric_lower_bound(solution: Solution) -> CheckRecord:
     try:
         delta = boundary_delta(boundary_jet_pairs(solution))
     except NonConvexBoundaryError as exc:
-        return CheckRecord(name="metric_lower_bound", passed=True,
-                           measured=measured, bound=0.0, tolerance=h2,
-                           vacuous=True, note=str(exc))
+        return _vacuous("metric_lower_bound", str(exc), measured=measured,
+                        tolerance=h2)
     return CheckRecord(
         name="metric_lower_bound", passed=measured > delta - h2,
         measured=measured, bound=delta, tolerance=h2,
-        worst_node=_argmin_node(opa))
+        worst_node=_interior_node(opa, np.argmin))
 
 
 def check_upper_bound(solution: Solution) -> CheckRecord:
@@ -236,14 +236,7 @@ def check_upper_bound(solution: Solution) -> CheckRecord:
     h2 = C_H2 * _h_scale(solution.grid) ** 2
     return CheckRecord(
         name="upper_bound", passed=measured <= S + h2, measured=measured,
-        bound=S, tolerance=h2, worst_node=_argmax_node(val))
-
-
-def _grad_pairs(solution: Solution, values: np.ndarray):
-    """First derivatives (w_zeta, w_z) of a grid array in the strip frame."""
-    from .grid import dt1, wirt_z
-    g = solution.grid
-    return 0.5 * dt1(g, values), wirt_z(g, values)
+        bound=S, tolerance=h2, worst_node=_interior_node(val))
 
 
 def _h_bilinear(solution: Solution, u0, u1, w0, w1) -> np.ndarray:
@@ -264,12 +257,9 @@ def check_ab_equations(solution: Solution) -> CheckRecord:
     j = solution.phi.jets
     a, b = j.a, j.b
     opa = 1.0 + a[1:-1]
-
-    a_zeta, a_z = _grad_pairs(solution, a)
-    from .grid import dt1, wirt_zbar
-    g = solution.grid
-    b_zetabar = 0.5 * dt1(g, b)            # Im(zeta)-independent field
-    b_zbar = wirt_zbar(g, b)
+    # strip frame, Im(zeta)-independent: d/dzeta = d/dzetabar = (d/dt)/2
+    a_zeta, a_z = 0.5 * j.d_tzzb, j.d_zzbz
+    b_zetabar, b_zbar = 0.5 * j.d_tzz, j.d_zzzb
 
     lhs_a = h_contract(solution, a).real
     rhs_a = (_h_bilinear(solution, a_zeta, a_z, np.conj(a_zeta), np.conj(a_z))
@@ -286,7 +276,7 @@ def check_ab_equations(solution: Solution) -> CheckRecord:
     measured = float(max(res_a.max(), res_b.max()))
     return CheckRecord(
         name="ab_equations", passed=measured <= tol, measured=measured,
-        bound=0.0, tolerance=tol, worst_node=_argmax_node(res_a),
+        bound=0.0, tolerance=tol, worst_node=_interior_node(res_a),
         extra={"residual_a": float(res_a.max()),
                "residual_b": float(res_b.max()), "scale": scale})
 
@@ -296,9 +286,7 @@ def check_ekq_subharmonic(solution: Solution) -> CheckRecord:
     Q = q_field(solution)
     max_bnd = float(Q[[0, -1]].max())
     if max_bnd >= 1.0:
-        return CheckRecord(name="ekq_subharmonic", passed=True, measured=0.0,
-                           bound=0.0, tolerance=0.0, vacuous=True,
-                           note=f"boundary Q = {max_bnd} >= 1")
+        return _vacuous("ekq_subharmonic", f"boundary Q = {max_bnd} >= 1")
     K = choose_K(max_bnd)
     sigma2 = sigma_roots(K)[1]
     W = np.exp(np.minimum(K * Q, 700.0))   # clip only out-of-hypothesis nodes
@@ -306,19 +294,17 @@ def check_ekq_subharmonic(solution: Solution) -> CheckRecord:
     in_hyp = Q[1:-1] < sigma2
     n_out = int((~in_hyp).sum())
     if not in_hyp.any():
-        return CheckRecord(name="ekq_subharmonic", passed=True, measured=0.0,
-                           bound=0.0, tolerance=0.0, vacuous=True,
-                           note="no interior node inside the hypothesis region")
+        return _vacuous("ekq_subharmonic",
+                        "no interior node inside the hypothesis region")
     # allowance scales with the contracted magnitude (h-inverse included)
     g, m, q, det = _strip_frame(solution)
-    from .grid import dt1, dt2, wirt_z, wirt_zzbar
-    grd = solution.grid
+    w = ScalarField(solution.grid, W).jets
     # W is real, so |W_zeta zbar| = |W_z zetabar|: one term, added twice
-    mixed = np.abs(m) * np.abs(0.5 * dt1(grd, wirt_z(grd, W))[1:-1])
-    mag = (g * np.abs(0.25 * dt2(grd, W)[1:-1]) + mixed + mixed
-           + q * np.abs(wirt_zzbar(grd, W)[1:-1])) / det
+    mixed = np.abs(m) * np.abs(0.5 * w.d_tz[1:-1])
+    mag = (g * np.abs(0.25 * w.d_tt[1:-1]) + mixed + mixed
+           + q * np.abs(w.a[1:-1])) / det
     scale = max(1.0, float(mag.max()))
-    tol = C_H2 * _h_scale(grd) ** 2 * scale
+    tol = C_H2 * _h_scale(solution.grid) ** 2 * scale
     measured = float(contraction[in_hyp].min())
     return CheckRecord(
         name="ekq_subharmonic", passed=measured >= -tol, measured=measured,
@@ -333,9 +319,7 @@ def lq_ratio_report(solution: Solution) -> CheckRecord:
     eps = solution.profile.rhs_on(solution.grid)[1:-1]
     mask = Q[1:-1] > Q_FLOOR
     if not mask.any():
-        return CheckRecord(name="lq_ratio", passed=True, measured=0.0,
-                           bound=0.0, tolerance=0.0, vacuous=True,
-                           note="Q below floor everywhere")
+        return _vacuous("lq_ratio", "Q below floor everywhere")
     rho = float((LQ[mask] / (eps[mask] * Q[1:-1][mask])).min())
     return CheckRecord(name="lq_ratio", passed=True, measured=rho, bound=0.0,
                        tolerance=0.0, note="diagnostic",
@@ -345,18 +329,16 @@ def lq_ratio_report(solution: Solution) -> CheckRecord:
 def check_lambda_monotonicity(sweep: list[Solution]) -> CheckRecord:
     """max-grid Q is non-decreasing along a lambda ladder; Prop-1 band holds."""
     if len(sweep) <= 1:
-        return CheckRecord(name="lambda_monotonicity", passed=True,
-                           measured=0.0, bound=0.0, tolerance=MONOTONE_SLACK,
-                           vacuous=True, note="ladder of length <= 1")
-    seq = [float(q_field(s).max()) for s in sweep]
-    drops = [seq[k] - seq[k + 1] for k in range(len(seq) - 1)]
-    worst_drop = max(drops) if drops else 0.0
-    rung_ok = True
+        return _vacuous("lambda_monotonicity", "ladder of length <= 1",
+                        tolerance=MONOTONE_SLACK)
+    seq, rung_ok = [], True
     for s in sweep:
         Q = q_field(s)
+        seq.append(float(Q.max()))
         h2 = C_H2 * _h_scale(s.grid) ** 2
         if Q[1:-1].max() > 2.0 * Q[[0, -1]].max() + h2:
             rung_ok = False
+    worst_drop = max(a - b for a, b in zip(seq, seq[1:]))
     return CheckRecord(
         name="lambda_monotonicity",
         passed=worst_drop <= MONOTONE_SLACK and rung_ok,
@@ -368,9 +350,8 @@ def check_lambda_monotonicity(sweep: list[Solution]) -> CheckRecord:
 def check_eps_monotone_limit(sweep: list[Solution]) -> CheckRecord:
     """Potentials increase pointwise as epsilon decreases; gaps shrink."""
     if len(sweep) <= 1:
-        return CheckRecord(name="eps_monotone_limit", passed=True,
-                           measured=0.0, bound=0.0, tolerance=MONOTONE_SLACK,
-                           vacuous=True, note="schedule of length <= 1")
+        return _vacuous("eps_monotone_limit", "schedule of length <= 1",
+                        tolerance=MONOTONE_SLACK)
     worst = -np.inf
     gaps = []
     for prev, nxt in zip(sweep, sweep[1:]):
@@ -396,13 +377,14 @@ def jet_map_export(solution: Solution):
     a = j.a[1:-1].ravel()
     b = j.b[1:-1].ravel()
     points = np.column_stack([b.real, b.imag, a])
-    S = boundary_S(boundary_jet_pairs(solution))
+    pairs = boundary_jet_pairs(solution)
+    S = boundary_S(pairs)
     h2 = C_H2 * _h_scale(solution.grid) ** 2
     margin_c0 = float((np.abs(b) - (1.0 + a)).max())
     extra = {"margin_C0": margin_c0, "S": S}
     worst = margin_c0
     try:
-        delta = boundary_delta(boundary_jet_pairs(solution))
+        delta = boundary_delta(pairs)
         margin_cap = float((np.abs(b) + delta - (1.0 + a)).max())
         extra["delta"] = delta
         extra["margin_cone_intersection"] = margin_cap
@@ -461,9 +443,7 @@ def run_checks(solution: Solution, names=None, seed: int | None = None,
                 record = CHECKS[name](solution)
         except (NonConvexBoundaryError, InfeasibleKError,
                 DegenerateMetricError) as exc:
-            record = CheckRecord(name=name, passed=True, measured=0.0,
-                                 bound=0.0, tolerance=0.0, vacuous=True,
-                                 note=f"out of hypothesis: {exc}")
+            record = _vacuous(name, f"out of hypothesis: {exc}")
         except InadmissibleSolutionError as exc:
             record = CheckRecord(name=name, passed=False, measured=0.0,
                                  bound=0.0, tolerance=0.0,

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 import json
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -286,8 +287,8 @@ def test_criterion_14_infrastructure(tmp_path, grid_small):
     o1, o2 = str(tmp_path / "v1"), str(tmp_path / "v2")
     cli.main(["verify", "--snapshot", snap_file, "--out", o1, "--seed", "0"])
     cli.main(["verify", "--snapshot", snap_file, "--out", o2, "--seed", "0"])
-    r1 = json.loads(open(os.path.join(o1, "report.json")).read())
-    r2 = json.loads(open(os.path.join(o2, "report.json")).read())
+    r1 = json.loads(pathlib.Path(o1, "report.json").read_text())
+    r2 = json.loads(pathlib.Path(o2, "report.json").read_text())
     r1["meta"].pop("timestamp")
     r2["meta"].pop("timestamp")
     deterministic = r1 == r2

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +141,17 @@ class TestWirtingerJet:
         j1 = wirtinger_jet(shifted, (2, 3, 5))
         assert j0.a == pytest.approx(j1.a, abs=1e-12)
         assert j0.b == pytest.approx(j1.b, abs=1e-12)
+
+    def test_field_freed_without_cyclic_gc(self):
+        fld = field_from(make_grid(5, 8, 8), lambda t, x, y: t * x + y)
+        assert np.isfinite(fld.jets.d_tzzb).all()
+        ref = weakref.ref(fld)
+        gc.disable()
+        try:
+            del fld
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestInterpolate:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import pathlib
 import struct
 
 import numpy as np
@@ -210,6 +211,23 @@ class TestConfigParse:
         assert cfg.make_profile().epsilon == 1e-3
         assert cfg.make_boundary().phi1 == ((1, 0, 0.005 + 0j),)
 
+    @pytest.mark.parametrize("line", ["out_dir = ml/a\n  b",
+                                      "checks = convexity\n  lq_ratio"])
+    def test_line_break_in_value_rejected(self, line):
+        with pytest.raises(ConfigError, match="line break"):
+            ExperimentConfig.parse(f"[run]\n{line}\n")
+
+    @pytest.mark.parametrize("text", [
+        "[run]\nchecks = convexity,\n  lq_ratio\n",
+        "[profile]\nschedule = 1e-2,\n  1e-3\n",
+        "[boundary]\nphi1 = 1,0,0.005,0;\n  2,0,0.001,0\n",
+        "[sweep]\nlambdas = 0.5,\n  1.0\n",
+        "[trace]\nstarts = 0,0.25,0.5;\n  0.5,0.1,0.9\n"])
+    def test_multiline_list_round_trips(self, text):
+        cfg = ExperimentConfig.parse(text)
+        assert cfg != ExperimentConfig()
+        assert ExperimentConfig.parse(cfg.serialize()) == cfg
+
     def test_percent_is_literal(self):
         cfg = ExperimentConfig.parse("[run]\nout_dir = 100%\n")
         assert cfg.out_dir == "100%"
@@ -373,12 +391,11 @@ class TestCliEndToEnd:
         assert cli.main(["solve", "--config", cfg, "--out", out]) == 0
         snap = os.path.join(out, "solution.snap")
         assert os.path.exists(snap)
-        summary = json.loads(
-            open(os.path.join(out, "summary.json")).read())
+        summary = json.loads(pathlib.Path(out, "summary.json").read_text())
         assert summary["summary"]["final_residual"] < 1e-10
 
         assert cli.main(["verify", "--snapshot", snap, "--out", out]) == 0
-        report = json.loads(open(os.path.join(out, "report.json")).read())
+        report = json.loads(pathlib.Path(out, "report.json").read_text())
         assert all(c["pass"] or c["vacuous"] for c in report["checks"])
         assert os.path.exists(os.path.join(out, "fields.csv"))
 
@@ -386,7 +403,7 @@ class TestCliEndToEnd:
                          "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "leaf_000.csv"))
         diag = json.loads(
-            open(os.path.join(out, "trace_diagnostics.json")).read())
+            pathlib.Path(out, "trace_diagnostics.json").read_text())
         assert diag["checks"][0]["in_hypothesis"]
 
         assert cli.main(["plotdata", "--snapshot", snap, "--out", out]) == 0
@@ -400,8 +417,8 @@ class TestCliEndToEnd:
         o1, o2 = str(tmp_path / "v1"), str(tmp_path / "v2")
         cli.main(["verify", "--snapshot", snap, "--out", o1])
         cli.main(["verify", "--snapshot", snap, "--out", o2])
-        r1 = json.loads(open(os.path.join(o1, "report.json")).read())
-        r2 = json.loads(open(os.path.join(o2, "report.json")).read())
+        r1 = json.loads(pathlib.Path(o1, "report.json").read_text())
+        r2 = json.loads(pathlib.Path(o2, "report.json").read_text())
         r1["meta"].pop("timestamp")
         r2["meta"].pop("timestamp")
         assert r1 == r2
@@ -427,7 +444,7 @@ class TestCliEndToEnd:
         out = str(tmp_path / "o")
         assert cli.main(["solve", "--config", cfg, "--out", out]) == 3
         assert os.path.exists(os.path.join(out, "diagnostics.snap"))
-        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        summary = json.loads(pathlib.Path(out, "summary.json").read_text())
         assert "failure" in summary
 
     def test_unconverged_snapshot_verify_exit_4(self, tmp_path):
@@ -439,11 +456,19 @@ class TestCliEndToEnd:
         assert cli.main(["verify", "--snapshot",
                          os.path.join(out, "diagnostics.snap"),
                          "--out", v]) == 4
-        report = json.loads(open(os.path.join(v, "report.json")).read())
+        report = json.loads(pathlib.Path(v, "report.json").read_text())
         rec = next(c for c in report["checks"] if c["name"] == "converged")
         assert not rec["pass"] and not rec["vacuous"]
         assert rec["measured"] > 1e-3 and rec["extra"]["iterations"] == 0
         assert "not converged" in rec["note"]
+
+    @pytest.mark.parametrize("line", ["out_dir = ml/a\n  b",
+                                      "checks = convexity\n  lq_ratio"])
+    def test_line_break_in_value_exit_2(self, tmp_path, line):
+        cfg = write_config(tmp_path,
+                           SMALL_CONFIG.replace("seed = 0", f"seed = 0\n{line}"))
+        assert cli.main(["solve", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 2
 
     def test_percent_in_config_exit_2(self, tmp_path):
         text = SMALL_CONFIG.replace("epsilon = 1e-3", "epsilon = 1e-3%")
@@ -502,7 +527,7 @@ class TestCliEndToEnd:
         out = str(tmp_path / "o")
         assert cli.main(["sweep", "--config", cfg, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "eps_000.snap"))
-        rep = json.loads(open(os.path.join(out, "sweep_report.json")).read())
+        rep = json.loads(pathlib.Path(out, "sweep_report.json").read_text())
         names = {c["name"] for c in rep["checks"]}
         assert "eps_monotone_limit" in names
         assert "metric_lower_bound_stability" in names
@@ -523,7 +548,7 @@ class TestCliEndToEnd:
         v = str(tmp_path / "v")
         assert cli.main(["verify", "--snapshot",
                          os.path.join(out, "eps_000.snap"), "--out", v]) == 0
-        report = json.loads(open(os.path.join(v, "report.json")).read())
+        report = json.loads(pathlib.Path(v, "report.json").read_text())
         assert report["meta"]["profile"] == "annulus(eps=0.1)"
         with open(os.path.join(v, "fields.csv"), newline="") as fh:
             res = [abs(float(row["residual"])) for row in csv.DictReader(fh)]
