@@ -21,7 +21,7 @@ from .solver import (ContinuationFailure, continuation_solve, lambda_sweep,
                      newton_solve)
 from .verify import (CheckRecord, check_eps_monotone_limit,
                      check_lambda_monotonicity, jet_map_export, q_field,
-                     run_checks)
+                     run_checks, solution_meta)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,17 +58,6 @@ def _save_snapshots(out, config, sols, stem, lone=False) -> list[str]:
     return names
 
 
-def _solution_meta(config, solution) -> dict:
-    return {
-        "grid": [solution.grid.nt, solution.grid.nx, solution.grid.ny],
-        "modulus": [solution.grid.lattice.modulus.real,
-                    solution.grid.lattice.modulus.imag],
-        "profile": solution.profile.describe(),
-        "boundary": solution.boundary.describe(),
-        "seed": config.seed,
-    }
-
-
 def cmd_solve(args) -> int:
     try:
         config, grid, boundary = _load_problem(args)
@@ -100,7 +89,7 @@ def cmd_solve(args) -> int:
         hio.Snapshot.from_solution(failed, config).save(
             os.path.join(out, "diagnostics.snap"))
         hio.write_report(
-            {"meta": _solution_meta(config, failed),
+            {"meta": solution_meta(failed, config.seed),
              "checks": [],
              "failure": {"message": failed.message,
                          "final_residual": failed.final_residual,
@@ -111,7 +100,7 @@ def cmd_solve(args) -> int:
     names = _save_snapshots(out, config, solutions, "solution", lone=True)
     last = solutions[-1]
     summary = {
-        "meta": _solution_meta(config, last),
+        "meta": solution_meta(last, config.seed),
         "checks": [],
         "summary": {
             "final_residual": last.final_residual,
@@ -252,8 +241,11 @@ def cmd_plotdata(args) -> int:
     out = _ensure_out(args, config)
     points, record = jet_map_export(solution)
     a_ref = float(np.median(points[:, 2]))
-    S = record.extra["S"]
     delta = record.extra.get("delta")
+    radii = (("cone_C0", 1.0 + a_ref),
+             ("cone_intersection",
+              None if delta is None else 1.0 + a_ref - delta),
+             ("upper_bound", record.extra["S"] - 1.0 - a_ref))
     thetas = np.linspace(0.0, 2.0 * math.pi, 129)
     path = os.path.join(out, "jetmap.csv")
     try:
@@ -263,22 +255,14 @@ def cmd_plotdata(args) -> int:
             for re_b, im_b, a in points:
                 w.writerow(["jets", repr(float(re_b)), repr(float(im_b)),
                             repr(float(a))])
-            r0 = 1.0 + a_ref
-            for th in thetas:
-                w.writerow(["cone_C0", repr(r0 * math.cos(th)),
-                            repr(r0 * math.sin(th)), repr(a_ref)])
-            if delta is not None:
-                ri = 1.0 + a_ref - delta
+            for section, r in radii:
+                if r is None:
+                    w.writerow(["note", f"{section} omitted",
+                                record.extra.get("delta_note", ""), ""])
+                    continue
                 for th in thetas:
-                    w.writerow(["cone_intersection", repr(ri * math.cos(th)),
-                                repr(ri * math.sin(th)), repr(a_ref)])
-            else:
-                w.writerow(["note", "cone_intersection omitted",
-                            record.extra.get("delta_note", ""), ""])
-            rs = S - 1.0 - a_ref
-            for th in thetas:
-                w.writerow(["upper_bound", repr(rs * math.cos(th)),
-                            repr(rs * math.sin(th)), repr(a_ref)])
+                    w.writerow([section, repr(r * math.cos(th)),
+                                repr(r * math.sin(th)), repr(a_ref)])
     except OSError as exc:
         return _fail(EXIT_CONFIG, f"cannot write {path}: {exc}")
     print(f"jet-map data -> {path}")

@@ -327,7 +327,7 @@ class JetFields:
 
     @cached_property
     def d_tzzb(self):
-        return dt1(self._grid, self.a.astype(complex))
+        return dt1(self._grid, self.a)
 
 
 class ScalarField:

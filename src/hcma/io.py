@@ -84,8 +84,13 @@ def _parse_floats(text: str):
         raise ConfigError(f"bad number list {text!r}: {exc}") from None
 
 
+def _fmt_float(value) -> str:
+    """repr of float(value); a numpy scalar's own repr does not parse back."""
+    return repr(float(value))
+
+
 def _fmt_floats(values) -> str:
-    return ", ".join(map(repr, values))
+    return ", ".join(map(_fmt_float, values))
 
 
 def _parse_kind(text: str) -> str:
@@ -132,18 +137,18 @@ class ExperimentConfig:
     modulus: complex = _key("grid", 1j, lambda s: complex(s.replace(" ", "")),
                             lambda m: f"{m.real!r}{m.imag:+}j")
     profile_kind: str = _key("profile", "annulus", _parse_kind, key="kind")
-    epsilon: float = _key("profile", 1e-3, float, repr)
-    epsilon0: float = _key("profile", 0.25, float, repr)
+    epsilon: float = _key("profile", 1e-3, float, _fmt_float)
+    epsilon0: float = _key("profile", 0.25, float, _fmt_float)
     # continuation epsilons, decreasing
     schedule: tuple = _key("profile", (), _parse_floats, _fmt_floats)
     phi0_modes: tuple = _key("boundary", (), _parse_modes, _fmt_modes, "phi0")
     phi1_modes: tuple = _key("boundary", (), _parse_modes, _fmt_modes, "phi1")
     lambdas: tuple = _key("sweep", (), _parse_floats, _fmt_floats)
-    newton_tol: float = _key("solver", SolverConfig.newton_tol, float, repr)
+    newton_tol: float = _key("solver", SolverConfig.newton_tol, float, _fmt_float)
     max_newton_iters: int = _key("solver", SolverConfig.max_newton_iters, int)
     max_halvings: int = _key("solver", SolverConfig.max_halvings, int)
     admissibility_margin: float = _key(
-        "solver", SolverConfig.admissibility_margin, float, repr)
+        "solver", SolverConfig.admissibility_margin, float, _fmt_float)
     out_dir: str = _key("run", "out", _one_line)
     seed: int = _key("run", 0, int)
     checks: tuple | None = _key("run", None, _parse_checks,  # None = all
@@ -152,7 +157,7 @@ class ExperimentConfig:
         "trace", (), _parse_starts,
         lambda starts: "; ".join(f"{t!r},{x!r},{y!r}" for t, x, y in starts),
         "starts")
-    trace_step: float = _key("trace", 0.01, float, repr, "step")
+    trace_step: float = _key("trace", 0.01, float, _fmt_float, "step")
 
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":

@@ -139,14 +139,10 @@ def qb_along_leaf(solution: Solution, path: LeafPath):
     qb = path.qb_samples
     dt = np.diff(path.ts)
     h = float(dt[0])
-    core = np.abs(dt[:-1] - h).max() < 1e-12 and np.abs(dt[1:] - h).max() < 1e-12
-    if core:
-        second = 0.25 * (qb[:-2] - 2.0 * qb[1:-1] + qb[2:]) / h**2
-    else:
-        # non-uniform tail step: restrict to the uniform prefix
-        n_uniform = int(np.argmax(np.abs(dt - h) > 1e-12)) or len(dt)
-        q = qb[:n_uniform + 1]
-        second = 0.25 * (q[:-2] - 2.0 * q[1:-1] + q[2:]) / h**2
+    # restrict to the uniform prefix (a shortened last step ends it)
+    n_uniform = int(np.argmax(np.abs(dt - h) > 1e-12)) or len(dt)
+    q = qb[:n_uniform + 1]
+    second = 0.25 * (q[:-2] - 2.0 * q[1:-1] + q[2:]) / h**2
     in_hypothesis = bool(np.nanmax(qb) < QB_LIMIT)
     record = {
         "min_second_diff": float(np.nanmin(second)) if len(second) else 0.0,

@@ -17,7 +17,7 @@ Hermitian matrices is tr(inv(H) @ X).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,17 +64,13 @@ def torus_state(jet: Jet, epsilon_tilde: float | None = None) -> TorusPointState
     The h-matrix is assembled in strip coordinates: Phi_zetazetabar =
     Phi_tt/4 and Phi_zetazbar = Phi_tzbar/2 for Im(zeta)-independent fields.
     """
-    a = jet.a
-    if 1.0 + a == 0.0:
-        raise DegenerateMetricError("1 + a = 0")
+    state = TorusPointState.from_ab(jet.a, jet.b)
+    opa = state.one_plus_a
     pzz = 0.25 * jet.d_tt
     pzzb = 0.5 * jet.d_tzb
-    h = np.array([[pzz, pzzb], [np.conj(pzzb), 1.0 + a]], dtype=complex)
-    det_h = pzz * (1.0 + a) - abs(pzzb) ** 2
-    return TorusPointState(
-        a=a, b=jet.b, one_plus_a=1.0 + a,
-        Q=abs(jet.b) ** 2 / (1.0 + a) ** 2,
-        h=h, det_h=float(det_h), epsilon_tilde=epsilon_tilde)
+    h = np.array([[pzz, pzzb], [np.conj(pzzb), opa]], dtype=complex)
+    return replace(state, h=h, det_h=float(pzz * opa - abs(pzzb) ** 2),
+                   epsilon_tilde=epsilon_tilde)
 
 
 def q_gamma(state: TorusPointState, gamma: complex) -> float:
@@ -89,12 +85,18 @@ def cone_membership(b: complex, a: float, gamma: complex) -> bool:
     return a > -1.0 and abs(b - gamma) < a + 1.0
 
 
+def _a_abs_b(boundary_jets):
+    """(a, |b|) arrays of boundary (a, b) pairs: an (N, 2) array or a list."""
+    pairs = np.asarray(boundary_jets, dtype=complex).reshape(-1, 2)
+    if not len(pairs):
+        raise ValueError("empty boundary jet list")
+    return pairs[:, 0].real, np.abs(pairs[:, 1])
+
+
 def boundary_S(boundary_jets) -> float:
     """max over boundary of (a + 1 + |b|); bounds |b| + a + 1 in the interior."""
-    pairs = list(boundary_jets)
-    if not pairs:
-        raise ValueError("empty boundary jet list")
-    return max(a + 1.0 + abs(b) for a, b in pairs)
+    a, abs_b = _a_abs_b(boundary_jets)
+    return float((a + 1.0 + abs_b).max())
 
 
 def boundary_delta(boundary_jets) -> float:
@@ -104,10 +106,8 @@ def boundary_delta(boundary_jets) -> float:
     below 1 on the whole boundary; the interior metric bound 1 + a > delta
     follows.  Raises when the boundary is not strictly omega_0-convex.
     """
-    pairs = list(boundary_jets)
-    if not pairs:
-        raise ValueError("empty boundary jet list")
-    delta = min((1.0 + a) - abs(b) for a, b in pairs)
+    a, abs_b = _a_abs_b(boundary_jets)
+    delta = float(((1.0 + a) - abs_b).min())
     if delta <= 0.0:
         raise NonConvexBoundaryError(
             f"boundary gap {delta} <= 0: data not strictly omega_0-convex")
@@ -304,14 +304,14 @@ def _strip_planes(grid, c00, c10, c11) -> dict:
             "tx": (c10 * k1).real, "ty": (c10 * k2).real}
 
 
-def h_coefficient_planes(phi: ScalarField) -> dict:
-    """Interior stencil planes of 4 adj(h); the caller checks admissibility.
+def h_coefficient_planes(grid, g, m, q) -> dict:
+    """Interior stencil planes of 4 adj(h) from strip_h's g, m, q.
 
     Applied, they are Newton's Jacobian (1+a) w_tt + Phi_tt w_zzbar
-    - 2 Re(Phi_tz w_tzbar); divided by 4 det h, the h-Laplacian.
+    - 2 Re(Phi_tz w_tzbar); divided by 4 det h, the h-Laplacian.  The
+    caller checks admissibility.
     """
-    g, m, q, _ = strip_h(phi)
-    return _strip_planes(phi.grid, 4.0 * g, -4.0 * m, 4.0 * q)
+    return _strip_planes(grid, 4.0 * g, -4.0 * m, 4.0 * q)
 
 
 def h_contract(solution, values: np.ndarray) -> np.ndarray:
@@ -324,8 +324,8 @@ def h_contract(solution, values: np.ndarray) -> np.ndarray:
     grid = solution.grid
     if values.shape != grid.shape:
         raise ValueError("field shape does not match the solution grid")
-    _, _, _, det = _strip_frame(solution)
-    apply = second_order_stencil(grid, h_coefficient_planes(solution.phi))
+    g, m, q, det = _strip_frame(solution)
+    apply = second_order_stencil(grid, h_coefficient_planes(grid, g, m, q))
     return apply(values) / (4.0 * det)
 
 

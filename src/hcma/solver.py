@@ -13,7 +13,6 @@ solely for manufactured-solution testing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -65,14 +64,6 @@ class ConstantProfile:
         return np.broadcast_to(
             self.tilde(grid.t_values)[:, None, None], grid.shape)
 
-    @property
-    def max_tilde(self) -> float:
-        return self.epsilon0
-
-    @property
-    def min_tilde(self) -> float:
-        return self.epsilon0
-
     def describe(self) -> str:
         return f"constant(eps0={self.epsilon0})"
 
@@ -94,14 +85,6 @@ class AnnulusProfile:
         return np.broadcast_to(
             self.tilde(grid.t_values)[:, None, None], grid.shape)
 
-    @property
-    def max_tilde(self) -> float:
-        return 4.0 * self.epsilon * math.exp(2.0)
-
-    @property
-    def min_tilde(self) -> float:
-        return 4.0 * self.epsilon
-
     def describe(self) -> str:
         return f"annulus(eps={self.epsilon})"
 
@@ -120,14 +103,6 @@ class FieldRhs:
         if grid.shape != self.grid.shape:
             raise ValueError("rhs defined on a different grid")
         return self.values
-
-    @property
-    def max_tilde(self) -> float:
-        return float(self.values.max())
-
-    @property
-    def min_tilde(self) -> float:
-        return float(self.values.min())
 
     def describe(self) -> str:
         return "field-rhs(manufactured)"
@@ -238,8 +213,8 @@ class Solution:
 
     @property
     def admissible(self) -> bool:
-        return (self.interior_one_plus_a().min() > 0.0
-                and self.interior_det_h().min() > 0.0)
+        opa_min, quad_min = _admissibility(strip_h(self.phi))
+        return opa_min > 0.0 and quad_min > 0.0
 
 
 # --- residual and linearization ---------------------------------------------
@@ -253,9 +228,9 @@ def residual(phi: ScalarField, profile) -> ScalarField:
     return ScalarField(grid, r)
 
 
-def _admissibility(phi: ScalarField):
-    """(min 1 + a, min 4 det h) over the interior."""
-    g, _, _, det = strip_h(phi)
+def _admissibility(frame):
+    """(min 1 + a, min 4 det h) over the interior, from a strip_h frame."""
+    g, _, _, det = frame
     return float(g.min()), 4.0 * float(det.min())
 
 
@@ -269,11 +244,13 @@ def linearize(phi: ScalarField, profile=None) -> spla.LinearOperator:
     build the operator's ``preconditioner``.
     """
     grid = phi.grid
-    opa_min, quad_min = _admissibility(phi)
+    frame = strip_h(phi)
+    opa_min, quad_min = _admissibility(frame)
     if opa_min <= 0.0 or quad_min <= 0.0:
         raise InadmissibleStateError(
             f"min(1+a)={opa_min:.3e}, min(det-form)={quad_min:.3e}")
-    planes = h_coefficient_planes(phi)
+    planes = h_coefficient_planes(grid, *frame[:3])
+    del frame               # freed before the preconditioner allocates
     apply = second_order_stencil(grid, planes)
 
     def matvec(x):
@@ -381,7 +358,7 @@ def default_initial_guess(grid: Grid, boundary: BoundarySpec, profile) -> Scalar
     t = grid.t_values[:, None, None]
     p0 = boundary.evaluate(grid, 0)[None]
     p1 = boundary.evaluate(grid, 1)[None]
-    c0 = 0.5 * profile.max_tilde
+    c0 = 0.5 * float(profile.rhs_on(grid).max())
     vals = (1.0 - t) * p0 + t * p1 + c0 * t * (t - 1.0)
     return ScalarField(grid, vals)
 
@@ -391,7 +368,8 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
                  initial: ScalarField | None = None) -> Solution:
     """Damped Newton with admissibility-guarded backtracking line search."""
     boundary.validate(grid)
-    if profile.min_tilde <= 0.0:
+    min_rhs = float(profile.rhs_on(grid).min())
+    if min_rhs <= 0.0:
         raise ValueError("right-hand side must be strictly positive")
 
     phi = initial if initial is not None else default_initial_guess(
@@ -406,12 +384,12 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
     vals[-1] = boundary.evaluate(grid, 1)
     phi = ScalarField(grid, vals)
     if initial is not None:
-        opa_min, quad_min = _admissibility(phi)
+        opa_min, quad_min = _admissibility(strip_h(phi))
         if opa_min <= 0.0 or quad_min <= 0.0:
             phi = default_initial_guess(grid, boundary, profile)
 
     margin = config.admissibility_margin
-    floor_quad = margin * profile.min_tilde
+    floor_quad = margin * min_rhs
     history = []
 
     def fail(msg, rn, k):
@@ -443,7 +421,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         accepted = None
         for _ in range(config.max_halvings + 1):
             cand = ScalarField(grid, phi.values + s * step)
-            opa_min, quad_min = _admissibility(cand)
+            opa_min, quad_min = _admissibility(strip_h(cand))
             if opa_min > margin and quad_min > floor_quad:
                 rc = residual(cand, profile)
                 rcn = float(np.abs(rc.values[1:-1]).max())

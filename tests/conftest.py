@@ -8,6 +8,23 @@ COS_AMP = 0.005
 COS_BOUNDARY = BoundarySpec(phi1=((1, 0, COS_AMP),))
 
 
+@pytest.fixture
+def strip_h_calls(monkeypatch):
+    """Counts strip_h calls, through both modules that call it."""
+    import hcma.quantities
+    import hcma.solver
+    calls = []
+    real = hcma.quantities.strip_h
+
+    def counted(phi):
+        calls.append(phi)
+        return real(phi)
+
+    monkeypatch.setattr(hcma.quantities, "strip_h", counted)
+    monkeypatch.setattr(hcma.solver, "strip_h", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def grid_small():
     return make_grid(9, 16, 16)

@@ -293,6 +293,18 @@ class TestSnapshot:
         assert np.array_equal(back.phi.values, sol.phi.values)
         assert cfg.epsilon == 1e-3
 
+    def test_numpy_epsilon_round_trips(self, tmp_path, grid_small):
+        from hcma import continuation_solve
+        cfg = ExperimentConfig.parse(SMALL_CONFIG)
+        sol = continuation_solve(grid_small, cfg.make_boundary(),
+                                 np.geomspace(1e-2, 1e-3, 2))[-1]
+        assert isinstance(sol.profile.epsilon, np.float64)
+        p = tmp_path / "a.snap"
+        Snapshot.from_solution(sol, cfg).save(p)
+        back, echo = Snapshot.load(p).to_solution()
+        assert echo.epsilon == 1e-3 and back.profile.epsilon == 1e-3
+        assert np.array_equal(back.phi.values, sol.phi.values)
+
     def test_bad_magic(self, tmp_path, grid_small):
         snap, _ = self.make_snapshot(grid_small)
         p = tmp_path / "a.snap"
@@ -408,6 +420,21 @@ class TestCliEndToEnd:
 
         assert cli.main(["plotdata", "--snapshot", snap, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "jetmap.csv"))
+
+    def test_jetmap_cells_are_plain_floats(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["solve", "--config", cfg, "--out", out]) == 0
+        assert cli.main(["plotdata", "--snapshot",
+                         os.path.join(out, "solution.snap"),
+                         "--out", out]) == 0
+        with open(os.path.join(out, "jetmap.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert {r[0] for r in rows} == {"jets", "cone_C0",
+                                        "cone_intersection", "upper_bound"}
+        for row in rows:
+            for cell in row[1:]:
+                float(cell)
 
     def test_report_reproducible(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,20 @@ class TestProfiles:
             ConstantProfile(0.0)
         with pytest.raises(ValueError):
             AnnulusProfile(-1.0)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.01, 0.1, 0.25])
+    @pytest.mark.parametrize("nt", [9, 17, 49])
+    def test_annulus_rhs_bounds_are_the_closed_forms(self, eps, nt):
+        rhs = AnnulusProfile(eps).rhs_on(make_grid(nt, 4, 4))
+        assert rhs.max() == rhs[-1, 0, 0] == 4.0 * eps * math.exp(2.0)
+        assert rhs.min() == rhs[0, 0, 0] == 4.0 * eps
+
+    def test_describe_strings_are_pinned(self, grid_small):
+        # these strings are the "profile" entry of every report's meta
+        assert ConstantProfile(0.25).describe() == "constant(eps0=0.25)"
+        assert AnnulusProfile(1e-3).describe() == "annulus(eps=0.001)"
+        rhs = FieldRhs(grid_small, np.ones(grid_small.shape))
+        assert rhs.describe() == "field-rhs(manufactured)"
 
 
 class TestBoundarySpec:
@@ -122,6 +138,10 @@ class TestLinearize:
         fld = ScalarField.from_function(g, lambda t, x, y: -2.0 * t**2 + 0 * x)
         with pytest.raises(InadmissibleStateError):
             linearize(fld, ConstantProfile(1.0))
+
+    def test_builds_one_strip_frame(self, sol_cos, strip_h_calls):
+        linearize(sol_cos.phi, sol_cos.profile)
+        assert strip_h_calls == [sol_cos.phi]
 
 
 class TestNewtonSolve:

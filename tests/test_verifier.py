@@ -217,6 +217,13 @@ class TestRunChecks:
         with pytest.raises(KeyError):
             run_checks(sol_cos, names=["nope"])
 
+    def test_strip_frames_per_run(self, sol_cos, strip_h_calls):
+        # one per h_contract (3), ab_equations' bilinear forms,
+        # ekq_subharmonic's allowance and apply_L
+        run_checks(sol_cos, seed=0)
+        assert 0 < len(strip_h_calls) <= 6
+        assert all(phi is sol_cos.phi for phi in strip_h_calls)
+
     def test_degenerate_data_never_throws(self, grid_small):
         sol = synthetic_solution(
             grid_small,
