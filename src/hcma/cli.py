@@ -1,7 +1,9 @@
 """Command-line driver: solve / verify / sweep / trace / plotdata.
 
-Exit codes: 0 success, 2 config or I/O error, 3 solver failure,
-4 verification check failure.
+Exit codes: 0 success, 2 config, snapshot or I/O error (every value the
+solver would reject is caught before anything is solved or written),
+3 solver failure, 4 verification check failure.  main alone maps
+exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 
 from . import io as hio
 from .leaves import LeafError, qb_along_leaf, trace_leaf
-from .quantities import NonConvexBoundaryError
-from .solver import (ContinuationFailure, continuation_solve, lambda_sweep,
-                     newton_solve)
+from .solver import (ContinuationFailure, check_lambdas, check_schedule,
+                     continuation_solve, lambda_sweep, newton_solve,
+                     rhs_floor)
 from .verify import (CheckRecord, check_eps_monotone_limit,
                      check_lambda_monotonicity, jet_map_export, q_field,
                      run_checks, solution_meta)
@@ -35,19 +37,28 @@ def _fail(code: int, message: str) -> int:
 
 
 def _ensure_out(args, config) -> str:
-    out = args.out or (config.out_dir if config else "out")
+    out = args.out or config.out_dir
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _load_problem(args):
-    if not args.config:
-        raise hio.ConfigError("--config is required")
-    config = hio.load_config(args.config)
-    grid = config.make_grid()
-    boundary = config.make_boundary()
-    boundary.validate(grid)
-    return config, grid, boundary
+def _load_problem(path, lambdas: bool):
+    """Config, grid, boundary and solver settings of a config file; a value
+    the solver would reject (lambda ladder only if lambdas) is a ConfigError."""
+    config = hio.load_config(path)
+    try:
+        grid = config.make_grid()
+        boundary = config.make_boundary()
+        boundary.validate(grid)
+        if config.schedule:
+            check_schedule(config.schedule)
+        if lambdas:
+            check_lambdas(config.lambdas)
+        for eps in (None,) + config.schedule:
+            rhs_floor(config.make_profile(eps), grid)
+        return config, grid, boundary, config.make_solver_config()
+    except ValueError as exc:
+        raise hio.ConfigError(str(exc)) from None
 
 
 def _save_snapshots(out, config, sols, stem, lone=False) -> list[str]:
@@ -59,46 +70,32 @@ def _save_snapshots(out, config, sols, stem, lone=False) -> list[str]:
 
 
 def cmd_solve(args) -> int:
-    try:
-        config, grid, boundary = _load_problem(args)
-    except (hio.ConfigError, NonConvexBoundaryError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    config, grid, boundary, solver_cfg = _load_problem(args.config,
+                                                       lambdas=False)
     out = _ensure_out(args, config)
-    solver_cfg = config.make_solver_config()
-
-    solutions = []
-    failed = None
-    if config.schedule:
-        try:
-            solutions = continuation_solve(
-                grid, boundary, config.schedule, solver_cfg,
-                make_profile=config.make_profile)
-        except ContinuationFailure as exc:
-            failed = exc.solution
-            solutions = []
-        except ValueError as exc:
-            return _fail(EXIT_CONFIG, str(exc))
-    else:
-        sol = newton_solve(grid, boundary, config.make_profile(), solver_cfg)
-        if sol.converged:
-            solutions = [sol]
-        else:
-            failed = sol
-
-    if failed is not None:
-        hio.Snapshot.from_solution(failed, config).save(
+    try:
+        solutions = (continuation_solve(grid, boundary, config.schedule,
+                                        solver_cfg,
+                                        make_profile=config.make_profile)
+                     if config.schedule else
+                     [newton_solve(grid, boundary, config.make_profile(),
+                                   solver_cfg)])
+    except ContinuationFailure as exc:
+        solutions = [exc.solution]
+    last = solutions[-1]
+    if not last.converged:
+        hio.Snapshot.from_solution(last, config).save(
             os.path.join(out, "diagnostics.snap"))
         hio.write_report(
-            {"meta": solution_meta(failed, config.seed),
+            {"meta": solution_meta(last, config.seed),
              "checks": [],
-             "failure": {"message": failed.message,
-                         "final_residual": failed.final_residual,
-                         "iterations": failed.iterations}},
+             "failure": {"message": last.message,
+                         "final_residual": last.final_residual,
+                         "iterations": last.iterations}},
             os.path.join(out, "summary.json"))
-        return _fail(EXIT_SOLVER, f"solver failed: {failed.message}")
+        return _fail(EXIT_SOLVER, f"solver failed: {last.message}")
 
     names = _save_snapshots(out, config, solutions, "solution", lone=True)
-    last = solutions[-1]
     summary = {
         "meta": solution_meta(last, config.seed),
         "checks": [],
@@ -116,27 +113,16 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _load_snapshot_solution(args):
-    if not args.snapshot:
-        raise hio.SnapshotError("--snapshot is required")
-    snap = hio.Snapshot.load(args.snapshot)
-    return snap.to_solution()
-
-
 def cmd_verify(args) -> int:
-    try:
-        solution, config = _load_snapshot_solution(args)
-    except (hio.SnapshotError, hio.ConfigError) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    solution, config = hio.Snapshot.load(args.snapshot).to_solution()
     out = _ensure_out(args, config)
-    checks = config.checks
-    if args.checks:
-        checks = tuple(c.strip() for c in args.checks.split(","))
+    checks = (tuple(c.strip() for c in args.checks.split(","))
+              if args.checks else config.checks)
     seed = args.seed if args.seed is not None else config.seed
     try:
         report = run_checks(solution, names=checks, seed=seed)
     except KeyError as exc:
-        return _fail(EXIT_CONFIG, f"unknown check {exc}")
+        raise hio.ConfigError(f"unknown check {exc}") from None
     hio.write_report(report.to_dict(), os.path.join(out, "report.json"))
 
     from .solver import residual
@@ -155,39 +141,32 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        config, grid, boundary = _load_problem(args)
-        if not config.schedule and not config.lambdas:
-            raise hio.ConfigError(
-                "sweep needs a [profile] schedule or [sweep] lambdas")
-    except (hio.ConfigError, NonConvexBoundaryError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    config, grid, boundary, solver_cfg = _load_problem(args.config,
+                                                       lambdas=True)
+    if not config.schedule and not config.lambdas:
+        raise hio.ConfigError(
+            "sweep needs a [profile] schedule or [sweep] lambdas")
     out = _ensure_out(args, config)
-    solver_cfg = config.make_solver_config()
     checks = []
     meta = {"grid": [grid.nt, grid.nx, grid.ny],
             "boundary": boundary.describe(), "seed": config.seed}
 
-    try:
-        if config.lambdas:
-            sols = lambda_sweep(grid, boundary, config.lambdas,
-                                config.make_profile(), solver_cfg)
-            _save_snapshots(out, config, sols, "lambda")
-            checks.append(check_lambda_monotonicity(sols).to_dict())
-        if config.schedule:
-            sols = continuation_solve(grid, boundary, config.schedule,
-                                      solver_cfg,
-                                      make_profile=config.make_profile)
-            _save_snapshots(out, config, sols, "eps")
-            checks.append(check_eps_monotone_limit(sols).to_dict())
-            minima = [float(s.interior_one_plus_a().min()) for s in sols]
-            spread = max(minima) - min(minima)
-            checks.append(CheckRecord(
-                name="metric_lower_bound_stability", passed=spread <= 0.05,
-                measured=spread, bound=0.05, tolerance=0.0,
-                extra={"min_one_plus_a_per_rung": minima}).to_dict())
-    except (ContinuationFailure, ValueError) as exc:
-        return _fail(EXIT_SOLVER, str(exc))
+    if config.lambdas:
+        sols = lambda_sweep(grid, boundary, config.lambdas,
+                            config.make_profile(), solver_cfg)
+        _save_snapshots(out, config, sols, "lambda")
+        checks.append(check_lambda_monotonicity(sols).to_dict())
+    if config.schedule:
+        sols = continuation_solve(grid, boundary, config.schedule, solver_cfg,
+                                  make_profile=config.make_profile)
+        _save_snapshots(out, config, sols, "eps")
+        checks.append(check_eps_monotone_limit(sols).to_dict())
+        minima = [float(s.interior_one_plus_a().min()) for s in sols]
+        spread = max(minima) - min(minima)
+        checks.append(CheckRecord(
+            name="metric_lower_bound_stability", passed=spread <= 0.05,
+            measured=spread, bound=0.05, tolerance=0.0,
+            extra={"min_one_plus_a_per_rung": minima}).to_dict())
 
     hio.write_report({"meta": meta, "checks": checks},
                      os.path.join(out, "sweep_report.json"))
@@ -199,31 +178,28 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    try:
-        solution, config = _load_snapshot_solution(args)
-        if args.config:
-            config = hio.load_config(args.config)
-        if not config.trace_starts:
-            raise hio.ConfigError("no [trace] starts configured")
-        for t0, x0, y0 in config.trace_starts:
-            if not (0.0 <= t0 < 1.0):
-                raise hio.ConfigError(f"trace start t={t0} outside [0, 1)")
-    except (hio.SnapshotError, hio.ConfigError) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    out = _ensure_out(args, config)
+    solution, config = hio.Snapshot.load(args.snapshot).to_solution()
+    if args.config:
+        config = hio.load_config(args.config)
+    if not config.trace_starts:
+        raise hio.ConfigError("no [trace] starts configured")
     modulus = solution.grid.lattice.modulus
-    diag = []
+    paths, diag = [], []
     for k, (t0, x0, y0) in enumerate(config.trace_starts):
-        z0 = x0 + modulus * y0
         try:
-            path = trace_leaf(solution, (t0, z0), step=config.trace_step)
+            path = trace_leaf(solution, (t0, x0 + modulus * y0),
+                              step=config.trace_step)
             _, second, rec = qb_along_leaf(solution, path)
         except LeafError as exc:
-            return _fail(EXIT_CONFIG, f"leaf {k}: {exc}")
-        hio.write_leaf_csv(os.path.join(out, f"leaf_{k:03d}.csv"), path)
+            raise hio.ConfigError(f"leaf {k}: {exc}") from None
         rec.update({"leaf": k, "aborted": path.aborted,
                     "message": path.message, "samples": path.n_samples})
+        paths.append(path)
         diag.append(rec)
+    # every leaf is traced before anything is written
+    out = _ensure_out(args, config)
+    for k, path in enumerate(paths):
+        hio.write_leaf_csv(os.path.join(out, f"leaf_{k:03d}.csv"), path)
     hio.write_report({"meta": {"starts": [list(s) for s in
                                           config.trace_starts],
                               "step": config.trace_step},
@@ -234,10 +210,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    try:
-        solution, config = _load_snapshot_solution(args)
-    except (hio.SnapshotError, hio.ConfigError) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    solution, config = hio.Snapshot.load(args.snapshot).to_solution()
     out = _ensure_out(args, config)
     points, record = jet_map_export(solution)
     a_ref = float(np.median(points[:, 2]))
@@ -248,25 +221,32 @@ def cmd_plotdata(args) -> int:
              ("upper_bound", record.extra["S"] - 1.0 - a_ref))
     thetas = np.linspace(0.0, 2.0 * math.pi, 129)
     path = os.path.join(out, "jetmap.csv")
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["section", "col1", "col2", "col3"])
-            for re_b, im_b, a in points:
-                w.writerow(["jets", repr(float(re_b)), repr(float(im_b)),
-                            repr(float(a))])
-            for section, r in radii:
-                if r is None:
-                    w.writerow(["note", f"{section} omitted",
-                                record.extra.get("delta_note", ""), ""])
-                    continue
-                for th in thetas:
-                    w.writerow([section, repr(r * math.cos(th)),
-                                repr(r * math.sin(th)), repr(a_ref)])
-    except OSError as exc:
-        return _fail(EXIT_CONFIG, f"cannot write {path}: {exc}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["section", "col1", "col2", "col3"])
+        for re_b, im_b, a in points:
+            w.writerow(["jets", repr(float(re_b)), repr(float(im_b)),
+                        repr(float(a))])
+        for section, r in radii:
+            if r is None:
+                w.writerow(["note", f"{section} omitted",
+                            record.extra.get("delta_note", ""), ""])
+                continue
+            for th in thetas:
+                w.writerow([section, repr(r * math.cos(th)),
+                            repr(r * math.sin(th)), repr(a_ref)])
     print(f"jet-map data -> {path}")
     return EXIT_OK
+
+
+# subcommand -> (handler, its required input, its flags besides --out)
+COMMANDS = {
+    "solve": (cmd_solve, "--config", {}),
+    "verify": (cmd_verify, "--snapshot", {"--seed": int, "--checks": str}),
+    "sweep": (cmd_sweep, "--config", {}),
+    "trace": (cmd_trace, "--snapshot", {"--config": str}),
+    "plotdata": (cmd_plotdata, "--snapshot", {}),
+}
 
 
 def main(argv=None) -> int:
@@ -274,18 +254,19 @@ def main(argv=None) -> int:
         prog="hcma",
         description="Regularized Monge-Ampere geodesic solver and verifier")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("solve", cmd_solve), ("verify", cmd_verify),
-                     ("sweep", cmd_sweep), ("trace", cmd_trace),
-                     ("plotdata", cmd_plotdata)):
+    for name, (fn, required, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--snapshot", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--checks", default=None)
+        p.add_argument(required, required=True)
+        for flag, kind in {"--out": str, **flags}.items():
+            p.add_argument(flag, type=kind)
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (hio.ConfigError, hio.SnapshotError, OSError) as exc:
+        return _fail(EXIT_CONFIG, str(exc))
+    except ContinuationFailure as exc:
+        return _fail(EXIT_SOLVER, str(exc))
 
 
 if __name__ == "__main__":

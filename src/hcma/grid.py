@@ -22,7 +22,7 @@ class GridError(ValueError):
 
 
 class DegenerateLatticeError(GridError):
-    """Lattice modulus with vanishing imaginary part."""
+    """Lattice modulus that is not finite or has vanishing imaginary part."""
 
 
 class DimensionTooSmallError(GridError):
@@ -36,9 +36,9 @@ class TorusLattice:
     modulus: complex = 1j
 
     def __post_init__(self):
-        if self.modulus.imag == 0.0:
+        if not (np.isfinite(self.modulus) and self.modulus.imag != 0.0):
             raise DegenerateLatticeError(
-                f"lattice modulus {self.modulus} has Im = 0")
+                f"lattice modulus {self.modulus} must be finite with Im != 0")
 
     @property
     def dz_coefficients(self) -> tuple[complex, complex]:
@@ -257,7 +257,6 @@ class Jet:
     d_tz: complex
     d_tzb: complex
     one_sided_t: bool
-    d_zzz: complex | None = None
     d_zzzb: complex | None = None
     d_zzbz: complex | None = None
     d_tzz: complex | None = None
@@ -265,7 +264,7 @@ class Jet:
 
     @property
     def order(self) -> int:
-        return 3 if self.d_zzz is not None else 2
+        return 3 if self.d_zzzb is not None else 2
 
 
 class JetFields:
@@ -309,10 +308,6 @@ class JetFields:
         return np.conj(self.d_tz)
 
     # third order: difference the second-order jets (O(h) accepted)
-    @cached_property
-    def d_zzz(self):
-        return wirt_z(self._grid, self.b)
-
     @cached_property
     def d_zzzb(self):
         return wirt_zbar(self._grid, self.b)
@@ -371,7 +366,6 @@ def wirtinger_jet(fld: ScalarField, node: tuple[int, int, int],
     third = {}
     if order == 3:
         third = dict(
-            d_zzz=complex(j.d_zzz[idx]),
             d_zzzb=complex(j.d_zzzb[idx]),
             d_zzbz=complex(j.d_zzbz[idx]),
             d_tzz=complex(j.d_tzz[idx]),

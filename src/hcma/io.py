@@ -29,8 +29,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .grid import Grid, make_grid
-from .solver import (AnnulusProfile, BoundarySpec, ConstantProfile,
+from .grid import Grid, ScalarField, make_grid
+from .solver import (AnnulusProfile, BoundarySpec, ConstantProfile, Solution,
                      SolverConfig)
 
 MAGIC = b"HCMASNAP"
@@ -295,8 +295,6 @@ class Snapshot:
 
     def to_solution(self):
         """Rebuild a Solution from the embedded config echo."""
-        from .grid import ScalarField
-        from .solver import Solution
         config = ExperimentConfig.parse(self.config_text)
         try:
             grid = make_grid(self.nt, self.nx, self.ny, self.modulus)

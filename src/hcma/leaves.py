@@ -80,8 +80,10 @@ def trace_leaf(solution: Solution, start: tuple, step: float = 0.01) -> LeafPath
     grid = solution.grid
     if not (0.0 <= t0 < 1.0):
         raise LeafError(f"start t = {t0} outside [0, 1)")
-    if step <= 0:
-        raise LeafError("step must be positive")
+    if not np.isfinite(z0):
+        raise LeafError(f"start z = {z0} is not finite")
+    if not 0.0 < step < np.inf:
+        raise LeafError(f"step must be positive and finite, got {step}")
     modulus = grid.lattice.modulus
     jets = solution.phi.jets
     d_tzb = jets.d_tzb

@@ -13,7 +13,7 @@ solely for manufactured-solution testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -47,43 +47,41 @@ class ContinuationFailure(SolverError):
 
 # --- right-hand sides --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantProfile:
-    """eps_tilde(t) = eps0."""
-
-    epsilon0: float
+class _TimeProfile:
+    """eps_tilde(t) fixed by the dataclass's one positive, finite field."""
 
     def __post_init__(self):
-        if self.epsilon0 <= 0:
-            raise ValueError(f"epsilon0 must be positive, got {self.epsilon0}")
-
-    def tilde(self, t):
-        return self.epsilon0 * np.ones_like(np.asarray(t, dtype=float))
+        name = dc_fields(self)[0].name
+        value = getattr(self, name)
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def rhs_on(self, grid: Grid) -> np.ndarray:
         return np.broadcast_to(
             self.tilde(grid.t_values)[:, None, None], grid.shape)
+
+
+@dataclass(frozen=True)
+class ConstantProfile(_TimeProfile):
+    """eps_tilde(t) = eps0."""
+
+    epsilon0: float
+
+    def tilde(self, t):
+        return self.epsilon0 * np.ones_like(np.asarray(t, dtype=float))
 
     def describe(self) -> str:
         return f"constant(eps0={self.epsilon0})"
 
 
 @dataclass(frozen=True)
-class AnnulusProfile:
+class AnnulusProfile(_TimeProfile):
     """eps_tilde(t) = 4 eps e^{2t} (annulus {1<|tau|<e} pulled back to the strip)."""
 
     epsilon: float
 
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
     def tilde(self, t):
         return 4.0 * self.epsilon * np.exp(2.0 * np.asarray(t, dtype=float))
-
-    def rhs_on(self, grid: Grid) -> np.ndarray:
-        return np.broadcast_to(
-            self.tilde(grid.t_values)[:, None, None], grid.shape)
 
     def describe(self) -> str:
         return f"annulus(eps={self.epsilon})"
@@ -163,10 +161,10 @@ class BoundarySpec:
             a, b = self.analytic_jets(grid, which)
             gap = (1.0 + a) - np.abs(b)
             bad = np.unravel_index(np.argmin(gap), gap.shape)
-            if gap[bad] <= 0.0 or (1.0 + a)[bad] <= 0.0:
+            if not (gap[bad] > 0.0 and (1.0 + a)[bad] > 0.0):
                 raise NonConvexBoundaryError(
                     f"phi{which} not omega_0-convex: gap {gap[bad]:.3e} at "
-                    f"node (x,y)={bad}")
+                    f"node (x,y)={tuple(map(int, bad))}")
 
     def scaled(self, lam: float) -> "BoundarySpec":
         sc = lambda modes: tuple((kx, ky, lam * complex(amp))
@@ -188,8 +186,11 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("newton_tol", "admissibility_margin"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("max_newton_iters", "max_halvings"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass
@@ -222,10 +223,23 @@ class Solution:
 def residual(phi: ScalarField, profile) -> ScalarField:
     """Interior residual Phi_tt (1+a) - |Phi_tzbar|^2 - eps_tilde, that is
     4 det h - eps_tilde; boundary 0."""
-    grid = phi.grid
+    return _det_residual(phi.grid, strip_h(phi)[3], profile)
+
+
+def _det_residual(grid: Grid, det, profile) -> ScalarField:
+    """residual of the field whose strip_h frame has this det."""
     r = np.zeros(grid.shape)
-    r[1:-1] = 4.0 * strip_h(phi)[3] - profile.rhs_on(grid)[1:-1]
+    r[1:-1] = 4.0 * det - profile.rhs_on(grid)[1:-1]
     return ScalarField(grid, r)
+
+
+def rhs_floor(profile, grid: Grid) -> float:
+    """min of profile.rhs_on(grid); ValueError unless all positive, finite."""
+    rhs = profile.rhs_on(grid)
+    lo = float(rhs.min())
+    if not (lo > 0.0 and float(rhs.max()) < np.inf):
+        raise ValueError("right-hand side must be positive and finite")
+    return lo
 
 
 def _admissibility(frame):
@@ -368,9 +382,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
                  initial: ScalarField | None = None) -> Solution:
     """Damped Newton with admissibility-guarded backtracking line search."""
     boundary.validate(grid)
-    min_rhs = float(profile.rhs_on(grid).min())
-    if min_rhs <= 0.0:
-        raise ValueError("right-hand side must be strictly positive")
+    min_rhs = rhs_floor(profile, grid)
 
     phi = initial if initial is not None else default_initial_guess(
         grid, boundary, profile)
@@ -392,9 +404,9 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
     floor_quad = margin * min_rhs
     history = []
 
-    def fail(msg, rn, k):
+    def finish(msg, rn, k):     # converged exactly when msg is "ok"
         return Solution(phi=phi, grid=grid, profile=profile, boundary=boundary,
-                        converged=False, final_residual=rn, iterations=k,
+                        converged=msg == "ok", final_residual=rn, iterations=k,
                         residual_history=history, message=msg)
 
     r = residual(phi, profile)
@@ -402,35 +414,36 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
     history.append(rn)
     for k in range(config.max_newton_iters + 1):
         if rn <= config.newton_tol:
-            return Solution(phi=phi, grid=grid, profile=profile,
-                            boundary=boundary, converged=True,
-                            final_residual=rn, iterations=k,
-                            residual_history=history)
+            return finish("ok", rn, k)
         if k == config.max_newton_iters:
-            return fail("max-iterations-exceeded", rn, k)
+            return finish("max-iterations-exceeded", rn, k)
         try:
             jac = linearize(phi, profile)
         except InadmissibleStateError as exc:
-            return fail(f"inadmissible iterate: {exc}", rn, k)
+            return finish(f"inadmissible iterate: {exc}", rn, k)
         try:
             step = _solve_linear(jac, -r.values.ravel(), LINEAR_RTOL)
         except SolverError as exc:
-            return fail(f"linear-solve-failure: {exc}", rn, k)
+            return finish(f"linear-solve-failure: {exc}", rn, k)
         step = step.reshape(grid.shape)
         s = 1.0
         accepted = None
         for _ in range(config.max_halvings + 1):
             cand = ScalarField(grid, phi.values + s * step)
-            opa_min, quad_min = _admissibility(strip_h(cand))
+            frame = strip_h(cand)
+            opa_min, quad_min = _admissibility(frame)
+            det = frame[3]
+            del frame           # g, m, q freed before the residual is built
             if opa_min > margin and quad_min > floor_quad:
-                rc = residual(cand, profile)
+                rc = _det_residual(grid, det, profile)
                 rcn = float(np.abs(rc.values[1:-1]).max())
                 if rcn < rn:
                     accepted = (cand, rc, rcn)
                     break
             s *= 0.5
+        del det             # freed before the next linearize allocates
         if accepted is None:
-            return fail("line-search-exhausted", rn, k)
+            return finish("line-search-exhausted", rn, k)
         phi, r, rn = accepted
         history.append(rn)
 
@@ -453,15 +466,28 @@ def _warm_start_ladder(grid: Grid, name: str, rungs,
     return out
 
 
+def check_schedule(schedule) -> None:
+    """ValueError unless schedule is non-empty, positive, finite, decreasing."""
+    if not schedule or not all(0.0 < e < np.inf for e in schedule):
+        raise ValueError("schedule must be non-empty, positive and finite")
+    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly decreasing")
+
+
+def check_lambdas(lambdas) -> None:
+    """ValueError unless the lambdas lie in [0, 1], in non-decreasing order."""
+    if not all(0.0 <= lam <= 1.0 for lam in lambdas):
+        raise ValueError("lambdas must lie in [0, 1]")
+    if any(b < a for a, b in zip(lambdas, lambdas[1:])):
+        raise ValueError("lambda ladder must be non-decreasing")
+
+
 def continuation_solve(grid: Grid, boundary: BoundarySpec, schedule,
                        config: SolverConfig = SolverConfig(),
                        make_profile=AnnulusProfile) -> list[Solution]:
     """Solve along a strictly decreasing epsilon schedule with warm starts."""
     schedule = list(schedule)
-    if not schedule or any(e <= 0 for e in schedule):
-        raise ValueError("schedule must be non-empty and positive")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly decreasing")
+    check_schedule(schedule)
     return _warm_start_ladder(
         grid, "eps", ((eps, boundary, make_profile(eps)) for eps in schedule),
         config)
@@ -471,10 +497,7 @@ def lambda_sweep(grid: Grid, boundary: BoundarySpec, lambdas, profile,
                  config: SolverConfig = SolverConfig()) -> list[Solution]:
     """Solve with boundary data scaled by each lambda in a non-decreasing ladder."""
     lambdas = list(lambdas)
-    if any(l < 0 or l > 1 for l in lambdas):
-        raise ValueError("lambdas must lie in [0, 1]")
-    if any(b < a for a, b in zip(lambdas, lambdas[1:])):
-        raise ValueError("lambda ladder must be non-decreasing")
+    check_lambdas(lambdas)
     return _warm_start_ladder(
         grid, "lambda",
         ((lam, boundary.scaled(lam), profile) for lam in lambdas), config)

@@ -34,6 +34,14 @@ class TestMakeGrid:
         with pytest.raises(DegenerateLatticeError):
             make_grid(3, 4, 4, 2.0 + 0j)
 
+    @pytest.mark.parametrize("modulus", [complex(float("nan"), 1.0),
+                                         complex(0.0, float("nan")),
+                                         complex(float("inf"), 1.0),
+                                         complex(0.0, float("inf"))])
+    def test_non_finite_lattice(self, modulus):
+        with pytest.raises(DegenerateLatticeError):
+            make_grid(3, 4, 4, modulus)
+
     def test_square_lattice_wirtinger_coefficients(self):
         c1, c2 = make_grid(3, 4, 4, 1j).lattice.dz_coefficients
         # d/dz = (d/dx - i d/dy)/2 on the square lattice

@@ -593,3 +593,145 @@ class TestCliEndToEnd:
         assert cli.main(["trace", "--snapshot",
                          os.path.join(out, "solution.snap"),
                          "--config", cfg, "--out", out]) == 2
+
+
+def _solver_key(line):
+    return ("[run]", f"[solver]\n{line}\n\n[run]")
+
+
+SWEEP_CONFIG = SMALL_CONFIG + "\n[sweep]\nlambdas = 0.0, 1.0\n"
+# label -> (text, replacement) of a value the solver would reject
+REJECTED = {
+    "newton_tol=0": _solver_key("newton_tol = 0"),
+    "newton_tol=nan": _solver_key("newton_tol = nan"),
+    "max_newton_iters=-1": _solver_key("max_newton_iters = -1"),
+    "max_halvings=-1": _solver_key("max_halvings = -1"),
+    "margin=nan": _solver_key("admissibility_margin = nan"),
+    "epsilon=-1": ("epsilon = 1e-3", "epsilon = -1"),
+    "epsilon=nan": ("epsilon = 1e-3", "epsilon = nan"),
+    "epsilon=inf": ("epsilon = 1e-3", "epsilon = inf"),
+    "epsilon=1e308": ("epsilon = 1e-3", "epsilon = 1e308"),
+    "modulus=nan+1j": ("ny = 16", "ny = 16\nmodulus = nan+1j"),
+    "phi1-nan": ("phi1 = 1,0,0.005,0", "phi1 = 1,0,nan,0"),
+}
+SWEEP_REJECTED = {
+    "schedule-increasing": ("epsilon = 1e-3",
+                            "epsilon = 1e-3\nschedule = 1e-3, 1e-2"),
+    "schedule-nan": ("epsilon = 1e-3", "epsilon = 1e-3\nschedule = 1e-2, nan"),
+    "lambdas-0,2": ("lambdas = 0.0, 1.0", "lambdas = 0, 2"),
+    "lambdas-0,nan": ("lambdas = 0.0, 1.0", "lambdas = 0, nan"),
+}
+# (subcommand, flag) pairs the subcommand does not read
+UNREAD_FLAGS = [("solve", "--snapshot"), ("solve", "--seed"),
+                ("solve", "--checks"), ("verify", "--config"),
+                ("sweep", "--snapshot"), ("sweep", "--seed"),
+                ("sweep", "--checks"), ("trace", "--seed"),
+                ("trace", "--checks"), ("plotdata", "--config"),
+                ("plotdata", "--seed"), ("plotdata", "--checks")]
+REQUIRED = {"solve": "--config", "sweep": "--config", "verify": "--snapshot",
+            "trace": "--snapshot", "plotdata": "--snapshot"}
+NUMERIC_KEYS = ["nt", "nx", "ny", "modulus", "epsilon", "epsilon0", "schedule",
+                "newton_tol", "max_newton_iters", "max_halvings",
+                "admissibility_margin", "seed", "lambdas", "step"]
+
+
+def _rejected_cases():
+    for command, table in (("solve", REJECTED),
+                           ("sweep", {**REJECTED, **SWEEP_REJECTED})):
+        for label, edit in table.items():
+            yield pytest.param(command, edit, id=f"{command}-{label}")
+
+
+@pytest.fixture(scope="module")
+def solved_snapshot(tmp_path_factory):
+    out = tmp_path_factory.mktemp("solved")
+    cfg = write_config(out)
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    return str(out / "solution.snap")
+
+
+class TestCliFrontDoor:
+    @pytest.mark.parametrize("command, edit", _rejected_cases())
+    def test_rejected_before_any_solve(self, tmp_path, capsys, command, edit):
+        old, new = edit
+        assert old in SWEEP_CONFIG
+        cfg = write_config(tmp_path, SWEEP_CONFIG.replace(old, new))
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_solve_ignores_the_lambda_ladder(self, tmp_path):
+        cfg = write_config(tmp_path,
+                           SMALL_CONFIG + "\n[sweep]\nlambdas = 0, 2\n")
+        assert cli.main(["solve", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("starts", ["0.1,nan,0.1", "0.1,0.1,inf",
+                                        "0.5,0.2,0.2; nan,0.1,0.1"])
+    def test_bad_trace_start_writes_nothing(self, tmp_path, capsys,
+                                            solved_snapshot, starts):
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace(
+            "starts = 0.0,0.25,0.5", f"starts = {starts}"))
+        out = tmp_path / "o"
+        assert cli.main(["trace", "--snapshot", solved_snapshot,
+                         "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: leaf ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, solved_snapshot,
+                                   command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        src = (["--config", write_config(tmp_path)] if command == "solve"
+               else ["--snapshot", solved_snapshot])
+        assert cli.main([command, *src, "--out", str(blocker / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("modulus", [complex(float("nan"), 1.0),
+                                         complex(0.0, float("inf"))])
+    def test_verify_non_finite_modulus_exit_2(self, tmp_path, capsys,
+                                              modulus):
+        p = tmp_path / "m.snap"
+        p.write_bytes(snapshot_bytes((9, 16, 16), modulus, VALID_ECHO,
+                                     bytes(8 * 9 * 16 * 16)))
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--snapshot", str(p),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_unread_flag_is_a_usage_error(self, tmp_path, capsys, command,
+                                          flag):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, REQUIRED[command], "x", flag, "1",
+                      "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_missing_input_is_a_usage_error(self, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command])
+        assert exc.value.code == 2
+
+    @given(key=st.sampled_from(NUMERIC_KEYS),
+           value=st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e308"]),
+           kind=st.sampled_from(["annulus", "constant"]))
+    @settings(max_examples=100, deadline=None)
+    def test_one_extreme_value_never_raises(self, tmp_path_factory, key,
+                                            value, kind):
+        # every key name is unique across sections
+        text = ExperimentConfig.parse(
+            SMALL_CONFIG.replace("kind = annulus", f"kind = {kind}")
+            + "\n[solver]\nmax_newton_iters = 3\n").serialize()
+        text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} = ")
+                         else line for line in text.splitlines())
+        tmp = tmp_path_factory.mktemp("extreme")
+        cfg = write_config(tmp, text)
+        assert cli.main(["solve", "--config", cfg,
+                         "--out", str(tmp / "o")]) in (0, 2, 3)

@@ -64,6 +64,14 @@ class TestTraceLeaf:
         with pytest.raises(LeafError):
             trace_leaf(sol_zero_const, (0.0, 0j), step=0.0)
 
+    @pytest.mark.parametrize("start, step", [
+        ((float("nan"), 0j), 0.1), ((0.0, complex(float("nan"), 0.5)), 0.1),
+        ((0.0, complex(0.5, float("inf"))), 0.1), ((0.0, 0j), float("nan")),
+        ((0.0, 0j), float("inf"))])
+    def test_non_finite_start_or_step(self, sol_zero_const, start, step):
+        with pytest.raises(LeafError):
+            trace_leaf(sol_zero_const, start, step=step)
+
     def test_lattice_wrap(self, sol_cos):
         # starts one period apart follow identical wrapped paths
         p0 = trace_leaf(sol_cos, (0.0, 0.25 + 0j), step=0.05)

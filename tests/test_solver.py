@@ -10,7 +10,10 @@ from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, FieldRhs,
 from hcma.grid import ScalarField
 from hcma.quantities import NonConvexBoundaryError
 from hcma.solver import (ContinuationFailure, InadmissibleStateError,
-                         Solution, SolverConfig, linearize, residual)
+                         Solution, SolverConfig, check_lambdas,
+                         check_schedule, linearize, residual)
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestProfiles:
@@ -28,6 +31,24 @@ class TestProfiles:
             ConstantProfile(0.0)
         with pytest.raises(ValueError):
             AnnulusProfile(-1.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_finite_required(self, value):
+        with pytest.raises(ValueError, match="epsilon0"):
+            ConstantProfile(value)
+        with pytest.raises(ValueError, match="epsilon "):
+            AnnulusProfile(value)
+
+    @pytest.mark.parametrize("values", [np.inf, np.nan, -1.0])
+    def test_newton_rejects_rhs_not_positive_and_finite(self, grid_small,
+                                                         values):
+        f = np.full(grid_small.shape, 0.25)
+        f[4, 3, 2] = values
+        with pytest.raises(ValueError, match="right-hand side"):
+            newton_solve(grid_small, BoundarySpec(), FieldRhs(grid_small, f))
+        # 4 eps e^2 overflows
+        with pytest.raises(ValueError, match="right-hand side"):
+            newton_solve(grid_small, BoundarySpec(), AnnulusProfile(1e308))
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.01, 0.1, 0.25])
     @pytest.mark.parametrize("nt", [9, 17, 49])
@@ -68,6 +89,16 @@ class TestBoundarySpec:
         with pytest.raises(NonConvexBoundaryError):
             BoundarySpec(phi1=((1, 0, 0.2),)).validate(g)
 
+    def test_non_convex_message_names_plain_node(self):
+        with pytest.raises(NonConvexBoundaryError,
+                           match=r"node \(x,y\)=\(\d+, \d+\)$"):
+            BoundarySpec(phi1=((1, 0, 0.2),)).validate(make_grid(5, 16, 16))
+
+    def test_nan_mode_rejected(self):
+        with pytest.raises(NonConvexBoundaryError, match="gap nan"):
+            BoundarySpec(phi1=((1, 0, math.nan),)).validate(
+                make_grid(5, 16, 16))
+
     def test_scaled(self):
         b = BoundarySpec(phi1=((1, 0, 0.4),)).scaled(0.5)
         assert b.phi1[0][2] == pytest.approx(0.2)
@@ -94,6 +125,20 @@ class TestResidual:
             g, lambda t, x, y: 0.01 * np.cos(2 * np.pi * x) + 0 * t)
         r = residual(fld, ConstantProfile(0.3))
         assert np.allclose(r.values[1:-1], -0.3)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("value", [0.0, -1.0] + NON_FINITE)
+    @pytest.mark.parametrize("name", ["newton_tol", "admissibility_margin"])
+    def test_positive_and_finite_required(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["max_newton_iters", "max_halvings"])
+    def test_negative_count_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: -1})
+        assert getattr(SolverConfig(**{name: 0}), name) == 0
 
 
 class TestLinearize:
@@ -196,6 +241,38 @@ class TestNewtonSolve:
         assert not sol.converged
         assert sol.message == "max-iterations-exceeded"
         assert len(sol.residual_history) >= 1
+
+
+class TestLineSearch:
+    def test_one_strip_frame_per_candidate(self, grid_small, strip_h_calls):
+        # the initial residual, then per step linearize and one candidate,
+        # whose frame gives both its admissibility and its residual
+        sol = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
+        assert sol.iterations == 3
+        assert len(strip_h_calls) == 7
+
+
+class TestLadderChecks:
+    @pytest.mark.parametrize("schedule", [[], [1e-2, math.nan], [math.inf],
+                                          [1e-3, 1e-2], [1e-2, 0.0]])
+    def test_bad_schedule(self, schedule):
+        with pytest.raises(ValueError, match="schedule"):
+            check_schedule(schedule)
+
+    @pytest.mark.parametrize("lambdas", [[0.0, math.nan], [math.inf],
+                                         [0.0, 2.0], [0.5, 0.25], [-0.1]])
+    def test_bad_lambdas(self, lambdas):
+        with pytest.raises(ValueError, match="lambda"):
+            check_lambdas(lambdas)
+
+    def test_ladders_check_before_solving(self, grid_small, monkeypatch):
+        import hcma.solver
+        monkeypatch.setattr(hcma.solver, "newton_solve", None)
+        with pytest.raises(ValueError, match="schedule"):
+            continuation_solve(grid_small, BoundarySpec(), [1e-2, math.nan])
+        with pytest.raises(ValueError, match="lambdas"):
+            lambda_sweep(grid_small, COS_BOUNDARY, [0.0, math.nan],
+                         AnnulusProfile(1e-3))
 
 
 class TestContinuation:
