@@ -21,9 +21,9 @@ from .leaves import LeafError, qb_along_leaf, trace_leaf
 from .solver import (ContinuationFailure, check_lambdas, check_schedule,
                      continuation_solve, lambda_sweep, newton_solve,
                      rhs_floor)
-from .verify import (CheckRecord, check_eps_monotone_limit,
-                     check_lambda_monotonicity, jet_map_export, q_field,
-                     run_checks, solution_meta)
+from .verify import (check_eps_monotone_limit, check_lambda_monotonicity,
+                     check_metric_lower_bound_stability, jet_map_export,
+                     q_field, run_checks, solution_meta)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -115,14 +115,14 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     solution, config = hio.Snapshot.load(args.snapshot).to_solution()
-    out = _ensure_out(args, config)
-    checks = (tuple(c.strip() for c in args.checks.split(","))
-              if args.checks else config.checks)
+    checks = (hio.parse_checks(args.checks) if args.checks is not None
+              else config.checks)
     seed = args.seed if args.seed is not None else config.seed
     try:
         report = run_checks(solution, names=checks, seed=seed)
     except KeyError as exc:
-        raise hio.ConfigError(f"unknown check {exc}") from None
+        raise hio.ConfigError(exc.args[0]) from None
+    out = _ensure_out(args, config)
     hio.write_report(report.to_dict(), os.path.join(out, "report.json"))
 
     from .solver import residual
@@ -161,12 +161,7 @@ def cmd_sweep(args) -> int:
                                   make_profile=config.make_profile)
         _save_snapshots(out, config, sols, "eps")
         checks.append(check_eps_monotone_limit(sols).to_dict())
-        minima = [float(s.interior_one_plus_a().min()) for s in sols]
-        spread = max(minima) - min(minima)
-        checks.append(CheckRecord(
-            name="metric_lower_bound_stability", passed=spread <= 0.05,
-            measured=spread, bound=0.05, tolerance=0.0,
-            extra={"min_one_plus_a_per_rung": minima}).to_dict())
+        checks.append(check_metric_lower_bound_stability(sols).to_dict())
 
     hio.write_report({"meta": meta, "checks": checks},
                      os.path.join(out, "sweep_report.json"))

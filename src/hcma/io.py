@@ -108,7 +108,8 @@ def _one_line(text: str) -> str:
     return text
 
 
-def _parse_checks(text: str):
+def parse_checks(text: str):
+    """Check names of a comma list; None (every check) for "" or "all"."""
     names = tuple(map(_one_line, text.split(",")))
     return None if names in (("",), ("all",)) else names
 
@@ -151,7 +152,7 @@ class ExperimentConfig:
         "solver", SolverConfig.admissibility_margin, float, _fmt_float)
     out_dir: str = _key("run", "out", _one_line)
     seed: int = _key("run", 0, int)
-    checks: tuple | None = _key("run", None, _parse_checks,  # None = all
+    checks: tuple | None = _key("run", None, parse_checks,  # None = all
                                 lambda c: "all" if c is None else ", ".join(c))
     trace_starts: tuple = _key(
         "trace", (), _parse_starts,

@@ -1,13 +1,14 @@
 """Pointwise estimate machinery: a, b, Q, cones, and the K/P matrix algebra.
 
-Two layers live here.  The torus layer (TorusPointState and friends) works
+Three layers live here.  The torus layer (TorusPointState and friends) works
 with the pure second-derivative quantity Q = |b|^2/(1+a)^2 used by the
 convexity, lower-bound and upper-bound checks.  The general-n flat layer
 (general_flat_state) evaluates the composite Q = Q_A + Q_B + Q_G together
 with the coefficient matrices of the scaled product-space Laplacian and the
 non-negative terms E, P, T, for an arbitrary complex dimension n with flat
-background metric.  At n = 1 the two layers must agree exactly; that cross
-check is part of the test suite.
+background metric.  At n = 1 those two layers must agree exactly; that cross
+check is part of the test suite.  The third, solution-level layer builds
+the strip-frame h-matrix of a whole field and the operators made from it.
 
 Index conventions: g^{ab*} is stored as the matrix conj(inv(G)) where
 G[a, b] = g_{ab*}; with that choice any contraction h^{ij*} X_{ij*} of
@@ -262,8 +263,8 @@ def general_flat_state(jet: FlatJet, epsilon_over_gratio: float) -> GeneralFlatS
 
 # --- solution-level operators (n = 1, strip frame) ---------------------------
 
-class InadmissibleSolutionError(ValueError):
-    """Operator application requested on a non-admissible solution."""
+class InadmissibleError(ValueError):
+    """1 + a > 0 or det h > 0 fails at an interior node."""
 
 
 def strip_h(phi: ScalarField):
@@ -279,12 +280,12 @@ def strip_h(phi: ScalarField):
     return g, m, q, q * g - np.abs(m) ** 2
 
 
-def _strip_frame(solution):
-    """strip_h of a solution; raises InadmissibleSolutionError unless
-    1 + a > 0 and det h > 0 at every interior node."""
-    g, m, q, det = strip_h(solution.phi)
-    if g.min() <= 0.0 or det.min() <= 0.0:
-        raise InadmissibleSolutionError(
+def admissible_frame(phi: ScalarField):
+    """strip_h(phi); raises InadmissibleError unless 1 + a > 0 and
+    det h > 0 at every interior node."""
+    g, m, q, det = strip_h(phi)
+    if not (g.min() > 0.0 and det.min() > 0.0):
+        raise InadmissibleError(
             f"min(1+a)={g.min():.3e}, min(det h)={det.min():.3e}")
     return g, m, q, det
 
@@ -309,7 +310,7 @@ def h_coefficient_planes(grid, g, m, q) -> dict:
 
     Applied, they are Newton's Jacobian (1+a) w_tt + Phi_tt w_zzbar
     - 2 Re(Phi_tz w_tzbar); divided by 4 det h, the h-Laplacian.  The
-    caller checks admissibility.
+    caller checks admissibility (admissible_frame).
     """
     return _strip_planes(grid, 4.0 * g, -4.0 * m, 4.0 * q)
 
@@ -324,7 +325,7 @@ def h_contract(solution, values: np.ndarray) -> np.ndarray:
     grid = solution.grid
     if values.shape != grid.shape:
         raise ValueError("field shape does not match the solution grid")
-    g, m, q, det = _strip_frame(solution)
+    g, m, q, det = admissible_frame(solution.phi)
     apply = second_order_stencil(grid, h_coefficient_planes(grid, g, m, q))
     return apply(values) / (4.0 * det)
 
@@ -336,7 +337,7 @@ def l_coefficient_fields(solution):
     L01 w_zeta zbar + L10 w_z zetabar + L11 w_z zbar; L00 is identically 1.
     The scalar eps b/g at n = 1 on the strip is eps_tilde / (4 (1+a)).
     """
-    g, m, _, _ = _strip_frame(solution)
+    g, m, _, _ = admissible_frame(solution.phi)
     ratio = solution.profile.rhs_on(solution.grid)[1:-1] / (4.0 * g)
     L00 = np.ones_like(g)
     L01 = -np.conj(m) / g

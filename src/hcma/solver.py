@@ -19,17 +19,14 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .grid import Grid, ScalarField, second_order_stencil
-from .quantities import NonConvexBoundaryError, h_coefficient_planes, strip_h
+from .quantities import (InadmissibleError, NonConvexBoundaryError,
+                         admissible_frame, h_coefficient_planes, strip_h)
 
 LINEAR_RTOL = 1e-12    # relative residual of each Newton linear solve
 
 
 class SolverError(RuntimeError):
     pass
-
-
-class InadmissibleStateError(SolverError):
-    """Iterate left the admissible cone (1 + a > 0, det h > 0)."""
 
 
 class ContinuationFailure(SolverError):
@@ -158,10 +155,11 @@ class BoundarySpec:
 
     def validate(self, grid: Grid) -> None:
         for which in (0, 1):
-            a, b = self.analytic_jets(grid, which)
-            gap = (1.0 + a) - np.abs(b)
-            bad = np.unravel_index(np.argmin(gap), gap.shape)
-            if not (gap[bad] > 0.0 and (1.0 + a)[bad] > 0.0):
+            with np.errstate(all="ignore"):     # an overflow fails below
+                a, b = self.analytic_jets(grid, which)
+                gap = (1.0 + a) - np.abs(b)
+            bad = np.unravel_index(np.argmin(gap), gap.shape)   # NaN if any
+            if not gap[bad] > 0.0:
                 raise NonConvexBoundaryError(
                     f"phi{which} not omega_0-convex: gap {gap[bad]:.3e} at "
                     f"node (x,y)={tuple(map(int, bad))}")
@@ -214,8 +212,11 @@ class Solution:
 
     @property
     def admissible(self) -> bool:
-        opa_min, quad_min = _admissibility(strip_h(self.phi))
-        return opa_min > 0.0 and quad_min > 0.0
+        try:
+            admissible_frame(self.phi)
+        except InadmissibleError:
+            return False
+        return True
 
 
 # --- residual and linearization ---------------------------------------------
@@ -242,12 +243,6 @@ def rhs_floor(profile, grid: Grid) -> float:
     return lo
 
 
-def _admissibility(frame):
-    """(min 1 + a, min 4 det h) over the interior, from a strip_h frame."""
-    g, _, _, det = frame
-    return float(g.min()), 4.0 * float(det.min())
-
-
 def linearize(phi: ScalarField, profile=None) -> spla.LinearOperator:
     """Exact Jacobian of the interior residual; identity rows on t-planes.
 
@@ -258,11 +253,7 @@ def linearize(phi: ScalarField, profile=None) -> spla.LinearOperator:
     build the operator's ``preconditioner``.
     """
     grid = phi.grid
-    frame = strip_h(phi)
-    opa_min, quad_min = _admissibility(frame)
-    if opa_min <= 0.0 or quad_min <= 0.0:
-        raise InadmissibleStateError(
-            f"min(1+a)={opa_min:.3e}, min(det-form)={quad_min:.3e}")
+    frame = admissible_frame(phi)
     planes = h_coefficient_planes(grid, *frame[:3])
     del frame               # freed before the preconditioner allocates
     apply = second_order_stencil(grid, planes)
@@ -396,8 +387,9 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
     vals[-1] = boundary.evaluate(grid, 1)
     phi = ScalarField(grid, vals)
     if initial is not None:
-        opa_min, quad_min = _admissibility(strip_h(phi))
-        if opa_min <= 0.0 or quad_min <= 0.0:
+        try:
+            admissible_frame(phi)
+        except InadmissibleError:
             phi = default_initial_guess(grid, boundary, profile)
 
     margin = config.admissibility_margin
@@ -419,7 +411,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
             return finish("max-iterations-exceeded", rn, k)
         try:
             jac = linearize(phi, profile)
-        except InadmissibleStateError as exc:
+        except InadmissibleError as exc:
             return finish(f"inadmissible iterate: {exc}", rn, k)
         try:
             step = _solve_linear(jac, -r.values.ravel(), LINEAR_RTOL)
@@ -430,11 +422,12 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         accepted = None
         for _ in range(config.max_halvings + 1):
             cand = ScalarField(grid, phi.values + s * step)
+            # a margin-floored test, stricter than admissible_frame's
             frame = strip_h(cand)
-            opa_min, quad_min = _admissibility(frame)
             det = frame[3]
+            inside = frame[0].min() > margin and 4.0 * det.min() > floor_quad
             del frame           # g, m, q freed before the residual is built
-            if opa_min > margin and quad_min > floor_quad:
+            if inside:
                 rc = _det_residual(grid, det, profile)
                 rcn = float(np.abs(rc.values[1:-1]).max())
                 if rcn < rn:

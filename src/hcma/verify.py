@@ -3,9 +3,9 @@
 Every check compares an interior extremum against a boundary quantity with a
 discretization allowance C*h^p (p = 2 for second-derivative inputs, p = 1
 for third-derivative inputs).  Checks never throw on bad data: violations
-and inadmissible solutions produce failing records, and data outside a
-theorem's hypotheses produces a "vacuous" record that does not fail the
-suite.
+and inadmissible solutions produce failing records, and each check returns
+a "vacuous" record, which does not fail the suite, for data outside its
+theorem's hypotheses.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import ScalarField
-from .quantities import (DegenerateMetricError, InadmissibleSolutionError,
-                         InfeasibleKError, NonConvexBoundaryError, apply_L,
-                         boundary_S, boundary_delta, choose_K, h_contract,
-                         sigma_roots, _strip_frame)
+from .quantities import (InadmissibleError, NonConvexBoundaryError,
+                         admissible_frame, apply_L, boundary_S, boundary_delta,
+                         choose_K, h_contract, sigma_roots)
 from .solver import AnnulusProfile, Solution
 
 # allowance constants, fixed per check (bands are C * h^p)
@@ -27,6 +26,7 @@ C_H2 = 10.0     # second-derivative checks
 C_H1 = 10.0     # third-derivative checks (a/b equations), relative to scale
 REL_SLACK = 1e-3
 MONOTONE_SLACK = 1e-8
+STABILITY_SPREAD = 0.05  # allowed spread of min(1+a) along an eps ladder
 U_FD_STEP = 1e-3  # finite-difference step of the u-identity check
 N_ANGLES = 16     # annulus angles sampled by the weighted max principle
 Q_FLOOR = 1e-12   # lq_ratio skips nodes with Q at or below this
@@ -237,7 +237,7 @@ def check_upper_bound(solution: Solution) -> CheckRecord:
 
 
 def _h_bilinear(frame, u0, u1, w0, w1) -> np.ndarray:
-    """Interior h^{ij*} u_i w_j* of (zeta, z) components; frame: _strip_frame."""
+    """Interior h^{ij*} u_i w_j* of (zeta, z) components in a strip frame."""
     g, m, q, det = frame
     i = np.s_[1:-1]
     return (g * u0[i] * w0[i] - m * u1[i] * w0[i]
@@ -260,7 +260,7 @@ def check_ab_equations(solution: Solution) -> CheckRecord:
 
     lhs_a = h_contract(solution, a).real
     lhs_b = h_contract(solution, b)
-    frame = _strip_frame(solution)
+    frame = admissible_frame(solution.phi)
     rhs_a = (_h_bilinear(frame, a_zeta, a_z, np.conj(a_zeta), np.conj(a_z))
              + _h_bilinear(frame, np.conj(b_zetabar), np.conj(b_zbar),
                            b_zetabar, b_zbar)).real / opa
@@ -282,7 +282,7 @@ def check_ekq_subharmonic(solution: Solution) -> CheckRecord:
     """Discrete h^{ij*}-subharmonicity of e^{KQ} where Q < sigma_2(K)."""
     Q = q_field(solution)
     max_bnd = float(Q[[0, -1]].max())
-    if max_bnd >= 1.0:
+    if not max_bnd < 1.0:       # also NaN, where 1 + a = b = 0
         return _vacuous("ekq_subharmonic", f"boundary Q = {max_bnd} >= 1")
     K = choose_K(max_bnd)
     sigma2 = sigma_roots(K)[1]
@@ -294,7 +294,7 @@ def check_ekq_subharmonic(solution: Solution) -> CheckRecord:
         return _vacuous("ekq_subharmonic",
                         "no interior node inside the hypothesis region")
     # allowance scales with the contracted magnitude (h-inverse included)
-    g, m, q, det = _strip_frame(solution)
+    g, m, q, det = admissible_frame(solution.phi)
     w = ScalarField(solution.grid, W).jets
     # W is real, so |W_zeta zbar| = |W_z zetabar|: one term, added twice
     mixed = np.abs(m) * np.abs(0.5 * w.d_tz[1:-1])
@@ -312,6 +312,8 @@ def check_ekq_subharmonic(solution: Solution) -> CheckRecord:
 def lq_ratio_report(solution: Solution) -> CheckRecord:
     """Diagnostic ratio rho = min interior LQ/(eps_tilde Q) for composite Q."""
     Q = composite_q_field(solution)
+    if not np.isfinite(Q).all():
+        return _vacuous("lq_ratio", "composite Q not finite")
     LQ = apply_L(solution, ScalarField(solution.grid, Q)).values[1:-1]
     eps = solution.profile.rhs_on(solution.grid)[1:-1]
     mask = Q[1:-1] > Q_FLOOR
@@ -361,6 +363,16 @@ def check_eps_monotone_limit(sweep: list[Solution]) -> CheckRecord:
         passed=worst <= MONOTONE_SLACK and cauchy, measured=worst,
         bound=0.0, tolerance=MONOTONE_SLACK,
         extra={"max_norm_gaps": gaps, "gaps_decreasing": bool(cauchy)})
+
+
+def check_metric_lower_bound_stability(sweep: list[Solution]) -> CheckRecord:
+    """min interior (1+a) moves by at most STABILITY_SPREAD along a ladder."""
+    minima = [float(s.interior_one_plus_a().min()) for s in sweep]
+    spread = max(minima) - min(minima)
+    return CheckRecord(
+        name="metric_lower_bound_stability", passed=spread <= STABILITY_SPREAD,
+        measured=spread, bound=STABILITY_SPREAD, tolerance=0.0,
+        extra={"min_one_plus_a_per_rung": minima})
 
 
 def jet_map_export(solution: Solution):
@@ -434,8 +446,8 @@ def run_checks(solution: Solution, names=None,
     for name in selected:
         if name not in CHECKS and name != "jet_map":
             raise KeyError(f"unknown check {name!r}")
-        # data outside a theorem's hypotheses is vacuous; an inadmissible
-        # solution fails; anything else is a defect and propagates
+        # an inadmissible solution fails; each check returns its own
+        # vacuous records; any other exception is a defect and propagates
         try:
             if name == "jet_map":
                 _, record = jet_map_export(solution)
@@ -444,10 +456,7 @@ def run_checks(solution: Solution, names=None,
                 record = check_weighted_max_principle(solution)
             else:
                 record = CHECKS[name](solution)
-        except (NonConvexBoundaryError, InfeasibleKError,
-                DegenerateMetricError) as exc:
-            record = _vacuous(name, f"out of hypothesis: {exc}")
-        except InadmissibleSolutionError as exc:
+        except InadmissibleError as exc:
             record = CheckRecord(name=name, passed=False, measured=0.0,
                                  bound=0.0, tolerance=0.0,
                                  note=f"inadmissible solution: {exc}")

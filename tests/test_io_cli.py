@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcma import cli
+from hcma import AnnulusProfile, BoundarySpec, cli, make_grid
+from hcma.grid import ScalarField
 from hcma.io import (_SCHEMA, MAGIC, ConfigError, ExperimentConfig, Snapshot,
                      SnapshotError, load_config, report_json,
                      write_fields_csv)
+from hcma.solver import Solution
+from hcma.verify import CHECKS
 
 SMALL_CONFIG = """\
 [grid]
@@ -613,6 +616,8 @@ REJECTED = {
     "epsilon=1e308": ("epsilon = 1e-3", "epsilon = 1e308"),
     "modulus=nan+1j": ("ny = 16", "ny = 16\nmodulus = nan+1j"),
     "phi1-nan": ("phi1 = 1,0,0.005,0", "phi1 = 1,0,nan,0"),
+    "phi1-1e308": ("phi1 = 1,0,0.005,0", "phi1 = 1,0,1e308,0"),
+    "phi1-inf": ("phi1 = 1,0,0.005,0", "phi1 = 1,0,inf,0"),
 }
 SWEEP_REJECTED = {
     "schedule-increasing": ("epsilon = 1e-3",
@@ -678,6 +683,56 @@ class TestCliFrontDoor:
                          "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: leaf ")
         assert not out.exists()
+
+    def test_checks_all_overrides_the_echo(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace(
+            "seed = 0", "seed = 0\nchecks = convexity"))
+        out = tmp_path / "o"
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        snap = str(out / "solution.snap")
+        for flags, names in (([], ["convexity"]),
+                             (["--checks", "all"], [*CHECKS, "jet_map"])):
+            v = tmp_path / f"v{len(flags)}"
+            assert cli.main(["verify", "--snapshot", snap,
+                             "--out", str(v), *flags]) == 0
+            report = json.loads((v / "report.json").read_text())
+            assert [c["name"] for c in report["checks"]] == names
+
+    def test_unknown_check_named_once_writes_nothing(self, tmp_path, capsys,
+                                                     solved_snapshot):
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--snapshot", solved_snapshot,
+                         "--out", str(out), "--checks", "nope"]) == 2
+        assert capsys.readouterr().err == "error: unknown check 'nope'\n"
+        assert not out.exists()
+
+    # q_field and composite_q_field divide by the spike's 1 + a = 0
+    @pytest.mark.filterwarnings(
+        "ignore:divide by zero encountered in divide:RuntimeWarning",
+        "ignore:invalid value encountered in divide:RuntimeWarning")
+    def test_degenerate_boundary_node_exit_4(self, tmp_path, capsys):
+        # phi = 0.05 t(t-1), zero on both t-planes except 1/256 at node
+        # (0, 3, 5), where 1 + a = 0 and b = 0: the boundary Q there is 0/0
+        grid = make_grid(9, 16, 16)
+        t = grid.t_values[:, None, None]
+        values = 0.05 * t * (t - 1.0) * np.ones(grid.shape)
+        values[0, 3, 5] = 1.0 / 256.0
+        spike = Solution(phi=ScalarField(grid, values), grid=grid,
+                         profile=AnnulusProfile(1e-3), boundary=BoundarySpec(),
+                         converged=True, final_residual=0.0, iterations=0)
+        snap = str(tmp_path / "spike.snap")
+        Snapshot.from_solution(spike, ExperimentConfig()).save(snap)
+        v = tmp_path / "v"
+        assert cli.main(["verify", "--snapshot", snap, "--out", str(v)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        report = {c["name"]: c for c in
+                  json.loads((v / "report.json").read_text())["checks"]}
+        assert report["ekq_subharmonic"]["vacuous"]
+        assert report["ekq_subharmonic"]["note"] == "boundary Q = nan >= 1"
+        assert report["lq_ratio"]["vacuous"]
+        assert report["lq_ratio"]["note"] == "composite Q not finite"
+        assert not (report["max_principle_Q"]["pass"]
+                    or report["max_principle_Q"]["vacuous"])
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_unwritable_out_exit_2(self, tmp_path, capsys, solved_snapshot,

@@ -8,10 +8,9 @@ from conftest import (COS_BOUNDARY, closed_form_annulus,
 from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, FieldRhs,
                   continuation_solve, lambda_sweep, make_grid, newton_solve)
 from hcma.grid import ScalarField
-from hcma.quantities import NonConvexBoundaryError
-from hcma.solver import (ContinuationFailure, InadmissibleStateError,
-                         Solution, SolverConfig, check_lambdas,
-                         check_schedule, linearize, residual)
+from hcma.quantities import InadmissibleError, NonConvexBoundaryError
+from hcma.solver import (ContinuationFailure, Solution, SolverConfig,
+                         check_lambdas, check_schedule, linearize, residual)
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -93,6 +92,12 @@ class TestBoundarySpec:
         with pytest.raises(NonConvexBoundaryError,
                            match=r"node \(x,y\)=\(\d+, \d+\)$"):
             BoundarySpec(phi1=((1, 0, 0.2),)).validate(make_grid(5, 16, 16))
+
+    @pytest.mark.parametrize("amp", [1e308, math.inf, -math.inf])
+    def test_overflowing_mode_rejected(self, amp):
+        # no numpy warning on the way: tier-1 turns warnings into errors
+        with pytest.raises(NonConvexBoundaryError, match="not omega_0-convex"):
+            BoundarySpec(phi1=((1, 0, amp),)).validate(make_grid(5, 16, 16))
 
     def test_nan_mode_rejected(self):
         with pytest.raises(NonConvexBoundaryError, match="gap nan"):
@@ -181,7 +186,7 @@ class TestLinearize:
     def test_inadmissible_rejected(self):
         g = make_grid(5, 8, 8)
         fld = ScalarField.from_function(g, lambda t, x, y: -2.0 * t**2 + 0 * x)
-        with pytest.raises(InadmissibleStateError):
+        with pytest.raises(InadmissibleError):
             linearize(fld, ConstantProfile(1.0))
 
     def test_builds_one_strip_frame(self, sol_cos, strip_h_calls):
@@ -349,7 +354,7 @@ class TestSharedOperator:
     @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
     def test_jacobian_is_scaled_h_contract(self, modulus):
         from hcma.grid import dt1, dt2, wirt_z, wirt_zbar, wirt_zzbar
-        from hcma.quantities import _strip_frame, h_contract
+        from hcma.quantities import admissible_frame, h_contract
         g = make_grid(9, 16, 16, modulus)
         phi = ScalarField.from_function(
             g, lambda t, x, y: 0.2 * t**2
@@ -359,7 +364,7 @@ class TestSharedOperator:
         sol = Solution(phi=phi, grid=g, profile=ConstantProfile(0.4),
                        boundary=BoundarySpec(), converged=True,
                        final_residual=0.0, iterations=0)
-        gg, m, q, det = _strip_frame(sol)
+        gg, m, q, det = admissible_frame(phi)
         assert np.abs(m).max() > 1e-3           # mixed t-z terms present
         rng = np.random.default_rng(7)
         w = rng.standard_normal(g.shape)

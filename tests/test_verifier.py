@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+import hcma.verify
 from conftest import COS_AMP, COS_BOUNDARY
 from hcma import AnnulusProfile, BoundarySpec, make_grid, newton_solve
 from hcma.grid import ScalarField
+from hcma.quantities import (DegenerateMetricError, InfeasibleKError,
+                             NonConvexBoundaryError)
 from hcma.solver import Solution
-from hcma.verify import (check_ab_equations, check_convexity,
-                         check_ekq_subharmonic, check_eps_monotone_limit,
-                         check_lambda_monotonicity, check_max_principle_Q,
-                         check_metric_lower_bound, check_u_identity,
+from hcma.verify import (STABILITY_SPREAD, check_ab_equations,
+                         check_convexity, check_ekq_subharmonic,
+                         check_eps_monotone_limit, check_lambda_monotonicity,
+                         check_max_principle_Q, check_metric_lower_bound,
+                         check_metric_lower_bound_stability, check_u_identity,
                          check_upper_bound, check_weighted_max_principle,
                          jet_map_export, lq_ratio_report, q_field,
                          run_checks)
@@ -145,8 +149,9 @@ class TestEkqSubharmonic:
             lambda t, x, y: -0.3 * np.cos(2 * np.pi * x) - 0.3 * np.cos(
                 2 * np.pi * y) + 0.5 * t * (t - 1))
         rec = check_ekq_subharmonic(sol)
-        # boundary Q >= 1 or degenerate state: recorded, never a hard failure
-        assert rec.vacuous or rec.passed or not rec.passed  # never throws
+        # boundary Q is about 3.8e3, outside the hypothesis Q < 1
+        assert rec.vacuous
+        assert "boundary Q" in rec.note
 
 
 class TestLqRatio:
@@ -174,6 +179,13 @@ class TestSweepChecks:
         rec = check_eps_monotone_limit(eps_sweep)
         assert rec.passed
         assert rec.extra["gaps_decreasing"]
+
+    def test_metric_lower_bound_stability(self, eps_sweep):
+        rec = check_metric_lower_bound_stability(eps_sweep)
+        minima = rec.extra["min_one_plus_a_per_rung"]
+        assert rec.passed and rec.bound == STABILITY_SPREAD
+        assert rec.measured == max(minima) - min(minima)
+        assert len(minima) == len(eps_sweep)
 
     def test_lambda_sweep(self, grid_mid):
         from hcma import lambda_sweep
@@ -216,6 +228,17 @@ class TestRunChecks:
     def test_unknown_check_rejected(self, sol_cos):
         with pytest.raises(KeyError):
             run_checks(sol_cos, names=["nope"])
+
+    @pytest.mark.parametrize("error", [NonConvexBoundaryError,
+                                       InfeasibleKError,
+                                       DegenerateMetricError])
+    def test_defect_is_never_vacuous(self, sol_cos, monkeypatch, error):
+        def defect(solution):
+            raise error("raised by a defect, not by the data")
+
+        monkeypatch.setitem(hcma.verify.CHECKS, "upper_bound", defect)
+        with pytest.raises(error):
+            run_checks(sol_cos, names=["convexity", "upper_bound"])
 
     def test_strip_frames_per_run(self, sol_cos, strip_h_calls):
         # one per h_contract (3), ab_equations' bilinear forms,
