@@ -23,6 +23,7 @@ import configparser
 import csv
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
@@ -312,15 +313,27 @@ class Snapshot:
 
 # --- reports and CSV ---------------------------------------------------------
 
+def _finite_or_null(obj):
+    """obj with each non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def report_json(report_dict: dict, timestamp: bool = True) -> str:
-    """Deterministic JSON; the timestamp lives in its own meta field so
-    comparisons can strip it."""
+    """Deterministic, strict JSON: a non-finite number is written as null.
+    The timestamp lives in its own meta field so comparisons can strip it."""
     out = dict(report_dict)
     meta = dict(out.get("meta", {}))
     if timestamp:
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     out["meta"] = meta
-    return json.dumps(out, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_finite_or_null(out), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def write_report(report_dict: dict, path) -> None:

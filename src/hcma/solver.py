@@ -22,7 +22,7 @@ from .grid import Grid, ScalarField, second_order_stencil
 from .quantities import (InadmissibleError, NonConvexBoundaryError,
                          admissible_frame, h_coefficient_planes, strip_h)
 
-LINEAR_RTOL = 1e-12    # relative residual of each Newton linear solve
+LINEAR_RTOL = 1e-12    # floor of the forcing term of each Newton linear solve
 
 
 class SolverError(RuntimeError):
@@ -275,76 +275,75 @@ class _SeparablePreconditioner:
     """Fast approximate inverse of the Jacobian.
 
     Uses the separable averaged operator ptt(t) d_tt + pxx(t) d_xx +
-    pyy(t) d_yy (plane means of the true coefficients, mixed terms dropped):
-    FFT-diagonal in the periodic x, y directions, tridiagonal in t, solved
-    by a vectorized Thomas sweep.  The true operator differs only by small
-    variable-coefficient and mixed-stencil corrections, so preconditioned
-    GMRES converges in a handful of iterations.
+    pyy(t) d_yy (plane means of the true coefficients, mixed terms dropped),
+    diagonal under the real FFT in x, y and tridiagonal in t: its Thomas
+    pivot reciprocals and factors cp are computed once, and an apply is an
+    rfft2, a forward and back sweep in place, and an irfft2.  GMRES then
+    needs a handful of iterations for the small variable-coefficient and
+    mixed-stencil corrections.
     """
 
     def __init__(self, grid: Grid, coeffs: dict):
         nt, nx, ny = grid.shape
         self.grid = grid
-        ptt_t = coeffs["tt"].mean(axis=(1, 2))         # (nt-2,)
         pxx_t = coeffs["xx"].mean(axis=(1, 2))
         pyy_t = coeffs["yy"].mean(axis=(1, 2))
         lam_x = (2.0 * np.cos(2.0 * np.pi * np.arange(nx) / nx) - 2.0) / grid.hx**2
-        lam_y = (2.0 * np.cos(2.0 * np.pi * np.arange(ny) / ny) - 2.0) / grid.hy**2
-        # per-mode diagonal shift, shape (nt-2, nx, ny)
-        self.mu = (pxx_t[:, None, None] * lam_x[None, :, None]
-                   + pyy_t[:, None, None] * lam_y[None, None, :])
-        self.off = ptt_t / grid.ht**2                  # sub/super-diagonal
-        self.diag = -2.0 * self.off[:, None, None] + self.mu
+        lam_y = (2.0 * np.cos(2.0 * np.pi * np.arange(ny // 2 + 1) / ny)
+                 - 2.0) / grid.hy**2
+        self.off = off = coeffs["tt"].mean(axis=(1, 2)) / grid.ht**2  # (nt-2,)
+        # per-mode diagonal, made in place 1 / (diag_k - off_k cp_{k-1})
+        self.inv = inv = -2.0 * off[:, None, None] + (
+            pxx_t[:, None, None] * lam_x[None, :, None]
+            + pyy_t[:, None, None] * lam_y[None, None, :])
+        self.cp = cp = np.zeros_like(inv)                 # cp[-1] = 0 at k = 0
+        for k in range(nt - 2):
+            inv[k] = 1.0 / (inv[k] - off[k] * cp[k - 1])
+            cp[k] = off[k] * inv[k]
         self.applies = 0
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         self.applies += 1
-        grid = self.grid
-        nt, nx, ny = grid.shape
+        grid, off, inv, cp = self.grid, self.off, self.inv, self.cp
         r = v.reshape(grid.shape)
         out = np.empty(grid.shape)
         out[0], out[-1] = r[0], r[-1]                  # identity rows
-        rhs = np.fft.fft2(r[1:-1], axes=(1, 2))
-        z0 = np.fft.fft2(r[0])
-        z1 = np.fft.fft2(r[-1])
-        rhs[0] -= self.off[0] * z0
-        rhs[-1] -= self.off[-1] * z1
-        # Thomas sweep over the t-index, vectorized over all (kx, ky) modes
-        m = nt - 2
-        cp = np.empty_like(rhs)
-        dp = np.empty_like(rhs)
-        cp[0] = self.off[0] / self.diag[0]
-        dp[0] = rhs[0] / self.diag[0]
-        for k in range(1, m):
-            denom = self.diag[k] - self.off[k] * cp[k - 1]
-            cp[k] = self.off[k] / denom
-            dp[k] = (rhs[k] - self.off[k] * dp[k - 1]) / denom
-        z = np.empty_like(rhs)
-        z[m - 1] = dp[m - 1]
-        for k in range(m - 2, -1, -1):
-            z[k] = dp[k] - cp[k] * z[k + 1]
-        out[1:-1] = np.fft.ifft2(z, axes=(1, 2)).real
+        rhs = np.fft.rfft2(r[1:-1], out=np.empty_like(inv, dtype=complex))
+        rhs[0] -= off[0] * np.fft.rfft2(r[0])
+        rhs[-1] -= off[-1] * np.fft.rfft2(r[-1])
+        rhs[0] *= inv[0]
+        for k in range(1, len(rhs)):
+            rhs[k] -= off[k] * rhs[k - 1]
+            rhs[k] *= inv[k]
+        for k in range(len(rhs) - 2, -1, -1):
+            rhs[k] -= cp[k] * rhs[k + 1]
+        # irfft2 as its two 1-D passes, in place: irfft2 ignores out=
+        np.fft.irfft(np.fft.ifft(rhs, axis=1, out=rhs), grid.ny, out=out[1:-1])
         return out.ravel()
-
-    def as_operator(self) -> spla.LinearOperator:
-        n = self.grid.n_nodes
-        return spla.LinearOperator((n, n), matvec=self.solve, dtype=float)
 
 
 def _solve_linear(jac: spla.LinearOperator, rhs, rtol: float) -> np.ndarray:
-    """Solve jac @ x = rhs to relative residual <= rtol by GMRES with the
+    """Solve jac @ x = rhs to relative residual <= rtol, Newton's forcing
+    term, by GMRES restarted every 20 iterations, 60 times at most, with the
     ``preconditioner`` that linearize attached to jac.
 
     A result is accepted on its true residual, whatever GMRES reports;
     otherwise SolverError carries GMRES info, its preconditioner applies
-    (one per iteration plus one per restart) and the relative residual.
+    (one per iteration plus one per restart) and the relative residual, or
+    the size of the (restart + 1) n float64 workspace it ran out of.
     """
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
     pre = jac.preconditioner
-    x, info = spla.gmres(jac, rhs, M=pre.as_operator(), rtol=0.1 * rtol,
-                         atol=0.0, restart=60, maxiter=20)
+    M = spla.LinearOperator(jac.shape, matvec=pre.solve, dtype=float)
+    restart = 20
+    try:
+        x, info = spla.gmres(jac, rhs, M=M, rtol=rtol, atol=0.0,
+                             restart=restart, maxiter=60)
+    except MemoryError as exc:
+        raise SolverError(f"out of memory for a gmres workspace of "
+                          f"{(restart + 1) * rhs.size * 8} bytes") from exc
     rel = np.linalg.norm(jac @ x - rhs) / rhs_norm
     if rel <= rtol:
         return x
@@ -414,7 +413,8 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         except InadmissibleError as exc:
             return finish(f"inadmissible iterate: {exc}", rn, k)
         try:
-            step = _solve_linear(jac, -r.values.ravel(), LINEAR_RTOL)
+            step = _solve_linear(jac, -r.values.ravel(),
+                                 min(1e-2, max(rn, LINEAR_RTOL)))
         except SolverError as exc:
             return finish(f"linear-solve-failure: {exc}", rn, k)
         step = step.reshape(grid.shape)

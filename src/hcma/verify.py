@@ -89,17 +89,31 @@ def _h_scale(grid) -> float:
 
 
 def q_field(solution: Solution) -> np.ndarray:
-    """Appendix-style Q = |b|^2/(1+a)^2 on the whole grid (spatial jets only)."""
+    """Appendix-style Q = |b|^2/(1+a)^2 on the whole grid (spatial jets only);
+    inf or NaN, without a warning, where 1 + a = 0."""
     j = solution.phi.jets
-    return np.abs(j.b) ** 2 / (1.0 + j.a) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(j.b) ** 2 / (1.0 + j.a) ** 2
 
 
 def composite_q_field(solution: Solution) -> np.ndarray:
-    """Composite Q = Q_A + Q_B + Q_G (spatial jets only, valid on all planes)."""
+    """Composite Q = Q_A + Q_B + Q_G (spatial jets only, valid on all planes);
+    inf or NaN, without a warning, where 1 + a = 0."""
     j = solution.phi.jets
     opa = 1.0 + j.a
-    return (j.a ** 2 / opa ** 2 + np.abs(j.b) ** 2 / opa ** 2
-            + np.abs(j.d_z) ** 2 / opa)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (j.a ** 2 / opa ** 2 + np.abs(j.b) ** 2 / opa ** 2
+                + np.abs(j.d_z) ** 2 / opa)
+
+
+def _degenerate_node(solution: Solution) -> str:
+    """Names the node of least 1 + a if that is <= 0, where Q means nothing;
+    otherwise the empty string."""
+    opa = 1.0 + solution.phi.jets.a
+    node = np.unravel_index(np.argmin(opa), opa.shape)
+    if opa[node] > 0.0:
+        return ""
+    return f"1 + a = {opa[node]:.3e} <= 0 at node {tuple(map(int, node))}"
 
 
 def boundary_jet_pairs(solution: Solution) -> np.ndarray:
@@ -157,9 +171,11 @@ def check_max_principle_Q(solution: Solution) -> CheckRecord:
     h2 = C_H2 * _h_scale(solution.grid) ** 2
     plain = measured <= bound * (1.0 + REL_SLACK) + h2
     factor2 = measured <= 2.0 * bound + h2
+    note = _degenerate_node(solution)
     return CheckRecord(
-        name="max_principle_Q", passed=plain and factor2, measured=measured,
-        bound=bound, tolerance=h2, worst_node=_interior_node(qi),
+        name="max_principle_Q", passed=plain and factor2 and not note,
+        measured=measured, bound=bound, tolerance=h2,
+        worst_node=_interior_node(qi), note=note,
         extra={"factor2_pass": bool(factor2), "factor2_bound": 2.0 * bound})
 
 
@@ -200,10 +216,12 @@ def check_weighted_max_principle(solution: Solution) -> CheckRecord:
     measured = float(ratio[1:-1].max())
     bound = float(ratio[[0, -1]].max())
     h2 = C_H2 * _h_scale(solution.grid) ** 2
-    passed = measured <= bound * (1.0 + REL_SLACK) + h2 and ident.passed
+    note = _degenerate_node(solution)
+    passed = (measured <= bound * (1.0 + REL_SLACK) + h2 and ident.passed
+              and not note)
     return CheckRecord(
         name="weighted_max_principle", passed=passed, measured=measured,
-        bound=bound, tolerance=h2,
+        bound=bound, tolerance=h2, note=note,
         extra={"u_identity_rel_err": ident.measured, "d_R": D_R})
 
 

@@ -477,6 +477,19 @@ class TestCliEndToEnd:
         summary = json.loads(pathlib.Path(out, "summary.json").read_text())
         assert "failure" in summary
 
+    def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
+        import hcma.solver
+
+        def gmres(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(hcma.solver.spla, "gmres", gmres)
+        out = str(tmp_path / "o")
+        assert cli.main(["solve", "--config", write_config(tmp_path),
+                         "--out", out]) == 3
+        assert capsys.readouterr().err == (
+            "error: solver failed: linear-solve-failure: out of memory for a "
+            f"gmres workspace of {21 * 9 * 16 * 16 * 8} bytes\n")
+
     def test_unconverged_snapshot_verify_exit_4(self, tmp_path):
         text = SMALL_CONFIG + "\n[solver]\nmax_newton_iters = 0\n"
         cfg = write_config(tmp_path, text)
@@ -706,10 +719,6 @@ class TestCliFrontDoor:
         assert capsys.readouterr().err == "error: unknown check 'nope'\n"
         assert not out.exists()
 
-    # q_field and composite_q_field divide by the spike's 1 + a = 0
-    @pytest.mark.filterwarnings(
-        "ignore:divide by zero encountered in divide:RuntimeWarning",
-        "ignore:invalid value encountered in divide:RuntimeWarning")
     def test_degenerate_boundary_node_exit_4(self, tmp_path, capsys):
         # phi = 0.05 t(t-1), zero on both t-planes except 1/256 at node
         # (0, 3, 5), where 1 + a = 0 and b = 0: the boundary Q there is 0/0

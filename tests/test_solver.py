@@ -8,9 +8,12 @@ from conftest import (COS_BOUNDARY, closed_form_annulus,
 from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, FieldRhs,
                   continuation_solve, lambda_sweep, make_grid, newton_solve)
 from hcma.grid import ScalarField
-from hcma.quantities import InadmissibleError, NonConvexBoundaryError
-from hcma.solver import (ContinuationFailure, Solution, SolverConfig,
-                         check_lambdas, check_schedule, linearize, residual)
+from hcma.quantities import (InadmissibleError, NonConvexBoundaryError,
+                             admissible_frame, h_coefficient_planes)
+from hcma.solver import (LINEAR_RTOL, ContinuationFailure, Solution,
+                         SolverConfig, _SeparablePreconditioner,
+                         check_lambdas, check_schedule,
+                         default_initial_guess, linearize, residual)
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -420,3 +423,68 @@ class TestLinearSolve:
         assert "info=7" in sol.message
         assert "0 preconditioner applies" in sol.message
         assert "relative residual 1.000e+00" in sol.message
+
+    def test_out_of_memory_is_a_linear_solve_failure(self, grid_small,
+                                                     no_splu, monkeypatch):
+        def gmres(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(no_splu, "gmres", gmres)
+        sol = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
+        assert not sol.converged
+        assert sol.iterations == 0
+        # GMRES(20) holds 21 Krylov vectors of n float64
+        assert sol.message == ("linear-solve-failure: out of memory for a "
+                               "gmres workspace of "
+                               f"{21 * grid_small.n_nodes * 8} bytes")
+
+    def test_forcing_terms_follow_the_residual(self, grid_mid, no_splu,
+                                               monkeypatch):
+        rtols = []
+        gmres = no_splu.gmres
+
+        def spy(*args, rtol, **kwargs):
+            rtols.append(rtol)
+            return gmres(*args, rtol=rtol, **kwargs)
+        monkeypatch.setattr(no_splu, "gmres", spy)
+        sol = newton_solve(grid_mid, COS_BOUNDARY, AnnulusProfile(1e-3))
+        assert sol.converged
+        assert len(rtols) == sol.iterations
+        assert rtols[0] == 1e-2
+        for eta, rk in zip(rtols, sol.residual_history):
+            assert eta <= max(rk, LINEAR_RTOL)
+        assert all(b <= a for a, b in zip(rtols, rtols[1:]))
+
+    @pytest.mark.parametrize("shape", [(7, 8, 6), (6, 6, 7), (5, 5, 9)])
+    def test_preconditioner_is_the_separable_solve(self, shape):
+        # dense reference: plane means of the tt, xx, yy coefficients on
+        # the interior t-planes, identity rows on the two boundary planes
+        grid = make_grid(*shape)
+        nt, nx, ny = shape
+        rng = np.random.default_rng(3)
+        phi = default_initial_guess(grid, COS_BOUNDARY, AnnulusProfile(0.1))
+        phi = ScalarField(grid, phi.values
+                          + 1e-3 * rng.standard_normal(grid.shape))
+        planes = h_coefficient_planes(grid, *admissible_frame(phi)[:3])
+
+        def d2(n, h):
+            eye = np.eye(n)
+            return (np.roll(eye, 1, 0) - 2.0 * eye + np.roll(eye, -1, 0)) / h**2
+
+        lap_x = np.kron(d2(nx, grid.hx), np.eye(ny))
+        lap_y = np.kron(np.eye(nx), d2(ny, grid.hy))
+        m = nx * ny
+        dense = np.eye(grid.n_nodes)
+        for i in range(1, nt - 1):
+            ptt, pxx, pyy = (planes[key][i - 1].mean()
+                             for key in ("tt", "xx", "yy"))
+            rows = dense[i * m:(i + 1) * m]
+            rows[:] = 0.0
+            off = ptt / grid.ht**2 * np.eye(m)
+            rows[:, (i - 1) * m:i * m] = off
+            rows[:, (i + 1) * m:(i + 2) * m] = off
+            rows[:, i * m:(i + 1) * m] = -2.0 * off + pxx * lap_x + pyy * lap_y
+        v = rng.standard_normal(grid.n_nodes)
+        ref = np.linalg.solve(dense, v)
+        got = _SeparablePreconditioner(grid, planes).solve(v)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+

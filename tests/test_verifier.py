@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import hcma.verify
 from conftest import COS_AMP, COS_BOUNDARY
 from hcma import AnnulusProfile, BoundarySpec, make_grid, newton_solve
 from hcma.grid import ScalarField
+from hcma.io import report_json
 from hcma.quantities import (DegenerateMetricError, InfeasibleKError,
                              NonConvexBoundaryError)
 from hcma.solver import Solution
@@ -259,6 +262,27 @@ class TestRunChecks:
             assert not report[name].passed
             assert not report[name].vacuous
             assert "min(1+a)" in report[name].note
+
+    def test_degenerate_node_fails_and_is_written_as_null(self, grid_small):
+        # 1/256 at node (0, 3, 5) of a zero t = 0 plane: 1 + a = b = 0 there,
+        # so Q is 0/0; no numpy warning may escape either check
+        t = grid_small.t_values[:, None, None]
+        values = 0.05 * t * (t - 1.0) * np.ones(grid_small.shape)
+        values[0, 3, 5] = 1.0 / 256.0
+        spike = Solution(phi=ScalarField(grid_small, values), grid=grid_small,
+                         profile=AnnulusProfile(1e-3), boundary=BoundarySpec(),
+                         converged=True, final_residual=0.0, iterations=0)
+        report = run_checks(spike, names=["max_principle_Q",
+                                          "weighted_max_principle"])
+        for rec in report.checks:
+            assert not (rec.passed or rec.vacuous)
+            assert rec.note == "1 + a = 0.000e+00 <= 0 at node (0, 3, 5)"
+
+        def strict(token):
+            raise ValueError(f"non-standard JSON token {token}")
+        text = report_json(report.to_dict(), timestamp=False)
+        checks = json.loads(text, parse_constant=strict)["checks"]
+        assert [c["bound"] for c in checks] == [None, None]
 
     def test_q_field_matches_pointwise(self, sol_cos):
         from hcma.grid import wirtinger_jet
