@@ -116,29 +116,36 @@ def make_grid(nt: int, nx: int, ny: int, modulus: complex = 1j) -> Grid:
 
 # --- stencil primitives (operate on (nt, nx, ny) arrays, real or complex) ---
 
+def _wrap(v: np.ndarray, x: int, y: int) -> np.ndarray:
+    """v padded periodically by x cells at both ends of axis 1, y of axis 2."""
+    return np.pad(v, ((0, 0), (x, x), (y, y)), mode="wrap")
+
+
 def dx1(grid: Grid, v: np.ndarray) -> np.ndarray:
-    return (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2 * grid.hx)
+    p = _wrap(v, 1, 0)
+    return (p[:, 2:] - p[:, :-2]) / (2 * grid.hx)
 
 
 def dy1(grid: Grid, v: np.ndarray) -> np.ndarray:
-    return (np.roll(v, -1, axis=2) - np.roll(v, 1, axis=2)) / (2 * grid.hy)
+    p = _wrap(v, 0, 1)
+    return (p[:, :, 2:] - p[:, :, :-2]) / (2 * grid.hy)
 
 
 def dx2(grid: Grid, v: np.ndarray) -> np.ndarray:
-    return (np.roll(v, -1, axis=1) - 2 * v + np.roll(v, 1, axis=1)) / grid.hx**2
+    p = _wrap(v, 1, 0)
+    return (p[:, 2:] - 2 * v + p[:, :-2]) / grid.hx**2
 
 
 def dy2(grid: Grid, v: np.ndarray) -> np.ndarray:
-    return (np.roll(v, -1, axis=2) - 2 * v + np.roll(v, 1, axis=2)) / grid.hy**2
+    p = _wrap(v, 0, 1)
+    return (p[:, :, 2:] - 2 * v + p[:, :, :-2]) / grid.hy**2
 
 
 def dxy(grid: Grid, v: np.ndarray) -> np.ndarray:
     """4-point centered cross stencil for the mixed x,y derivative."""
-    vpp = np.roll(v, (-1, -1), axis=(1, 2))
-    vpm = np.roll(v, (-1, 1), axis=(1, 2))
-    vmp = np.roll(v, (1, -1), axis=(1, 2))
-    vmm = np.roll(v, (1, 1), axis=(1, 2))
-    return (vpp - vpm - vmp + vmm) / (4 * grid.hx * grid.hy)
+    p = _wrap(v, 1, 1)
+    return (p[:, 2:, 2:] - p[:, 2:, :-2] - p[:, :-2, 2:]
+            + p[:, :-2, :-2]) / (4 * grid.hx * grid.hy)
 
 
 def dt1(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -178,6 +185,14 @@ def wirt_zbar(grid: Grid, v: np.ndarray) -> np.ndarray:
     return np.conj(c1) * dx1(grid, v) + np.conj(c2) * dy1(grid, v)
 
 
+def wirt_parts(grid: Grid, px, py):
+    """(Re, Im) of c1*px + c2*py for real px, py (arrays or numbers): d/dz
+    from real x and y derivatives, in real arithmetic.  d/dzbar is (Re, -Im).
+    """
+    c1, c2 = grid.lattice.dz_coefficients
+    return c1.real * px + c2.real * py, c1.imag * px + c2.imag * py
+
+
 def wirt_zz(grid: Grid, v: np.ndarray) -> np.ndarray:
     c1, c2 = grid.lattice.dz_coefficients
     return c1**2 * dx2(grid, v) + 2 * c1 * c2 * dxy(grid, v) + c2**2 * dy2(grid, v)
@@ -194,26 +209,31 @@ def wirt_zzbar(grid: Grid, v: np.ndarray) -> np.ndarray:
 def second_order_stencil(grid: Grid, planes: dict):
     """Variable-coefficient second-order operator on the interior t-planes.
 
-    planes maps tt, xx, yy, xy, tx, ty to real (nt-2, nx, ny) arrays; the
-    returned apply(v, out=None) sums each plane times the matching central
-    second difference of a real or complex (nt, nx, ny) array v, the same
-    differences as dt2, dx2, dy2, dxy, dt1(dx1), dt1(dy1).  Mesh factors are
-    folded in once, so repeated applies only do slice arithmetic in place.
+    planes maps tt, xx, yy, xy, tx, ty to real (nt-2, nx, ny) arrays (a
+    number stands for a constant plane); the returned apply(v, out=None)
+    sums each plane times the matching central second difference of a real
+    or complex (nt, nx, ny) array v, the same differences as dt2, dx2, dy2,
+    dxy, dt1(dx1), dt1(dy1).  The stencil takes the planes over: mesh
+    factors are folded into them in place, once, so repeated applies only
+    do slice arithmetic in place.
     """
     nt, nx, ny = grid.shape
     ht, hx, hy = grid.ht, grid.hx, grid.hy
-    tt, xx, yy = (planes["tt"] / ht**2, planes["xx"] / hx**2,
-                  planes["yy"] / hy**2)
+    for key, factor in (("tt", ht**2), ("xx", hx**2), ("yy", hy**2),
+                        ("xy", 4 * hx * hy), ("tx", 4 * ht * hx),
+                        ("ty", 4 * ht * hy)):
+        planes[key] /= factor
+    tt, xx, yy = planes["tt"], planes["xx"], planes["yy"]
     centre = -2.0 * (tt + xx + yy)
     # (coefficient, two (t, x, y) offsets added, offsets subtracted)
     legs = ((tt, ((1, 0, 0), (-1, 0, 0)), ()),
             (xx, ((0, 1, 0), (0, -1, 0)), ()),
             (yy, ((0, 0, 1), (0, 0, -1)), ()),
-            (planes["xy"] / (4 * hx * hy), ((0, 1, 1), (0, -1, -1)),
+            (planes["xy"], ((0, 1, 1), (0, -1, -1)),
              ((0, 1, -1), (0, -1, 1))),
-            (planes["tx"] / (4 * ht * hx), ((1, 1, 0), (-1, -1, 0)),
+            (planes["tx"], ((1, 1, 0), (-1, -1, 0)),
              ((1, -1, 0), (-1, 1, 0))),
-            (planes["ty"] / (4 * ht * hy), ((1, 0, 1), (-1, 0, -1)),
+            (planes["ty"], ((1, 0, 1), (-1, 0, -1)),
              ((1, 0, -1), (-1, 0, 1))))
 
     def apply(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -273,6 +293,12 @@ class JetFields:
     Single code path for pointwise jets and vectorized consumers (solver,
     verifier): wirtinger_jet just reads these arrays at a node.  No reference
     back to the ScalarField, so a dropped field is freed without the cyclic GC.
+
+    First-order and t-mixed derivatives are cached as real pairs: (d_x, d_y)
+    and (d_tx, d_ty) = (Phi_tx, Phi_ty).  The complex Wirtinger arrays d_z,
+    d_tz = Phi_tz and d_tzb = conj(d_tz) are combined from them on each
+    access and never cached; consumers that can, read the pairs through
+    wirt_parts instead.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -288,8 +314,20 @@ class JetFields:
         return dt2(self._grid, self._values)
 
     @cached_property
+    def d_x(self):
+        return dx1(self._grid, self._values)
+
+    @cached_property
+    def d_y(self):
+        return dy1(self._grid, self._values)
+
+    def _dz(self, px, py):
+        c1, c2 = self._grid.lattice.dz_coefficients
+        return c1 * px + c2 * py
+
+    @property
     def d_z(self):
-        return wirt_z(self._grid, self._values)
+        return self._dz(self.d_x, self.d_y)
 
     @cached_property
     def a(self):
@@ -300,10 +338,18 @@ class JetFields:
         return wirt_zz(self._grid, self._values)
 
     @cached_property
-    def d_tz(self):
-        return dt1(self._grid, self.d_z)
+    def d_tx(self):
+        return dt1(self._grid, dx1(self._grid, self._values))
 
     @cached_property
+    def d_ty(self):
+        return dt1(self._grid, dy1(self._grid, self._values))
+
+    @property
+    def d_tz(self):
+        return self._dz(self.d_tx, self.d_ty)
+
+    @property
     def d_tzb(self):
         return np.conj(self.d_tz)
 
@@ -363,6 +409,8 @@ def wirtinger_jet(fld: ScalarField, node: tuple[int, int, int],
     it, ix, iy = fld.grid.check_node(node)
     j = fld.jets
     idx = (it, ix, iy)
+    d_z = complex(*wirt_parts(fld.grid, j.d_x[idx], j.d_y[idx]))
+    d_tz = complex(*wirt_parts(fld.grid, j.d_tx[idx], j.d_ty[idx]))
     third = {}
     if order == 3:
         third = dict(
@@ -375,11 +423,11 @@ def wirtinger_jet(fld: ScalarField, node: tuple[int, int, int],
         value=float(fld.values[idx]),
         d_t=float(j.d_t[idx]),
         d_tt=float(j.d_tt[idx]),
-        d_z=complex(j.d_z[idx]),
+        d_z=d_z,
         a=float(j.a[idx]),
         b=complex(j.b[idx]),
-        d_tz=complex(j.d_tz[idx]),
-        d_tzb=complex(j.d_tzb[idx]),
+        d_tz=d_tz,
+        d_tzb=d_tz.conjugate(),
         one_sided_t=not fld.grid.is_interior_t(it),
         **third,
     )

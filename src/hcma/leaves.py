@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import interpolate_array
+from .grid import interpolate_array, wirt_parts
 from .solver import Solution
 
 
@@ -86,17 +86,18 @@ def trace_leaf(solution: Solution, start: tuple, step: float = 0.01) -> LeafPath
         raise LeafError(f"step must be positive and finite, got {step}")
     modulus = grid.lattice.modulus
     jets = solution.phi.jets
-    d_tzb = jets.d_tzb
-    a_arr = jets.a.astype(float)
+    d_tx, d_ty = jets.d_tx, jets.d_ty
+    a_arr = jets.a
     b_arr = jets.b
 
     def velocity(t, z):
         x, y = _z_to_lattice(complex(z), modulus)
-        a = float(interpolate_array(grid, a_arr, t, x, y).real)
-        w = complex(interpolate_array(grid, d_tzb, t, x, y))
+        a = float(interpolate_array(grid, a_arr, t, x, y))
+        tz = wirt_parts(grid, interpolate_array(grid, d_tx, t, x, y),
+                        interpolate_array(grid, d_ty, t, x, y))   # Phi_tz
         if 1.0 + a <= 0.0:
             raise _DegenerateLeafState(t, z)
-        return -w / (2.0 * (1.0 + a))
+        return -complex(tz[0], -tz[1]) / (2.0 * (1.0 + a))
 
     points = []
     aborted, message = False, "ok"
@@ -112,7 +113,7 @@ def trace_leaf(solution: Solution, start: tuple, step: float = 0.01) -> LeafPath
     zs_mod = np.empty(len(ts), dtype=complex)
     for k, (t, z) in enumerate(points):
         x, y = _z_to_lattice(complex(z), modulus)
-        a = float(interpolate_array(grid, a_arr, t, x, y).real)
+        a = float(interpolate_array(grid, a_arr, t, x, y))
         b = interpolate_array(grid, b_arr, t, x, y)
         a_s[k] = a
         qb_s[k] = abs(b) ** 2 / (1.0 + a) ** 2 if 1.0 + a > 0 else np.nan

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Jet, ScalarField, second_order_stencil
+from .grid import Jet, ScalarField, second_order_stencil, wirt_parts
 
 
 class DegenerateMetricError(ValueError):
@@ -270,14 +270,17 @@ class InadmissibleError(ValueError):
 def strip_h(phi: ScalarField):
     """Interior arrays (g, m, q, det) of the strip h-matrix [[q, m], [m*, g]].
 
-    q = Phi_tt/4, m = Phi_tzbar/2, g = 1 + a; det = q g - |m|^2.  Does not
-    check admissibility.
+    q = Phi_tt/4, m = Phi_tzbar/2 as its real pair (Re m, Im m), g = 1 + a;
+    det = q g - |m|^2.  Built from the jets' real pair (Phi_tx, Phi_ty), so
+    no complex array is made.  Does not check admissibility.
     """
     j = phi.jets
     g = 1.0 + j.a[1:-1]
-    m = 0.5 * j.d_tzb[1:-1]
+    m_r, m_i = wirt_parts(phi.grid, j.d_tx[1:-1], j.d_ty[1:-1])   # Phi_tz
+    m_r *= 0.5
+    m_i *= -0.5
     q = 0.25 * j.d_tt[1:-1]
-    return g, m, q, q * g - np.abs(m) ** 2
+    return g, (m_r, m_i), q, q * g - (m_r * m_r + m_i * m_i)
 
 
 def admissible_frame(phi: ScalarField):
@@ -292,17 +295,20 @@ def admissible_frame(phi: ScalarField):
 
 def _strip_planes(grid, c00, c10, c11) -> dict:
     """Stencil planes of c00 w_zetazetabar + c10 w_z zetabar
-    + conj(c10) w_zeta zbar + c11 w_z zbar (strip frame, w s-independent).
+    + conj(c10) w_zeta zbar + c11 w_z zbar (strip frame, w s-independent),
+    with c10 given as its real pair (Re c10, Im c10).
 
     With w_zetazetabar = w_tt/4, w_z zetabar = w_tz/2 and d/dz = k1 d/dx +
     k2 d/dy every plane is real (the t-mixed ones are Re(c10 k)), so the
     operator is exact on complex w as well.
     """
     k1, k2 = grid.lattice.dz_coefficients
+    c_r, c_i = c10
     return {"tt": 0.25 * c00, "xx": c11 * abs(k1) ** 2,
             "yy": c11 * abs(k2) ** 2,
             "xy": c11 * (2.0 * (k1 * np.conj(k2)).real),
-            "tx": (c10 * k1).real, "ty": (c10 * k2).real}
+            "tx": c_r * k1.real - c_i * k1.imag,
+            "ty": c_r * k2.real - c_i * k2.imag}
 
 
 def h_coefficient_planes(grid, g, m, q) -> dict:
@@ -310,22 +316,27 @@ def h_coefficient_planes(grid, g, m, q) -> dict:
 
     Applied, they are Newton's Jacobian (1+a) w_tt + Phi_tt w_zzbar
     - 2 Re(Phi_tz w_tzbar); divided by 4 det h, the h-Laplacian.  The
-    caller checks admissibility (admissible_frame).
+    caller checks admissibility (admissible_frame).  They are 4 times the
+    planes of (g, -m, q), scaled in place (exact: the scale is a power of 2).
     """
-    return _strip_planes(grid, 4.0 * g, -4.0 * m, 4.0 * q)
+    planes = _strip_planes(grid, g, m, q)
+    for key, plane in planes.items():
+        plane *= -4.0 if key in ("tx", "ty") else 4.0
+    return planes
 
 
-def h_contract(solution, values: np.ndarray) -> np.ndarray:
+def h_contract(solution, values: np.ndarray, frame=None) -> np.ndarray:
     """Interior h^{ij*} w_{ij*} of a (possibly complex) grid array w.
 
     Second derivatives of w are realized through the strip identities
     w_zetazetabar = w_tt/4, w_zeta zbar = w_tzbar/2 (w s-independent);
-    the contraction is tr(inv(H) @ W) with the solution's h-matrix.
+    the contraction is tr(inv(H) @ W) with the solution's h-matrix, whose
+    frame is admissible_frame(solution.phi), built here unless passed.
     """
     grid = solution.grid
     if values.shape != grid.shape:
         raise ValueError("field shape does not match the solution grid")
-    g, m, q, det = admissible_frame(solution.phi)
+    g, m, q, det = admissible_frame(solution.phi) if frame is None else frame
     apply = second_order_stencil(grid, h_coefficient_planes(grid, g, m, q))
     return apply(values) / (4.0 * det)
 
@@ -334,16 +345,15 @@ def l_coefficient_fields(solution):
     """Interior coefficient arrays of L = p + (eps b/g) diag(0, g^{-1}).
 
     Returns (L00, L01, L10, L11) with L[w] = L00 w_zetazetabar +
-    L01 w_zeta zbar + L10 w_z zetabar + L11 w_z zbar; L00 is identically 1.
+    L01 w_zeta zbar + L10 w_z zetabar + L11 w_z zbar; L00 is identically 1,
+    L11 is real, and the complex L01 = conj(L10) come as (Re, Im) pairs.
     The scalar eps b/g at n = 1 on the strip is eps_tilde / (4 (1+a)).
     """
-    g, m, _, _ = admissible_frame(solution.phi)
+    g, (m_r, m_i), _, _ = admissible_frame(solution.phi)
     ratio = solution.profile.rhs_on(solution.grid)[1:-1] / (4.0 * g)
-    L00 = np.ones_like(g)
-    L01 = -np.conj(m) / g
-    L10 = -m / g
-    L11 = np.abs(m) ** 2 / g**2 + ratio / g
-    return L00, L01, L10, L11
+    L10 = (-m_r / g, -m_i / g)
+    L11 = (m_r * m_r + m_i * m_i) / g**2 + ratio / g
+    return np.ones_like(g), (L10[0], -L10[1]), L10, L11
 
 
 def apply_L(solution, field: ScalarField) -> ScalarField:
@@ -354,9 +364,10 @@ def apply_L(solution, field: ScalarField) -> ScalarField:
     grid = solution.grid
     if field.grid.shape != grid.shape:
         raise ValueError("field lives on a different grid")
-    L00, _, L10, L11 = l_coefficient_fields(solution)
+    _, _, L10, L11 = l_coefficient_fields(solution)
     out = np.zeros(grid.shape)
-    second_order_stencil(grid, _strip_planes(grid, L00, L10, L11))(
+    # L00 = 1: a constant tt plane, which the stencil broadcasts
+    second_order_stencil(grid, _strip_planes(grid, 1.0, L10, L11))(
         field.values, out=out[1:-1])
     return ScalarField(grid, out)
 

@@ -235,11 +235,15 @@ def _det_residual(grid: Grid, det, profile) -> ScalarField:
 
 
 def rhs_floor(profile, grid: Grid) -> float:
-    """min of profile.rhs_on(grid); ValueError unless all positive, finite."""
+    """min of profile.rhs_on(grid); ValueError unless all positive, finite,
+    and of finite 2-norm over the grid, the norm the linear solves take."""
     rhs = profile.rhs_on(grid)
     lo = float(rhs.min())
-    if not (lo > 0.0 and float(rhs.max()) < np.inf):
-        raise ValueError("right-hand side must be positive and finite")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(rhs))
+    if not (lo > 0.0 and float(rhs.max()) < np.inf and norm < np.inf):
+        raise ValueError("right-hand side must be positive and finite, "
+                         "with a finite norm over the grid")
     return lo
 
 
@@ -256,7 +260,8 @@ def linearize(phi: ScalarField, profile=None) -> spla.LinearOperator:
     frame = admissible_frame(phi)
     planes = h_coefficient_planes(grid, *frame[:3])
     del frame               # freed before the preconditioner allocates
-    apply = second_order_stencil(grid, planes)
+    preconditioner = _SeparablePreconditioner(grid, planes)
+    apply = second_order_stencil(grid, planes)      # scales the planes
 
     def matvec(x):
         v = x.reshape(grid.shape)
@@ -267,7 +272,7 @@ def linearize(phi: ScalarField, profile=None) -> spla.LinearOperator:
 
     n = grid.n_nodes
     jac = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    jac.preconditioner = _SeparablePreconditioner(grid, planes)
+    jac.preconditioner = preconditioner
     return jac
 
 
@@ -417,6 +422,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
                                  min(1e-2, max(rn, LINEAR_RTOL)))
         except SolverError as exc:
             return finish(f"linear-solve-failure: {exc}", rn, k)
+        del jac             # freed before the line search allocates
         step = step.reshape(grid.shape)
         s = 1.0
         accepted = None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import ScalarField
+from .grid import JetFields, ScalarField, wirt_parts
 from .quantities import (InadmissibleError, NonConvexBoundaryError,
                          admissible_frame, apply_L, boundary_S, boundary_delta,
                          choose_K, h_contract, sigma_roots)
@@ -101,9 +101,10 @@ def composite_q_field(solution: Solution) -> np.ndarray:
     inf or NaN, without a warning, where 1 + a = 0."""
     j = solution.phi.jets
     opa = 1.0 + j.a
+    z_r, z_i = wirt_parts(solution.grid, j.d_x, j.d_y)        # Phi_z
     with np.errstate(divide="ignore", invalid="ignore"):
         return (j.a ** 2 / opa ** 2 + np.abs(j.b) ** 2 / opa ** 2
-                + np.abs(j.d_z) ** 2 / opa)
+                + (z_r * z_r + z_i * z_i) / opa)
 
 
 def _degenerate_node(solution: Solution) -> str:
@@ -212,7 +213,9 @@ def check_weighted_max_principle(solution: Solution) -> CheckRecord:
     s = np.arange(N_ANGLES) * 2.0 * math.pi / N_ANGLES
     tau = np.exp(t[:, None] + 1j * s[None, :])
     u = weight_u(tau, D_R)                 # (nt, N_ANGLES), positive
-    ratio = Q[:, None] / u[:, :, None, None]   # (nt, N_ANGLES, nx, ny)
+    # max of Q/u over each t-plane's nodes and angles: Q >= 0 and u > 0,
+    # and division is monotone, so it is the plane's max Q over its min u
+    ratio = Q.max(axis=(1, 2)) / u.min(axis=1)
     measured = float(ratio[1:-1].max())
     bound = float(ratio[[0, -1]].max())
     h2 = C_H2 * _h_scale(solution.grid) ** 2
@@ -254,12 +257,33 @@ def check_upper_bound(solution: Solution) -> CheckRecord:
         bound=S, tolerance=h2, worst_node=_interior_node(val))
 
 
-def _h_bilinear(frame, u0, u1, w0, w1) -> np.ndarray:
-    """Interior h^{ij*} u_i w_j* of (zeta, z) components in a strip frame."""
+def _conj(x):
+    """Conjugate of a complex number given as an (Re, Im) pair."""
+    return x[0], -x[1]
+
+
+def _mul(x, y):
+    """Product of two complex numbers given as (Re, Im) pairs."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _h_bilinear(frame, u, w):
+    """h^{ij*} u_i w_j* of (zeta, z) components u = (u0, u1) and
+    w = (w0, w1), each an (Re, Im) pair, in a strip frame; an (Re, Im)
+    pair.  With inv(h) = [[g, -m], [-m*, q]] / det it is
+    (w0 (g u0 - m u1) + w1 (q u1 - m* u0)) / det."""
     g, m, q, det = frame
-    i = np.s_[1:-1]
-    return (g * u0[i] * w0[i] - m * u1[i] * w0[i]
-            - np.conj(m) * u0[i] * w1[i] + q * u1[i] * w1[i]) / det
+    (u0, u1), (w0, w1) = u, w
+    mu1, mu0 = _mul(m, u1), _mul(_conj(m), u0)
+    x0 = _mul(w0, (g * u0[0] - mu1[0], g * u0[1] - mu1[1]))
+    x1 = _mul(w1, (q * u1[0] - mu0[0], q * u1[1] - mu0[1]))
+    return (x0[0] + x1[0]) / det, (x0[1] + x1[1]) / det
+
+
+def _plane(frame, k: int):
+    """Interior t-plane k of a strip frame (g, (m_r, m_i), q, det)."""
+    g, (m_r, m_i), q, det = frame
+    return g[k], (m_r[k], m_i[k]), q[k], det[k]
 
 
 def check_ab_equations(solution: Solution) -> CheckRecord:
@@ -267,26 +291,35 @@ def check_ab_equations(solution: Solution) -> CheckRecord:
 
     h^{ij*} a_{ij*} = h^{ij*}(a_i a_j* + b_j* conj(b)_i)/(1+a) and
     h^{ij*} b_{ij*} = 2 h^{ij*} a_i b_j* /(1+a); third-derivative stencils,
-    so the band is C * h * scale.
+    so the band is C * h * scale.  Complex quantities are carried as
+    (Re, Im) pairs of real arrays, and the right-hand sides are built one
+    t-plane at a time, so their temporaries are plane-sized.
     """
     j = solution.phi.jets
-    a, b = j.a, j.b
-    opa = 1.0 + a[1:-1]
-    # strip frame, Im(zeta)-independent: d/dzeta = d/dzetabar = (d/dt)/2
-    a_zeta, a_z = 0.5 * j.d_tzzb, j.d_zzbz
-    b_zetabar, b_zbar = 0.5 * j.d_tzz, j.d_zzzb
-
-    lhs_a = h_contract(solution, a).real
-    lhs_b = h_contract(solution, b)
     frame = admissible_frame(solution.phi)
-    rhs_a = (_h_bilinear(frame, a_zeta, a_z, np.conj(a_zeta), np.conj(a_z))
-             + _h_bilinear(frame, np.conj(b_zetabar), np.conj(b_zbar),
-                           b_zetabar, b_zbar)).real / opa
+    opa = frame[0]                                  # 1 + a
+    lhs_a = h_contract(solution, j.a, frame)
+    lhs_b = (h_contract(solution, j.b.real, frame),
+             h_contract(solution, j.b.imag, frame))
+    a_t, a_z, b_t, b_zb = j.d_tzzb, j.d_zzbz, j.d_tzz, j.d_zzzb
+    rhs_a = np.empty_like(opa)
+    rhs_b = (np.empty_like(opa), np.empty_like(opa))
+    for k in range(len(opa)):                 # grid t-plane i = k + 1
+        f, i = _plane(frame, k), k + 1
+        # strip frame, Im(zeta)-independent: d/dzeta = d/dzetabar = (d/dt)/2
+        u = ((0.5 * a_t[i], 0.0), (a_z.real[i], a_z.imag[i]))  # a_zeta, a_z
+        w = ((0.5 * b_t.real[i], 0.5 * b_t.imag[i]),            # b_zetabar,
+             (b_zb.real[i], b_zb.imag[i]))                      # b_zbar
+        rhs_a[k] = (_h_bilinear(f, u, tuple(map(_conj, u)))[0]
+                    + _h_bilinear(f, tuple(map(_conj, w)), w)[0])
+        rhs_b[0][k], rhs_b[1][k] = _h_bilinear(f, u, w)
+    rhs_a /= opa
     res_a = np.abs(lhs_a - rhs_a)
-    rhs_b = 2.0 * _h_bilinear(frame, a_zeta, a_z, b_zetabar, b_zbar) / opa
-    res_b = np.abs(lhs_b - rhs_b)
+    res_b = np.hypot(lhs_b[0] - 2.0 * rhs_b[0] / opa,
+                     lhs_b[1] - 2.0 * rhs_b[1] / opa)
 
-    scale = max(1.0, float(np.abs(lhs_a).max()), float(np.abs(lhs_b).max()))
+    scale = max(1.0, float(np.abs(lhs_a).max()),
+                float(np.hypot(*lhs_b).max()))
     tol = C_H1 * _h_scale(solution.grid) * scale
     measured = float(max(res_a.max(), res_b.max()))
     return CheckRecord(
@@ -304,23 +337,25 @@ def check_ekq_subharmonic(solution: Solution) -> CheckRecord:
         return _vacuous("ekq_subharmonic", f"boundary Q = {max_bnd} >= 1")
     K = choose_K(max_bnd)
     sigma2 = sigma_roots(K)[1]
-    W = np.exp(np.minimum(K * Q, 700.0))   # clip only out-of-hypothesis nodes
-    contraction = h_contract(solution, W)
     in_hyp = Q[1:-1] < sigma2
+    W = np.exp(np.minimum(K * Q, 700.0))   # clip only out-of-hypothesis nodes
+    frame = admissible_frame(solution.phi)
     n_out = int((~in_hyp).sum())
     if not in_hyp.any():
         return _vacuous("ekq_subharmonic",
                         "no interior node inside the hypothesis region")
+    measured = float(h_contract(solution, W, frame)[in_hyp].min())
     # allowance scales with the contracted magnitude (h-inverse included)
-    g, m, q, det = admissible_frame(solution.phi)
-    w = ScalarField(solution.grid, W).jets
+    g, (m_r, m_i), q, det = frame
+    w = JetFields(solution.grid, W)
+    w_tz = wirt_parts(solution.grid, w.d_tx[1:-1], w.d_ty[1:-1])
     # W is real, so |W_zeta zbar| = |W_z zetabar|: one term, added twice
-    mixed = np.abs(m) * np.abs(0.5 * w.d_tz[1:-1])
+    mixed = np.hypot(m_r, m_i) * (0.5 * np.hypot(*w_tz))
+    del w_tz            # freed before the other terms allocate
     mag = (g * np.abs(0.25 * w.d_tt[1:-1]) + mixed + mixed
            + q * np.abs(w.a[1:-1])) / det
     scale = max(1.0, float(mag.max()))
     tol = C_H2 * _h_scale(solution.grid) ** 2 * scale
-    measured = float(contraction[in_hyp].min())
     return CheckRecord(
         name="ekq_subharmonic", passed=measured >= -tol, measured=measured,
         bound=0.0, tolerance=tol,

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hcma.grid
 from hcma.grid import (DegenerateLatticeError, DimensionTooSmallError,
-                       ScalarField, interpolate, make_grid, wirtinger_jet)
+                       ScalarField, dt1, interpolate, make_grid, wirt_z,
+                       wirtinger_jet)
 
 
 def field_from(grid, fn):
@@ -47,6 +49,47 @@ class TestMakeGrid:
         # d/dz = (d/dx - i d/dy)/2 on the square lattice
         assert c1 == pytest.approx(0.5)
         assert c2 == pytest.approx(-0.5j)
+
+
+def roll_reference(grid, v):
+    """The x, y stencil primitives written with np.roll, one copy per shift."""
+    r, hx, hy = np.roll, grid.hx, grid.hy
+    return {
+        "dx1": (r(v, -1, axis=1) - r(v, 1, axis=1)) / (2 * hx),
+        "dy1": (r(v, -1, axis=2) - r(v, 1, axis=2)) / (2 * hy),
+        "dx2": (r(v, -1, axis=1) - 2 * v + r(v, 1, axis=1)) / hx**2,
+        "dy2": (r(v, -1, axis=2) - 2 * v + r(v, 1, axis=2)) / hy**2,
+        "dxy": (r(v, (-1, -1), axis=(1, 2)) - r(v, (-1, 1), axis=(1, 2))
+                - r(v, (1, -1), axis=(1, 2)) + r(v, (1, 1), axis=(1, 2)))
+        / (4 * hx * hy),
+    }
+
+
+class TestStencilPrimitives:
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (4, 7, 6), (5, 9, 9),
+                                       (3, 8, 8)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bitwise_equal_to_roll(self, shape, dtype):
+        g = make_grid(*shape, 0.3 + 1.1j)
+        rng = np.random.default_rng(sum(shape))
+        v = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.standard_normal(shape)
+        for name, want in roll_reference(g, v).items():
+            got = getattr(hcma.grid, name)(g, v)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
+    def test_complex_jets_built_from_the_real_pairs(self, modulus):
+        g = make_grid(5, 8, 6, modulus)
+        v = np.random.default_rng(4).standard_normal(g.shape)
+        jets = ScalarField(g, v).jets
+        assert np.array_equal(jets.d_z, wirt_z(g, v))
+        ref = dt1(g, wirt_z(g, v))             # Phi_tz, differenced complex
+        assert np.allclose(jets.d_tz, ref, rtol=0, atol=1e-14 * abs(ref).max())
+        assert np.array_equal(jets.d_tzb, np.conj(jets.d_tz))
+        # built on each access, never cached
+        assert not any(np.iscomplexobj(x) for x in vars(jets).values())
 
 
 class TestWirtingerJet:

@@ -477,6 +477,16 @@ class TestCliEndToEnd:
         summary = json.loads(pathlib.Path(out, "summary.json").read_text())
         assert "failure" in summary
 
+    def test_huge_representable_epsilon_exit_3(self, tmp_path, capsys):
+        # the right-hand side and its norm are finite, so the input is
+        # accepted; its Newton steps then fail as a linear-solve-failure
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace(
+            "epsilon = 1e-3", "epsilon = 1e150"))
+        assert cli.main(["solve", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: solver failed: linear-solve-failure: ")
+
     def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
         import hcma.solver
 
@@ -627,6 +637,7 @@ REJECTED = {
     "epsilon=nan": ("epsilon = 1e-3", "epsilon = nan"),
     "epsilon=inf": ("epsilon = 1e-3", "epsilon = inf"),
     "epsilon=1e308": ("epsilon = 1e-3", "epsilon = 1e308"),
+    "epsilon=1e300": ("epsilon = 1e-3", "epsilon = 1e300"),  # norm overflows
     "modulus=nan+1j": ("ny = 16", "ny = 16\nmodulus = nan+1j"),
     "phi1-nan": ("phi1 = 1,0,0.005,0", "phi1 = 1,0,nan,0"),
     "phi1-1e308": ("phi1 = 1,0,0.005,0", "phi1 = 1,0,1e308,0"),

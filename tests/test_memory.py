@@ -1,0 +1,39 @@
+"""Memory guards: the solver caches real jets only, and run_checks stays
+under a bytes-per-node bound counted by tracemalloc (a deterministic count
+of allocations, not a timing)."""
+
+import tracemalloc
+
+import numpy as np
+
+from conftest import COS_BOUNDARY
+from hcma import AnnulusProfile, make_grid, newton_solve
+from hcma.verify import run_checks
+
+# run_checks on the 33x64x64 cos solution peaks at 204.3 B per node (numpy
+# 2.4); the bound leaves a 10% margin.  The complex-arithmetic verifier
+# peaked at 261.4 B per node.
+RUN_CHECKS_PEAK_B_PER_NODE = 225.0
+
+
+def test_newton_solve_caches_no_complex_jet():
+    sol = newton_solve(make_grid(17, 32, 32), COS_BOUNDARY,
+                       AnnulusProfile(1e-3))
+    assert sol.converged
+    cached = vars(sol.phi.jets)
+    assert {"a", "d_tt", "d_tx", "d_ty"} <= set(cached)
+    assert not [name for name, value in cached.items()
+                if np.iscomplexobj(value)]
+
+
+def test_run_checks_peak_bytes_per_node():
+    grid = make_grid(33, 64, 64)
+    sol = newton_solve(grid, COS_BOUNDARY, AnnulusProfile(1e-3))
+    tracemalloc.start()
+    try:
+        report = run_checks(sol, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass
+    assert peak / grid.n_nodes < RUN_CHECKS_PEAK_B_PER_NODE

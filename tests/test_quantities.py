@@ -308,6 +308,7 @@ class TestApplyL:
 
     def test_decomposition_matches_general_flat_state(self, sol_cos):
         L00, L01, L10, L11 = l_coefficient_fields(sol_cos)
+        L01, L10 = (re + 1j * im for re, im in (L01, L10))   # (Re, Im) pairs
         rhs = sol_cos.profile.rhs_on(sol_cos.grid)
         for node in [(5, 3, 7), (8, 16, 2), (12, 30, 30)]:
             it, ix, iy = node

@@ -367,7 +367,8 @@ class TestSharedOperator:
         sol = Solution(phi=phi, grid=g, profile=ConstantProfile(0.4),
                        boundary=BoundarySpec(), converged=True,
                        final_residual=0.0, iterations=0)
-        gg, m, q, det = admissible_frame(phi)
+        gg, (m_r, m_i), q, det = admissible_frame(phi)
+        m = m_r + 1j * m_i
         assert np.abs(m).max() > 1e-3           # mixed t-z terms present
         rng = np.random.default_rng(7)
         w = rng.standard_normal(g.shape)

@@ -11,14 +11,25 @@ from hcma.io import report_json
 from hcma.quantities import (DegenerateMetricError, InfeasibleKError,
                              NonConvexBoundaryError)
 from hcma.solver import Solution
-from hcma.verify import (STABILITY_SPREAD, check_ab_equations,
+from hcma.verify import (D_R, N_ANGLES, STABILITY_SPREAD, check_ab_equations,
                          check_convexity, check_ekq_subharmonic,
                          check_eps_monotone_limit, check_lambda_monotonicity,
                          check_max_principle_Q, check_metric_lower_bound,
                          check_metric_lower_bound_stability, check_u_identity,
                          check_upper_bound, check_weighted_max_principle,
                          jet_map_export, lq_ratio_report, q_field,
-                         run_checks)
+                         run_checks, weight_u)
+
+
+def spike_solution(grid):
+    """1/256 at node (0, 3, 5) of a zero t = 0 plane: 1 + a = b = 0 there,
+    so Q is 0/0."""
+    t = grid.t_values[:, None, None]
+    values = 0.05 * t * (t - 1.0) * np.ones(grid.shape)
+    values[0, 3, 5] = 1.0 / 256.0
+    return Solution(phi=ScalarField(grid, values), grid=grid,
+                    profile=AnnulusProfile(1e-3), boundary=BoundarySpec(),
+                    converged=True, final_residual=0.0, iterations=0)
 
 
 def synthetic_solution(grid, fn, profile=None):
@@ -78,6 +89,21 @@ class TestWeightedMaxPrinciple:
     def test_vacuous_on_constant_profile(self, sol_zero_const):
         rec = check_weighted_max_principle(sol_zero_const)
         assert rec.vacuous
+
+    @pytest.mark.parametrize("case", ["cos", "degenerate"])
+    def test_bitwise_equal_to_broadcast_ratio(self, grid_small, case):
+        # reference: Q/u over the whole (nt, N_ANGLES, nx, ny) array
+        sol = (spike_solution(grid_small) if case == "degenerate" else
+               newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3)))
+        Q = q_field(sol)
+        s = np.arange(N_ANGLES) * 2.0 * np.pi / N_ANGLES
+        u = weight_u(np.exp(grid_small.t_values[:, None] + 1j * s), D_R)
+        ratio = Q[:, None] / u[:, :, None, None]
+        rec = check_weighted_max_principle(sol)
+        assert np.array_equal([rec.measured, rec.bound],
+                              [ratio[1:-1].max(), ratio[[0, -1]].max()],
+                              equal_nan=True)
+        assert np.isnan(rec.bound) == (case == "degenerate")
 
 
 class TestBounds:
@@ -244,10 +270,11 @@ class TestRunChecks:
             run_checks(sol_cos, names=["convexity", "upper_bound"])
 
     def test_strip_frames_per_run(self, sol_cos, strip_h_calls):
-        # one per h_contract (3), ab_equations' bilinear forms,
-        # ekq_subharmonic's allowance and apply_L
+        # one per h-operator check: ab_equations (its three contractions and
+        # bilinear forms), ekq_subharmonic (contraction and allowance) and
+        # lq_ratio (apply_L)
         run_checks(sol_cos, seed=0)
-        assert 0 < len(strip_h_calls) <= 6
+        assert len(strip_h_calls) == 3
         assert all(phi is sol_cos.phi for phi in strip_h_calls)
 
     def test_degenerate_data_never_throws(self, grid_small):
@@ -264,15 +291,9 @@ class TestRunChecks:
             assert "min(1+a)" in report[name].note
 
     def test_degenerate_node_fails_and_is_written_as_null(self, grid_small):
-        # 1/256 at node (0, 3, 5) of a zero t = 0 plane: 1 + a = b = 0 there,
-        # so Q is 0/0; no numpy warning may escape either check
-        t = grid_small.t_values[:, None, None]
-        values = 0.05 * t * (t - 1.0) * np.ones(grid_small.shape)
-        values[0, 3, 5] = 1.0 / 256.0
-        spike = Solution(phi=ScalarField(grid_small, values), grid=grid_small,
-                         profile=AnnulusProfile(1e-3), boundary=BoundarySpec(),
-                         converged=True, final_residual=0.0, iterations=0)
-        report = run_checks(spike, names=["max_principle_Q",
+        # Q is 0/0 at the spike; no numpy warning may escape either check
+        report = run_checks(spike_solution(grid_small),
+                            names=["max_principle_Q",
                                           "weighted_max_principle"])
         for rec in report.checks:
             assert not (rec.passed or rec.vacuous)
