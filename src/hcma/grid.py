@@ -295,10 +295,9 @@ class JetFields:
     back to the ScalarField, so a dropped field is freed without the cyclic GC.
 
     First-order and t-mixed derivatives are cached as real pairs: (d_x, d_y)
-    and (d_tx, d_ty) = (Phi_tx, Phi_ty).  The complex Wirtinger arrays d_z,
-    d_tz = Phi_tz and d_tzb = conj(d_tz) are combined from them on each
-    access and never cached; consumers that can, read the pairs through
-    wirt_parts instead.
+    and (d_tx, d_ty) = (Phi_tx, Phi_ty); consumers combine them into
+    Wirtinger derivatives through wirt_parts.  Third-order jets are made one
+    t-plane at a time (third_order) and never cached.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -321,14 +320,6 @@ class JetFields:
     def d_y(self):
         return dy1(self._grid, self._values)
 
-    def _dz(self, px, py):
-        c1, c2 = self._grid.lattice.dz_coefficients
-        return c1 * px + c2 * py
-
-    @property
-    def d_z(self):
-        return self._dz(self.d_x, self.d_y)
-
     @cached_property
     def a(self):
         return wirt_zzbar(self._grid, self._values).real
@@ -345,30 +336,18 @@ class JetFields:
     def d_ty(self):
         return dt1(self._grid, dy1(self._grid, self._values))
 
-    @property
-    def d_tz(self):
-        return self._dz(self.d_tx, self.d_ty)
-
-    @property
-    def d_tzb(self):
-        return np.conj(self.d_tz)
-
-    # third order: difference the second-order jets (O(h) accepted)
-    @cached_property
-    def d_zzzb(self):
-        return wirt_zbar(self._grid, self.b)
-
-    @cached_property
-    def d_zzbz(self):
-        return wirt_z(self._grid, self.a)
-
-    @cached_property
-    def d_tzz(self):
-        return dt1(self._grid, self.b)
-
-    @cached_property
-    def d_tzzb(self):
-        return dt1(self._grid, self.a)
+    def third_order(self, i: int):
+        """(Phi_zzzbar, Phi_zzbarz, Phi_tzz, Phi_tzzbar) on t-plane i: the
+        differences wirt_zbar(b), wirt_z(a), dt1(b), dt1(a) of the
+        second-order jets (O(h) accepted), taken on a three-plane window so
+        the values are bitwise the whole-grid ones (one-sided at t = 0, 1).
+        """
+        grid = self._grid
+        lo = min(max(i - 1, 0), grid.nt - 3)
+        a, b = self.a[lo:lo + 3], self.b[lo:lo + 3]
+        k = i - lo
+        return (wirt_zbar(grid, b[k:k + 1])[0], wirt_z(grid, a[k:k + 1])[0],
+                dt1(grid, b)[k], dt1(grid, a)[k])
 
 
 class ScalarField:
@@ -413,12 +392,8 @@ def wirtinger_jet(fld: ScalarField, node: tuple[int, int, int],
     d_tz = complex(*wirt_parts(fld.grid, j.d_tx[idx], j.d_ty[idx]))
     third = {}
     if order == 3:
-        third = dict(
-            d_zzzb=complex(j.d_zzzb[idx]),
-            d_zzbz=complex(j.d_zzbz[idx]),
-            d_tzz=complex(j.d_tzz[idx]),
-            d_tzzb=complex(j.d_tzzb[idx]),
-        )
+        third = {name: complex(plane[ix, iy]) for name, plane in zip(
+            ("d_zzzb", "d_zzbz", "d_tzz", "d_tzzb"), j.third_order(it))}
     return Jet(
         value=float(fld.values[idx]),
         d_t=float(j.d_t[idx]),

@@ -257,33 +257,11 @@ def check_upper_bound(solution: Solution) -> CheckRecord:
         bound=S, tolerance=h2, worst_node=_interior_node(val))
 
 
-def _conj(x):
-    """Conjugate of a complex number given as an (Re, Im) pair."""
-    return x[0], -x[1]
-
-
-def _mul(x, y):
-    """Product of two complex numbers given as (Re, Im) pairs."""
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _h_bilinear(frame, u, w):
-    """h^{ij*} u_i w_j* of (zeta, z) components u = (u0, u1) and
-    w = (w0, w1), each an (Re, Im) pair, in a strip frame; an (Re, Im)
-    pair.  With inv(h) = [[g, -m], [-m*, q]] / det it is
-    (w0 (g u0 - m u1) + w1 (q u1 - m* u0)) / det."""
-    g, m, q, det = frame
-    (u0, u1), (w0, w1) = u, w
-    mu1, mu0 = _mul(m, u1), _mul(_conj(m), u0)
-    x0 = _mul(w0, (g * u0[0] - mu1[0], g * u0[1] - mu1[1]))
-    x1 = _mul(w1, (q * u1[0] - mu0[0], q * u1[1] - mu0[1]))
-    return (x0[0] + x1[0]) / det, (x0[1] + x1[1]) / det
-
-
-def _plane(frame, k: int):
-    """Interior t-plane k of a strip frame (g, (m_r, m_i), q, det)."""
-    g, (m_r, m_i), q, det = frame
-    return g[k], (m_r[k], m_i[k]), q[k], det[k]
+def _h_bilinear(g, m, q, det, u0, u1, w0, w1):
+    """h^{ij*} u_i w_j* of (zeta, z) components (u0, u1) and (w0, w1) in a
+    strip frame (g, m, q, det).  With inv(h) = [[g, -m], [-m*, q]] / det it
+    is (w0 (g u0 - m u1) + w1 (q u1 - m* u0)) / det."""
+    return (w0 * (g * u0 - m * u1) + w1 * (q * u1 - np.conj(m) * u0)) / det
 
 
 def check_ab_equations(solution: Solution) -> CheckRecord:
@@ -291,35 +269,28 @@ def check_ab_equations(solution: Solution) -> CheckRecord:
 
     h^{ij*} a_{ij*} = h^{ij*}(a_i a_j* + b_j* conj(b)_i)/(1+a) and
     h^{ij*} b_{ij*} = 2 h^{ij*} a_i b_j* /(1+a); third-derivative stencils,
-    so the band is C * h * scale.  Complex quantities are carried as
-    (Re, Im) pairs of real arrays, and the right-hand sides are built one
-    t-plane at a time, so their temporaries are plane-sized.
+    so the band is C * h * scale.  The third-order jets and the right-hand
+    sides are made one t-plane at a time, so their temporaries are
+    plane-sized.
     """
     j = solution.phi.jets
     frame = admissible_frame(solution.phi)
-    opa = frame[0]                                  # 1 + a
+    g, (m_r, m_i), q, det = frame                   # g = 1 + a
     lhs_a = h_contract(solution, j.a, frame)
-    lhs_b = (h_contract(solution, j.b.real, frame),
-             h_contract(solution, j.b.imag, frame))
-    a_t, a_z, b_t, b_zb = j.d_tzzb, j.d_zzbz, j.d_tzz, j.d_zzzb
-    rhs_a = np.empty_like(opa)
-    rhs_b = (np.empty_like(opa), np.empty_like(opa))
-    for k in range(len(opa)):                 # grid t-plane i = k + 1
-        f, i = _plane(frame, k), k + 1
+    lhs_b = h_contract(solution, j.b, frame)
+    res_a, res_b = np.empty_like(g), np.empty_like(g)
+    for k in range(len(g)):                   # grid t-plane i = k + 1
+        f = g[k], m_r[k] + 1j * m_i[k], q[k], det[k]
+        b_zb, a_z, b_t, a_t = j.third_order(k + 1)
         # strip frame, Im(zeta)-independent: d/dzeta = d/dzetabar = (d/dt)/2
-        u = ((0.5 * a_t[i], 0.0), (a_z.real[i], a_z.imag[i]))  # a_zeta, a_z
-        w = ((0.5 * b_t.real[i], 0.5 * b_t.imag[i]),            # b_zetabar,
-             (b_zb.real[i], b_zb.imag[i]))                      # b_zbar
-        rhs_a[k] = (_h_bilinear(f, u, tuple(map(_conj, u)))[0]
-                    + _h_bilinear(f, tuple(map(_conj, w)), w)[0])
-        rhs_b[0][k], rhs_b[1][k] = _h_bilinear(f, u, w)
-    rhs_a /= opa
-    res_a = np.abs(lhs_a - rhs_a)
-    res_b = np.hypot(lhs_b[0] - 2.0 * rhs_b[0] / opa,
-                     lhs_b[1] - 2.0 * rhs_b[1] / opa)
+        u = 0.5 * a_t, a_z                            # a_zeta, a_z
+        w = 0.5 * b_t, b_zb                           # b_zetabar, b_zbar
+        rhs_a = (_h_bilinear(*f, *u, *map(np.conj, u)).real
+                 + _h_bilinear(*f, *map(np.conj, w), *w).real)
+        res_a[k] = np.abs(lhs_a[k] - rhs_a / g[k])
+        res_b[k] = np.abs(lhs_b[k] - 2.0 * _h_bilinear(*f, *u, *w) / g[k])
 
-    scale = max(1.0, float(np.abs(lhs_a).max()),
-                float(np.hypot(*lhs_b).max()))
+    scale = max(1.0, float(np.abs(lhs_a).max()), float(np.abs(lhs_b).max()))
     tol = C_H1 * _h_scale(solution.grid) * scale
     measured = float(max(res_a.max(), res_b.max()))
     return CheckRecord(

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import hcma.grid
 from hcma.grid import (DegenerateLatticeError, DimensionTooSmallError,
-                       ScalarField, dt1, interpolate, make_grid, wirt_z,
-                       wirtinger_jet)
+                       ScalarField, dt1, interpolate, make_grid, wirt_parts,
+                       wirt_z, wirt_zbar, wirtinger_jet)
 
 
 def field_from(grid, fn):
@@ -84,12 +84,28 @@ class TestStencilPrimitives:
         g = make_grid(5, 8, 6, modulus)
         v = np.random.default_rng(4).standard_normal(g.shape)
         jets = ScalarField(g, v).jets
-        assert np.array_equal(jets.d_z, wirt_z(g, v))
+        z_r, z_i = wirt_parts(g, jets.d_x, jets.d_y)
+        assert np.array_equal(z_r + 1j * z_i, wirt_z(g, v))
         ref = dt1(g, wirt_z(g, v))             # Phi_tz, differenced complex
-        assert np.allclose(jets.d_tz, ref, rtol=0, atol=1e-14 * abs(ref).max())
-        assert np.array_equal(jets.d_tzb, np.conj(jets.d_tz))
-        # built on each access, never cached
+        tz_r, tz_i = wirt_parts(g, jets.d_tx, jets.d_ty)
+        assert np.allclose(tz_r + 1j * tz_i, ref, rtol=0,
+                           atol=1e-14 * abs(ref).max())
+        # the cached jets are all real
         assert not any(np.iscomplexobj(x) for x in vars(jets).values())
+
+    @pytest.mark.parametrize("nt", [3, 5])
+    @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
+    def test_third_order_planes_bitwise_equal_to_whole_grid(self, nt,
+                                                            modulus):
+        g = make_grid(nt, 8, 6, modulus)
+        v = np.random.default_rng(nt).standard_normal(g.shape)
+        jets = ScalarField(g, v).jets
+        whole = (wirt_zbar(g, jets.b), wirt_z(g, jets.a), dt1(g, jets.b),
+                 dt1(g, jets.a))
+        for i in range(nt):                  # one-sided at i = 0, nt - 1
+            for got, want in zip(jets.third_order(i), whole):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want[i])
 
 
 class TestWirtingerJet:
@@ -195,7 +211,7 @@ class TestWirtingerJet:
 
     def test_field_freed_without_cyclic_gc(self):
         fld = field_from(make_grid(5, 8, 8), lambda t, x, y: t * x + y)
-        assert np.isfinite(fld.jets.d_tzzb).all()
+        assert all(np.isfinite(p).all() for p in fld.jets.third_order(2))
         ref = weakref.ref(fld)
         gc.disable()
         try:

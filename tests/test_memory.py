@@ -10,10 +10,9 @@ from conftest import COS_BOUNDARY
 from hcma import AnnulusProfile, make_grid, newton_solve
 from hcma.verify import run_checks
 
-# run_checks on the 33x64x64 cos solution peaks at 204.3 B per node (numpy
-# 2.4); the bound leaves a 10% margin.  The complex-arithmetic verifier
-# peaked at 261.4 B per node.
-RUN_CHECKS_PEAK_B_PER_NODE = 225.0
+# run_checks on the 33x64x64 cos solution peaks at 162.8 B per node (numpy
+# 2.4); the bound leaves a 10% margin.
+RUN_CHECKS_PEAK_B_PER_NODE = 179.0
 
 
 def test_newton_solve_caches_no_complex_jet():
@@ -24,6 +23,14 @@ def test_newton_solve_caches_no_complex_jet():
     assert {"a", "d_tt", "d_tx", "d_ty"} <= set(cached)
     assert not [name for name, value in cached.items()
                 if np.iscomplexobj(value)]
+
+
+def test_run_checks_caches_no_third_order_jet(sol_cos):
+    run_checks(sol_cos, seed=0)
+    cached = vars(sol_cos.phi.jets)
+    assert not {"d_zzzb", "d_zzbz", "d_tzz", "d_tzzb"} & set(cached)
+    assert [name for name, value in cached.items()
+            if np.iscomplexobj(value)] == ["b"]
 
 
 def test_run_checks_peak_bytes_per_node():

@@ -6,10 +6,11 @@ import pytest
 import hcma.verify
 from conftest import COS_AMP, COS_BOUNDARY
 from hcma import AnnulusProfile, BoundarySpec, make_grid, newton_solve
-from hcma.grid import ScalarField
+from hcma.grid import ScalarField, dt1, wirt_z, wirt_zbar
 from hcma.io import report_json
 from hcma.quantities import (DegenerateMetricError, InfeasibleKError,
-                             NonConvexBoundaryError)
+                             NonConvexBoundaryError, admissible_frame,
+                             h_contract)
 from hcma.solver import Solution
 from hcma.verify import (D_R, N_ANGLES, STABILITY_SPREAD, check_ab_equations,
                          check_convexity, check_ekq_subharmonic,
@@ -139,7 +140,54 @@ class TestBounds:
         assert not rec.passed
 
 
+def ab_residuals_reference(sol):
+    """(residual_a, residual_b, scale) of the a/b equations in whole-grid
+    arithmetic: third-order jets differenced on the whole grid, b contracted
+    as its real and imaginary parts, every product on full interior
+    arrays."""
+    grid, j = sol.grid, sol.phi.jets
+    g, (m_r, m_i), q, det = admissible_frame(sol.phi)
+    m = m_r + 1j * m_i
+    i = np.s_[1:-1]
+    a_zeta, a_z = 0.5 * dt1(grid, j.a)[i], wirt_z(grid, j.a)[i]
+    b_zetabar, b_zbar = 0.5 * dt1(grid, j.b)[i], wirt_zbar(grid, j.b)[i]
+
+    def h_bilinear(u0, u1, w0, w1):
+        return (g * u0 * w0 - m * u1 * w0 - np.conj(m) * u0 * w1
+                + q * u1 * w1) / det
+
+    lhs_a = h_contract(sol, j.a)
+    lhs_b = h_contract(sol, j.b.real) + 1j * h_contract(sol, j.b.imag)
+    rhs_a = (h_bilinear(a_zeta, a_z, np.conj(a_zeta), np.conj(a_z))
+             + h_bilinear(np.conj(b_zetabar), np.conj(b_zbar), b_zetabar,
+                          b_zbar)).real / g
+    rhs_b = 2.0 * h_bilinear(a_zeta, a_z, b_zetabar, b_zbar) / g
+    scale = max(1.0, np.abs(lhs_a).max(), np.abs(lhs_b).max())
+    return np.abs(lhs_a - rhs_a).max(), np.abs(lhs_b - rhs_b).max(), scale
+
+
 class TestAbEquations:
+    @pytest.mark.parametrize("case", ["cos", "cos_skew", "perturbed"])
+    def test_matches_whole_grid_reference(self, case, sol_cos):
+        if case == "cos":
+            sol = sol_cos
+        elif case == "cos_skew":
+            sol = newton_solve(make_grid(17, 32, 32, 0.3 + 1.1j),
+                               COS_BOUNDARY, AnnulusProfile(1e-3))
+        else:
+            # admissible, but no solution: t-z mixing and third-order terms
+            sol = synthetic_solution(
+                make_grid(9, 16, 16, 0.3 + 1.1j),
+                lambda t, x, y: 0.05 * t * (t - 1.0)
+                + 0.002 * t**2 * np.sin(2 * np.pi * (x + y))
+                + 0.003 * np.sin(np.pi * t) * np.cos(2 * np.pi * x))
+        assert sol.admissible
+        want = ab_residuals_reference(sol)
+        assert min(want[:2]) > 1e-3
+        rec = check_ab_equations(sol)
+        got = [rec.extra[k] for k in ("residual_a", "residual_b", "scale")]
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_zero_boundary(self, sol_zero_const):
         rec = check_ab_equations(sol_zero_const)
         assert rec.passed
@@ -270,7 +318,7 @@ class TestRunChecks:
             run_checks(sol_cos, names=["convexity", "upper_bound"])
 
     def test_strip_frames_per_run(self, sol_cos, strip_h_calls):
-        # one per h-operator check: ab_equations (its three contractions and
+        # one per h-operator check: ab_equations (its two contractions and
         # bilinear forms), ekq_subharmonic (contraction and allowance) and
         # lq_ratio (apply_L)
         run_checks(sol_cos, seed=0)
