@@ -209,13 +209,12 @@ def wirt_zzbar(grid: Grid, v: np.ndarray) -> np.ndarray:
 def second_order_stencil(grid: Grid, planes: dict):
     """Variable-coefficient second-order operator on the interior t-planes.
 
-    planes maps tt, xx, yy, xy, tx, ty to real (nt-2, nx, ny) arrays (a
-    number stands for a constant plane); the returned apply(v, out=None)
-    sums each plane times the matching central second difference of a real
-    or complex (nt, nx, ny) array v, the same differences as dt2, dx2, dy2,
-    dxy, dt1(dx1), dt1(dy1).  The stencil takes the planes over: mesh
-    factors are folded into them in place, once, so repeated applies only
-    do slice arithmetic in place.
+    planes maps tt, xx, yy, xy, tx, ty to real (nt-2, nx, ny) arrays; the
+    returned apply(v, out=None) sums each plane times the matching central
+    second difference of a real or complex (nt, nx, ny) array v, the same
+    differences as dt2, dx2, dy2, dxy, dt1(dx1), dt1(dy1).  The stencil
+    takes the planes over: mesh factors are folded into them in place,
+    once, so repeated applies only do slice arithmetic in place.
     """
     nt, nx, ny = grid.shape
     ht, hx, hy = grid.ht, grid.hx, grid.hy

@@ -27,12 +27,9 @@ class LeafError(ValueError):
 
 @dataclass
 class LeafPath:
-    start: tuple                      # (t0, z0)
     ts: np.ndarray
     zs: np.ndarray                    # complex, reduced modulo the lattice
-    a_samples: np.ndarray
     qb_samples: np.ndarray
-    step: float
     aborted: bool = False
     message: str = "ok"
 
@@ -108,18 +105,15 @@ def trace_leaf(solution: Solution, start: tuple, step: float = 0.01) -> LeafPath
         aborted, message = True, f"degenerate state near t={exc.t:.4f}"
     ts = np.array([t for t, _ in points])
 
-    a_s = np.empty(len(ts))
     qb_s = np.empty(len(ts))
     zs_mod = np.empty(len(ts), dtype=complex)
     for k, (t, z) in enumerate(points):
         x, y = _z_to_lattice(complex(z), modulus)
         a = float(interpolate_array(grid, a_arr, t, x, y))
         b = interpolate_array(grid, b_arr, t, x, y)
-        a_s[k] = a
         qb_s[k] = abs(b) ** 2 / (1.0 + a) ** 2 if 1.0 + a > 0 else np.nan
         zs_mod[k] = x + modulus * y
-    return LeafPath(start=(t0, complex(z0)), ts=ts, zs=zs_mod, a_samples=a_s,
-                    qb_samples=qb_s, step=step, aborted=aborted,
+    return LeafPath(ts=ts, zs=zs_mod, qb_samples=qb_s, aborted=aborted,
                     message=message)
 
 

@@ -8,7 +8,9 @@ with the coefficient matrices of the scaled product-space Laplacian and the
 non-negative terms E, P, T, for an arbitrary complex dimension n with flat
 background metric.  At n = 1 those two layers must agree exactly; that cross
 check is part of the test suite.  The third, solution-level layer builds
-the strip-frame h-matrix of a whole field and the operators made from it.
+the strip-frame h-matrix of a whole field, and from it, through the one
+plane builder h_coefficient_planes, Newton's Jacobian, the h-Laplacian and
+L = adj(h~)/g.
 
 Index conventions: g^{ab*} is stored as the matrix conj(inv(G)) where
 G[a, b] = g_{ab*}; with that choice any contraction h^{ij*} X_{ij*} of
@@ -293,36 +295,28 @@ def admissible_frame(phi: ScalarField):
     return g, m, q, det
 
 
-def _strip_planes(grid, c00, c10, c11) -> dict:
-    """Stencil planes of c00 w_zetazetabar + c10 w_z zetabar
-    + conj(c10) w_zeta zbar + c11 w_z zbar (strip frame, w s-independent),
-    with c10 given as its real pair (Re c10, Im c10).
+def h_coefficient_planes(grid, g, m, q) -> dict:
+    """Interior stencil planes of 4 adj(h) = 4 [[g, -m], [-m*, q]] for a
+    strip h-matrix [[q, m], [m*, g]], with m given as its real pair
+    (Re m, Im m).
 
     With w_zetazetabar = w_tt/4, w_z zetabar = w_tz/2 and d/dz = k1 d/dx +
-    k2 d/dy every plane is real (the t-mixed ones are Re(c10 k)), so the
-    operator is exact on complex w as well.
+    k2 d/dy every plane is real (the t-mixed ones are -4 Re(m k)), so the
+    operator is exact on complex w as well; the factor 4 sits in the
+    lattice constants.  This is the one plane builder: on strip_h's frame
+    the planes applied are Newton's Jacobian (1+a) w_tt + Phi_tt w_zzbar
+    - 2 Re(Phi_tz w_tzbar) and, divided by 4 det h, the h-Laplacian; on
+    (g, m, q~) they give L (apply_L).  The caller checks admissibility
+    (admissible_frame).  tt is a copy of g, since the stencil takes its
+    planes over.
     """
     k1, k2 = grid.lattice.dz_coefficients
-    c_r, c_i = c10
-    return {"tt": 0.25 * c00, "xx": c11 * abs(k1) ** 2,
-            "yy": c11 * abs(k2) ** 2,
-            "xy": c11 * (2.0 * (k1 * np.conj(k2)).real),
-            "tx": c_r * k1.real - c_i * k1.imag,
-            "ty": c_r * k2.real - c_i * k2.imag}
-
-
-def h_coefficient_planes(grid, g, m, q) -> dict:
-    """Interior stencil planes of 4 adj(h) from strip_h's g, m, q.
-
-    Applied, they are Newton's Jacobian (1+a) w_tt + Phi_tt w_zzbar
-    - 2 Re(Phi_tz w_tzbar); divided by 4 det h, the h-Laplacian.  The
-    caller checks admissibility (admissible_frame).  They are 4 times the
-    planes of (g, -m, q), scaled in place (exact: the scale is a power of 2).
-    """
-    planes = _strip_planes(grid, g, m, q)
-    for key, plane in planes.items():
-        plane *= -4.0 if key in ("tx", "ty") else 4.0
-    return planes
+    m_r, m_i = m
+    return {"tt": g.copy(), "xx": q * (4.0 * abs(k1) ** 2),
+            "yy": q * (4.0 * abs(k2) ** 2),
+            "xy": q * (8.0 * (k1 * np.conj(k2)).real),
+            "tx": m_r * (-4.0 * k1.real) - m_i * (-4.0 * k1.imag),
+            "ty": m_r * (-4.0 * k2.real) - m_i * (-4.0 * k2.imag)}
 
 
 def h_contract(solution, values: np.ndarray, frame=None) -> np.ndarray:
@@ -341,35 +335,28 @@ def h_contract(solution, values: np.ndarray, frame=None) -> np.ndarray:
     return apply(values) / (4.0 * det)
 
 
-def l_coefficient_fields(solution):
-    """Interior coefficient arrays of L = p + (eps b/g) diag(0, g^{-1}).
+def apply_L(solution, values: np.ndarray) -> np.ndarray:
+    """Interior L^{ij*} w_{ij*} of a grid array w, for the scaled
+    product-space Laplacian L = p + (eps b/g) diag(0, g^{-1}).
 
-    Returns (L00, L01, L10, L11) with L[w] = L00 w_zetazetabar +
-    L01 w_zeta zbar + L10 w_z zetabar + L11 w_z zbar; L00 is identically 1,
-    L11 is real, and the complex L01 = conj(L10) come as (Re, Im) pairs.
-    The scalar eps b/g at n = 1 on the strip is eps_tilde / (4 (1+a)).
-    """
-    g, (m_r, m_i), _, _ = admissible_frame(solution.phi)
-    ratio = solution.profile.rhs_on(solution.grid)[1:-1] / (4.0 * g)
-    L10 = (-m_r / g, -m_i / g)
-    L11 = (m_r * m_r + m_i * m_i) / g**2 + ratio / g
-    return np.ones_like(g), (L10[0], -L10[1]), L10, L11
-
-
-def apply_L(solution, field: ScalarField) -> ScalarField:
-    """Scaled product-space Laplacian L^{ij*} w_{ij*} of a real field.
-
-    Interior values only; boundary planes are set to 0.
+    At n = 1 on the strip eps b/g = eps_tilde / (4 (1+a)), and L equals
+    adj(h~)/g for h~ = [[q~, m], [m*, g]] with q~ = (|m|^2 + eps_tilde/4)/g,
+    so det h~ = eps_tilde/4: the stencil of h_coefficient_planes(g, m, q~),
+    divided by 4g.
     """
     grid = solution.grid
-    if field.grid.shape != grid.shape:
-        raise ValueError("field lives on a different grid")
-    _, _, L10, L11 = l_coefficient_fields(solution)
-    out = np.zeros(grid.shape)
-    # L00 = 1: a constant tt plane, which the stencil broadcasts
-    second_order_stencil(grid, _strip_planes(grid, 1.0, L10, L11))(
-        field.values, out=out[1:-1])
-    return ScalarField(grid, out)
+    if values.shape != grid.shape:
+        raise ValueError("field shape does not match the solution grid")
+    g, (m_r, m_i), q, det = admissible_frame(solution.phi)
+    del q, det
+    q_tilde = (m_r * m_r + m_i * m_i
+               + 0.25 * solution.profile.rhs_on(grid)[1:-1]) / g
+    apply = second_order_stencil(
+        grid, h_coefficient_planes(grid, g, (m_r, m_i), q_tilde))
+    del m_r, m_i, q_tilde   # freed before the stencil allocates its output
+    out = apply(values)
+    out /= 4.0 * g
+    return out
 
 
 def flat_jet_from_torus(jet: Jet) -> FlatJet:

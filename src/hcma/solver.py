@@ -247,7 +247,7 @@ def rhs_floor(profile, grid: Grid) -> float:
     return lo
 
 
-def linearize(phi: ScalarField, profile=None) -> spla.LinearOperator:
+def linearize(phi: ScalarField) -> spla.LinearOperator:
     """Exact Jacobian of the interior residual; identity rows on t-planes.
 
     First variation: (1+a) dPhi_tt + Phi_tt da - 2 Re(Phi_tz dPhi_tzbar),
@@ -414,7 +414,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         if k == config.max_newton_iters:
             return finish("max-iterations-exceeded", rn, k)
         try:
-            jac = linearize(phi, profile)
+            jac = linearize(phi)
         except InadmissibleError as exc:
             return finish(f"inadmissible iterate: {exc}", rn, k)
         try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import JetFields, ScalarField, wirt_parts
+from .grid import JetFields, wirt_parts
 from .quantities import (InadmissibleError, NonConvexBoundaryError,
                          admissible_frame, apply_L, boundary_S, boundary_delta,
                          choose_K, h_contract, sigma_roots)
@@ -338,7 +338,7 @@ def lq_ratio_report(solution: Solution) -> CheckRecord:
     Q = composite_q_field(solution)
     if not np.isfinite(Q).all():
         return _vacuous("lq_ratio", "composite Q not finite")
-    LQ = apply_L(solution, ScalarField(solution.grid, Q)).values[1:-1]
+    LQ = apply_L(solution, Q)
     eps = solution.profile.rhs_on(solution.grid)[1:-1]
     mask = Q[1:-1] > Q_FLOOR
     if not mask.any():

@@ -106,9 +106,8 @@ class TestTraceLeaf:
 
 class TestQbAlongLeaf:
     def test_needs_three_samples(self, sol_zero_const):
-        path = LeafPath(start=(0.0, 0j), ts=np.array([0.0, 1.0]),
-                        zs=np.zeros(2, complex), a_samples=np.zeros(2),
-                        qb_samples=np.zeros(2), step=1.0)
+        path = LeafPath(ts=np.array([0.0, 1.0]), zs=np.zeros(2, complex),
+                        qb_samples=np.zeros(2))
         with pytest.raises(LeafError):
             qb_along_leaf(sol_zero_const, path)
 

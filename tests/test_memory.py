@@ -13,6 +13,9 @@ from hcma.verify import run_checks
 # run_checks on the 33x64x64 cos solution peaks at 162.8 B per node (numpy
 # 2.4); the bound leaves a 10% margin.
 RUN_CHECKS_PEAK_B_PER_NODE = 179.0
+# lq_ratio alone on a fresh 33x64x64 cos solution peaks at 124.7 B per node;
+# the bound leaves a 10% margin.
+LQ_RATIO_PEAK_B_PER_NODE = 137.0
 
 
 def test_newton_solve_caches_no_complex_jet():
@@ -33,14 +36,27 @@ def test_run_checks_caches_no_third_order_jet(sol_cos):
             if np.iscomplexobj(value)] == ["b"]
 
 
-def test_run_checks_peak_bytes_per_node():
+def peak_bytes_per_node(names=None):
+    """(report, tracemalloc peak per node) of run_checks on a fresh 33x64x64
+    cos solution."""
     grid = make_grid(33, 64, 64)
     sol = newton_solve(grid, COS_BOUNDARY, AnnulusProfile(1e-3))
     tracemalloc.start()
     try:
-        report = run_checks(sol, seed=0)
+        report = run_checks(sol, names=names, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return report, peak / grid.n_nodes
+
+
+def test_run_checks_peak_bytes_per_node():
+    report, peak = peak_bytes_per_node()
     assert report.all_pass
-    assert peak / grid.n_nodes < RUN_CHECKS_PEAK_B_PER_NODE
+    assert peak < RUN_CHECKS_PEAK_B_PER_NODE
+
+
+def test_lq_ratio_peak_bytes_per_node():
+    report, peak = peak_bytes_per_node(["lq_ratio"])
+    assert report.all_pass
+    assert peak < LQ_RATIO_PEAK_B_PER_NODE

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcma.grid import ScalarField, wirtinger_jet
+from conftest import COS_BOUNDARY
+from hcma import AnnulusProfile, make_grid, newton_solve
+from hcma.grid import ScalarField, second_order_stencil, wirtinger_jet
 from hcma.quantities import (DegenerateMetricError, FlatJet, InfeasibleKError,
-                             NonConvexBoundaryError, TorusPointState, apply_L,
-                             boundary_S, boundary_delta, choose_K,
-                             cone_membership, flat_jet_from_torus,
-                             general_flat_state, l_coefficient_fields,
-                             m_matrix, n_matrix, q_gamma, sigma2_prime,
-                             sigma_roots, torus_state)
+                             NonConvexBoundaryError, TorusPointState,
+                             admissible_frame, apply_L, boundary_S,
+                             boundary_delta, choose_K, cone_membership,
+                             flat_jet_from_torus, general_flat_state,
+                             h_coefficient_planes, m_matrix, n_matrix,
+                             q_gamma, sigma2_prime, sigma_roots, torus_state)
+from hcma.solver import Solution
+from hcma.verify import composite_q_field
 
 
 def state(a, b):
@@ -297,26 +301,115 @@ class TestGeneralFlatState:
 class TestApplyL:
     def test_constant_field(self, sol_cos):
         out = apply_L(sol_cos, ScalarField.from_function(
-            sol_cos.grid, lambda t, x, y: 0 * t + 3.0))
-        assert np.abs(out.values).max() == pytest.approx(0.0, abs=1e-10)
+            sol_cos.grid, lambda t, x, y: 0 * t + 3.0).values)
+        assert np.abs(out).max() == pytest.approx(0.0, abs=1e-10)
 
     def test_t_squared_on_closed_form(self, sol_zero_const):
         # Phi_tzbar = 0, so L[t^2] = (t^2)_zetazetabar = 1/2
         out = apply_L(sol_zero_const, ScalarField.from_function(
-            sol_zero_const.grid, lambda t, x, y: t**2 + 0 * x))
-        assert np.allclose(out.values[1:-1], 0.5, atol=1e-9)
+            sol_zero_const.grid, lambda t, x, y: t**2 + 0 * x).values)
+        assert np.allclose(out, 0.5, atol=1e-9)
 
     def test_decomposition_matches_general_flat_state(self, sol_cos):
-        L00, L01, L10, L11 = l_coefficient_fields(sol_cos)
-        L01, L10 = (re + 1j * im for re, im in (L01, L10))   # (Re, Im) pairs
+        # L = adj(h~)/g, h~ = [[q~, m], [m*, g]], q~ = (|m|^2 + eps~/4)/g;
+        # L_coeff is stored conjugated, as g^{ab*} is
+        g, (m_r, m_i), _, _ = admissible_frame(sol_cos.phi)
+        m = m_r + 1j * m_i
         rhs = sol_cos.profile.rhs_on(sol_cos.grid)
+        q_tilde = (np.abs(m) ** 2 + 0.25 * rhs[1:-1]) / g
         for node in [(5, 3, 7), (8, 16, 2), (12, 30, 30)]:
             it, ix, iy = node
             jet = wirtinger_jet(sol_cos.phi, node, order=3)
             ratio = rhs[it, ix, iy] / (4.0 * (1.0 + jet.a))
             s = general_flat_state(flat_jet_from_torus(jet), ratio)
             ii = (it - 1, ix, iy)
-            assert s.L_coeff[0, 0] == pytest.approx(L00[ii], abs=1e-12)
-            assert s.L_coeff[0, 1] == pytest.approx(L01[ii], abs=1e-12)
-            assert s.L_coeff[1, 0] == pytest.approx(L10[ii], abs=1e-12)
-            assert s.L_coeff[1, 1] == pytest.approx(L11[ii], abs=1e-12)
+            adj = np.array([[g[ii], -m[ii]], [-np.conj(m[ii]), q_tilde[ii]]])
+            assert np.allclose(s.L_coeff, np.conj(adj) / g[ii], rtol=0,
+                               atol=1e-12)
+
+    def test_shape_mismatch(self, sol_cos):
+        with pytest.raises(ValueError):
+            apply_L(sol_cos, np.zeros((3, 4, 4)))
+
+
+# --- the earlier two-step plane arithmetic, kept as a reference --------------
+
+def reference_strip_planes(grid, c00, c10, c11):
+    """Stencil planes of c00 w_zetazetabar + c10 w_z zetabar
+    + conj(c10) w_zeta zbar + c11 w_z zbar, c10 as (Re c10, Im c10)."""
+    k1, k2 = grid.lattice.dz_coefficients
+    c_r, c_i = c10
+    return {"tt": 0.25 * c00, "xx": c11 * abs(k1) ** 2,
+            "yy": c11 * abs(k2) ** 2,
+            "xy": c11 * (2.0 * (k1 * np.conj(k2)).real),
+            "tx": c_r * k1.real - c_i * k1.imag,
+            "ty": c_r * k2.real - c_i * k2.imag}
+
+
+def reference_h_planes(grid, g, m, q):
+    """4 times the planes of (g, -m, q), scaled in a second pass."""
+    planes = reference_strip_planes(grid, g, m, q)
+    for key, plane in planes.items():
+        plane *= -4.0 if key in ("tx", "ty") else 4.0
+    return planes
+
+
+def reference_L(solution, values):
+    """Interior L[w] from the coefficient fields L00 = 1, L10 = -m/g,
+    L11 = |m|^2/g^2 + eps~/(4 g^2)."""
+    grid = solution.grid
+    g, (m_r, m_i), _, _ = admissible_frame(solution.phi)
+    ratio = solution.profile.rhs_on(grid)[1:-1] / (4.0 * g)
+    L10 = (-m_r / g, -m_i / g)
+    L11 = (m_r * m_r + m_i * m_i) / g**2 + ratio / g
+    planes = reference_strip_planes(grid, np.full_like(g, 1.0), L10, L11)
+    return second_order_stencil(grid, planes)(values)
+
+
+@pytest.fixture(scope="module", params=[1j, 0.3 + 1.1j],
+                ids=["square", "skew"])
+def cos_on_modulus(request):
+    sol = newton_solve(make_grid(17, 32, 32, request.param), COS_BOUNDARY,
+                       AnnulusProfile(1e-3))
+    assert sol.converged
+    return sol
+
+
+@pytest.fixture(params=["solution", "perturbed"])
+def strip_field(request, cos_on_modulus):
+    sol = cos_on_modulus
+    if request.param == "solution":
+        return sol
+    # admissible, but det h != eps~/4: the q~ identity holds off-solution
+    grid = sol.grid
+    t = grid.t_values[:, None, None]
+    x = grid.x_values[None, :, None]
+    y = grid.y_values[None, None, :]
+    bump = 2e-4 * np.sin(np.pi * t) * np.cos(2 * np.pi * (x + 2 * y))
+    field = Solution(phi=ScalarField(grid, sol.phi.values + bump), grid=grid,
+                     profile=sol.profile, boundary=sol.boundary,
+                     converged=True, final_residual=0.0, iterations=0)
+    det = admissible_frame(field.phi)[3]
+    eps = sol.profile.rhs_on(grid)[1:-1]
+    assert np.abs(4.0 * det - eps).max() > 1e-3
+    return field
+
+
+class TestOnePlaneBuilder:
+    def test_h_planes_equal_two_step_formula(self, strip_field):
+        # equal values are equal bits, except that an exact zero of a t-mixed
+        # plane (Re(m k) = 0) may differ in sign: times a finite difference
+        # it is again a zero, so no stencil sum changes
+        grid = strip_field.grid
+        frame = admissible_frame(strip_field.phi)[:3]
+        got = h_coefficient_planes(grid, *frame)
+        want = reference_h_planes(grid, *frame)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_apply_L_matches_coefficient_fields(self, strip_field):
+        Q = composite_q_field(strip_field)
+        got = apply_L(strip_field, Q)
+        want = reference_L(strip_field, Q)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -156,7 +156,7 @@ class TestLinearize:
         eps0 = 0.8
         base = ScalarField.from_function(
             g, lambda t, x, y: (eps0 / 2) * t**2 + 0 * x)
-        jac = linearize(base, ConstantProfile(eps0))
+        jac = linearize(base)
         v_t = ScalarField.from_function(g, lambda t, x, y: t**2 + 0 * x)
         out = (jac @ v_t.values.ravel()).reshape(g.shape)
         assert np.allclose(out[1:-1], 2.0)
@@ -175,7 +175,7 @@ class TestLinearize:
         prof = ConstantProfile(0.3)
         v = rng.standard_normal(g.shape)
         v[0] = v[-1] = 0.0
-        jac = linearize(base, prof)
+        jac = linearize(base)
         jv = (jac @ v.ravel()).reshape(g.shape)
         errs = []
         for s in (1e-3, 5e-4, 2.5e-4):
@@ -190,10 +190,10 @@ class TestLinearize:
         g = make_grid(5, 8, 8)
         fld = ScalarField.from_function(g, lambda t, x, y: -2.0 * t**2 + 0 * x)
         with pytest.raises(InadmissibleError):
-            linearize(fld, ConstantProfile(1.0))
+            linearize(fld)
 
     def test_builds_one_strip_frame(self, sol_cos, strip_h_calls):
-        linearize(sol_cos.phi, sol_cos.profile)
+        linearize(sol_cos.phi)
         assert strip_h_calls == [sol_cos.phi]
 
 
