@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 config, snapshot or I/O error (every value the
 solver would reject is caught before anything is solved or written),
-3 solver failure, 4 verification check failure.  main alone maps
-exceptions to exit codes.
+3 solver failure or out of memory (one error line from any subcommand),
+4 verification check failure.  main alone maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -262,6 +262,9 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, str(exc))
     except ContinuationFailure as exc:
         return _fail(EXIT_SOLVER, str(exc))
+    except MemoryError as exc:
+        return _fail(EXIT_SOLVER,
+                     f"out of memory: {str(exc) or 'allocation failed'}")
 
 
 if __name__ == "__main__":

@@ -99,9 +99,6 @@ class Grid:
     def y_values(self) -> np.ndarray:
         return np.arange(self.ny) * self.hy
 
-    def is_interior_t(self, it: int) -> bool:
-        return 0 < it < self.nt - 1
-
     def check_node(self, node: tuple[int, int, int]) -> tuple[int, int, int]:
         it, ix, iy = node
         if not (0 <= it < self.nt):
@@ -209,31 +206,31 @@ def wirt_zzbar(grid: Grid, v: np.ndarray) -> np.ndarray:
 def second_order_stencil(grid: Grid, planes: dict):
     """Variable-coefficient second-order operator on the interior t-planes.
 
-    planes maps tt, xx, yy, xy, tx, ty to real (nt-2, nx, ny) arrays; the
-    returned apply(v, out=None) sums each plane times the matching central
-    second difference of a real or complex (nt, nx, ny) array v, the same
-    differences as dt2, dx2, dy2, dxy, dt1(dx1), dt1(dy1).  The stencil
-    takes the planes over: mesh factors are folded into them in place,
-    once, so repeated applies only do slice arithmetic in place.
+    planes maps tt, xx, yy and any of xy, tx, ty (zero when missing) to
+    real (nt-2, nx, ny) arrays; the returned apply(v, out=None) sums each
+    plane times the matching central second difference of a real or
+    complex (nt, nx, ny) array v, the same differences as dt2, dx2, dy2,
+    dxy, dt1(dx1), dt1(dy1).  The stencil takes the planes over: mesh
+    factors are folded into them in place, once, so repeated applies only
+    do slice arithmetic in place.
     """
     nt, nx, ny = grid.shape
     ht, hx, hy = grid.ht, grid.hx, grid.hy
-    for key, factor in (("tt", ht**2), ("xx", hx**2), ("yy", hy**2),
-                        ("xy", 4 * hx * hy), ("tx", 4 * ht * hx),
-                        ("ty", 4 * ht * hy)):
-        planes[key] /= factor
-    tt, xx, yy = planes["tt"], planes["xx"], planes["yy"]
-    centre = -2.0 * (tt + xx + yy)
-    # (coefficient, two (t, x, y) offsets added, offsets subtracted)
-    legs = ((tt, ((1, 0, 0), (-1, 0, 0)), ()),
-            (xx, ((0, 1, 0), (0, -1, 0)), ()),
-            (yy, ((0, 0, 1), (0, 0, -1)), ()),
-            (planes["xy"], ((0, 1, 1), (0, -1, -1)),
+    legs = []       # (plane, two (t, x, y) offsets added, offsets subtracted)
+    for key, factor, plus, minus in (
+            ("tt", ht**2, ((1, 0, 0), (-1, 0, 0)), ()),
+            ("xx", hx**2, ((0, 1, 0), (0, -1, 0)), ()),
+            ("yy", hy**2, ((0, 0, 1), (0, 0, -1)), ()),
+            ("xy", 4 * hx * hy, ((0, 1, 1), (0, -1, -1)),
              ((0, 1, -1), (0, -1, 1))),
-            (planes["tx"], ((1, 1, 0), (-1, -1, 0)),
+            ("tx", 4 * ht * hx, ((1, 1, 0), (-1, -1, 0)),
              ((1, -1, 0), (-1, 1, 0))),
-            (planes["ty"], ((1, 0, 1), (-1, 0, -1)),
-             ((1, 0, -1), (-1, 0, 1))))
+            ("ty", 4 * ht * hy, ((1, 0, 1), (-1, 0, -1)),
+             ((1, 0, -1), (-1, 0, 1)))):
+        if key in planes:
+            planes[key] /= factor
+            legs.append((planes[key], plus, minus))
+    centre = -2.0 * (planes["tt"] + planes["xx"] + planes["yy"])
 
     def apply(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         p = np.pad(v, ((0, 0), (1, 1), (1, 1)), mode="wrap")
@@ -375,9 +372,6 @@ class ScalarField:
                               indexing="ij")
         return cls(grid, fn(t, x, y))
 
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
-
 
 def wirtinger_jet(fld: ScalarField, node: tuple[int, int, int],
                   order: int = 2) -> Jet:
@@ -402,7 +396,7 @@ def wirtinger_jet(fld: ScalarField, node: tuple[int, int, int],
         b=complex(j.b[idx]),
         d_tz=d_tz,
         d_tzb=d_tz.conjugate(),
-        one_sided_t=not fld.grid.is_interior_t(it),
+        one_sided_t=not 0 < it < fld.grid.nt - 1,
         **third,
     )
 

@@ -308,15 +308,17 @@ def h_coefficient_planes(grid, g, m, q) -> dict:
     - 2 Re(Phi_tz w_tzbar) and, divided by 4 det h, the h-Laplacian; on
     (g, m, q~) they give L (apply_L).  The caller checks admissibility
     (admissible_frame).  tt is a copy of g, since the stencil takes its
-    planes over.
+    planes over; xy is left out where its lattice constant is 0 (modulus i).
     """
     k1, k2 = grid.lattice.dz_coefficients
     m_r, m_i = m
-    return {"tt": g.copy(), "xx": q * (4.0 * abs(k1) ** 2),
-            "yy": q * (4.0 * abs(k2) ** 2),
-            "xy": q * (8.0 * (k1 * np.conj(k2)).real),
-            "tx": m_r * (-4.0 * k1.real) - m_i * (-4.0 * k1.imag),
-            "ty": m_r * (-4.0 * k2.real) - m_i * (-4.0 * k2.imag)}
+    planes = {"tt": g.copy(), "xx": q * (4.0 * abs(k1) ** 2),
+              "yy": q * (4.0 * abs(k2) ** 2),
+              "tx": m_r * (-4.0 * k1.real) - m_i * (-4.0 * k1.imag),
+              "ty": m_r * (-4.0 * k2.real) - m_i * (-4.0 * k2.imag)}
+    if (kxy := 8.0 * (k1 * np.conj(k2)).real) != 0.0:
+        planes["xy"] = q * kxy
+    return planes
 
 
 def h_contract(solution, values: np.ndarray, frame=None) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, ScalarField, second_order_stencil
+from .grid import Grid, JetFields, ScalarField, second_order_stencil
 from .quantities import (InadmissibleError, NonConvexBoundaryError,
                          admissible_frame, h_coefficient_planes, strip_h)
 
@@ -118,40 +118,33 @@ class BoundarySpec:
     phi0: tuple = ()
     phi1: tuple = ()
 
-    @staticmethod
-    def _eval_modes(modes, grid: Grid) -> np.ndarray:
+    def _modes(self, grid: Grid, which: int):
+        """(kx, ky, w) per mode of phi<which>, w = Re amp exp(2 pi i (kx x
+        + ky y)) on the torus grid."""
         x = grid.x_values[:, None]
         y = grid.y_values[None, :]
-        out = np.zeros((grid.nx, grid.ny))
-        for kx, ky, amp in modes:
-            out += (complex(amp) * np.exp(2j * np.pi * (kx * x + ky * y))).real
-        return out
-
-    @staticmethod
-    def _mode_jets(modes, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-        """Analytic (a, b) of the evaluated field on the torus grid."""
-        x = grid.x_values[:, None]
-        y = grid.y_values[None, :]
-        gxx = np.zeros((grid.nx, grid.ny), dtype=complex)
-        gxy = np.zeros_like(gxx)
-        gyy = np.zeros_like(gxx)
-        for kx, ky, amp in modes:
+        for kx, ky, amp in self.phi0 if which == 0 else self.phi1:
             e = complex(amp) * np.exp(2j * np.pi * (kx * x + ky * y))
-            gxx += (2j * np.pi * kx) ** 2 * e
-            gxy += (2j * np.pi * kx) * (2j * np.pi * ky) * e
-            gyy += (2j * np.pi * ky) ** 2 * e
-        pxx, pxy, pyy = gxx.real, gxy.real, gyy.real
-        c1, c2 = grid.lattice.dz_coefficients
-        a = (abs(c1) ** 2 * pxx + 2 * (c1 * np.conj(c2)).real * pxy
-             + abs(c2) ** 2 * pyy)
-        b = c1 ** 2 * pxx + 2 * c1 * c2 * pxy + c2 ** 2 * pyy
-        return a, b
+            yield kx, ky, e.real
 
     def evaluate(self, grid: Grid, which: int) -> np.ndarray:
-        return self._eval_modes(self.phi0 if which == 0 else self.phi1, grid)
+        out = np.zeros((grid.nx, grid.ny))
+        for _, _, w in self._modes(grid, which):
+            out += w
+        return out
 
     def analytic_jets(self, grid: Grid, which: int):
-        return self._mode_jets(self.phi0 if which == 0 else self.phi1, grid)
+        """Analytic (a, b) = (Phi_zzbar, Phi_zz) of the evaluated field: on
+        a mode d/dz is the factor i s, s = 2 pi (c1 kx + c2 ky), so a mode
+        w adds -|s|^2 w to a and -s^2 w to b."""
+        c1, c2 = grid.lattice.dz_coefficients
+        a = np.zeros((grid.nx, grid.ny))
+        b = np.zeros((grid.nx, grid.ny), dtype=complex)
+        for kx, ky, w in self._modes(grid, which):
+            s = 2.0 * np.pi * (c1 * kx + c2 * ky)
+            a -= abs(s) ** 2 * w
+            b -= s ** 2 * w
+        return a, b
 
     def validate(self, grid: Grid) -> None:
         for which in (0, 1):
@@ -205,10 +198,6 @@ class Solution:
 
     def interior_one_plus_a(self) -> np.ndarray:
         return 1.0 + self.phi.jets.a[1:-1]
-
-    def interior_det_h(self) -> np.ndarray:
-        """det of the strip-frame h matrix = (Phi_tt(1+a) - |Phi_tzbar|^2)/4."""
-        return strip_h(self.phi)[3]
 
     @property
     def admissible(self) -> bool:
@@ -379,18 +368,17 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
     boundary.validate(grid)
     min_rhs = rhs_floor(profile, grid)
 
-    phi = initial if initial is not None else default_initial_guess(
-        grid, boundary, profile)
-    # adjust to the exact Dirichlet data by a linear-in-t lift, so a warm
-    # start with different boundary values stays smooth in t
-    t = grid.t_values[:, None, None]
-    vals = (phi.values
-            + (1.0 - t) * (boundary.evaluate(grid, 0) - phi.values[0])[None]
-            + t * (boundary.evaluate(grid, 1) - phi.values[-1])[None])
-    vals[0] = boundary.evaluate(grid, 0)
-    vals[-1] = boundary.evaluate(grid, 1)
-    phi = ScalarField(grid, vals)
-    if initial is not None:
+    if initial is None:
+        phi = default_initial_guess(grid, boundary, profile)
+    else:
+        # lift the warm start onto the exact Dirichlet data by a linear-in-t
+        # correction, so different boundary values stay smooth in t
+        p0, p1 = boundary.evaluate(grid, 0), boundary.evaluate(grid, 1)
+        t = grid.t_values[:, None, None]
+        vals = (initial.values + (1.0 - t) * (p0 - initial.values[0])
+                + t * (p1 - initial.values[-1]))
+        vals[0], vals[-1] = p0, p1
+        phi = ScalarField(grid, vals)
         try:
             admissible_frame(phi)
         except InadmissibleError:
@@ -417,6 +405,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
             jac = linearize(phi)
         except InadmissibleError as exc:
             return finish(f"inadmissible iterate: {exc}", rn, k)
+        phi.jets = JetFields(grid, phi.values)  # not read again: freed
         try:
             step = _solve_linear(jac, -r.values.ravel(),
                                  min(1e-2, max(rn, LINEAR_RTOL)))

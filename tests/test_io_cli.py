@@ -764,6 +764,26 @@ class TestCliFrontDoor:
         assert cli.main([command, *src, "--out", str(blocker / "x")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 8.00 GiB", ""])
+    @pytest.mark.parametrize("command, callee", [
+        ("solve", "newton_solve"), ("sweep", "lambda_sweep"),
+        ("verify", "run_checks"), ("trace", "trace_leaf"),
+        ("plotdata", "jet_map_export")])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys,
+                                             monkeypatch, solved_snapshot,
+                                             command, callee, message):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, callee, exhausted)
+        cfg = write_config(tmp_path,
+                           SMALL_CONFIG + "\n[sweep]\nlambdas = 0.0, 1.0\n")
+        src = (["--config", cfg] if command in ("solve", "sweep") else
+               ["--snapshot", solved_snapshot]
+               + (["--config", cfg] if command == "trace" else []))
+        assert cli.main([command, *src, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: out of memory: {message or 'allocation failed'}\n")
+
     @pytest.mark.parametrize("modulus", [complex(float("nan"), 1.0),
                                          complex(0.0, float("inf"))])
     def test_verify_non_finite_modulus_exit_2(self, tmp_path, capsys,

@@ -1,10 +1,11 @@
-"""Memory guards: the solver caches real jets only, and run_checks stays
-under a bytes-per-node bound counted by tracemalloc (a deterministic count
-of allocations, not a timing)."""
+"""Memory guards: the solver caches real jets only, and newton_solve and
+run_checks stay under bytes-per-node bounds counted by tracemalloc (a
+deterministic count of allocations, not a timing)."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from conftest import COS_BOUNDARY
 from hcma import AnnulusProfile, make_grid, newton_solve
@@ -16,6 +17,10 @@ RUN_CHECKS_PEAK_B_PER_NODE = 179.0
 # lq_ratio alone on a fresh 33x64x64 cos solution peaks at 124.7 B per node;
 # the bound leaves a 10% margin.
 LQ_RATIO_PEAK_B_PER_NODE = 137.0
+# newton_solve on the 33x64x64 cos problem peaks at 310.1 B per node on the
+# square lattice, which has no xy plane, and at 317.5 on modulus 0.3+1.1j;
+# the bounds leave a 10% margin.
+SOLVE_PEAK_B_PER_NODE = {1j: 341.0, 0.3 + 1.1j: 349.0}
 
 
 def test_newton_solve_caches_no_complex_jet():
@@ -60,3 +65,17 @@ def test_lq_ratio_peak_bytes_per_node():
     report, peak = peak_bytes_per_node(["lq_ratio"])
     assert report.all_pass
     assert peak < LQ_RATIO_PEAK_B_PER_NODE
+
+
+@pytest.mark.parametrize("modulus", list(SOLVE_PEAK_B_PER_NODE),
+                         ids=["square", "skew"])
+def test_newton_solve_peak_bytes_per_node(modulus):
+    grid = make_grid(33, 64, 64, modulus)
+    tracemalloc.start()
+    try:
+        sol = newton_solve(grid, COS_BOUNDARY, AnnulusProfile(1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak / grid.n_nodes < SOLVE_PEAK_B_PER_NODE[modulus]

@@ -9,7 +9,8 @@ from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, FieldRhs,
                   continuation_solve, lambda_sweep, make_grid, newton_solve)
 from hcma.grid import ScalarField
 from hcma.quantities import (InadmissibleError, NonConvexBoundaryError,
-                             admissible_frame, h_coefficient_planes)
+                             admissible_frame, h_coefficient_planes,
+                             strip_h)
 from hcma.solver import (LINEAR_RTOL, ContinuationFailure, Solution,
                          SolverConfig, _SeparablePreconditioner,
                          check_lambdas, check_schedule,
@@ -67,7 +68,58 @@ class TestProfiles:
         assert rhs.describe() == "field-rhs(manufactured)"
 
 
+# --- the earlier two-loop mode arithmetic, kept as a reference --------------
+
+def reference_eval_modes(modes, grid):
+    x = grid.x_values[:, None]
+    y = grid.y_values[None, :]
+    out = np.zeros((grid.nx, grid.ny))
+    for kx, ky, amp in modes:
+        out += (complex(amp) * np.exp(2j * np.pi * (kx * x + ky * y))).real
+    return out
+
+
+def reference_mode_jets(modes, grid):
+    """(a, b) from the x, y second derivatives of each mode."""
+    x = grid.x_values[:, None]
+    y = grid.y_values[None, :]
+    gxx = np.zeros((grid.nx, grid.ny), dtype=complex)
+    gxy = np.zeros_like(gxx)
+    gyy = np.zeros_like(gxx)
+    for kx, ky, amp in modes:
+        e = complex(amp) * np.exp(2j * np.pi * (kx * x + ky * y))
+        gxx += (2j * np.pi * kx) ** 2 * e
+        gxy += (2j * np.pi * kx) * (2j * np.pi * ky) * e
+        gyy += (2j * np.pi * ky) ** 2 * e
+    pxx, pxy, pyy = gxx.real, gxy.real, gyy.real
+    c1, c2 = grid.lattice.dz_coefficients
+    a = (abs(c1) ** 2 * pxx + 2 * (c1 * np.conj(c2)).real * pxy
+         + abs(c2) ** 2 * pyy)
+    b = c1 ** 2 * pxx + 2 * c1 * c2 * pxy + c2 ** 2 * pyy
+    return a, b
+
+
+FOUR_MODES = BoundarySpec(
+    phi0=((1, 0, 0.01), (-2, 1, 0.003 + 0.002j), (0, -3, -0.001j),
+          (2, -1, 0.004)),
+    phi1=((3, 2, 0.002), (-1, -1, 0.001 - 0.003j), (1, 1, -0.002),
+          (0, 2, 0.0015 + 0.001j)))
+
+
 class TestBoundarySpec:
+    @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j],
+                             ids=["square", "skew"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_one_mode_loop_matches_reference(self, modulus, which):
+        g = make_grid(5, 24, 20, modulus)
+        modes = FOUR_MODES.phi1 if which else FOUR_MODES.phi0
+        assert np.array_equal(FOUR_MODES.evaluate(g, which),
+                              reference_eval_modes(modes, g))
+        for got, want in zip(FOUR_MODES.analytic_jets(g, which),
+                             reference_mode_jets(modes, g)):
+            assert got.dtype == want.dtype
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_evaluate_modes(self):
         g = make_grid(5, 16, 16)
         b = BoundarySpec(phi1=((1, 0, 0.5),))
@@ -179,7 +231,7 @@ class TestLinearize:
         jv = (jac @ v.ravel()).reshape(g.shape)
         errs = []
         for s in (1e-3, 5e-4, 2.5e-4):
-            fd = (residual(base.with_values(base.values + s * v), prof).values
+            fd = (residual(ScalarField(g, base.values + s * v), prof).values
                   - residual(base, prof).values) / s
             errs.append(np.abs(fd[1:-1] - jv[1:-1]).max())
         # first-order in s (the residual is quadratic in phi)
@@ -217,7 +269,7 @@ class TestNewtonSolve:
 
     def test_admissibility_invariant(self, sol_cos):
         assert sol_cos.interior_one_plus_a().min() > 0
-        assert sol_cos.interior_det_h().min() > 0
+        assert strip_h(sol_cos.phi)[3].min() > 0
 
     def test_manufactured_solution(self):
         g = make_grid(9, 16, 16)
@@ -249,6 +301,32 @@ class TestNewtonSolve:
         assert not sol.converged
         assert sol.message == "max-iterations-exceeded"
         assert len(sol.residual_history) >= 1
+
+    def test_each_boundary_plane_evaluated_once(self, grid_small,
+                                                monkeypatch):
+        calls = []
+        real = BoundarySpec.evaluate
+
+        def counted(self, grid, which):
+            calls.append(which)
+            return real(self, grid, which)
+
+        monkeypatch.setattr(BoundarySpec, "evaluate", counted)
+        cold = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
+        assert cold.converged and sorted(calls) == [0, 1]
+        calls.clear()
+        warm = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(5e-4),
+                            initial=cold.phi)
+        assert warm.converged and sorted(calls) == [0, 1]
+
+    def test_inadmissible_warm_start_falls_back(self, grid_small):
+        cold = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
+        bad = ScalarField.from_function(
+            grid_small, lambda t, x, y: -2.0 * t**2 + 0 * x)
+        warm = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3),
+                            initial=bad)
+        assert np.array_equal(warm.phi.values, cold.phi.values)
+        assert warm.residual_history == cold.residual_history
 
 
 class TestLineSearch:
