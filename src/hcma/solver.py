@@ -18,7 +18,8 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, JetFields, ScalarField, second_order_stencil
+from .grid import (Grid, GridError, JetFields, ScalarField,
+                   second_order_stencil)
 from .quantities import (InadmissibleError, NonConvexBoundaryError,
                          admissible_frame, h_coefficient_planes, strip_h)
 
@@ -440,17 +441,38 @@ def _warm_start_ladder(grid: Grid, name: str, rungs,
                        config: SolverConfig) -> list[Solution]:
     """Solve each (value, boundary, profile) rung, warm-starting the next.
 
+    Rung 0 starts cold and rung 1 from rung 0's solution.  Rung k >= 2
+    starts from the secant predictor phi_{k-1} + w (phi_{k-1} - phi_{k-2}),
+    w = (v_k - v_{k-1}) / (v_{k-1} - v_{k-2}) in the rung values v, whose
+    residual is O(dv^2) where the previous solution's is O(dv).  It starts
+    from the previous rung's solution instead after a repeated value
+    (v_{k-1} = v_{k-2}), or when the predicted field is not finite or fails
+    admissible_frame.  newton_solve lifts the start onto the rung's
+    boundary data; each rung converges to within config.newton_tol, not
+    necessarily to round-off.
+
     Raises ContinuationFailure, labelled name=value, at the first rung that
     does not converge.
     """
     out = []
-    warm = None
+    older = warm = None     # (value, phi) of rungs k-2 and k-1
     for k, (value, boundary, profile) in enumerate(rungs):
-        sol = newton_solve(grid, boundary, profile, config, initial=warm)
+        start = None if warm is None else warm[1]
+        if older is not None and warm[0] != older[0]:
+            try:
+                with np.errstate(all="ignore"):     # non-finite fails below
+                    w = (value - warm[0]) / (warm[0] - older[0])
+                    guess = ScalarField(grid, warm[1].values + w * (
+                        warm[1].values - older[1].values))
+                    admissible_frame(guess)
+                start = guess
+            except (GridError, InadmissibleError):
+                pass
+        sol = newton_solve(grid, boundary, profile, config, initial=start)
         if not sol.converged:
             raise ContinuationFailure(k, name, value, sol)
         out.append(sol)
-        warm = sol.phi
+        older, warm = warm, (value, sol.phi)
     return out
 
 
@@ -473,7 +495,10 @@ def check_lambdas(lambdas) -> None:
 def continuation_solve(grid: Grid, boundary: BoundarySpec, schedule,
                        config: SolverConfig = SolverConfig(),
                        make_profile=AnnulusProfile) -> list[Solution]:
-    """Solve along a strictly decreasing epsilon schedule with warm starts."""
+    """Solve along a strictly decreasing epsilon schedule with warm starts:
+    rung 0 cold, rung 1 from rung 0's solution, rung k >= 2 from the secant
+    in eps, or from rung k-1's solution if that is inadmissible (see
+    _warm_start_ladder).  Each rung converges to within config.newton_tol."""
     schedule = list(schedule)
     check_schedule(schedule)
     return _warm_start_ladder(
@@ -483,7 +508,11 @@ def continuation_solve(grid: Grid, boundary: BoundarySpec, schedule,
 
 def lambda_sweep(grid: Grid, boundary: BoundarySpec, lambdas, profile,
                  config: SolverConfig = SolverConfig()) -> list[Solution]:
-    """Solve with boundary data scaled by each lambda in a non-decreasing ladder."""
+    """Solve with boundary data scaled by each lambda in a non-decreasing
+    ladder: rung 0 cold, rung 1 from rung 0's solution, rung k >= 2 from
+    the secant in lambda, or from rung k-1's solution after a repeated
+    lambda or if the secant is inadmissible (see _warm_start_ladder).  Each
+    rung converges to within config.newton_tol."""
     lambdas = list(lambdas)
     check_lambdas(lambdas)
     return _warm_start_ladder(

@@ -429,6 +429,118 @@ class TestLambdaSweep:
                          AnnulusProfile(1e-3))
 
 
+@pytest.fixture
+def ladder_starts(monkeypatch):
+    """The `initial` of every newton_solve call the ladders make."""
+    import hcma.solver
+    starts = []
+    real = hcma.solver.newton_solve
+
+    def recorded(*args, initial=None, **kwargs):
+        starts.append(initial)
+        return real(*args, initial=initial, **kwargs)
+
+    monkeypatch.setattr(hcma.solver, "newton_solve", recorded)
+    return starts
+
+
+def warm_chain(grid, rungs):
+    """Each (boundary, profile) rung warm-started from the last solution."""
+    sols, warm = [], None
+    for boundary, profile in rungs:
+        sols.append(newton_solve(grid, boundary, profile, initial=warm))
+        warm = sols[-1].phi
+    return sols
+
+
+class TestSecantPredictor:
+    """Rungs k >= 2 start from the secant through the last two solutions."""
+
+    def test_lambda_ladder_steps(self, grid_mid):
+        sols = lambda_sweep(grid_mid, COS_BOUNDARY, [k / 10 for k in range(11)],
+                            AnnulusProfile(1e-3))
+        assert all(s.converged and s.final_residual <= SolverConfig().newton_tol
+                   for s in sols)
+        assert sum(s.iterations for s in sols) <= 12       # 21 from phi_{k-1}
+
+    def test_eps_schedule_steps(self, grid_mid):
+        sols = continuation_solve(grid_mid, COS_BOUNDARY,
+                                  [1e-1, 1e-2, 1e-3, 1e-4])
+        assert all(s.converged and s.final_residual <= SolverConfig().newton_tol
+                   for s in sols)
+        assert sum(s.iterations for s in sols) <= 12       # 14 from phi_{k-1}
+
+    @pytest.mark.parametrize("lambdas", [[0.0, 0.5, 0.5, 1.0],
+                                         [0.0, 5e-324, 1.0]])
+    def test_degenerate_secant_starts_from_previous(self, grid_small, lambdas,
+                                                    ladder_starts):
+        # a repeated value has no secant; 5e-324 makes w non-finite
+        sols = lambda_sweep(grid_small, COS_BOUNDARY, lambdas,
+                            AnnulusProfile(1e-3))
+        assert all(s.converged for s in sols)
+        assert ladder_starts[-1] is sols[-2].phi
+
+    @pytest.mark.parametrize("kind", ["lambda", "eps"])
+    @pytest.mark.parametrize("n_rungs", [1, 2])
+    def test_short_ladders_bitwise_warm_starts(self, grid_small, kind,
+                                               n_rungs):
+        if kind == "lambda":
+            values = [0.5, 1.0][:n_rungs]
+            prof = AnnulusProfile(1e-3)
+            sols = lambda_sweep(grid_small, COS_BOUNDARY, values, prof)
+            rungs = [(COS_BOUNDARY.scaled(v), prof) for v in values]
+        else:
+            values = [1e-2, 1e-3][:n_rungs]
+            sols = continuation_solve(grid_small, COS_BOUNDARY, values)
+            rungs = [(COS_BOUNDARY, AnnulusProfile(v)) for v in values]
+        ref = warm_chain(grid_small, rungs)
+        assert len(sols) == n_rungs
+        for sol, want in zip(sols, ref):
+            assert np.array_equal(sol.phi.values, want.phi.values)
+            assert sol.residual_history == want.residual_history
+
+    def test_inadmissible_prediction_falls_back(self, grid_small, monkeypatch,
+                                                ladder_starts):
+        import hcma.solver
+        real_frame = hcma.solver.admissible_frame
+        real_solve = hcma.solver.newton_solve      # ladder_starts' recorder
+        rejected, cold, solving = [], [], []
+
+        def solve(*args, **kwargs):
+            solving.append(True)
+            try:
+                return real_solve(*args, **kwargs)
+            finally:
+                solving.pop()
+
+        def frame(phi):         # only the ladder's check runs outside a solve
+            if not solving:
+                rejected.append(phi)
+                raise InadmissibleError("forced")
+            return real_frame(phi)
+
+        def guess(*args):
+            cold.append(args)
+            return default_initial_guess(*args)
+
+        monkeypatch.setattr(hcma.solver, "newton_solve", solve)
+        monkeypatch.setattr(hcma.solver, "admissible_frame", frame)
+        monkeypatch.setattr(hcma.solver, "default_initial_guess", guess)
+        values = [0.0, 1 / 3, 2 / 3, 1.0]
+        prof = AnnulusProfile(1e-3)
+        sols = lambda_sweep(grid_small, COS_BOUNDARY, values, prof)
+        assert len(rejected) == 2                       # rungs 2 and 3
+        assert len(cold) == 1                           # rung 0 only
+        assert ladder_starts[0] is None
+        assert all(start is sol.phi
+                   for start, sol in zip(ladder_starts[1:], sols))
+        monkeypatch.undo()
+        ref = warm_chain(grid_small,
+                         [(COS_BOUNDARY.scaled(v), prof) for v in values])
+        for sol, want in zip(sols, ref):
+            assert np.array_equal(sol.phi.values, want.phi.values)
+
+
 class TestSharedOperator:
     """Newton's Jacobian is 4 det(h) times the verifier's h-Laplacian."""
 
