@@ -401,14 +401,10 @@ def wirtinger_jet(fld: ScalarField, node: tuple[int, int, int],
     )
 
 
-def interpolate(fld: ScalarField, t: float, x: float, y: float) -> float:
-    """Trilinear interpolation; periodic wrap in x, y; t must lie in [0,1]."""
-    return float(interpolate_array(fld.grid, fld.values, t, x, y))
-
-
 def interpolate_array(grid: Grid, values: np.ndarray, t: float, x: float,
                       y: float):
-    """Trilinear interpolation of an arbitrary (possibly complex) array."""
+    """Trilinear interpolation of a (possibly complex) array, periodic in
+    x, y; t must lie in [0, 1]."""
     if not (0.0 <= t <= 1.0):
         raise GridError(f"t={t} outside [0, 1]")
     st = min(t / grid.ht, grid.nt - 1 - 1e-12)

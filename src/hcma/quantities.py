@@ -285,14 +285,20 @@ def strip_h(phi: ScalarField):
     return g, (m_r, m_i), q, q * g - (m_r * m_r + m_i * m_i)
 
 
-def admissible_frame(phi: ScalarField):
-    """strip_h(phi); raises InadmissibleError unless 1 + a > 0 and
-    det h > 0 at every interior node."""
-    g, m, q, det = strip_h(phi)
-    if not (g.min() > 0.0 and det.min() > 0.0):
+def check_frame(frame, g_floor: float = 0.0, det_floor: float = 0.0):
+    """The strip_h frame (g, m, q, det) if 1 + a > g_floor and det h >
+    det_floor at every interior node, else InadmissibleError.  Floors 0
+    are the admissibility rule; Newton's line search raises them."""
+    g, _, _, det = frame
+    if not (g.min() > g_floor and det.min() > det_floor):
         raise InadmissibleError(
             f"min(1+a)={g.min():.3e}, min(det h)={det.min():.3e}")
-    return g, m, q, det
+    return frame
+
+
+def admissible_frame(phi: ScalarField):
+    """strip_h(phi), checked by check_frame."""
+    return check_frame(strip_h(phi))
 
 
 def h_coefficient_planes(grid, g, m, q) -> dict:
@@ -307,7 +313,7 @@ def h_coefficient_planes(grid, g, m, q) -> dict:
     the planes applied are Newton's Jacobian (1+a) w_tt + Phi_tt w_zzbar
     - 2 Re(Phi_tz w_tzbar) and, divided by 4 det h, the h-Laplacian; on
     (g, m, q~) they give L (apply_L).  The caller checks admissibility
-    (admissible_frame).  tt is a copy of g, since the stencil takes its
+    (check_frame).  tt is a copy of g, since the stencil takes its
     planes over; xy is left out where its lattice constant is 0 (modulus i).
     """
     k1, k2 = grid.lattice.dz_coefficients
@@ -321,18 +327,18 @@ def h_coefficient_planes(grid, g, m, q) -> dict:
     return planes
 
 
-def h_contract(solution, values: np.ndarray, frame=None) -> np.ndarray:
+def h_contract(solution, values: np.ndarray, frame) -> np.ndarray:
     """Interior h^{ij*} w_{ij*} of a (possibly complex) grid array w.
 
     Second derivatives of w are realized through the strip identities
     w_zetazetabar = w_tt/4, w_zeta zbar = w_tzbar/2 (w s-independent);
     the contraction is tr(inv(H) @ W) with the solution's h-matrix, whose
-    frame is admissible_frame(solution.phi), built here unless passed.
+    frame, admissible_frame(solution.phi), the caller passes.
     """
     grid = solution.grid
     if values.shape != grid.shape:
         raise ValueError("field shape does not match the solution grid")
-    g, m, q, det = admissible_frame(solution.phi) if frame is None else frame
+    g, m, q, det = frame
     apply = second_order_stencil(grid, h_coefficient_planes(grid, g, m, q))
     return apply(values) / (4.0 * det)
 

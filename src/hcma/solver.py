@@ -21,7 +21,8 @@ import scipy.sparse.linalg as spla
 from .grid import (Grid, GridError, JetFields, ScalarField,
                    second_order_stencil)
 from .quantities import (InadmissibleError, NonConvexBoundaryError,
-                         admissible_frame, h_coefficient_planes, strip_h)
+                         admissible_frame, check_frame, h_coefficient_planes,
+                         strip_h)
 
 LINEAR_RTOL = 1e-12    # floor of the forcing term of each Newton linear solve
 
@@ -237,19 +238,17 @@ def rhs_floor(profile, grid: Grid) -> float:
     return lo
 
 
-def linearize(phi: ScalarField) -> spla.LinearOperator:
+def linearize(grid: Grid, frame) -> spla.LinearOperator:
     """Exact Jacobian of the interior residual; identity rows on t-planes.
 
     First variation: (1+a) dPhi_tt + Phi_tt da - 2 Re(Phi_tz dPhi_tzbar),
     expressed through the same central stencils the residual uses, so Newton
     is exactly quadratic.  Applied matrix-free: it is 4 det(h) times the
     verifier's h_contract, through the same stencil planes, which also
-    build the operator's ``preconditioner``.
+    build the operator's ``preconditioner``.  The caller passes the
+    iterate's strip_h frame, checked by check_frame; no frame is built here.
     """
-    grid = phi.grid
-    frame = admissible_frame(phi)
     planes = h_coefficient_planes(grid, *frame[:3])
-    del frame               # freed before the preconditioner allocates
     preconditioner = _SeparablePreconditioner(grid, planes)
     apply = second_order_stencil(grid, planes)      # scales the planes
 
@@ -365,13 +364,13 @@ def default_initial_guess(grid: Grid, boundary: BoundarySpec, profile) -> Scalar
 def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
                  config: SolverConfig = SolverConfig(),
                  initial: ScalarField | None = None) -> Solution:
-    """Damped Newton with admissibility-guarded backtracking line search."""
+    """Damped Newton with admissibility-guarded backtracking line search.
+    One strip_h frame per field (the start, each candidate) gives its
+    admissibility and residual, and an accepted field's frame its Jacobian."""
     boundary.validate(grid)
     min_rhs = rhs_floor(profile, grid)
 
-    if initial is None:
-        phi = default_initial_guess(grid, boundary, profile)
-    else:
+    if initial is not None:
         # lift the warm start onto the exact Dirichlet data by a linear-in-t
         # correction, so different boundary values stay smooth in t
         p0, p1 = boundary.evaluate(grid, 0), boundary.evaluate(grid, 1)
@@ -381,12 +380,15 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         vals[0], vals[-1] = p0, p1
         phi = ScalarField(grid, vals)
         try:
-            admissible_frame(phi)
+            frame = check_frame(strip_h(phi))
         except InadmissibleError:
-            phi = default_initial_guess(grid, boundary, profile)
+            initial = None      # fall back to the default guess
+    if initial is None:
+        phi = default_initial_guess(grid, boundary, profile)
+        frame = strip_h(phi)
 
     margin = config.admissibility_margin
-    floor_quad = margin * min_rhs
+    det_floor = 0.25 * margin * min_rhs     # 4 det h = eps_tilde when solved
     history = []
 
     def finish(msg, rn, k):     # converged exactly when msg is "ok"
@@ -394,7 +396,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
                         converged=msg == "ok", final_residual=rn, iterations=k,
                         residual_history=history, message=msg)
 
-    r = residual(phi, profile)
+    r = _det_residual(grid, frame[3], profile)
     rn = float(np.abs(r.values[1:-1]).max())
     history.append(rn)
     for k in range(config.max_newton_iters + 1):
@@ -403,10 +405,11 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         if k == config.max_newton_iters:
             return finish("max-iterations-exceeded", rn, k)
         try:
-            jac = linearize(phi)
+            jac = linearize(grid, check_frame(frame))
         except InadmissibleError as exc:
             return finish(f"inadmissible iterate: {exc}", rn, k)
-        phi.jets = JetFields(grid, phi.values)  # not read again: freed
+        del frame                               # neither is read again:
+        phi.jets = JetFields(grid, phi.values)  # freed before GMRES allocates
         try:
             step = _solve_linear(jac, -r.values.ravel(),
                                  min(1e-2, max(rn, LINEAR_RTOL)))
@@ -414,26 +417,20 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
             return finish(f"linear-solve-failure: {exc}", rn, k)
         del jac             # freed before the line search allocates
         step = step.reshape(grid.shape)
-        s = 1.0
-        accepted = None
-        for _ in range(config.max_halvings + 1):
-            cand = ScalarField(grid, phi.values + s * step)
-            # a margin-floored test, stricter than admissible_frame's
+        for halvings in range(config.max_halvings + 1):
+            cand = ScalarField(grid, phi.values + 0.5 ** halvings * step)
             frame = strip_h(cand)
-            det = frame[3]
-            inside = frame[0].min() > margin and 4.0 * det.min() > floor_quad
-            del frame           # g, m, q freed before the residual is built
-            if inside:
-                rc = _det_residual(grid, det, profile)
-                rcn = float(np.abs(rc.values[1:-1]).max())
-                if rcn < rn:
-                    accepted = (cand, rc, rcn)
-                    break
-            s *= 0.5
-        del det             # freed before the next linearize allocates
-        if accepted is None:
+            try:                # margin-floored: stricter than admissibility
+                check_frame(frame, margin, det_floor)
+            except InadmissibleError:
+                continue
+            r_cand = _det_residual(grid, frame[3], profile)
+            rn_cand = float(np.abs(r_cand.values[1:-1]).max())
+            if rn_cand < rn:
+                break
+        else:
             return finish("line-search-exhausted", rn, k)
-        phi, r, rn = accepted
+        phi, r, rn = cand, r_cand, rn_cand
         history.append(rn)
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import hcma.grid
 from hcma.grid import (DegenerateLatticeError, DimensionTooSmallError,
-                       ScalarField, dt1, interpolate, make_grid, wirt_parts,
-                       wirt_z, wirt_zbar, wirtinger_jet)
+                       ScalarField, dt1, interpolate_array, make_grid,
+                       wirt_parts, wirt_z, wirt_zbar, wirtinger_jet)
 
 
 def field_from(grid, fn):
@@ -225,13 +225,15 @@ class TestInterpolate:
     def test_constant(self):
         g = make_grid(5, 8, 8)
         fld = field_from(g, lambda t, x, y: 0 * t + 5.0)
-        assert interpolate(fld, 0.3, 0.7, 0.2) == pytest.approx(5.0)
+        value = interpolate_array(fld.grid, fld.values, 0.3, 0.7, 0.2)
+        assert value == pytest.approx(5.0)
 
     def test_linear_in_t_midpoint(self):
         g = make_grid(5, 8, 8)
         fld = field_from(g, lambda t, x, y: 3.0 * t + 0 * x)
         tm = g.t_values[1] + g.ht / 2
-        assert interpolate(fld, tm, 0.0, 0.0) == pytest.approx(3.0 * tm)
+        value = interpolate_array(fld.grid, fld.values, tm, 0.0, 0.0)
+        assert value == pytest.approx(3.0 * tm)
 
     def test_cosine_accuracy(self):
         g = make_grid(5, 64, 8)
@@ -239,20 +241,22 @@ class TestInterpolate:
         rng = np.random.default_rng(7)
         for _ in range(20):
             t, x, y = rng.uniform(0, 1, 3)
-            err = abs(interpolate(fld, t, x, y) - np.cos(2 * np.pi * x))
+            err = abs(interpolate_array(fld.grid, fld.values, t, x, y)
+                      - np.cos(2 * np.pi * x))
             assert err < 5 * g.hx**2 * (2 * np.pi) ** 2
 
     def test_periodic_wrap(self):
         g = make_grid(5, 8, 8)
         fld = field_from(g, lambda t, x, y: np.sin(2 * np.pi * x) + 0 * t)
-        assert interpolate(fld, 0.5, 1.25, 0.0) == pytest.approx(
-            interpolate(fld, 0.5, 0.25, 0.0))
+        wrapped = interpolate_array(fld.grid, fld.values, 0.5, 1.25, 0.0)
+        assert wrapped == pytest.approx(
+            interpolate_array(fld.grid, fld.values, 0.5, 0.25, 0.0))
 
     def test_t_out_of_range(self):
         g = make_grid(5, 8, 8)
         fld = ScalarField.zeros(g)
         with pytest.raises(Exception):
-            interpolate(fld, 1.5, 0.0, 0.0)
+            interpolate_array(fld.grid, fld.values, 1.5, 0.0, 0.0)
 
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=40, deadline=None)
@@ -261,4 +265,5 @@ class TestInterpolate:
         # use a field linear in t only, which trilinear interp reproduces
         g = make_grid(5, 8, 8)
         fld = field_from(g, lambda tt, xx, yy: 2.0 * tt + 1.0 + 0 * xx)
-        assert interpolate(fld, t, x, y) == pytest.approx(2.0 * t + 1.0)
+        value = interpolate_array(fld.grid, fld.values, t, x, y)
+        assert value == pytest.approx(2.0 * t + 1.0)

@@ -208,7 +208,7 @@ class TestLinearize:
         eps0 = 0.8
         base = ScalarField.from_function(
             g, lambda t, x, y: (eps0 / 2) * t**2 + 0 * x)
-        jac = linearize(base)
+        jac = linearize(g, admissible_frame(base))
         v_t = ScalarField.from_function(g, lambda t, x, y: t**2 + 0 * x)
         out = (jac @ v_t.values.ravel()).reshape(g.shape)
         assert np.allclose(out[1:-1], 2.0)
@@ -227,7 +227,7 @@ class TestLinearize:
         prof = ConstantProfile(0.3)
         v = rng.standard_normal(g.shape)
         v[0] = v[-1] = 0.0
-        jac = linearize(base)
+        jac = linearize(g, admissible_frame(base))
         jv = (jac @ v.ravel()).reshape(g.shape)
         errs = []
         for s in (1e-3, 5e-4, 2.5e-4):
@@ -242,11 +242,13 @@ class TestLinearize:
         g = make_grid(5, 8, 8)
         fld = ScalarField.from_function(g, lambda t, x, y: -2.0 * t**2 + 0 * x)
         with pytest.raises(InadmissibleError):
-            linearize(fld)
+            linearize(g, admissible_frame(fld))
 
-    def test_builds_one_strip_frame(self, sol_cos, strip_h_calls):
-        linearize(sol_cos.phi)
-        assert strip_h_calls == [sol_cos.phi]
+    def test_builds_no_strip_frame(self, sol_cos, strip_h_calls):
+        frame = admissible_frame(sol_cos.phi)
+        strip_h_calls.clear()
+        linearize(sol_cos.grid, frame)
+        assert strip_h_calls == []
 
 
 class TestNewtonSolve:
@@ -328,14 +330,33 @@ class TestNewtonSolve:
         assert np.array_equal(warm.phi.values, cold.phi.values)
         assert warm.residual_history == cold.residual_history
 
+    def test_inadmissible_start_exit(self, grid_small):
+        # the default guess of this steep boundary has det h < 0
+        sol = newton_solve(grid_small, BoundarySpec(phi1=((1, 0, 0.04),)),
+                           AnnulusProfile(1e-4))
+        assert not sol.converged and sol.iterations == 0
+        assert sol.residual_history == [pytest.approx(1.434e-2, rel=1e-3)]
+        assert sol.message == ("inadmissible iterate: min(1+a)=6.590e-01, "
+                               "min(det h)=-3.010e-03")
+
 
 class TestLineSearch:
     def test_one_strip_frame_per_candidate(self, grid_small, strip_h_calls):
-        # the initial residual, then per step linearize and one candidate,
-        # whose frame gives both its admissibility and its residual
+        # the start, then one per candidate, whose frame gives its
+        # admissibility, its residual and then the next Jacobian
         sol = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
         assert sol.iterations == 3
-        assert len(strip_h_calls) == 7
+        assert len(strip_h_calls) == 4
+
+    def test_one_strip_frame_per_warm_field(self, grid_small,
+                                            strip_h_calls):
+        # the lifted start's frame decides its admissibility too
+        cold = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
+        strip_h_calls.clear()
+        warm = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(5e-4),
+                            initial=cold.phi)
+        assert warm.converged and warm.iterations == 3
+        assert len(strip_h_calls) == 4
 
 
 class TestLadderChecks:
@@ -557,13 +578,14 @@ class TestSharedOperator:
         sol = Solution(phi=phi, grid=g, profile=ConstantProfile(0.4),
                        boundary=BoundarySpec(), converged=True,
                        final_residual=0.0, iterations=0)
-        gg, (m_r, m_i), q, det = admissible_frame(phi)
+        frame = admissible_frame(phi)
+        gg, (m_r, m_i), q, det = frame
         m = m_r + 1j * m_i
         assert np.abs(m).max() > 1e-3           # mixed t-z terms present
         rng = np.random.default_rng(7)
         w = rng.standard_normal(g.shape)
-        jw = (linearize(phi) @ w.ravel()).reshape(g.shape)
-        hw = h_contract(sol, w)
+        jw = (linearize(g, frame) @ w.ravel()).reshape(g.shape)
+        hw = h_contract(sol, w, frame)
         assert np.allclose(jw[1:-1], 4.0 * det * hw, rtol=1e-13,
                            atol=1e-13 * np.abs(jw[1:-1]).max())
         assert np.array_equal(jw[[0, -1]], w[[0, -1]])
@@ -576,8 +598,9 @@ class TestSharedOperator:
                            atol=1e-12 * np.abs(ref).max())
         assert np.abs(ref.imag).max() <= 1e-12 * np.abs(ref).max()
         wc = w + 1j * rng.standard_normal(g.shape)
-        split = h_contract(sol, wc.real) + 1j * h_contract(sol, wc.imag)
-        assert np.allclose(h_contract(sol, wc), split, rtol=1e-13,
+        split = (h_contract(sol, wc.real, frame)
+                 + 1j * h_contract(sol, wc.imag, frame))
+        assert np.allclose(h_contract(sol, wc, frame), split, rtol=1e-13,
                            atol=1e-13 * np.abs(split).max())
 
 

@@ -8,13 +8,17 @@ benchmark run with absent metrics, so this test catches it here.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from conftest import COS_BOUNDARY
 import hcma.solver
+import hcma.verify
 from hcma import AnnulusProfile
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def load_tracing():
@@ -54,15 +58,21 @@ def test_tracer_wraps_every_name_and_restores_it(grid_small, capsys):
         assert tracer.missing == set()
         assert all(current(o, a, i) is not orig for o, a, i, orig in names)
         tracer.begin_op(0)
+        # the quickstart op: a solve, then run_checks on its solution
         sol = hcma.solver.newton_solve(grid_small, COS_BOUNDARY,
                                        AnnulusProfile(1e-3))
+        report = hcma.verify.run_checks(sol, seed=0)
         metrics = tracer.layer_metrics(1.0, 0)
     finally:
         tracer.uninstall()
     assert all(current(o, a, i) is orig for o, a, i, orig in names)
-    assert sol.converged
+    assert sol.converged and report.all_pass
     assert tracer.counters["newton_steps"] == sol.iterations > 0
     assert tracer.counters["gmres_iters"] > 0
     assert tracer.counters["precond_applies"] > 0
     assert [m for m, v in metrics.items() if v is None] == []
+    per_layer = [m["name"] for m in json.loads(
+        BENCHMARK.read_text())["per_layer"]]
+    assert [m for m in per_layer if metrics.get(m) is None] == []
+    assert metrics["solver.linearize_calls"] == metrics["solver.newton_steps"]
     assert capsys.readouterr().out == ""

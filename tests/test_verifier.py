@@ -146,7 +146,8 @@ def ab_residuals_reference(sol):
     as its real and imaginary parts, every product on full interior
     arrays."""
     grid, j = sol.grid, sol.phi.jets
-    g, (m_r, m_i), q, det = admissible_frame(sol.phi)
+    frame = admissible_frame(sol.phi)
+    g, (m_r, m_i), q, det = frame
     m = m_r + 1j * m_i
     i = np.s_[1:-1]
     a_zeta, a_z = 0.5 * dt1(grid, j.a)[i], wirt_z(grid, j.a)[i]
@@ -156,8 +157,9 @@ def ab_residuals_reference(sol):
         return (g * u0 * w0 - m * u1 * w0 - np.conj(m) * u0 * w1
                 + q * u1 * w1) / det
 
-    lhs_a = h_contract(sol, j.a)
-    lhs_b = h_contract(sol, j.b.real) + 1j * h_contract(sol, j.b.imag)
+    lhs_a = h_contract(sol, j.a, frame)
+    lhs_b = (h_contract(sol, j.b.real, frame)
+             + 1j * h_contract(sol, j.b.imag, frame))
     rhs_a = (h_bilinear(a_zeta, a_z, np.conj(a_zeta), np.conj(a_z))
              + h_bilinear(np.conj(b_zetabar), np.conj(b_zbar), b_zetabar,
                           b_zbar)).real / g
