@@ -322,9 +322,11 @@ def _solve_linear(jac: spla.LinearOperator, rhs, rtol: float) -> np.ndarray:
     ``preconditioner`` that linearize attached to jac.
 
     A result is accepted on its true residual, whatever GMRES reports;
-    otherwise SolverError carries GMRES info, its preconditioner applies
-    (one per iteration plus one per restart) and the relative residual, or
-    the size of the (restart + 1) n float64 workspace it ran out of.
+    otherwise SolverError carries the preconditioner applies (one per
+    iteration plus one per restart), scipy's info (which reads maxiter
+    whenever GMRES stops short, after a breakdown too) and the relative
+    residual, or the size of the (restart + 1) n float64 workspace it ran
+    out of.
     """
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
@@ -341,51 +343,83 @@ def _solve_linear(jac: spla.LinearOperator, rhs, rtol: float) -> np.ndarray:
     rel = np.linalg.norm(jac @ x - rhs) / rhs_norm
     if rel <= rtol:
         return x
-    raise SolverError(f"gmres info={info}, {pre.applies} preconditioner "
-                      f"applies, relative residual {rel:.3e} > {rtol:.1e}")
+    raise SolverError(f"gmres stopped short of rtol {rtol:.1e} after "
+                      f"{pre.applies} preconditioner applies (scipy "
+                      f"info={info}): relative residual {rel:.3e}")
 
 
 # --- Newton iteration --------------------------------------------------------
 
 def default_initial_guess(grid: Grid, boundary: BoundarySpec, profile) -> ScalarField:
-    """Linear blend of the boundary data plus a convex-in-t parabola.
+    """Discrete subsolution: the linear blend (1-t) phi0 + t phi1 plus a
+    convex psi(t) with psi(0) = psi(1) = 0 (X. X. Chen's continuity start).
 
-    Phi0 = (1-t) phi0 + t phi1 + (max eps_tilde / 2) t(t-1), so that
-    Phi0_tt = max eps_tilde > 0 keeps the first iterates admissible.
+    On each interior t-plane the dt2 second difference of psi is the plane
+    max of (eps_tilde + 4|m|^2)/g over the blend's strip_h frame.  psi
+    depends on t only, so it leaves g = 1 + a and m unchanged, and
+    4 det h = Phi_tt g - 4|m|^2 >= eps_tilde at every interior node: the
+    start is admissible wherever the blend has 1 + a > 0.  Where it has
+    not, check_frame rejects the start.
     """
     t = grid.t_values[:, None, None]
-    p0 = boundary.evaluate(grid, 0)[None]
-    p1 = boundary.evaluate(grid, 1)[None]
-    c0 = 0.5 * float(profile.rhs_on(grid).max())
-    vals = (1.0 - t) * p0 + t * p1 + c0 * t * (t - 1.0)
-    return ScalarField(grid, vals)
+    blend = ((1.0 - t) * boundary.evaluate(grid, 0)
+             + t * boundary.evaluate(grid, 1))
+    g, (m_r, m_i), _, _ = strip_h(ScalarField(grid, blend))
+    need = 4.0 * (m_r * m_r + m_i * m_i) + profile.rhs_on(grid)[1:-1]
+    np.divide(need, g, out=need, where=g > 0.0)   # no psi helps where g <= 0
+    n = grid.nt - 2             # psi'' = plane max on the interior planes
+    lap = (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)) / grid.ht**2
+    psi = np.zeros(grid.nt)
+    psi[1:-1] = np.linalg.solve(lap, need.max(axis=(1, 2)))
+    blend += psi[:, None, None]
+    return ScalarField(grid, blend)
 
 
 def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
                  config: SolverConfig = SolverConfig(),
-                 initial: ScalarField | None = None) -> Solution:
+                 initial: ScalarField | tuple[ScalarField, ...] | None = None
+                 ) -> Solution:
     """Damped Newton with admissibility-guarded backtracking line search.
-    One strip_h frame per field (the start, each candidate) gives its
-    admissibility and residual, and an accepted field's frame its Jacobian."""
+    One strip_h frame per field (each start, each candidate) gives its
+    admissibility and residual, and an accepted field's frame its Jacobian.
+
+    initial is a warm start or a tuple of them.  Each is lifted onto the
+    exact Dirichlet data by a linear-in-t correction, so different boundary
+    values stay smooth in t, and the admissible lifted start of least
+    residual (the first on a tie) is the start; without one the solve
+    starts cold, from default_initial_guess.
+    """
     boundary.validate(grid)
     min_rhs = rhs_floor(profile, grid)
+    if isinstance(initial, ScalarField):
+        initial = (initial,)
 
-    if initial is not None:
-        # lift the warm start onto the exact Dirichlet data by a linear-in-t
-        # correction, so different boundary values stay smooth in t
+    def frame_and_residual(phi):
+        frame = strip_h(phi)
+        r = _det_residual(grid, frame[3], profile)
+        return phi, frame, r, float(np.abs(r.values[1:-1]).max())
+
+    start = None        # (phi, frame, r, rn)
+    if initial:
         p0, p1 = boundary.evaluate(grid, 0), boundary.evaluate(grid, 1)
         t = grid.t_values[:, None, None]
-        vals = (initial.values + (1.0 - t) * (p0 - initial.values[0])
-                + t * (p1 - initial.values[-1]))
-        vals[0], vals[-1] = p0, p1
-        phi = ScalarField(grid, vals)
-        try:
-            frame = check_frame(strip_h(phi))
-        except InadmissibleError:
-            initial = None      # fall back to the default guess
-    if initial is None:
-        phi = default_initial_guess(grid, boundary, profile)
-        frame = strip_h(phi)
+        for warm in initial:
+            vals = (warm.values + (1.0 - t) * (p0 - warm.values[0])
+                    + t * (p1 - warm.values[-1]))
+            vals[0], vals[-1] = p0, p1
+            lifted = frame_and_residual(ScalarField(grid, vals))
+            try:
+                check_frame(lifted[1])
+            except InadmissibleError:
+                continue
+            if start is None or lifted[3] < start[3]:
+                start = lifted
+        del vals, lifted        # only the start stays alive
+    if start is None:
+        start = frame_and_residual(default_initial_guess(grid, boundary,
+                                                         profile))
+    phi, frame, r, rn = start
+    del start           # frees the start's frame once linearize is done
 
     margin = config.admissibility_margin
     det_floor = 0.25 * margin * min_rhs     # 4 det h = eps_tilde when solved
@@ -396,8 +430,6 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
                         converged=msg == "ok", final_residual=rn, iterations=k,
                         residual_history=history, message=msg)
 
-    r = _det_residual(grid, frame[3], profile)
-    rn = float(np.abs(r.values[1:-1]).max())
     history.append(rn)
     for k in range(config.max_newton_iters + 1):
         if rn <= config.newton_tol:
@@ -431,6 +463,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         else:
             return finish("line-search-exhausted", rn, k)
         phi, r, rn = cand, r_cand, rn_cand
+        del step, cand, r_cand          # freed before the next GMRES
         history.append(rn)
 
 
@@ -439,13 +472,15 @@ def _warm_start_ladder(grid: Grid, name: str, rungs,
     """Solve each (value, boundary, profile) rung, warm-starting the next.
 
     Rung 0 starts cold and rung 1 from rung 0's solution.  Rung k >= 2
-    starts from the secant predictor phi_{k-1} + w (phi_{k-1} - phi_{k-2}),
-    w = (v_k - v_{k-1}) / (v_{k-1} - v_{k-2}) in the rung values v, whose
-    residual is O(dv^2) where the previous solution's is O(dv).  It starts
-    from the previous rung's solution instead after a repeated value
-    (v_{k-1} = v_{k-2}), or when the predicted field is not finite or fails
-    admissible_frame.  newton_solve lifts the start onto the rung's
-    boundary data; each rung converges to within config.newton_tol, not
+    offers newton_solve two warm starts: the secant predictor
+    phi_{k-1} + w (phi_{k-1} - phi_{k-2}), w = (v_k - v_{k-1}) /
+    (v_{k-1} - v_{k-2}) in the rung values v, whose residual is O(dv^2)
+    where the previous solution's is O(dv), then the previous solution.
+    newton_solve lifts both onto the rung's boundary data and starts from
+    the admissible one of smaller residual, so round-off that a huge w
+    amplifies costs no step.  After a repeated value (v_{k-1} = v_{k-2}),
+    or when the predicted field is not finite, only the previous solution
+    is offered.  Each rung converges to within config.newton_tol, not
     necessarily to round-off.
 
     Raises ContinuationFailure, labelled name=value, at the first rung that
@@ -454,18 +489,17 @@ def _warm_start_ladder(grid: Grid, name: str, rungs,
     out = []
     older = warm = None     # (value, phi) of rungs k-2 and k-1
     for k, (value, boundary, profile) in enumerate(rungs):
-        start = None if warm is None else warm[1]
+        starts = None if warm is None else warm[1]
         if older is not None and warm[0] != older[0]:
             try:
                 with np.errstate(all="ignore"):     # non-finite fails below
                     w = (value - warm[0]) / (warm[0] - older[0])
                     guess = ScalarField(grid, warm[1].values + w * (
                         warm[1].values - older[1].values))
-                    admissible_frame(guess)
-                start = guess
-            except (GridError, InadmissibleError):
+                starts = (guess, warm[1])
+            except GridError:
                 pass
-        sol = newton_solve(grid, boundary, profile, config, initial=start)
+        sol = newton_solve(grid, boundary, profile, config, initial=starts)
         if not sol.converged:
             raise ContinuationFailure(k, name, value, sol)
         out.append(sol)

@@ -17,10 +17,10 @@ RUN_CHECKS_PEAK_B_PER_NODE = 179.0
 # lq_ratio alone on a fresh 33x64x64 cos solution peaks at 124.7 B per node;
 # the bound leaves a 10% margin.
 LQ_RATIO_PEAK_B_PER_NODE = 137.0
-# newton_solve on the 33x64x64 cos problem peaks at 310.1 B per node on the
-# square lattice, which has no xy plane, and at 317.5 on modulus 0.3+1.1j;
+# newton_solve on the 33x64x64 cos problem peaks at 302.1 B per node on the
+# square lattice, which has no xy plane, and at 309.5 on modulus 0.3+1.1j;
 # the bounds leave a 10% margin.
-SOLVE_PEAK_B_PER_NODE = {1j: 341.0, 0.3 + 1.1j: 349.0}
+SOLVE_PEAK_B_PER_NODE = {1j: 332.0, 0.3 + 1.1j: 340.0}
 
 
 def test_newton_solve_caches_no_complex_jet():
