@@ -17,10 +17,11 @@ import sys
 import numpy as np
 
 from . import io as hio
+from .grid import GridError
 from .leaves import LeafError, qb_along_leaf, trace_leaf
-from .solver import (ContinuationFailure, check_lambdas, check_schedule,
-                     continuation_solve, lambda_sweep, newton_solve,
-                     rhs_floor)
+from .solver import (ContinuationFailure, SolverError, check_lambdas,
+                     check_schedule, continuation_solve, lambda_sweep,
+                     newton_solve, rhs_floor)
 from .verify import (check_eps_monotone_limit, check_lambda_monotonicity,
                      check_metric_lower_bound_stability, jet_map_export,
                      q_field, run_checks, solution_meta)
@@ -127,10 +128,14 @@ def cmd_verify(args) -> int:
 
     from .solver import residual
     j = solution.phi.jets
+    try:
+        res = residual(solution.phi, solution.profile).values
+    except GridError:                   # 4 det h - eps_tilde overflowed
+        res = np.full(solution.grid.shape, np.nan)
     hio.write_fields_csv(
         os.path.join(out, "fields.csv"), solution.grid,
         {"Q": q_field(solution), "a": j.a, "abs_b": np.abs(j.b),
-         "residual": residual(solution.phi, solution.profile).values})
+         "residual": res})
     for rec in report.checks:
         tag = "vacuous" if rec.vacuous else ("pass" if rec.passed else "FAIL")
         print(f"{rec.name}: {tag} (measured {rec.measured:.6e}, "
@@ -260,7 +265,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (hio.ConfigError, hio.SnapshotError, OSError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    except ContinuationFailure as exc:
+    except SolverError as exc:      # a failed rung, or a cold start overflow
         return _fail(EXIT_SOLVER, str(exc))
     except MemoryError as exc:
         return _fail(EXIT_SOLVER,

@@ -39,6 +39,13 @@ class TorusLattice:
         if not (np.isfinite(self.modulus) and self.modulus.imag != 0.0):
             raise DegenerateLatticeError(
                 f"lattice modulus {self.modulus} must be finite with Im != 0")
+        # the stencils scale products of two coefficients by up to 8, so
+        # |c1| + |c2| < 1e153 keeps every product a finite float
+        c1, c2 = self.dz_coefficients
+        if not (abs(c2) > 0.0 and abs(c1) + abs(c2) < 1e153):
+            raise DegenerateLatticeError(
+                f"lattice modulus {self.modulus}: Wirtinger coefficients "
+                f"({c1}, {c2}) out of the float range")
 
     @property
     def dz_coefficients(self) -> tuple[complex, complex]:
@@ -128,21 +135,14 @@ def dy1(grid: Grid, v: np.ndarray) -> np.ndarray:
     return (p[:, :, 2:] - p[:, :, :-2]) / (2 * grid.hy)
 
 
-def dx2(grid: Grid, v: np.ndarray) -> np.ndarray:
-    p = _wrap(v, 1, 0)
-    return (p[:, 2:] - 2 * v + p[:, :-2]) / grid.hx**2
-
-
-def dy2(grid: Grid, v: np.ndarray) -> np.ndarray:
-    p = _wrap(v, 0, 1)
-    return (p[:, :, 2:] - 2 * v + p[:, :, :-2]) / grid.hy**2
-
-
-def dxy(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """4-point centered cross stencil for the mixed x,y derivative."""
+def second_diffs(grid: Grid, v: np.ndarray):
+    """(d_xx, d_xy, d_yy) of v from one periodically padded copy: central
+    second differences and the 4-point centered cross stencil."""
     p = _wrap(v, 1, 1)
-    return (p[:, 2:, 2:] - p[:, 2:, :-2] - p[:, :-2, 2:]
-            + p[:, :-2, :-2]) / (4 * grid.hx * grid.hy)
+    return ((p[:, 2:, 1:-1] - 2 * v + p[:, :-2, 1:-1]) / grid.hx**2,
+            (p[:, 2:, 2:] - p[:, 2:, :-2] - p[:, :-2, 2:]
+             + p[:, :-2, :-2]) / (4 * grid.hx * grid.hy),
+            (p[:, 1:-1, 2:] - 2 * v + p[:, 1:-1, :-2]) / grid.hy**2)
 
 
 def dt1(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -192,15 +192,15 @@ def wirt_parts(grid: Grid, px, py):
 
 def wirt_zz(grid: Grid, v: np.ndarray) -> np.ndarray:
     c1, c2 = grid.lattice.dz_coefficients
-    return c1**2 * dx2(grid, v) + 2 * c1 * c2 * dxy(grid, v) + c2**2 * dy2(grid, v)
+    xx, xy, yy = second_diffs(grid, v)
+    return c1**2 * xx + 2 * c1 * c2 * xy + c2**2 * yy
 
 
 def wirt_zzbar(grid: Grid, v: np.ndarray) -> np.ndarray:
     c1, c2 = grid.lattice.dz_coefficients
-    out = (abs(c1)**2 * dx2(grid, v)
-           + 2 * (c1 * np.conj(c2)).real * dxy(grid, v)
-           + abs(c2)**2 * dy2(grid, v))
-    return out
+    xx, xy, yy = second_diffs(grid, v)
+    return (abs(c1)**2 * xx + 2 * (c1 * np.conj(c2)).real * xy
+            + abs(c2)**2 * yy)
 
 
 def second_order_stencil(grid: Grid, planes: dict):
@@ -209,10 +209,10 @@ def second_order_stencil(grid: Grid, planes: dict):
     planes maps tt, xx, yy and any of xy, tx, ty (zero when missing) to
     real (nt-2, nx, ny) arrays; the returned apply(v, out=None) sums each
     plane times the matching central second difference of a real or
-    complex (nt, nx, ny) array v, the same differences as dt2, dx2, dy2,
-    dxy, dt1(dx1), dt1(dy1).  The stencil takes the planes over: mesh
-    factors are folded into them in place, once, so repeated applies only
-    do slice arithmetic in place.
+    complex (nt, nx, ny) array v, the same differences as dt2,
+    second_diffs, dt1(dx1) and dt1(dy1).  The stencil takes the planes
+    over: mesh factors are folded into them in place, once, so repeated
+    applies only do slice arithmetic in place.
     """
     nt, nx, ny = grid.shape
     ht, hx, hy = grid.ht, grid.hx, grid.hy
@@ -233,7 +233,7 @@ def second_order_stencil(grid: Grid, planes: dict):
     centre = -2.0 * (planes["tt"] + planes["xx"] + planes["yy"])
 
     def apply(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        p = np.pad(v, ((0, 0), (1, 1), (1, 1)), mode="wrap")
+        p = _wrap(v, 1, 1)
 
         def at(d):
             return p[1 + d[0]:nt - 1 + d[0], 1 + d[1]:nx + 1 + d[1],

@@ -81,6 +81,10 @@ def trace_leaf(solution: Solution, start: tuple, step: float = 0.01) -> LeafPath
         raise LeafError(f"start z = {z0} is not finite")
     if not 0.0 < step < np.inf:
         raise LeafError(f"step must be positive and finite, got {step}")
+    # t + step rounds back to t unless step exceeds half the float spacing
+    # at t, which is widest just below T_END
+    if not step > 0.5 * np.spacing(T_END - 1e-14):
+        raise LeafError(f"step {step} is too small to advance t")
     modulus = grid.lattice.modulus
     jets = solution.phi.jets
     d_tx, d_ty = jets.d_tx, jets.d_ty

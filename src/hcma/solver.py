@@ -149,6 +149,17 @@ class BoundarySpec:
         return a, b
 
     def validate(self, grid: Grid) -> None:
+        c1, c2 = grid.lattice.dz_coefficients
+        for which, modes in enumerate((self.phi0, self.phi1)):
+            for i, (kx, ky, _) in enumerate(modes):
+                try:        # |s| < 1e154 keeps |s|^2 a finite float
+                    ok = abs(2.0 * np.pi * (c1 * kx + c2 * ky)) < 1e154
+                except OverflowError:       # an int past the float range
+                    ok = False
+                if not ok:
+                    raise NonConvexBoundaryError(
+                        f"phi{which} mode {i}: wave numbers too large, the "
+                        f"derivatives leave the float range")
         for which in (0, 1):
             with np.errstate(all="ignore"):     # an overflow fails below
                 a, b = self.analytic_jets(grid, which)
@@ -367,10 +378,14 @@ def default_initial_guess(grid: Grid, boundary: BoundarySpec, profile) -> Scalar
     g, (m_r, m_i), _, _ = strip_h(ScalarField(grid, blend))
     need = 4.0 * (m_r * m_r + m_i * m_i) + profile.rhs_on(grid)[1:-1]
     np.divide(need, g, out=need, where=g > 0.0)   # no psi helps where g <= 0
-    n = grid.nt - 2             # psi'' = plane max on the interior planes
-    lap = (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)) / grid.ht**2
+    # psi's second differences are ht^2 times the plane maxima: summed once
+    # they are its first differences (up to a constant), summed twice psi
+    # itself, zero at t = 0; the linear term then makes psi(1) = 0
+    slope = np.zeros(grid.nt - 1)
+    np.cumsum(need.max(axis=(1, 2)) * grid.ht**2, out=slope[1:])
     psi = np.zeros(grid.nt)
-    psi[1:-1] = np.linalg.solve(lap, need.max(axis=(1, 2)))
+    np.cumsum(slope, out=psi[1:])
+    psi -= grid.t_values * psi[-1]
     blend += psi[:, None, None]
     return ScalarField(grid, blend)
 
@@ -380,8 +395,11 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
                  initial: ScalarField | tuple[ScalarField, ...] | None = None
                  ) -> Solution:
     """Damped Newton with admissibility-guarded backtracking line search.
-    One strip_h frame per field (each start, each candidate) gives its
-    admissibility and residual, and an accepted field's frame its Jacobian.
+    One evaluation per field (each start, each candidate) makes its strip_h
+    frame, which gives its admissibility and residual, and an accepted
+    field's frame its Jacobian.  A lifted start or a candidate that is not
+    finite, or whose residual overflows, is passed over like an
+    inadmissible one; such a cold start raises SolverError.
 
     initial is a warm start or a tuple of them.  Each is lifted onto the
     exact Dirichlet data by a linear-in-t correction, so different boundary
@@ -394,7 +412,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
     if isinstance(initial, ScalarField):
         initial = (initial,)
 
-    def frame_and_residual(phi):
+    def frame_and_residual(phi):    # GridError if the residual overflows
         frame = strip_h(phi)
         r = _det_residual(grid, frame[3], profile)
         return phi, frame, r, float(np.abs(r.values[1:-1]).max())
@@ -407,17 +425,20 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
             vals = (warm.values + (1.0 - t) * (p0 - warm.values[0])
                     + t * (p1 - warm.values[-1]))
             vals[0], vals[-1] = p0, p1
-            lifted = frame_and_residual(ScalarField(grid, vals))
             try:
+                lifted = frame_and_residual(ScalarField(grid, vals))
                 check_frame(lifted[1])
-            except InadmissibleError:
+            except (InadmissibleError, GridError):  # GridError: not finite
                 continue
             if start is None or lifted[3] < start[3]:
                 start = lifted
-        del vals, lifted        # only the start stays alive
+        vals = lifted = None    # only the start stays alive
     if start is None:
-        start = frame_and_residual(default_initial_guess(grid, boundary,
-                                                         profile))
+        try:
+            start = frame_and_residual(default_initial_guess(grid, boundary,
+                                                             profile))
+        except GridError as exc:
+            raise SolverError(f"cold start not finite: {exc}") from None
     phi, frame, r, rn = start
     del start           # frees the start's frame once linearize is done
 
@@ -450,20 +471,18 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         del jac             # freed before the line search allocates
         step = step.reshape(grid.shape)
         for halvings in range(config.max_halvings + 1):
-            cand = ScalarField(grid, phi.values + 0.5 ** halvings * step)
-            frame = strip_h(cand)
             try:                # margin-floored: stricter than admissibility
-                check_frame(frame, margin, det_floor)
-            except InadmissibleError:
+                cand = frame_and_residual(
+                    ScalarField(grid, phi.values + 0.5 ** halvings * step))
+                check_frame(cand[1], margin, det_floor)
+            except (InadmissibleError, GridError):
                 continue
-            r_cand = _det_residual(grid, frame[3], profile)
-            rn_cand = float(np.abs(r_cand.values[1:-1]).max())
-            if rn_cand < rn:
+            if cand[3] < rn:
                 break
         else:
             return finish("line-search-exhausted", rn, k)
-        phi, r, rn = cand, r_cand, rn_cand
-        del step, cand, r_cand          # freed before the next GMRES
+        phi, frame, r, rn = cand
+        del step, cand                  # freed before the next GMRES
         history.append(rn)
 
 

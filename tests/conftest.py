@@ -25,6 +25,22 @@ def strip_h_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def rk4_step_limit(monkeypatch):
+    """trace_leaf's stepper raises RuntimeError after 1000 steps, so a leaf
+    that never reaches t = 1 fails its test instead of hanging it."""
+    import hcma.leaves
+    real = hcma.leaves._rk4_steps
+
+    def bounded(*args):
+        for k, point in enumerate(real(*args)):
+            if k > 1000:
+                raise RuntimeError("rk4 step limit reached")
+            yield point
+
+    monkeypatch.setattr(hcma.leaves, "_rk4_steps", bounded)
+
+
 @pytest.fixture(scope="session")
 def grid_small():
     return make_grid(9, 16, 16)

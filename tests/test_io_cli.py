@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -642,6 +643,11 @@ REJECTED = {
     "phi1-nan": ("phi1 = 1,0,0.005,0", "phi1 = 1,0,nan,0"),
     "phi1-1e308": ("phi1 = 1,0,0.005,0", "phi1 = 1,0,1e308,0"),
     "phi1-inf": ("phi1 = 1,0,0.005,0", "phi1 = 1,0,inf,0"),
+    # Wirtinger coefficients or wave numbers that square past the float range
+    "modulus=1e-200j": ("ny = 16", "ny = 16\nmodulus = 1e-200j"),
+    "modulus=1e300+1j": ("ny = 16", "ny = 16\nmodulus = 1e300+1j"),
+    "phi1-kx=10**160": ("phi1 = 1,0,0.005,0", f"phi1 = {10**160},0,1e-3,0"),
+    "phi1-kx=10**400": ("phi1 = 1,0,0.005,0", f"phi1 = {10**400},0,1e-3,0"),
 }
 SWEEP_REJECTED = {
     "schedule-increasing": ("epsilon = 1e-3",
@@ -687,7 +693,8 @@ class TestCliFrontDoor:
         cfg = write_config(tmp_path, SWEEP_CONFIG.replace(old, new))
         out = tmp_path / "o"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_solve_ignores_the_lambda_ladder(self, tmp_path):
@@ -707,6 +714,47 @@ class TestCliFrontDoor:
                          "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: leaf ")
         assert not out.exists()
+
+    def test_step_too_small_to_advance_t_writes_nothing(
+            self, tmp_path, capsys, solved_snapshot, rk4_step_limit):
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace(
+            "starts = 0.0,0.25,0.5\nstep = 0.05",
+            "starts = 0.5,0.25,0.5\nstep = 1e-17"))
+        out = tmp_path / "o"
+        assert cli.main(["trace", "--snapshot", solved_snapshot,
+                         "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: leaf 0: step 1e-17 is too small to advance t\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_cold_start_overflow_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace(
+            "phi1 = 1,0,0.005,0", "phi1 = 0,0,1.7e308,0"))
+        out = tmp_path / "o"
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: cold start not finite: field contains non-finite "
+            "values\n")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_verify_overflowing_residual_writes_nan(self, tmp_path):
+        # 1e308 t^2 is finite, its second t-difference is not
+        grid = make_grid(9, 16, 16)
+        t = grid.t_values[:, None, None]
+        huge = Solution(phi=ScalarField(grid, 1e308 * t * t * np.ones(
+            grid.shape)), grid=grid, profile=AnnulusProfile(1e-3),
+            boundary=BoundarySpec(), converged=False, final_residual=0.0,
+            iterations=0)
+        snap = str(tmp_path / "huge.snap")
+        Snapshot.from_solution(huge, ExperimentConfig()).save(snap)
+        v = tmp_path / "v"
+        assert cli.main(["verify", "--snapshot", snap, "--out", str(v)]) == 4
+        with open(v / "fields.csv", newline="") as fh:
+            res = [row["residual"] for row in csv.DictReader(fh)]
+        assert set(res) == {"nan"}
 
     def test_checks_all_overrides_the_echo(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG.replace(
@@ -785,7 +833,8 @@ class TestCliFrontDoor:
             f"error: out of memory: {message or 'allocation failed'}\n")
 
     @pytest.mark.parametrize("modulus", [complex(float("nan"), 1.0),
-                                         complex(0.0, float("inf"))])
+                                         complex(0.0, float("inf")),
+                                         1e-200j, 1e300 + 1j])
     def test_verify_non_finite_modulus_exit_2(self, tmp_path, capsys,
                                               modulus):
         p = tmp_path / "m.snap"
@@ -830,3 +879,49 @@ class TestCliFrontDoor:
         cfg = write_config(tmp, text)
         assert cli.main(["solve", "--config", cfg,
                          "--out", str(tmp / "o")]) in (0, 2, 3)
+
+
+def extreme(tame):
+    """tame, or any finite float from subnormal to 1e308 of either sign."""
+    return st.one_of(st.just(tame),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+# small wave numbers, or any up to 10**400, past the float range
+WAVE_NUMBERS = st.one_of(st.integers(-2, 2), st.integers(-10**400, 10**400))
+
+
+@st.composite
+def extreme_configs(draw):
+    """Tiny-grid configs whose numbers are each tame or extreme."""
+    modes = st.lists(st.tuples(WAVE_NUMBERS, WAVE_NUMBERS, st.builds(
+        complex, extreme(0.005), extreme(0.0))), max_size=2)
+    return ExperimentConfig(
+        nt=draw(st.integers(3, 9)), nx=draw(st.integers(4, 8)),
+        ny=draw(st.integers(4, 8)),
+        modulus=complex(draw(extreme(0.3)), draw(extreme(1.1))),
+        profile_kind=draw(st.sampled_from(["annulus", "constant"])),
+        epsilon=draw(extreme(1e-3)), epsilon0=draw(extreme(0.25)),
+        phi0_modes=tuple(draw(modes)), phi1_modes=tuple(draw(modes)),
+        newton_tol=draw(extreme(1e-10)),
+        admissibility_margin=draw(extreme(1e-8)))
+
+
+class TestCliFuzz:
+    @given(config=extreme_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_solve_then_verify_exit_codes(self, tmp_path_factory, config):
+        # numpy's overflow warnings print and the CLI carries on; here they
+        # would be errors, so they are ignored and only exit codes are read
+        tmp = tmp_path_factory.mktemp("fuzz")
+        cfg = write_config(tmp, config.serialize())
+        out = tmp / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main(["solve", "--config", cfg, "--out", str(out)])
+            assert code in (0, 2, 3)
+            if code == 2:       # rejected before anything is written
+                assert not out.exists()
+            for snap in sorted(out.glob("*.snap")) if out.exists() else []:
+                assert cli.main(["verify", "--snapshot", str(snap),
+                                 "--out", str(tmp / "v")]) in (0, 2, 3, 4)

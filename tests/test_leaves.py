@@ -72,6 +72,20 @@ class TestTraceLeaf:
         with pytest.raises(LeafError):
             trace_leaf(sol_zero_const, start, step=step)
 
+    @pytest.mark.parametrize("t0", [0.0, 0.5])
+    def test_step_too_small_to_advance_t(self, sol_zero_const,
+                                         rk4_step_limit, t0):
+        # 1e-17 is below half the float spacing on [0.5, 1): t + step == t
+        with pytest.raises(LeafError, match="too small to advance t"):
+            trace_leaf(sol_zero_const, (t0, 0j), step=1e-17)
+
+    def test_smallest_advancing_step_is_accepted(self, sol_zero_const,
+                                                 rk4_step_limit):
+        # just over half the spacing: slow, but every step advances t
+        step = np.nextafter(0.5 * np.spacing(0.75), 1.0)
+        with pytest.raises(RuntimeError, match="step limit"):
+            trace_leaf(sol_zero_const, (0.5, 0j), step=step)
+
     def test_lattice_wrap(self, sol_cos):
         # starts one period apart follow identical wrapped paths
         p0 = trace_leaf(sol_cos, (0.0, 0.25 + 0j), step=0.05)

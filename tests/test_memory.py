@@ -9,6 +9,7 @@ import pytest
 
 from conftest import COS_BOUNDARY
 from hcma import AnnulusProfile, make_grid, newton_solve
+from hcma.solver import default_initial_guess
 from hcma.verify import run_checks
 
 # run_checks on the 33x64x64 cos solution peaks at 162.8 B per node (numpy
@@ -21,6 +22,10 @@ LQ_RATIO_PEAK_B_PER_NODE = 137.0
 # square lattice, which has no xy plane, and at 309.5 on modulus 0.3+1.1j;
 # the bounds leave a 10% margin.
 SOLVE_PEAK_B_PER_NODE = {1j: 332.0, 0.3 + 1.1j: 340.0}
+# default_initial_guess on the 2049x4x4 cos problem peaks at 112.6 B per
+# node, a handful of grid arrays; the bound leaves a 10% margin.  One dense
+# (nt-2)^2 float matrix alone would take 1022 B per node there.
+GUESS_PEAK_B_PER_NODE = 124.0
 
 
 def test_newton_solve_caches_no_complex_jet():
@@ -79,3 +84,14 @@ def test_newton_solve_peak_bytes_per_node(modulus):
         tracemalloc.stop()
     assert sol.converged
     assert peak / grid.n_nodes < SOLVE_PEAK_B_PER_NODE[modulus]
+
+
+def test_initial_guess_peak_bytes_per_node():
+    grid = make_grid(2049, 4, 4)
+    tracemalloc.start()
+    try:
+        default_initial_guess(grid, COS_BOUNDARY, AnnulusProfile(1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / grid.n_nodes < GUESS_PEAK_B_PER_NODE

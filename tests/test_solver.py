@@ -12,7 +12,7 @@ from hcma.quantities import (InadmissibleError, NonConvexBoundaryError,
                              admissible_frame, check_frame,
                              h_coefficient_planes, strip_h)
 from hcma.solver import (LINEAR_RTOL, ContinuationFailure, Solution,
-                         SolverConfig, _SeparablePreconditioner,
+                         SolverConfig, SolverError, _SeparablePreconditioner,
                          _det_residual, check_lambdas, check_schedule,
                          default_initial_guess, linearize, residual)
 
@@ -153,6 +153,16 @@ class TestBoundarySpec:
         # no numpy warning on the way: tier-1 turns warnings into errors
         with pytest.raises(NonConvexBoundaryError, match="not omega_0-convex"):
             BoundarySpec(phi1=((1, 0, amp),)).validate(make_grid(5, 16, 16))
+
+    @pytest.mark.parametrize("k", [10**160, 10**400], ids=["1e160", "1e400"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_wave_number_past_float_range_rejected(self, k, which):
+        # |s|^2 overflows a Python float; 10**400 is no float at all
+        modes = ((1, 0, 0.001), (0, k, 0.001))
+        with pytest.raises(NonConvexBoundaryError,
+                           match=f"phi{which} mode 1: wave numbers too large"):
+            BoundarySpec(**{f"phi{which}": modes}).validate(
+                make_grid(5, 16, 16, 0.3 + 1.1j))
 
     def test_nan_mode_rejected(self):
         with pytest.raises(NonConvexBoundaryError, match="gap nan"):
@@ -421,6 +431,39 @@ class TestLineSearch:
                             initial=cold.phi)
         assert warm.converged and warm.iterations == 3
         assert len(strip_h_calls) == 4
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+class TestOverflowingFields:
+    """A finite field whose residual 4 det h - eps_tilde overflows (its
+    Phi_tt does, for 1e308 t^2 on 9 t-planes) is never a start or an
+    accepted candidate, and a cold start that is not finite ends the solve
+    with SolverError."""
+
+    def test_warm_start_passed_over(self, grid_small):
+        t = grid_small.t_values[:, None, None]
+        huge = ScalarField(grid_small, 1e308 * t * t * np.ones(
+            grid_small.shape))
+        sol = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3),
+                           initial=huge)
+        assert sol.converged and sol.iterations == 2    # started cold
+
+    def test_candidate_passed_over(self, grid_small, monkeypatch):
+        import hcma.solver
+        t = grid_small.t_values[:, None, None]
+        monkeypatch.setattr(hcma.solver, "_solve_linear",
+                            lambda jac, rhs, rtol: 1e308 * t * t * np.ones(
+                                grid_small.shape))
+        sol = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
+        assert sol.message == "line-search-exhausted"
+
+    @pytest.mark.parametrize("amps", [(1.7e308,), (-8.99e307, -8.99e307)],
+                             ids=["one-mode", "sum-overflows"])
+    def test_cold_start_raises(self, grid_small, amps):
+        boundary = BoundarySpec(phi1=tuple((0, 0, a) for a in amps))
+        with pytest.raises(SolverError, match="cold start not finite"):
+            newton_solve(grid_small, boundary, AnnulusProfile(1e-3))
 
 
 class TestLadderChecks:
