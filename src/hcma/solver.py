@@ -160,7 +160,6 @@ class BoundarySpec:
                     raise NonConvexBoundaryError(
                         f"phi{which} mode {i}: wave numbers too large, the "
                         f"derivatives leave the float range")
-        for which in (0, 1):
             with np.errstate(all="ignore"):     # an overflow fails below
                 a, b = self.analytic_jets(grid, which)
                 gap = (1.0 + a) - np.abs(b)
