@@ -207,10 +207,10 @@ def second_order_stencil(grid: Grid, planes: dict):
     """Variable-coefficient second-order operator on the interior t-planes.
 
     planes maps tt, xx, yy and any of xy, tx, ty (zero when missing) to
-    real (nt-2, nx, ny) arrays; the returned apply(v, out=None) sums each
-    plane times the matching central second difference of a real or
-    complex (nt, nx, ny) array v, the same differences as dt2,
-    second_diffs, dt1(dx1) and dt1(dy1).  The stencil takes the planes
+    real (nt-2, nx, ny) arrays; the returned apply(v) sums each plane times
+    the matching central second difference of a real or complex (nt, nx,
+    ny) array v into a new (nt-2, nx, ny) array, the same differences as
+    dt2, second_diffs, dt1(dx1) and dt1(dy1).  The stencil takes the planes
     over: mesh factors are folded into them in place, once, so repeated
     applies only do slice arithmetic in place.
     """
@@ -232,14 +232,14 @@ def second_order_stencil(grid: Grid, planes: dict):
             legs.append((planes[key], plus, minus))
     centre = -2.0 * (planes["tt"] + planes["xx"] + planes["yy"])
 
-    def apply(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def apply(v: np.ndarray) -> np.ndarray:
         p = _wrap(v, 1, 1)
 
         def at(d):
             return p[1 + d[0]:nt - 1 + d[0], 1 + d[1]:nx + 1 + d[1],
                      1 + d[2]:ny + 1 + d[2]]
 
-        out = np.multiply(at((0, 0, 0)), centre, out=out)
+        out = at((0, 0, 0)) * centre
         tmp = np.empty_like(out)
         for coeff, (d1, d2), minus in legs:
             np.add(at(d1), at(d2), out=tmp)

@@ -223,16 +223,15 @@ class Solution:
 # --- residual and linearization ---------------------------------------------
 
 def residual(phi: ScalarField, profile) -> ScalarField:
-    """Interior residual Phi_tt (1+a) - |Phi_tzbar|^2 - eps_tilde, that is
-    4 det h - eps_tilde; boundary 0."""
-    return _det_residual(phi.grid, strip_h(phi)[3], profile)
+    """Residual Phi_tt (1+a) - |Phi_tzbar|^2 - eps_tilde, that is 4 det h -
+    eps_tilde, on the interior t-planes; 0 on the two Dirichlet planes."""
+    r = _det_residual(phi.grid, strip_h(phi)[3], profile)
+    return ScalarField(phi.grid, np.pad(r, ((1, 1), (0, 0), (0, 0))))
 
 
-def _det_residual(grid: Grid, det, profile) -> ScalarField:
-    """residual of the field whose strip_h frame has this det."""
-    r = np.zeros(grid.shape)
-    r[1:-1] = 4.0 * det - profile.rhs_on(grid)[1:-1]
-    return ScalarField(grid, r)
+def _det_residual(grid: Grid, det, profile) -> np.ndarray:
+    """Interior 4 det h - eps_tilde of the field whose strip_h det this is."""
+    return 4.0 * det - profile.rhs_on(grid)[1:-1]
 
 
 def rhs_floor(profile, grid: Grid) -> float:
@@ -249,47 +248,46 @@ def rhs_floor(profile, grid: Grid) -> float:
 
 
 def linearize(grid: Grid, frame) -> spla.LinearOperator:
-    """Exact Jacobian of the interior residual; identity rows on t-planes.
+    """Exact Jacobian of the interior residual in the (nt-2) nx ny interior
+    unknowns, since a Newton correction vanishes on the Dirichlet planes.
 
     First variation: (1+a) dPhi_tt + Phi_tt da - 2 Re(Phi_tz dPhi_tzbar),
     expressed through the same central stencils the residual uses, so Newton
-    is exactly quadratic.  Applied matrix-free: it is 4 det(h) times the
-    verifier's h_contract, through the same stencil planes, which also
-    build the operator's ``preconditioner``.  The caller passes the
-    iterate's strip_h frame, checked by check_frame; no frame is built here.
+    is exactly quadratic.  Applied matrix-free between two zero t-planes: it
+    is 4 det(h) times the verifier's h_contract, through the same stencil
+    planes, which also build the operator's ``preconditioner``.  The caller
+    passes the iterate's strip_h frame, checked by check_frame.
     """
     planes = h_coefficient_planes(grid, *frame[:3])
     preconditioner = _SeparablePreconditioner(grid, planes)
     apply = second_order_stencil(grid, planes)      # scales the planes
 
     def matvec(x):
-        v = x.reshape(grid.shape)
-        out = np.empty(grid.shape)
-        out[0], out[-1] = v[0], v[-1]            # Dirichlet identity rows
-        apply(v, out=out[1:-1])
-        return out.ravel()
+        v = np.pad(x.reshape(-1, grid.nx, grid.ny), ((1, 1), (0, 0), (0, 0)))
+        return apply(v).ravel()
 
-    n = grid.n_nodes
+    n = (grid.nt - 2) * grid.nx * grid.ny
     jac = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     jac.preconditioner = preconditioner
     return jac
 
 
 class _SeparablePreconditioner:
-    """Fast approximate inverse of the Jacobian.
+    """Fast approximate inverse of the Jacobian, on the interior unknowns.
 
     Uses the separable averaged operator ptt(t) d_tt + pxx(t) d_xx +
-    pyy(t) d_yy (plane means of the true coefficients, mixed terms dropped),
-    diagonal under the real FFT in x, y and tridiagonal in t: its Thomas
-    pivot reciprocals and factors cp are computed once, and an apply is an
-    rfft2, a forward and back sweep in place, and an irfft2.  GMRES then
-    needs a handful of iterations for the small variable-coefficient and
+    pyy(t) d_yy (plane means of the true coefficients, mixed terms dropped,
+    zero on the Dirichlet planes), diagonal under the real FFT in x, y and
+    tridiagonal in t: its Thomas pivot reciprocals and factors cp are
+    computed once, and an apply is an rfft2 of the nt-2 interior planes, a
+    forward and back sweep in place, and an irfft2.  GMRES then needs a
+    handful of iterations for the small variable-coefficient and
     mixed-stencil corrections.
     """
 
     def __init__(self, grid: Grid, coeffs: dict):
         nt, nx, ny = grid.shape
-        self.grid = grid
+        self.shape = (nt - 2, nx, ny)
         pxx_t = coeffs["xx"].mean(axis=(1, 2))
         pyy_t = coeffs["yy"].mean(axis=(1, 2))
         lam_x = (2.0 * np.cos(2.0 * np.pi * np.arange(nx) / nx) - 2.0) / grid.hx**2
@@ -308,13 +306,9 @@ class _SeparablePreconditioner:
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         self.applies += 1
-        grid, off, inv, cp = self.grid, self.off, self.inv, self.cp
-        r = v.reshape(grid.shape)
-        out = np.empty(grid.shape)
-        out[0], out[-1] = r[0], r[-1]                  # identity rows
-        rhs = np.fft.rfft2(r[1:-1], out=np.empty_like(inv, dtype=complex))
-        rhs[0] -= off[0] * np.fft.rfft2(r[0])
-        rhs[-1] -= off[-1] * np.fft.rfft2(r[-1])
+        off, inv, cp = self.off, self.inv, self.cp
+        rhs = np.fft.rfft2(v.reshape(self.shape),
+                           out=np.empty_like(inv, dtype=complex))
         rhs[0] *= inv[0]
         for k in range(1, len(rhs)):
             rhs[k] -= off[k] * rhs[k - 1]
@@ -322,7 +316,7 @@ class _SeparablePreconditioner:
         for k in range(len(rhs) - 2, -1, -1):
             rhs[k] -= cp[k] * rhs[k + 1]
         # irfft2 as its two 1-D passes, in place: irfft2 ignores out=
-        np.fft.irfft(np.fft.ifft(rhs, axis=1, out=rhs), grid.ny, out=out[1:-1])
+        out = np.fft.irfft(np.fft.ifft(rhs, axis=1, out=rhs), self.shape[2])
         return out.ravel()
 
 
@@ -335,8 +329,8 @@ def _solve_linear(jac: spla.LinearOperator, rhs, rtol: float) -> np.ndarray:
     otherwise SolverError carries the preconditioner applies (one per
     iteration plus one per restart), scipy's info (which reads maxiter
     whenever GMRES stops short, after a breakdown too) and the relative
-    residual, or the size of the (restart + 1) n float64 workspace it ran
-    out of.
+    residual, or the size of the workspace it ran out of: (restart + 1)
+    float64 vectors of the (nt-2) nx ny interior unknowns.
     """
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
@@ -414,7 +408,10 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
     def frame_and_residual(phi):    # GridError if the residual overflows
         frame = strip_h(phi)
         r = _det_residual(grid, frame[3], profile)
-        return phi, frame, r, float(np.abs(r.values[1:-1]).max())
+        rn = float(np.abs(r).max())
+        if not rn < np.inf:
+            raise GridError("field contains non-finite values")
+        return phi, frame, r, rn
 
     start = None        # (phi, frame, r, rn)
     if initial:
@@ -463,16 +460,17 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         del frame                               # neither is read again:
         phi.jets = JetFields(grid, phi.values)  # freed before GMRES allocates
         try:
-            step = _solve_linear(jac, -r.values.ravel(),
+            step = _solve_linear(jac, r.ravel(),
                                  min(1e-2, max(rn, LINEAR_RTOL)))
         except SolverError as exc:
             return finish(f"linear-solve-failure: {exc}", rn, k)
         del jac             # freed before the line search allocates
-        step = step.reshape(grid.shape)
+        step = step.reshape(r.shape)    # J step = r: phi's interior - step
         for halvings in range(config.max_halvings + 1):
+            vals = np.array(phi.values)
+            vals[1:-1] -= 0.5 ** halvings * step
             try:                # margin-floored: stricter than admissibility
-                cand = frame_and_residual(
-                    ScalarField(grid, phi.values + 0.5 ** halvings * step))
+                cand = frame_and_residual(ScalarField(grid, vals))
                 check_frame(cand[1], margin, det_floor)
             except (InadmissibleError, GridError):
                 continue
@@ -481,7 +479,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         else:
             return finish("line-search-exhausted", rn, k)
         phi, frame, r, rn = cand
-        del step, cand                  # freed before the next GMRES
+        del step, cand, vals            # freed before the next GMRES
         history.append(rn)
 
 

@@ -499,7 +499,7 @@ class TestCliEndToEnd:
                          "--out", out]) == 3
         assert capsys.readouterr().err == (
             "error: solver failed: linear-solve-failure: out of memory for a "
-            f"gmres workspace of {21 * 9 * 16 * 16 * 8} bytes\n")
+            f"gmres workspace of {21 * 7 * 16 * 16 * 8} bytes\n")
 
     def test_unconverged_snapshot_verify_exit_4(self, tmp_path):
         text = SMALL_CONFIG + "\n[solver]\nmax_newton_iters = 0\n"

@@ -219,14 +219,17 @@ class TestLinearize:
         base = ScalarField.from_function(
             g, lambda t, x, y: (eps0 / 2) * t**2 + 0 * x)
         jac = linearize(g, admissible_frame(base))
-        v_t = ScalarField.from_function(g, lambda t, x, y: t**2 + 0 * x)
-        out = (jac @ v_t.values.ravel()).reshape(g.shape)
-        assert np.allclose(out[1:-1], 2.0)
+        interior = (g.nt - 2, g.nx, g.ny)
+        # inputs vanish on both Dirichlet planes: t(t-1) has d_tt = 2
+        v_t = ScalarField.from_function(g, lambda t, x, y: t * (t - 1) + 0 * x)
+        out = (jac @ v_t.values[1:-1].ravel()).reshape(interior)
+        assert np.allclose(out, 2.0)
+        cos_x = np.cos(2 * np.pi * g.x_values)[:, None]
         v_x = ScalarField.from_function(
-            g, lambda t, x, y: np.cos(2 * np.pi * x) + 0 * t)
-        out = (jac @ v_x.values.ravel()).reshape(g.shape)
-        expected = eps0 * v_x.jets.a[1:-1]        # eps0 * delta-a term
-        assert np.allclose(out[1:-1], expected, atol=1e-10)
+            g, lambda t, x, y: np.cos(2 * np.pi * x) * t * (t - 1))
+        out = (jac @ v_x.values[1:-1].ravel()).reshape(interior)
+        expected = 2.0 * cos_x + eps0 * v_x.jets.a[1:-1]  # + eps0 * delta-a
+        assert np.allclose(out, expected, atol=1e-10)
 
     def test_directional_derivative(self):
         g = make_grid(7, 8, 8)
@@ -238,12 +241,12 @@ class TestLinearize:
         v = rng.standard_normal(g.shape)
         v[0] = v[-1] = 0.0
         jac = linearize(g, admissible_frame(base))
-        jv = (jac @ v.ravel()).reshape(g.shape)
+        jv = (jac @ v[1:-1].ravel()).reshape(g.nt - 2, g.nx, g.ny)
         errs = []
         for s in (1e-3, 5e-4, 2.5e-4):
             fd = (residual(ScalarField(g, base.values + s * v), prof).values
                   - residual(base, prof).values) / s
-            errs.append(np.abs(fd[1:-1] - jv[1:-1]).max())
+            errs.append(np.abs(fd[1:-1] - jv).max())
         # first-order in s (the residual is quadratic in phi)
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.1)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.1)
@@ -253,6 +256,16 @@ class TestLinearize:
         fld = ScalarField.from_function(g, lambda t, x, y: -2.0 * t**2 + 0 * x)
         with pytest.raises(InadmissibleError):
             linearize(g, admissible_frame(fld))
+
+    def test_interior_unknowns_only(self, sol_cos):
+        # a correction vanishes on the Dirichlet planes: no identity rows
+        g = sol_cos.grid
+        n = (g.nt - 2) * g.nx * g.ny
+        jac = linearize(g, admissible_frame(sol_cos.phi))
+        assert jac.shape == (n, n)
+        x = np.random.default_rng(2).standard_normal(n)
+        assert (jac @ x).shape == (n,)
+        assert jac.preconditioner.solve(x).shape == (n,)
 
     def test_builds_no_strip_frame(self, sol_cos, strip_h_calls):
         frame = admissible_frame(sol_cos.phi)
@@ -378,7 +391,7 @@ class TestInitialGuess:
                        1.5 + np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)))
                    }[kind]
         phi = default_initial_guess(grid, boundary, profile)
-        r = _det_residual(grid, strip_h(phi)[3], profile).values[1:-1]
+        r = _det_residual(grid, strip_h(phi)[3], profile)
         tol = 1e-13 * profile.rhs_on(grid).max()
         assert r.min() >= -tol
         # psi_tt is the plane max itself: each plane touches 0
@@ -452,9 +465,10 @@ class TestOverflowingFields:
     def test_candidate_passed_over(self, grid_small, monkeypatch):
         import hcma.solver
         t = grid_small.t_values[:, None, None]
+        # the candidate phi + 1e308 t^2: Newton subtracts the interior step
         monkeypatch.setattr(hcma.solver, "_solve_linear",
-                            lambda jac, rhs, rtol: 1e308 * t * t * np.ones(
-                                grid_small.shape))
+                            lambda jac, rhs, rtol: -1e308 * (t * t * np.ones(
+                                grid_small.shape))[1:-1])
         sol = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
         assert sol.message == "line-search-exhausted"
 
@@ -715,11 +729,11 @@ class TestSharedOperator:
         assert np.abs(m).max() > 1e-3           # mixed t-z terms present
         rng = np.random.default_rng(7)
         w = rng.standard_normal(g.shape)
-        jw = (linearize(g, frame) @ w.ravel()).reshape(g.shape)
+        w[0] = w[-1] = 0.0                      # zero on the Dirichlet planes
+        jw = (linearize(g, frame) @ w[1:-1].ravel()).reshape(det.shape)
         hw = h_contract(sol, w, frame)
-        assert np.allclose(jw[1:-1], 4.0 * det * hw, rtol=1e-13,
-                           atol=1e-13 * np.abs(jw[1:-1]).max())
-        assert np.array_equal(jw[[0, -1]], w[[0, -1]])
+        assert np.allclose(jw, 4.0 * det * hw, rtol=1e-13,
+                           atol=1e-13 * np.abs(jw).max())
         # reference: the Wirtinger form built from the grid's own stencils
         ref = (gg * 0.25 * dt2(g, w)[1:-1]
                - m * 0.5 * dt1(g, wirt_z(g, w))[1:-1]
@@ -777,10 +791,11 @@ class TestLinearSolve:
         sol = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
         assert not sol.converged
         assert sol.iterations == 0
-        # GMRES(20) holds 21 Krylov vectors of n float64
+        # GMRES(20) holds 21 Krylov vectors, one float64 per interior node
+        nt, nx, ny = grid_small.shape
         assert sol.message == ("linear-solve-failure: out of memory for a "
                                "gmres workspace of "
-                               f"{21 * grid_small.n_nodes * 8} bytes")
+                               f"{21 * (nt - 2) * nx * ny * 8} bytes")
 
     def test_forcing_terms_follow_the_residual(self, grid_mid, no_splu,
                                                monkeypatch):
@@ -801,8 +816,8 @@ class TestLinearSolve:
 
     @pytest.mark.parametrize("shape", [(7, 8, 6), (6, 6, 7), (5, 5, 9)])
     def test_preconditioner_is_the_separable_solve(self, shape):
-        # dense reference: plane means of the tt, xx, yy coefficients on
-        # the interior t-planes, identity rows on the two boundary planes
+        # dense reference on the interior unknowns: plane means of the tt,
+        # xx, yy coefficients on the interior t-planes, zero Dirichlet planes
         grid = make_grid(*shape)
         nt, nx, ny = shape
         rng = np.random.default_rng(3)
@@ -818,17 +833,18 @@ class TestLinearSolve:
         lap_x = np.kron(d2(nx, grid.hx), np.eye(ny))
         lap_y = np.kron(np.eye(nx), d2(ny, grid.hy))
         m = nx * ny
-        dense = np.eye(grid.n_nodes)
-        for i in range(1, nt - 1):
-            ptt, pxx, pyy = (planes[key][i - 1].mean()
+        dense = np.zeros(((nt - 2) * m, (nt - 2) * m))
+        for i in range(nt - 2):
+            ptt, pxx, pyy = (planes[key][i].mean()
                              for key in ("tt", "xx", "yy"))
             rows = dense[i * m:(i + 1) * m]
-            rows[:] = 0.0
             off = ptt / grid.ht**2 * np.eye(m)
-            rows[:, (i - 1) * m:i * m] = off
-            rows[:, (i + 1) * m:(i + 2) * m] = off
+            if i > 0:
+                rows[:, (i - 1) * m:i * m] = off
+            if i < nt - 3:
+                rows[:, (i + 1) * m:(i + 2) * m] = off
             rows[:, i * m:(i + 1) * m] = -2.0 * off + pxx * lap_x + pyy * lap_y
-        v = rng.standard_normal(grid.n_nodes)
+        v = rng.standard_normal((nt - 2) * m)
         ref = np.linalg.solve(dense, v)
         got = _SeparablePreconditioner(grid, planes).solve(v)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
