@@ -136,17 +136,20 @@ class BoundarySpec:
         return out
 
     def analytic_jets(self, grid: Grid, which: int):
-        """Analytic (a, b) = (Phi_zzbar, Phi_zz) of the evaluated field: on
-        a mode d/dz is the factor i s, s = 2 pi (c1 kx + c2 ky), so a mode
-        w adds -|s|^2 w to a and -s^2 w to b."""
+        """The evaluated plane and its analytic (a, b) = (Phi_zzbar, Phi_zz),
+        in one loop over the modes: on a mode d/dz is the factor i s, s =
+        2 pi (c1 kx + c2 ky), so a mode w adds -|s|^2 w to a and -s^2 w to
+        b."""
         c1, c2 = grid.lattice.dz_coefficients
+        plane = np.zeros((grid.nx, grid.ny))
         a = np.zeros((grid.nx, grid.ny))
         b = np.zeros((grid.nx, grid.ny), dtype=complex)
         for kx, ky, w in self._modes(grid, which):
             s = 2.0 * np.pi * (c1 * kx + c2 * ky)
+            plane += w
             a -= abs(s) ** 2 * w
             b -= s ** 2 * w
-        return a, b
+        return plane, a, b
 
     def validate(self, grid: Grid) -> None:
         c1, c2 = grid.lattice.dz_coefficients
@@ -161,13 +164,17 @@ class BoundarySpec:
                         f"phi{which} mode {i}: wave numbers too large, the "
                         f"derivatives leave the float range")
             with np.errstate(all="ignore"):     # an overflow fails below
-                a, b = self.analytic_jets(grid, which)
+                plane, a, b = self.analytic_jets(grid, which)
                 gap = (1.0 + a) - np.abs(b)
             bad = np.unravel_index(np.argmin(gap), gap.shape)   # NaN if any
             if not gap[bad] > 0.0:
                 raise NonConvexBoundaryError(
                     f"phi{which} not omega_0-convex: gap {gap[bad]:.3e} at "
                     f"node (x,y)={tuple(map(int, bad))}")
+            if not np.isfinite(plane).all():
+                raise NonConvexBoundaryError(
+                    f"phi{which} not finite on the grid: its modes sum past "
+                    f"the float range")
 
     def scaled(self, lam: float) -> "BoundarySpec":
         sc = lambda modes: tuple((kx, ky, lam * complex(amp))

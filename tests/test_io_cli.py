@@ -648,6 +648,9 @@ REJECTED = {
     "modulus=1e300+1j": ("ny = 16", "ny = 16\nmodulus = 1e300+1j"),
     "phi1-kx=10**160": ("phi1 = 1,0,0.005,0", f"phi1 = {10**160},0,1e-3,0"),
     "phi1-kx=10**400": ("phi1 = 1,0,0.005,0", f"phi1 = {10**400},0,1e-3,0"),
+    # two (0, 0) modes, each finite, whose sum on the grid is not
+    "phi1-sum=-1.8e308": ("phi1 = 1,0,0.005,0",
+                          "phi1 = 0,0,-8.99e307,0; 0,0,-8.99e307,0"),
 }
 SWEEP_REJECTED = {
     "schedule-increasing": ("epsilon = 1e-3",

@@ -115,8 +115,9 @@ class TestBoundarySpec:
         modes = FOUR_MODES.phi1 if which else FOUR_MODES.phi0
         assert np.array_equal(FOUR_MODES.evaluate(g, which),
                               reference_eval_modes(modes, g))
-        for got, want in zip(FOUR_MODES.analytic_jets(g, which),
-                             reference_mode_jets(modes, g)):
+        plane, *jets = FOUR_MODES.analytic_jets(g, which)
+        assert np.array_equal(plane, FOUR_MODES.evaluate(g, which))
+        for got, want in zip(jets, reference_mode_jets(modes, g)):
             assert got.dtype == want.dtype
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -131,7 +132,7 @@ class TestBoundarySpec:
     def test_analytic_jets_match_discrete(self):
         g = make_grid(5, 64, 64)
         b = BoundarySpec(phi1=((1, 0, 0.005),))
-        a_an, b_an = b.analytic_jets(g, 1)
+        _, a_an, b_an = b.analytic_jets(g, 1)
         fld = ScalarField.from_function(
             g, lambda t, x, y: 0.005 * np.cos(2 * np.pi * x) + 0 * t)
         assert np.abs(fld.jets.a[2] - a_an).max() < 5e-4
@@ -163,6 +164,15 @@ class TestBoundarySpec:
                            match=f"phi{which} mode 1: wave numbers too large"):
             BoundarySpec(**{f"phi{which}": modes}).validate(
                 make_grid(5, 16, 16, 0.3 + 1.1j))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_plane_past_float_range_rejected(self, which):
+        # (0, 0) modes have a = b = 0: only their sum leaves the float range
+        modes = ((0, 0, -8.99e307), (0, 0, -8.99e307))
+        with pytest.raises(NonConvexBoundaryError,
+                           match=f"phi{which} not finite on the grid"):
+            BoundarySpec(**{f"phi{which}": modes}).validate(
+                make_grid(5, 16, 16))
 
     def test_nan_mode_rejected(self):
         with pytest.raises(NonConvexBoundaryError, match="gap nan"):
@@ -472,11 +482,14 @@ class TestOverflowingFields:
         sol = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
         assert sol.message == "line-search-exhausted"
 
-    @pytest.mark.parametrize("amps", [(1.7e308,), (-8.99e307, -8.99e307)],
-                             ids=["one-mode", "sum-overflows"])
-    def test_cold_start_raises(self, grid_small, amps):
+    @pytest.mark.parametrize("amps, error, match", [
+        ((1.7e308,), SolverError, "cold start not finite"),
+        # a plane that is not finite is a boundary error, before any solve
+        ((-8.99e307, -8.99e307), NonConvexBoundaryError, "phi1 not finite")],
+        ids=["one-mode", "sum-overflows"])
+    def test_cold_start_raises(self, grid_small, amps, error, match):
         boundary = BoundarySpec(phi1=tuple((0, 0, a) for a in amps))
-        with pytest.raises(SolverError, match="cold start not finite"):
+        with pytest.raises(error, match=match):
             newton_solve(grid_small, boundary, AnnulusProfile(1e-3))
 
 
