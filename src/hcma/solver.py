@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grid import (Grid, GridError, JetFields, ScalarField,
-                   second_order_stencil)
+from .grid import (Grid, GridError, JetFields, ScalarField, dx1, dy1,
+                   second_order_stencil, wirt_parts, wirt_zzbar)
 from .quantities import (InadmissibleError, NonConvexBoundaryError,
                          admissible_frame, check_frame, h_coefficient_planes,
                          strip_h)
@@ -136,10 +136,9 @@ class BoundarySpec:
         return out
 
     def analytic_jets(self, grid: Grid, which: int):
-        """The evaluated plane and its analytic (a, b) = (Phi_zzbar, Phi_zz),
-        in one loop over the modes: on a mode d/dz is the factor i s, s =
-        2 pi (c1 kx + c2 ky), so a mode w adds -|s|^2 w to a and -s^2 w to
-        b."""
+        """The evaluated plane and its analytic (a, b) = (Phi_zzbar, Phi_zz):
+        on a mode d/dz is the factor i s, s = 2 pi (c1 kx + c2 ky), so a
+        mode w adds w to the plane, -|s|^2 w to a and -s^2 w to b."""
         c1, c2 = grid.lattice.dz_coefficients
         plane = np.zeros((grid.nx, grid.ny))
         a = np.zeros((grid.nx, grid.ny))
@@ -366,28 +365,30 @@ def default_initial_guess(grid: Grid, boundary: BoundarySpec, profile) -> Scalar
     convex psi(t) with psi(0) = psi(1) = 0 (X. X. Chen's continuity start).
 
     On each interior t-plane the dt2 second difference of psi is the plane
-    max of (eps_tilde + 4|m|^2)/g over the blend's strip_h frame.  psi
-    depends on t only, so it leaves g = 1 + a and m unchanged, and
-    4 det h = Phi_tt g - 4|m|^2 >= eps_tilde at every interior node: the
-    start is admissible wherever the blend has 1 + a > 0.  Where it has
-    not, check_frame rejects the start.
+    max of (eps_tilde + 4|m|^2)/g over the blend's strip_h frame, read off
+    the boundary planes as the blend is linear in t: g = 1 + a blends
+    theirs, 4|m|^2 = |d_z (phi1 - phi0)|^2.  psi depends on t only, so it
+    leaves g and m unchanged, and 4 det h = Phi_tt g - 4|m|^2 >= eps_tilde
+    at every interior node: the start is admissible wherever the blend has
+    1 + a > 0.  Where it has not, check_frame rejects the start.
     """
     t = grid.t_values[:, None, None]
-    blend = ((1.0 - t) * boundary.evaluate(grid, 0)
-             + t * boundary.evaluate(grid, 1))
-    g, (m_r, m_i), _, _ = strip_h(ScalarField(grid, blend))
-    need = 4.0 * (m_r * m_r + m_i * m_i) + profile.rhs_on(grid)[1:-1]
+    p0, p1 = boundary.evaluate(grid, 0)[None], boundary.evaluate(grid, 1)[None]
+    tz = wirt_parts(grid, dx1(grid, p1 - p0), dy1(grid, p1 - p0))  # Phi_tz
+    need = (tz[0] * tz[0] + tz[1] * tz[1]) + profile.rhs_on(grid)[1:-1]
+    g = 1.0 + ((1.0 - t[1:-1]) * wirt_zzbar(grid, p0)
+               + t[1:-1] * wirt_zzbar(grid, p1))
     np.divide(need, g, out=need, where=g > 0.0)   # no psi helps where g <= 0
     # psi's second differences are ht^2 times the plane maxima: summed once
     # they are its first differences (up to a constant), summed twice psi
     # itself, zero at t = 0; the linear term then makes psi(1) = 0
     slope = np.zeros(grid.nt - 1)
     np.cumsum(need.max(axis=(1, 2)) * grid.ht**2, out=slope[1:])
+    del need, g                         # freed before the blend is made
     psi = np.zeros(grid.nt)
     np.cumsum(slope, out=psi[1:])
     psi -= grid.t_values * psi[-1]
-    blend += psi[:, None, None]
-    return ScalarField(grid, blend)
+    return ScalarField(grid, (1.0 - t) * p0 + t * p1 + psi[:, None, None])
 
 
 def newton_solve(grid: Grid, boundary: BoundarySpec, profile,

@@ -18,14 +18,15 @@ RUN_CHECKS_PEAK_B_PER_NODE = 179.0
 # lq_ratio alone on a fresh 33x64x64 cos solution peaks at 124.7 B per node;
 # the bound leaves a 10% margin.
 LQ_RATIO_PEAK_B_PER_NODE = 137.0
-# newton_solve on the 33x64x64 cos problem peaks at 302.1 B per node on the
-# square lattice, which has no xy plane, and at 309.5 on modulus 0.3+1.1j;
+# newton_solve on the 33x64x64 cos problem peaks at 289.0 B per node on the
+# square lattice, which has no xy plane, and at 296.4 on modulus 0.3+1.1j;
 # the bounds leave a 10% margin.
-SOLVE_PEAK_B_PER_NODE = {1j: 332.0, 0.3 + 1.1j: 340.0}
-# default_initial_guess on the 2049x4x4 cos problem peaks at 112.6 B per
-# node, a handful of grid arrays; the bound leaves a 10% margin.  One dense
-# (nt-2)^2 float matrix alone would take 1022 B per node there.
-GUESS_PEAK_B_PER_NODE = 124.0
+SOLVE_PEAK_B_PER_NODE = {1j: 318.0, 0.3 + 1.1j: 326.0}
+# default_initial_guess on the 2049x4x4 cos problem peaks at 32.6 B per
+# node, a handful of grid arrays and no strip frame; the bound leaves a 10%
+# margin.  One dense (nt-2)^2 float matrix alone would take 1022 B per node
+# there.
+GUESS_PEAK_B_PER_NODE = 36.0
 
 
 def test_newton_solve_caches_no_complex_jet():
