@@ -473,7 +473,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         except SolverError as exc:
             return finish(f"linear-solve-failure: {exc}", rn, k)
         del jac             # freed before the line search allocates
-        step = step.reshape(r.shape)    # J step = r: phi's interior - step
+        step = step.reshape(r.shape)    # J step = r: Newton's move is -step
         for halvings in range(config.max_halvings + 1):
             vals = np.array(phi.values)
             vals[1:-1] -= 0.5 ** halvings * step
