@@ -120,6 +120,22 @@ def make_grid(nt: int, nx: int, ny: int, modulus: complex = 1j) -> Grid:
 
 # --- stencil primitives (operate on (nt, nx, ny) arrays, real or complex) ---
 
+# Node budget of one t-chunk: the strip frame and the stencil walk the
+# interior t-planes CHUNK_NODES // (nx ny) at a time, so each chunk's window
+# and temporaries stay cache-sized (3 planes at 96x96, the whole interior
+# at 32x32).
+CHUNK_NODES = 2**15
+
+
+def t_chunks(grid: Grid):
+    """(i0, i1) per chunk of interior t-planes i0..i1-1, from i0 = 1 to
+    i1 = nt-1; each but the last holds CHUNK_NODES // (nx ny) planes, at
+    least one."""
+    step = max(1, CHUNK_NODES // (grid.nx * grid.ny))
+    for i0 in range(1, grid.nt - 1, step):
+        yield i0, min(i0 + step, grid.nt - 1)
+
+
 def _wrap(v: np.ndarray, x: int, y: int) -> np.ndarray:
     """v padded periodically by x cells at both ends of axis 1, y of axis 2."""
     return np.pad(v, ((0, 0), (x, x), (y, y)), mode="wrap")
@@ -203,6 +219,21 @@ def wirt_zzbar(grid: Grid, v: np.ndarray) -> np.ndarray:
             + abs(c2)**2 * yy)
 
 
+def strip_jets(grid: Grid, values: np.ndarray, i0: int, i1: int):
+    """(a, Phi_tz as its real pair, Phi_tt) of a real field on interior
+    t-planes i0..i1-1, from the (i1-i0+2)-plane window of its values around
+    them: wirt_zzbar, dx1 and dy1 on the window and the central
+    t-differences of dt1 and dt2, so every entry is bitwise the whole-grid
+    JetFields value (a, wirt_parts(d_tx, d_ty), d_tt)."""
+    h = grid.ht
+    w = values[i0 - 1:i1 + 1]
+    px, py = dx1(grid, w), dy1(grid, w)
+    tz = wirt_parts(grid, (px[2:] - px[:-2]) / (2 * h),
+                    (py[2:] - py[:-2]) / (2 * h))
+    return (wirt_zzbar(grid, w[1:-1]), tz,
+            (w[2:] - 2 * w[1:-1] + w[:-2]) / h**2)
+
+
 def second_order_stencil(grid: Grid, planes: dict):
     """Variable-coefficient second-order operator on the interior t-planes.
 
@@ -211,8 +242,9 @@ def second_order_stencil(grid: Grid, planes: dict):
     the matching central second difference of a real or complex (nt, nx,
     ny) array v into a new (nt-2, nx, ny) array, the same differences as
     dt2, second_diffs, dt1(dx1) and dt1(dy1).  The stencil takes the planes
-    over: mesh factors are folded into them in place, once, so repeated
-    applies only do slice arithmetic in place.
+    over: mesh factors are folded into them in place, once.  An apply
+    walks the t_chunks: it pads only each chunk's window periodically and
+    sums the legs through one chunk-sized buffer, so it copies no full grid.
     """
     nt, nx, ny = grid.shape
     ht, hx, hy = grid.ht, grid.hx, grid.hy
@@ -231,22 +263,27 @@ def second_order_stencil(grid: Grid, planes: dict):
             planes[key] /= factor
             legs.append((planes[key], plus, minus))
     centre = -2.0 * (planes["tt"] + planes["xx"] + planes["yy"])
+    chunks = list(t_chunks(grid))
 
     def apply(v: np.ndarray) -> np.ndarray:
-        p = _wrap(v, 1, 1)
+        out = np.empty((nt - 2, nx, ny), np.result_type(v, centre))
+        buf = np.empty_like(out[:chunks[0][1] - 1])
+        for i0, i1 in chunks:
+            p = _wrap(v[i0 - 1:i1 + 1], 1, 1)     # the chunk's window
+            n, k = i1 - i0, slice(i0 - 1, i1 - 1)
 
-        def at(d):
-            return p[1 + d[0]:nt - 1 + d[0], 1 + d[1]:nx + 1 + d[1],
-                     1 + d[2]:ny + 1 + d[2]]
+            def at(d):
+                return p[1 + d[0]:1 + n + d[0], 1 + d[1]:nx + 1 + d[1],
+                         1 + d[2]:ny + 1 + d[2]]
 
-        out = at((0, 0, 0)) * centre
-        tmp = np.empty_like(out)
-        for coeff, (d1, d2), minus in legs:
-            np.add(at(d1), at(d2), out=tmp)
-            for d in minus:
-                tmp -= at(d)
-            tmp *= coeff
-            out += tmp
+            o, tmp = out[k], buf[:n]
+            np.multiply(at((0, 0, 0)), centre[k], out=o)
+            for coeff, (d1, d2), minus in legs:
+                np.add(at(d1), at(d2), out=tmp)
+                for d in minus:
+                    tmp -= at(d)
+                tmp *= coeff[k]
+                o += tmp
         return out
 
     return apply
@@ -286,8 +323,9 @@ class Jet:
 class JetFields:
     """Whole-grid derivative arrays of one field's values, computed lazily.
 
-    Single code path for pointwise jets and vectorized consumers (solver,
-    verifier): wirtinger_jet just reads these arrays at a node.  No reference
+    Serves pointwise jets, the verifier and leaf tracing (wirtinger_jet
+    just reads these arrays at a node); the solver and the strip frame do
+    not use it, they read strip_jets one t-chunk at a time.  No reference
     back to the ScalarField, so a dropped field is freed without the cyclic GC.
 
     First-order and t-mixed derivatives are cached as real pairs: (d_x, d_y)

@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Jet, ScalarField, second_order_stencil, wirt_parts
+from .grid import (Jet, ScalarField, second_order_stencil, strip_jets,
+                   t_chunks)
 
 
 class DegenerateMetricError(ValueError):
@@ -273,16 +274,23 @@ def strip_h(phi: ScalarField):
     """Interior arrays (g, m, q, det) of the strip h-matrix [[q, m], [m*, g]].
 
     q = Phi_tt/4, m = Phi_tzbar/2 as its real pair (Re m, Im m), g = 1 + a;
-    det = q g - |m|^2.  Built from the jets' real pair (Phi_tx, Phi_ty), so
-    no complex array is made.  Does not check admissibility.
+    det = q g - |m|^2.  Built from phi.values one t-chunk at a time
+    (strip_jets over t_chunks), bitwise the JetFields values: nothing is
+    cached on phi.jets, no complex array and no whole-grid temporary is
+    made.  Does not check admissibility.
     """
-    j = phi.jets
-    g = 1.0 + j.a[1:-1]
-    m_r, m_i = wirt_parts(phi.grid, j.d_tx[1:-1], j.d_ty[1:-1])   # Phi_tz
-    m_r *= 0.5
-    m_i *= -0.5
-    q = 0.25 * j.d_tt[1:-1]
-    return g, (m_r, m_i), q, q * g - (m_r * m_r + m_i * m_i)
+    grid = phi.grid
+    shape = (grid.nt - 2, grid.nx, grid.ny)
+    g, m_r, m_i, q, det = (np.empty(shape) for _ in range(5))
+    for i0, i1 in t_chunks(grid):
+        k = slice(i0 - 1, i1 - 1)
+        a, (tz_r, tz_i), tt = strip_jets(grid, phi.values, i0, i1)
+        np.add(1.0, a, out=g[k])
+        np.multiply(tz_r, 0.5, out=m_r[k])
+        np.multiply(tz_i, -0.5, out=m_i[k])
+        np.multiply(0.25, tt, out=q[k])
+        det[k] = q[k] * g[k] - (m_r[k] * m_r[k] + m_i[k] * m_i[k])
+    return g, (m_r, m_i), q, det
 
 
 def check_frame(frame, g_floor: float = 0.0, det_floor: float = 0.0):
@@ -343,26 +351,27 @@ def h_contract(solution, values: np.ndarray, frame) -> np.ndarray:
     return apply(values) / (4.0 * det)
 
 
-def apply_L(solution, values: np.ndarray) -> np.ndarray:
+def apply_L(solution, values: np.ndarray, frame) -> np.ndarray:
     """Interior L^{ij*} w_{ij*} of a grid array w, for the scaled
     product-space Laplacian L = p + (eps b/g) diag(0, g^{-1}).
 
     At n = 1 on the strip eps b/g = eps_tilde / (4 (1+a)), and L equals
     adj(h~)/g for h~ = [[q~, m], [m*, g]] with q~ = (|m|^2 + eps_tilde/4)/g,
     so det h~ = eps_tilde/4: the stencil of h_coefficient_planes(g, m, q~),
-    divided by 4g.
+    divided by 4g.  The caller passes the solution's frame,
+    admissible_frame(solution.phi), as for h_contract.
     """
     grid = solution.grid
     if values.shape != grid.shape:
         raise ValueError("field shape does not match the solution grid")
-    g, (m_r, m_i), q, det = admissible_frame(solution.phi)
-    del q, det
+    g, (m_r, m_i), _, _ = frame
     q_tilde = (m_r * m_r + m_i * m_i
                + 0.25 * solution.profile.rhs_on(grid)[1:-1]) / g
     apply = second_order_stencil(
         grid, h_coefficient_planes(grid, g, (m_r, m_i), q_tilde))
-    del m_r, m_i, q_tilde   # freed before the stencil allocates its output
+    del q_tilde         # freed before the stencil allocates its output
     out = apply(values)
+    del apply           # and its planes, before 4g is made
     out /= 4.0 * g
     return out
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grid import (Grid, GridError, JetFields, ScalarField, dx1, dy1,
+from .grid import (Grid, GridError, ScalarField, dx1, dy1,
                    second_order_stencil, wirt_parts, wirt_zzbar)
 from .quantities import (InadmissibleError, NonConvexBoundaryError,
                          admissible_frame, check_frame, h_coefficient_planes,
@@ -465,8 +465,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
             jac = linearize(grid, check_frame(frame))
         except InadmissibleError as exc:
             return finish(f"inadmissible iterate: {exc}", rn, k)
-        del frame                               # neither is read again:
-        phi.jets = JetFields(grid, phi.values)  # freed before GMRES allocates
+        del frame               # freed before GMRES allocates
         try:
             step = _solve_linear(jac, r.ravel(),
                                  min(1e-2, max(rn, LINEAR_RTOL)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import JetFields, wirt_parts
+from .grid import strip_jets, t_chunks, wirt_parts
 from .quantities import (InadmissibleError, NonConvexBoundaryError,
                          admissible_frame, apply_L, boundary_S, boundary_delta,
                          choose_K, h_contract, sigma_roots)
@@ -101,10 +101,23 @@ def composite_q_field(solution: Solution) -> np.ndarray:
     inf or NaN, without a warning, where 1 + a = 0."""
     j = solution.phi.jets
     opa = 1.0 + j.a
-    z_r, z_i = wirt_parts(solution.grid, j.d_x, j.d_y)        # Phi_z
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (j.a ** 2 / opa ** 2 + np.abs(j.b) ** 2 / opa ** 2
-                + (z_r * z_r + z_i * z_i) / opa)
+        # Q_A + Q_B + Q_G, summed in that order in place
+        opa2 = opa ** 2
+        Q = j.a ** 2
+        Q /= opa2
+        term = np.abs(j.b)
+        term **= 2
+        term /= opa2
+        Q += term
+        del opa2, term
+        z_r, z_i = wirt_parts(solution.grid, j.d_x, j.d_y)    # Phi_z
+        z_r *= z_r
+        z_i *= z_i
+        z_r += z_i
+        z_r /= opa
+        Q += z_r
+    return Q
 
 
 def _degenerate_node(solution: Solution) -> str:
@@ -264,17 +277,23 @@ def _h_bilinear(g, m, q, det, u0, u1, w0, w1):
     return (w0 * (g * u0 - m * u1) + w1 * (q * u1 - np.conj(m) * u0)) / det
 
 
-def check_ab_equations(solution: Solution) -> CheckRecord:
+def _frame(solution: Solution, frame):
+    """frame, or the solution's admissible_frame when the caller has none."""
+    return admissible_frame(solution.phi) if frame is None else frame
+
+
+def check_ab_equations(solution: Solution, frame=None) -> CheckRecord:
     """Residuals of the derived second-order equations for a and b.
 
     h^{ij*} a_{ij*} = h^{ij*}(a_i a_j* + b_j* conj(b)_i)/(1+a) and
     h^{ij*} b_{ij*} = 2 h^{ij*} a_i b_j* /(1+a); third-derivative stencils,
     so the band is C * h * scale.  The third-order jets and the right-hand
     sides are made one t-plane at a time, so their temporaries are
-    plane-sized.
+    plane-sized.  frame is the solution's admissible strip frame
+    (run_checks passes it); without one the check builds it.
     """
     j = solution.phi.jets
-    frame = admissible_frame(solution.phi)
+    frame = _frame(solution, frame)
     g, (m_r, m_i), q, det = frame                   # g = 1 + a
     lhs_a = h_contract(solution, j.a, frame)
     lhs_b = h_contract(solution, j.b, frame)
@@ -300,8 +319,13 @@ def check_ab_equations(solution: Solution) -> CheckRecord:
                "residual_b": float(res_b.max()), "scale": scale})
 
 
-def check_ekq_subharmonic(solution: Solution) -> CheckRecord:
-    """Discrete h^{ij*}-subharmonicity of e^{KQ} where Q < sigma_2(K)."""
+def check_ekq_subharmonic(solution: Solution, frame=None) -> CheckRecord:
+    """Discrete h^{ij*}-subharmonicity of e^{KQ} where Q < sigma_2(K).
+
+    frame is the solution's admissible strip frame (run_checks passes it);
+    without one the check builds it.  The allowance reads W = e^{KQ}'s a,
+    Phi_tz and Phi_tt from strip_jets one t-chunk at a time.
+    """
     Q = q_field(solution)
     max_bnd = float(Q[[0, -1]].max())
     if not max_bnd < 1.0:       # also NaN, where 1 + a = b = 0
@@ -310,7 +334,7 @@ def check_ekq_subharmonic(solution: Solution) -> CheckRecord:
     sigma2 = sigma_roots(K)[1]
     in_hyp = Q[1:-1] < sigma2
     W = np.exp(np.minimum(K * Q, 700.0))   # clip only out-of-hypothesis nodes
-    frame = admissible_frame(solution.phi)
+    frame = _frame(solution, frame)
     n_out = int((~in_hyp).sum())
     if not in_hyp.any():
         return _vacuous("ekq_subharmonic",
@@ -318,14 +342,15 @@ def check_ekq_subharmonic(solution: Solution) -> CheckRecord:
     measured = float(h_contract(solution, W, frame)[in_hyp].min())
     # allowance scales with the contracted magnitude (h-inverse included)
     g, (m_r, m_i), q, det = frame
-    w = JetFields(solution.grid, W)
-    w_tz = wirt_parts(solution.grid, w.d_tx[1:-1], w.d_ty[1:-1])
-    # W is real, so |W_zeta zbar| = |W_z zetabar|: one term, added twice
-    mixed = np.hypot(m_r, m_i) * (0.5 * np.hypot(*w_tz))
-    del w_tz            # freed before the other terms allocate
-    mag = (g * np.abs(0.25 * w.d_tt[1:-1]) + mixed + mixed
-           + q * np.abs(w.a[1:-1])) / det
-    scale = max(1.0, float(mag.max()))
+    peaks = []
+    for i0, i1 in t_chunks(solution.grid):
+        k = slice(i0 - 1, i1 - 1)
+        a, w_tz, w_tt = strip_jets(solution.grid, W, i0, i1)
+        # W is real, so |W_zeta zbar| = |W_z zetabar|: one term, added twice
+        mixed = np.hypot(m_r[k], m_i[k]) * (0.5 * np.hypot(*w_tz))
+        peaks.append(((g[k] * np.abs(0.25 * w_tt) + mixed + mixed
+                       + q[k] * np.abs(a)) / det[k]).max())
+    scale = max(1.0, float(np.max(peaks)))
     tol = C_H2 * _h_scale(solution.grid) ** 2 * scale
     return CheckRecord(
         name="ekq_subharmonic", passed=measured >= -tol, measured=measured,
@@ -333,12 +358,14 @@ def check_ekq_subharmonic(solution: Solution) -> CheckRecord:
         extra={"K": K, "sigma2": sigma2, "out_of_hypothesis_nodes": n_out})
 
 
-def lq_ratio_report(solution: Solution) -> CheckRecord:
-    """Diagnostic ratio rho = min interior LQ/(eps_tilde Q) for composite Q."""
+def lq_ratio_report(solution: Solution, frame=None) -> CheckRecord:
+    """Diagnostic ratio rho = min interior LQ/(eps_tilde Q) for composite Q.
+    frame is the solution's admissible strip frame (run_checks passes it);
+    without one the check builds it."""
     Q = composite_q_field(solution)
     if not np.isfinite(Q).all():
         return _vacuous("lq_ratio", "composite Q not finite")
-    LQ = apply_L(solution, Q)
+    LQ = apply_L(solution, Q, _frame(solution, frame))
     eps = solution.profile.rhs_on(solution.grid)[1:-1]
     mask = Q[1:-1] > Q_FLOOR
     if not mask.any():
@@ -445,6 +472,8 @@ CHECKS = {
     "ekq_subharmonic": check_ekq_subharmonic,
     "lq_ratio": lq_ratio_report,
 }
+# the checks that apply an h-operator and take the solution's strip frame
+FRAME_CHECKS = ("ab_equations", "ekq_subharmonic", "lq_ratio")
 
 
 def solution_meta(solution: Solution, seed: int | None) -> dict:
@@ -461,6 +490,13 @@ def solution_meta(solution: Solution, seed: int | None) -> dict:
 
 def run_checks(solution: Solution, names=None,
                seed: int | None = None) -> VerificationReport:
+    """Report of the named checks (default: every check and the jet map).
+
+    The admissible strip frame is built once and passed to every
+    FRAME_CHECKS entry.  If the solution is inadmissible, each of them
+    builds its own and gets a failing record, or a vacuous one where its
+    hypotheses fail first, as when it is called alone.
+    """
     meta = {**solution_meta(solution, seed),
             "converged": bool(solution.converged),
             "final_residual": float(solution.final_residual),
@@ -470,6 +506,13 @@ def run_checks(solution: Solution, names=None,
     for name in selected:
         if name not in CHECKS and name != "jet_map":
             raise KeyError(f"unknown check {name!r}")
+    frame = None
+    if any(name in FRAME_CHECKS for name in selected):
+        try:
+            frame = admissible_frame(solution.phi)
+        except InadmissibleError:
+            pass        # each frame check then builds its own and fails
+    for name in selected:
         # an inadmissible solution fails; each check returns its own
         # vacuous records; any other exception is a defect and propagates
         try:
@@ -478,6 +521,8 @@ def run_checks(solution: Solution, names=None,
             elif name == "weighted_max_principle":
                 # through the module global, which perfbench's tracer wraps
                 record = check_weighted_max_principle(solution)
+            elif name in FRAME_CHECKS:
+                record = CHECKS[name](solution, frame)
             else:
                 record = CHECKS[name](solution)
         except InadmissibleError as exc:

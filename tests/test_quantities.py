@@ -301,13 +301,15 @@ class TestGeneralFlatState:
 class TestApplyL:
     def test_constant_field(self, sol_cos):
         out = apply_L(sol_cos, ScalarField.from_function(
-            sol_cos.grid, lambda t, x, y: 0 * t + 3.0).values)
+            sol_cos.grid, lambda t, x, y: 0 * t + 3.0).values,
+            admissible_frame(sol_cos.phi))
         assert np.abs(out).max() == pytest.approx(0.0, abs=1e-10)
 
     def test_t_squared_on_closed_form(self, sol_zero_const):
         # Phi_tzbar = 0, so L[t^2] = (t^2)_zetazetabar = 1/2
         out = apply_L(sol_zero_const, ScalarField.from_function(
-            sol_zero_const.grid, lambda t, x, y: t**2 + 0 * x).values)
+            sol_zero_const.grid, lambda t, x, y: t**2 + 0 * x).values,
+            admissible_frame(sol_zero_const.phi))
         assert np.allclose(out, 0.5, atol=1e-9)
 
     def test_decomposition_matches_general_flat_state(self, sol_cos):
@@ -329,7 +331,8 @@ class TestApplyL:
 
     def test_shape_mismatch(self, sol_cos):
         with pytest.raises(ValueError):
-            apply_L(sol_cos, np.zeros((3, 4, 4)))
+            apply_L(sol_cos, np.zeros((3, 4, 4)),
+                    admissible_frame(sol_cos.phi))
 
 
 # --- the earlier two-step plane arithmetic, kept as a reference --------------
@@ -414,6 +417,6 @@ class TestOnePlaneBuilder:
 
     def test_apply_L_matches_coefficient_fields(self, strip_field):
         Q = composite_q_field(strip_field)
-        got = apply_L(strip_field, Q)
+        got = apply_L(strip_field, Q, admissible_frame(strip_field.phi))
         want = reference_L(strip_field, Q)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -320,11 +320,11 @@ class TestRunChecks:
             run_checks(sol_cos, names=["convexity", "upper_bound"])
 
     def test_strip_frames_per_run(self, sol_cos, strip_h_calls):
-        # one per h-operator check: ab_equations (its two contractions and
-        # bilinear forms), ekq_subharmonic (contraction and allowance) and
-        # lq_ratio (apply_L)
+        # one, shared by the h-operator checks: ab_equations (its two
+        # contractions and bilinear forms), ekq_subharmonic (contraction
+        # and allowance) and lq_ratio (apply_L)
         run_checks(sol_cos, seed=0)
-        assert len(strip_h_calls) == 3
+        assert len(strip_h_calls) == 1
         assert all(phi is sol_cos.phi for phi in strip_h_calls)
 
     def test_degenerate_data_never_throws(self, grid_small):
