@@ -262,14 +262,17 @@ def linearize(grid: Grid, frame) -> spla.LinearOperator:
     is exactly quadratic.  Applied matrix-free between two zero t-planes: it
     is 4 det(h) times the verifier's h_contract, through the same stencil
     planes, which also build the operator's ``preconditioner``.  The caller
-    passes the iterate's strip_h frame, checked by check_frame.
+    passes the iterate's strip_h frame, checked by check_frame.  The
+    operator owns one zero-bordered grid, whose interior planes each apply
+    overwrites with x.
     """
     planes = h_coefficient_planes(grid, *frame[:3])
     preconditioner = _SeparablePreconditioner(grid, planes)
     apply = second_order_stencil(grid, planes)      # scales the planes
+    v = np.zeros(grid.shape)
 
     def matvec(x):
-        v = np.pad(x.reshape(-1, grid.nx, grid.ny), ((1, 1), (0, 0), (0, 0)))
+        v[1:-1] = x.reshape(v[1:-1].shape)
         return apply(v).ravel()
 
     n = (grid.nt - 2) * grid.nx * grid.ny
