@@ -16,9 +16,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import strip_jets, t_chunks, wirt_parts
-from .quantities import (InadmissibleError, NonConvexBoundaryError,
-                         admissible_frame, apply_L, boundary_S, boundary_delta,
-                         choose_K, h_contract, sigma_roots)
+from .quantities import (InadmissibleError, NonConvexBoundaryError, apply_L,
+                         boundary_S, boundary_delta, check_frame, choose_K,
+                         h_contract, sigma_roots, strip_h)
 from .solver import AnnulusProfile, Solution
 
 # allowance constants, fixed per check (bands are C * h^p)
@@ -102,21 +102,12 @@ def composite_q_field(solution: Solution) -> np.ndarray:
     j = solution.phi.jets
     opa = 1.0 + j.a
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Q_A + Q_B + Q_G, summed in that order in place
-        opa2 = opa ** 2
-        Q = j.a ** 2
-        Q /= opa2
-        term = np.abs(j.b)
-        term **= 2
-        term /= opa2
-        Q += term
-        del opa2, term
+        opa2 = opa ** 2                 # Q_A + Q_B + Q_G, summed in place
+        Q = j.a ** 2 / opa2
+        Q += np.abs(j.b) ** 2 / opa2
+        del opa2
         z_r, z_i = wirt_parts(solution.grid, j.d_x, j.d_y)    # Phi_z
-        z_r *= z_r
-        z_i *= z_i
-        z_r += z_i
-        z_r /= opa
-        Q += z_r
+        Q += (z_r * z_r + z_i * z_i) / opa
     return Q
 
 
@@ -277,9 +268,10 @@ def _h_bilinear(g, m, q, det, u0, u1, w0, w1):
     return (w0 * (g * u0 - m * u1) + w1 * (q * u1 - np.conj(m) * u0)) / det
 
 
-def _frame(solution: Solution, frame):
-    """frame, or the solution's admissible_frame when the caller has none."""
-    return admissible_frame(solution.phi) if frame is None else frame
+def _checked_frame(solution: Solution, frame):
+    """check_frame of the solution's strip_h frame: the one passed (by
+    run_checks), else one built here."""
+    return check_frame(strip_h(solution.phi) if frame is None else frame)
 
 
 def check_ab_equations(solution: Solution, frame=None) -> CheckRecord:
@@ -289,11 +281,10 @@ def check_ab_equations(solution: Solution, frame=None) -> CheckRecord:
     h^{ij*} b_{ij*} = 2 h^{ij*} a_i b_j* /(1+a); third-derivative stencils,
     so the band is C * h * scale.  The third-order jets and the right-hand
     sides are made one t-plane at a time, so their temporaries are
-    plane-sized.  frame is the solution's admissible strip frame
-    (run_checks passes it); without one the check builds it.
+    plane-sized.  frame: see _checked_frame.
     """
     j = solution.phi.jets
-    frame = _frame(solution, frame)
+    frame = _checked_frame(solution, frame)
     g, (m_r, m_i), q, det = frame                   # g = 1 + a
     lhs_a = h_contract(solution, j.a, frame)
     lhs_b = h_contract(solution, j.b, frame)
@@ -320,12 +311,9 @@ def check_ab_equations(solution: Solution, frame=None) -> CheckRecord:
 
 
 def check_ekq_subharmonic(solution: Solution, frame=None) -> CheckRecord:
-    """Discrete h^{ij*}-subharmonicity of e^{KQ} where Q < sigma_2(K).
-
-    frame is the solution's admissible strip frame (run_checks passes it);
-    without one the check builds it.  The allowance reads W = e^{KQ}'s a,
-    Phi_tz and Phi_tt from strip_jets one t-chunk at a time.
-    """
+    """Discrete h^{ij*}-subharmonicity of e^{KQ} where Q < sigma_2(K); the
+    allowance reads W = e^{KQ}'s a, Phi_tz and Phi_tt from strip_jets one
+    t-chunk at a time.  frame: see _checked_frame."""
     Q = q_field(solution)
     max_bnd = float(Q[[0, -1]].max())
     if not max_bnd < 1.0:       # also NaN, where 1 + a = b = 0
@@ -334,7 +322,7 @@ def check_ekq_subharmonic(solution: Solution, frame=None) -> CheckRecord:
     sigma2 = sigma_roots(K)[1]
     in_hyp = Q[1:-1] < sigma2
     W = np.exp(np.minimum(K * Q, 700.0))   # clip only out-of-hypothesis nodes
-    frame = _frame(solution, frame)
+    frame = _checked_frame(solution, frame)
     n_out = int((~in_hyp).sum())
     if not in_hyp.any():
         return _vacuous("ekq_subharmonic",
@@ -360,12 +348,11 @@ def check_ekq_subharmonic(solution: Solution, frame=None) -> CheckRecord:
 
 def lq_ratio_report(solution: Solution, frame=None) -> CheckRecord:
     """Diagnostic ratio rho = min interior LQ/(eps_tilde Q) for composite Q.
-    frame is the solution's admissible strip frame (run_checks passes it);
-    without one the check builds it."""
+    frame: see _checked_frame."""
     Q = composite_q_field(solution)
     if not np.isfinite(Q).all():
         return _vacuous("lq_ratio", "composite Q not finite")
-    LQ = apply_L(solution, Q, _frame(solution, frame))
+    LQ = apply_L(solution, Q, _checked_frame(solution, frame))
     eps = solution.profile.rhs_on(solution.grid)[1:-1]
     mask = Q[1:-1] > Q_FLOOR
     if not mask.any():
@@ -491,28 +478,17 @@ def solution_meta(solution: Solution, seed: int | None) -> dict:
 def run_checks(solution: Solution, names=None,
                seed: int | None = None) -> VerificationReport:
     """Report of the named checks (default: every check and the jet map).
-
-    The admissible strip frame is built once and passed to every
-    FRAME_CHECKS entry.  If the solution is inadmissible, each of them
-    builds its own and gets a failing record, or a vacuous one where its
-    hypotheses fail first, as when it is called alone.
-    """
+    The FRAME_CHECKS share one strip_h frame, built at the first of them."""
     meta = {**solution_meta(solution, seed),
             "converged": bool(solution.converged),
             "final_residual": float(solution.final_residual),
             "d_R": D_R}
     report = VerificationReport(meta=meta)
     selected = list(names) if names is not None else list(CHECKS) + ["jet_map"]
+    frame = None
     for name in selected:
         if name not in CHECKS and name != "jet_map":
             raise KeyError(f"unknown check {name!r}")
-    frame = None
-    if any(name in FRAME_CHECKS for name in selected):
-        try:
-            frame = admissible_frame(solution.phi)
-        except InadmissibleError:
-            pass        # each frame check then builds its own and fails
-    for name in selected:
         # an inadmissible solution fails; each check returns its own
         # vacuous records; any other exception is a defect and propagates
         try:
@@ -522,6 +498,8 @@ def run_checks(solution: Solution, names=None,
                 # through the module global, which perfbench's tracer wraps
                 record = check_weighted_max_principle(solution)
             elif name in FRAME_CHECKS:
+                if frame is None:
+                    frame = strip_h(solution.phi)
                 record = CHECKS[name](solution, frame)
             else:
                 record = CHECKS[name](solution)

@@ -10,9 +10,10 @@ COS_BOUNDARY = BoundarySpec(phi1=((1, 0, COS_AMP),))
 
 @pytest.fixture
 def strip_h_calls(monkeypatch):
-    """Counts strip_h calls, through both modules that call it."""
+    """Counts strip_h calls, through every module that calls it."""
     import hcma.quantities
     import hcma.solver
+    import hcma.verify
     calls = []
     real = hcma.quantities.strip_h
 
@@ -22,6 +23,7 @@ def strip_h_calls(monkeypatch):
 
     monkeypatch.setattr(hcma.quantities, "strip_h", counted)
     monkeypatch.setattr(hcma.solver, "strip_h", counted)
+    monkeypatch.setattr(hcma.verify, "strip_h", counted)
     return calls
 
 
