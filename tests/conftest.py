@@ -3,9 +3,19 @@ import pytest
 
 from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, make_grid,
                   newton_solve)
+from hcma.grid import CHUNK_NODES
 
 COS_AMP = 0.005
 COS_BOUNDARY = BoundarySpec(phi1=((1, 0, COS_AMP),))
+
+
+def chunk_grids(modulus):
+    """Grids whose nt - 2 interior t-planes make two whole t-chunks, two
+    and part of a third, and part of one chunk."""
+    per = max(1, CHUNK_NODES // (64 * 64))
+    return [make_grid(2 + 2 * per, 64, 64, modulus),
+            make_grid(3 + 2 * per, 64, 64, modulus),
+            make_grid(9, 16, 16, modulus)]
 
 
 @pytest.fixture

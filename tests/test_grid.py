@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hcma.grid
+from conftest import chunk_grids
 from hcma.grid import (DegenerateLatticeError, DimensionTooSmallError,
-                       ScalarField, dt1, interpolate_array, make_grid,
-                       wirt_parts, wirt_z, wirt_zbar, wirtinger_jet)
+                       ScalarField, _wrap, dt1, interpolate_array, make_grid,
+                       second_order_stencil, t_chunks, wirt_parts, wirt_z,
+                       wirt_zbar, wirtinger_jet)
 
 
 def field_from(grid, fn):
@@ -120,6 +122,71 @@ class TestStencilPrimitives:
             for got, want in zip(jets.third_order(i), whole):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want[i])
+
+
+def whole_grid_apply(grid, planes, v):
+    """The stencil of second_order_stencil over the whole grid at once: one
+    periodic pad of v, whole-grid slices and a whole-grid buffer."""
+    nt, nx, ny = grid.shape
+    ht, hx, hy = grid.ht, grid.hx, grid.hy
+    legs = []
+    for key, factor, plus, minus in (
+            ("tt", ht**2, ((1, 0, 0), (-1, 0, 0)), ()),
+            ("xx", hx**2, ((0, 1, 0), (0, -1, 0)), ()),
+            ("yy", hy**2, ((0, 0, 1), (0, 0, -1)), ()),
+            ("xy", 4 * hx * hy, ((0, 1, 1), (0, -1, -1)),
+             ((0, 1, -1), (0, -1, 1))),
+            ("tx", 4 * ht * hx, ((1, 1, 0), (-1, -1, 0)),
+             ((1, -1, 0), (-1, 1, 0))),
+            ("ty", 4 * ht * hy, ((1, 0, 1), (-1, 0, -1)),
+             ((1, 0, -1), (-1, 0, 1)))):
+        if key in planes:
+            legs.append((planes[key] / factor, plus, minus))
+    centre = -2.0 * (planes["tt"] / ht**2 + planes["xx"] / hx**2
+                     + planes["yy"] / hy**2)
+    p = _wrap(v, 1, 1)
+
+    def at(d):
+        return p[1 + d[0]:nt - 1 + d[0], 1 + d[1]:nx + 1 + d[1],
+                 1 + d[2]:ny + 1 + d[2]]
+
+    out = at((0, 0, 0)) * centre
+    tmp = np.empty_like(out)
+    for coeff, (d1, d2), minus in legs:
+        np.add(at(d1), at(d2), out=tmp)
+        for d in minus:
+            tmp -= at(d)
+        tmp *= coeff
+        out += tmp
+    return out
+
+
+class TestChunkedStencil:
+    def test_chunks_cover_the_interior_once(self):
+        for g in chunk_grids(1j):
+            chunks = list(t_chunks(g))
+            assert chunks[0][0] == 1 and chunks[-1][1] == g.nt - 1
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert [len(list(t_chunks(g))) for g in chunk_grids(1j)] == [2, 3, 1]
+
+    @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bitwise_equal_to_whole_grid(self, modulus, dtype):
+        for g in chunk_grids(modulus):
+            rng = np.random.default_rng(g.nt)
+            interior = (g.nt - 2, g.nx, g.ny)
+            planes = {key: rng.standard_normal(interior)
+                      for key in ("tt", "xx", "yy", "xy", "tx", "ty")}
+            v = rng.standard_normal(g.shape).astype(dtype)
+            if dtype is complex:
+                v += 1j * rng.standard_normal(g.shape)
+            want = whole_grid_apply(g, planes, v)
+            apply = second_order_stencil(
+                g, {k: p.copy() for k, p in planes.items()})
+            got = apply(v)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(apply(v), want)     # applies repeat
 
 
 class TestWirtingerJet:

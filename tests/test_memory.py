@@ -1,4 +1,4 @@
-"""Memory guards: the solver caches real jets only, and newton_solve and
+"""Memory guards: the solver caches no jets, and newton_solve and
 run_checks stay under bytes-per-node bounds counted by tracemalloc (a
 deterministic count of allocations, not a timing)."""
 
@@ -12,16 +12,17 @@ from hcma import AnnulusProfile, make_grid, newton_solve
 from hcma.solver import default_initial_guess
 from hcma.verify import run_checks
 
-# run_checks on the 33x64x64 cos solution peaks at 162.8 B per node (numpy
-# 2.4); the bound leaves a 10% margin.
-RUN_CHECKS_PEAK_B_PER_NODE = 179.0
-# lq_ratio alone on a fresh 33x64x64 cos solution peaks at 124.7 B per node;
+# run_checks on the 33x64x64 cos solution peaks at 145.6 B per node (numpy
+# 2.4); the bound leaves a 10% margin.  The solution carries no jets, so
+# every jet the checks read is counted here.
+RUN_CHECKS_PEAK_B_PER_NODE = 160.0
+# lq_ratio alone on a fresh 33x64x64 cos solution peaks at 145.4 B per node;
 # the bound leaves a 10% margin.
-LQ_RATIO_PEAK_B_PER_NODE = 137.0
-# newton_solve on the 33x64x64 cos problem peaks at 289.0 B per node on the
-# square lattice, which has no xy plane, and at 296.4 on modulus 0.3+1.1j;
+LQ_RATIO_PEAK_B_PER_NODE = 160.0
+# newton_solve on the 33x64x64 cos problem peaks at 279.7 B per node on the
+# square lattice, which has no xy plane, and at 287.2 on modulus 0.3+1.1j;
 # the bounds leave a 10% margin.
-SOLVE_PEAK_B_PER_NODE = {1j: 318.0, 0.3 + 1.1j: 326.0}
+SOLVE_PEAK_B_PER_NODE = {1j: 308.0, 0.3 + 1.1j: 316.0}
 # default_initial_guess on the 2049x4x4 cos problem peaks at 32.6 B per
 # node, a handful of grid arrays and no strip frame; the bound leaves a 10%
 # margin.  One dense (nt-2)^2 float matrix alone would take 1022 B per node
@@ -83,6 +84,23 @@ def test_newton_solve_peak_bytes_per_node(modulus):
         tracemalloc.stop()
     assert sol.converged
     assert peak / grid.n_nodes < SOLVE_PEAK_B_PER_NODE[modulus]
+
+
+def test_run_checks_peak_below_the_solve():
+    """run_checks, solution included, stays below the solve's own peak, so
+    the solve alone sets the peak of a solve followed by its checks."""
+    grid = make_grid(33, 64, 64)
+    tracemalloc.start()
+    try:
+        sol = newton_solve(grid, COS_BOUNDARY, AnnulusProfile(1e-3))
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        report = run_checks(sol, seed=0)
+        checks_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass
+    assert checks_peak < solve_peak
 
 
 def test_initial_guess_peak_bytes_per_node():

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COS_BOUNDARY
+from conftest import COS_BOUNDARY, chunk_grids
 from hcma import AnnulusProfile, make_grid, newton_solve
-from hcma.grid import ScalarField, second_order_stencil, wirtinger_jet
+from hcma.grid import (JetFields, ScalarField, second_order_stencil,
+                       wirt_parts, wirtinger_jet)
 from hcma.quantities import (DegenerateMetricError, FlatJet, InfeasibleKError,
                              NonConvexBoundaryError, TorusPointState,
                              admissible_frame, apply_L, boundary_S,
                              boundary_delta, choose_K, cone_membership,
                              flat_jet_from_torus, general_flat_state,
                              h_coefficient_planes, m_matrix, n_matrix,
-                             q_gamma, sigma2_prime, sigma_roots, torus_state)
+                             q_gamma, sigma2_prime, sigma_roots, strip_h,
+                             torus_state)
 from hcma.solver import Solution
 from hcma.verify import composite_q_field
 
@@ -296,6 +298,39 @@ class TestGeneralFlatState:
                       B_dbar=np.zeros((2, 1, 1), complex))
         with pytest.raises(DegenerateMetricError):
             general_flat_state(jet, 0.1)
+
+
+def reference_strip_h(phi):
+    """The strip frame from whole-grid JetFields jets (a, d_tx, d_ty,
+    d_tt), as it was built before it went chunk by chunk."""
+    j = JetFields(phi.grid, phi.values)
+    g = 1.0 + j.a[1:-1]
+    m_r, m_i = wirt_parts(phi.grid, j.d_tx[1:-1], j.d_ty[1:-1])
+    m_r *= 0.5
+    m_i *= -0.5
+    q = 0.25 * j.d_tt[1:-1]
+    return g, (m_r, m_i), q, q * g - (m_r * m_r + m_i * m_i)
+
+
+class TestChunkedStripFrame:
+    @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
+    @pytest.mark.parametrize("case", [0, 1, 2],
+                             ids=["whole-chunks", "part-chunk", "one-chunk"])
+    def test_bitwise_equal_to_whole_grid_jets(self, modulus, case):
+        grid = chunk_grids(modulus)[case]
+        rng = np.random.default_rng(case)
+        t = grid.t_values[:, None, None]
+        x = grid.x_values[None, :, None]
+        y = grid.y_values[None, None, :]
+        values = (0.05 * t * (t - 1.0) + 0.01 * np.cos(2 * np.pi * (x + y))
+                  + 1e-4 * rng.standard_normal(grid.shape))
+        phi = ScalarField(grid, values)
+        g, (m_r, m_i), q, det = strip_h(phi)
+        want_g, (want_r, want_i), want_q, want_det = reference_strip_h(phi)
+        for got, want in ((g, want_g), (m_r, want_r), (m_i, want_i),
+                          (q, want_q), (det, want_det)):
+            assert np.array_equal(got, want)
+        assert vars(phi.jets).keys() == {"_grid", "_values"}
 
 
 class TestApplyL:

@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 import hcma.verify
-from conftest import COS_AMP, COS_BOUNDARY
+from conftest import COS_AMP, COS_BOUNDARY, chunk_grids
 from hcma import AnnulusProfile, BoundarySpec, make_grid, newton_solve
-from hcma.grid import ScalarField, dt1, wirt_z, wirt_zbar
+from hcma.grid import (JetFields, ScalarField, dt1, wirt_parts, wirt_z,
+                       wirt_zbar)
 from hcma.io import report_json
 from hcma.quantities import (DegenerateMetricError, InfeasibleKError,
                              NonConvexBoundaryError, admissible_frame,
-                             h_contract)
+                             choose_K, h_contract)
 from hcma.solver import Solution
-from hcma.verify import (D_R, N_ANGLES, STABILITY_SPREAD, check_ab_equations,
-                         check_convexity, check_ekq_subharmonic,
-                         check_eps_monotone_limit, check_lambda_monotonicity,
-                         check_max_principle_Q, check_metric_lower_bound,
+from hcma.verify import (C_H2, D_R, N_ANGLES, STABILITY_SPREAD,
+                         check_ab_equations, check_convexity,
+                         check_ekq_subharmonic, check_eps_monotone_limit,
+                         check_lambda_monotonicity, check_max_principle_Q,
+                         check_metric_lower_bound,
                          check_metric_lower_bound_stability, check_u_identity,
                          check_upper_bound, check_weighted_max_principle,
                          jet_map_export, lq_ratio_report, q_field,
@@ -231,6 +233,37 @@ class TestEkqSubharmonic:
         # boundary Q is about 3.8e3, outside the hypothesis Q < 1
         assert rec.vacuous
         assert "boundary Q" in rec.note
+
+
+def ekq_tolerance_reference(sol):
+    """The ekq_subharmonic allowance from W's whole-grid JetFields jets, as
+    it was computed before it went chunk by chunk."""
+    grid = sol.grid
+    Q = q_field(sol)
+    K = choose_K(float(Q[[0, -1]].max()))
+    W = np.exp(np.minimum(K * Q, 700.0))
+    g, (m_r, m_i), q, det = admissible_frame(sol.phi)
+    w = JetFields(grid, W)
+    w_tz = wirt_parts(grid, w.d_tx[1:-1], w.d_ty[1:-1])
+    mixed = np.hypot(m_r, m_i) * (0.5 * np.hypot(*w_tz))
+    mag = (g * np.abs(0.25 * w.d_tt[1:-1]) + mixed + mixed
+           + q * np.abs(w.a[1:-1])) / det
+    return C_H2 * max(grid.ht, grid.hx, grid.hy) ** 2 * max(1.0, float(
+        mag.max()))
+
+
+@pytest.mark.parametrize("fixture", ["sol_zero_const", "sol_zero_annulus",
+                                     "sol_cos", "part-chunk"])
+def test_streamed_ekq_allowance_equals_whole_grid(fixture, request):
+    if fixture == "part-chunk":     # admissible, peaking in the last chunk
+        sol = synthetic_solution(
+            chunk_grids(0.3 + 1.1j)[1], lambda t, x, y: 0.05 * t * (t - 1)
+            + 0.005 * t**4 * np.cos(2 * np.pi * (x + y)))
+    else:                           # one t-chunk covers 17x32x32
+        sol = request.getfixturevalue(fixture)
+    rec = check_ekq_subharmonic(sol)
+    assert not rec.vacuous
+    assert rec.tolerance == ekq_tolerance_reference(sol)
 
 
 class TestLqRatio:
