@@ -281,7 +281,8 @@ def check_ab_equations(solution: Solution, frame=None) -> CheckRecord:
     h^{ij*} b_{ij*} = 2 h^{ij*} a_i b_j* /(1+a); third-derivative stencils,
     so the band is C * h * scale.  The third-order jets and the right-hand
     sides are made one t-plane at a time, so their temporaries are
-    plane-sized.  frame: see _checked_frame.
+    plane-sized.  frame is the solution's strip_h frame, which run_checks
+    passes; without one the check builds it.
     """
     j = solution.phi.jets
     frame = _checked_frame(solution, frame)
@@ -313,7 +314,7 @@ def check_ab_equations(solution: Solution, frame=None) -> CheckRecord:
 def check_ekq_subharmonic(solution: Solution, frame=None) -> CheckRecord:
     """Discrete h^{ij*}-subharmonicity of e^{KQ} where Q < sigma_2(K); the
     allowance reads W = e^{KQ}'s a, Phi_tz and Phi_tt from strip_jets one
-    t-chunk at a time.  frame: see _checked_frame."""
+    t-chunk at a time.  frame: as for check_ab_equations."""
     Q = q_field(solution)
     max_bnd = float(Q[[0, -1]].max())
     if not max_bnd < 1.0:       # also NaN, where 1 + a = b = 0
@@ -348,7 +349,7 @@ def check_ekq_subharmonic(solution: Solution, frame=None) -> CheckRecord:
 
 def lq_ratio_report(solution: Solution, frame=None) -> CheckRecord:
     """Diagnostic ratio rho = min interior LQ/(eps_tilde Q) for composite Q.
-    frame: see _checked_frame."""
+    frame: as for check_ab_equations."""
     Q = composite_q_field(solution)
     if not np.isfinite(Q).all():
         return _vacuous("lq_ratio", "composite Q not finite")
