@@ -127,38 +127,54 @@ def make_grid(nt: int, nx: int, ny: int, modulus: complex = 1j) -> Grid:
 CHUNK_NODES = 2**15
 
 
-def t_chunks(grid: Grid):
-    """(i0, i1) per chunk of interior t-planes i0..i1-1, from i0 = 1 to
-    i1 = nt-1; each but the last holds CHUNK_NODES // (nx ny) planes, at
-    least one."""
+def t_chunks(grid: Grid, i0: int = 1, i1: int | None = None):
+    """(c0, c1) per chunk of t-planes c0..c1-1, from c0 = i0 (default 1)
+    to c1 = i1 (default nt-1, so the interior); each but the last holds
+    CHUNK_NODES // (nx ny) planes, at least one."""
     step = max(1, CHUNK_NODES // (grid.nx * grid.ny))
-    for i0 in range(1, grid.nt - 1, step):
-        yield i0, min(i0 + step, grid.nt - 1)
+    i1 = grid.nt - 1 if i1 is None else i1
+    for c0 in range(i0, i1, step):
+        yield c0, min(c0 + step, i1)
 
 
 def _wrap(v: np.ndarray, x: int, y: int) -> np.ndarray:
-    """v padded periodically by x cells at both ends of axis 1, y of axis 2."""
-    return np.pad(v, ((0, 0), (x, x), (y, y)), mode="wrap")
+    """v padded periodically by x <= nx cells at both ends of axis 1, y <=
+    ny of axis 2: np.pad(mode="wrap") built in one np.empty from slice
+    copies."""
+    n, nx, ny = v.shape
+    p = np.empty((n, nx + 2 * x, ny + 2 * y), v.dtype)
+    p[:, x:x + nx, y:y + ny] = v
+    if x:
+        p[:, :x, y:y + ny] = v[:, nx - x:]
+        p[:, x + nx:, y:y + ny] = v[:, :x]
+    if y:                       # whole columns, so the corners come along
+        p[:, :, :y] = p[:, :, ny:ny + y]
+        p[:, :, y + ny:] = p[:, :, y:2 * y]
+    return p
 
 
-def dx1(grid: Grid, v: np.ndarray) -> np.ndarray:
-    p = _wrap(v, 1, 0)
+# dx1, dy1 and second_diffs take an optional p, v's _wrap(v, 1, 1) copy, so
+# one padded copy serves all three stencils; without it each pads v itself.
+
+def dx1(grid: Grid, v: np.ndarray, p: np.ndarray | None = None):
+    p = _wrap(v, 1, 0) if p is None else p[:, :, 1:-1]
     return (p[:, 2:] - p[:, :-2]) / (2 * grid.hx)
 
 
-def dy1(grid: Grid, v: np.ndarray) -> np.ndarray:
-    p = _wrap(v, 0, 1)
+def dy1(grid: Grid, v: np.ndarray, p: np.ndarray | None = None):
+    p = _wrap(v, 0, 1) if p is None else p[:, 1:-1]
     return (p[:, :, 2:] - p[:, :, :-2]) / (2 * grid.hy)
 
 
-def second_diffs(grid: Grid, v: np.ndarray):
+def second_diffs(grid: Grid, v: np.ndarray, p: np.ndarray | None = None):
     """(d_xx, d_xy, d_yy) of v from one periodically padded copy: central
     second differences and the 4-point centered cross stencil."""
-    p = _wrap(v, 1, 1)
-    return ((p[:, 2:, 1:-1] - 2 * v + p[:, :-2, 1:-1]) / grid.hx**2,
+    p = _wrap(v, 1, 1) if p is None else p
+    c = p[:, 1:-1, 1:-1]                                # v itself
+    return ((p[:, 2:, 1:-1] - 2 * c + p[:, :-2, 1:-1]) / grid.hx**2,
             (p[:, 2:, 2:] - p[:, 2:, :-2] - p[:, :-2, 2:]
              + p[:, :-2, :-2]) / (4 * grid.hx * grid.hy),
-            (p[:, 1:-1, 2:] - 2 * v + p[:, 1:-1, :-2]) / grid.hy**2)
+            (p[:, 1:-1, 2:] - 2 * c + p[:, 1:-1, :-2]) / grid.hy**2)
 
 
 def dt1(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -188,14 +204,14 @@ def dt2(grid: Grid, v: np.ndarray) -> np.ndarray:
 
 # --- Wirtinger combinations --------------------------------------------------
 
-def wirt_z(grid: Grid, v: np.ndarray) -> np.ndarray:
+def wirt_z(grid: Grid, v: np.ndarray, p: np.ndarray | None = None):
     c1, c2 = grid.lattice.dz_coefficients
-    return c1 * dx1(grid, v) + c2 * dy1(grid, v)
+    return c1 * dx1(grid, v, p) + c2 * dy1(grid, v, p)
 
 
-def wirt_zbar(grid: Grid, v: np.ndarray) -> np.ndarray:
+def wirt_zbar(grid: Grid, v: np.ndarray, p: np.ndarray | None = None):
     c1, c2 = grid.lattice.dz_coefficients
-    return np.conj(c1) * dx1(grid, v) + np.conj(c2) * dy1(grid, v)
+    return np.conj(c1) * dx1(grid, v, p) + np.conj(c2) * dy1(grid, v, p)
 
 
 def wirt_parts(grid: Grid, px, py):
@@ -206,48 +222,75 @@ def wirt_parts(grid: Grid, px, py):
     return c1.real * px + c2.real * py, c1.imag * px + c2.imag * py
 
 
-def wirt_zz(grid: Grid, v: np.ndarray) -> np.ndarray:
+# wirt_zz and wirt_zzbar take an optional diffs, v's second_diffs, so a
+# caller that needs both takes the differences of v once.
+
+def wirt_zz(grid: Grid, v: np.ndarray, diffs=None) -> np.ndarray:
     c1, c2 = grid.lattice.dz_coefficients
-    xx, xy, yy = second_diffs(grid, v)
+    xx, xy, yy = second_diffs(grid, v) if diffs is None else diffs
     return c1**2 * xx + 2 * c1 * c2 * xy + c2**2 * yy
 
 
-def wirt_zzbar(grid: Grid, v: np.ndarray) -> np.ndarray:
+def wirt_zzbar(grid: Grid, v: np.ndarray, diffs=None) -> np.ndarray:
     c1, c2 = grid.lattice.dz_coefficients
-    xx, xy, yy = second_diffs(grid, v)
+    xx, xy, yy = second_diffs(grid, v) if diffs is None else diffs
     return (abs(c1)**2 * xx + 2 * (c1 * np.conj(c2)).real * xy
             + abs(c2)**2 * yy)
+
+
+def _padded(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """v padded periodically by one cell in x and y: v itself if it comes
+    padded, with shape (n, nx+2, ny+2), else _wrap(v, 1, 1)."""
+    return v if v.shape[1:] == (grid.nx + 2, grid.ny + 2) else _wrap(v, 1, 1)
+
+
+def plane_jets(grid: Grid, w: np.ndarray):
+    """(a, b, d_x, d_y) of a real field on the t-planes w, each padded
+    periodically by one cell in x and y: bitwise _wrap(., 1, 1) of the
+    whole-grid JetFields values, differenced on one two-cell pad of w."""
+    p = _wrap(w, 2, 2)
+    diffs = second_diffs(grid, w, p)
+    return (wirt_zzbar(grid, w, diffs), wirt_zz(grid, w, diffs),
+            dx1(grid, w, p), dy1(grid, w, p))
 
 
 def strip_jets(grid: Grid, values: np.ndarray, i0: int, i1: int):
     """(a, Phi_tz as its real pair, Phi_tt) of a real field on interior
     t-planes i0..i1-1, from the (i1-i0+2)-plane window of its values around
-    them: wirt_zzbar, dx1 and dy1 on the window and the central
-    t-differences of dt1 and dt2, so every entry is bitwise the whole-grid
-    JetFields value (a, wirt_parts(d_tx, d_ty), d_tt)."""
+    them: wirt_zzbar, dx1 and dy1 on one padded copy of the window and the
+    central t-differences of dt1 and dt2, so every entry is bitwise the
+    whole-grid JetFields value (a, wirt_parts(d_tx, d_ty), d_tt).  values
+    may itself be such a window, with (i0, i1) = (1, len(values) - 1), and
+    may come padded (_padded)."""
     h = grid.ht
-    w = values[i0 - 1:i1 + 1]
-    px, py = dx1(grid, w), dy1(grid, w)
+    p = _padded(grid, values[i0 - 1:i1 + 1])
+    w = p[:, 1:-1, 1:-1]
+    px, py = dx1(grid, w, p), dy1(grid, w, p)
     tz = wirt_parts(grid, (px[2:] - px[:-2]) / (2 * h),
                     (py[2:] - py[:-2]) / (2 * h))
-    return (wirt_zzbar(grid, w[1:-1]), tz,
-            (w[2:] - 2 * w[1:-1] + w[:-2]) / h**2)
+    del px, py
+    a = wirt_zzbar(grid, w[1:-1], second_diffs(grid, w[1:-1], p[1:-1]))
+    return a, tz, (w[2:] - 2 * w[1:-1] + w[:-2]) / h**2
 
 
-def second_order_stencil(grid: Grid, planes: dict):
-    """Variable-coefficient second-order operator on the interior t-planes.
+def second_order_stencil(grid: Grid, planes: dict, t_range=None):
+    """Variable-coefficient second-order operator on interior t-planes.
 
     planes maps tt, xx, yy and any of xy, tx, ty (zero when missing) to
-    real (nt-2, nx, ny) arrays; the returned apply(v) sums each plane times
-    the matching central second difference of a real or complex (nt, nx,
-    ny) array v into a new (nt-2, nx, ny) array, the same differences as
-    dt2, second_diffs, dt1(dx1) and dt1(dy1).  The stencil takes the planes
-    over: mesh factors are folded into them in place, once.  An apply
-    walks the t_chunks: it pads only each chunk's window periodically and
-    sums the legs through one chunk-sized buffer, so it copies no full grid.
+    real arrays over the interior t-planes i0..i1-1 of t_range = (i0, i1)
+    (default: all of them, (1, nt-1)); the returned apply(v) sums each
+    plane times the matching central second difference of a real or
+    complex array v over t-planes i0-1..i1 into a new (i1-i0, nx, ny)
+    array, the same differences as dt2, second_diffs, dt1(dx1) and
+    dt1(dy1).  The stencil takes the planes over: mesh factors are folded
+    into them in place, once.  An apply walks the t_chunks of the range: it
+    pads only each chunk's window periodically, unless v comes padded
+    (_padded), and sums the legs through one chunk-sized buffer, so it
+    copies no full grid.
     """
     nt, nx, ny = grid.shape
     ht, hx, hy = grid.ht, grid.hx, grid.hy
+    i0, i1 = t_range or (1, nt - 1)
     legs = []       # (plane, two (t, x, y) offsets added, offsets subtracted)
     for key, factor, plus, minus in (
             ("tt", ht**2, ((1, 0, 0), (-1, 0, 0)), ()),
@@ -263,14 +306,14 @@ def second_order_stencil(grid: Grid, planes: dict):
             planes[key] /= factor
             legs.append((planes[key], plus, minus))
     centre = -2.0 * (planes["tt"] + planes["xx"] + planes["yy"])
-    chunks = list(t_chunks(grid))
+    chunks = list(t_chunks(grid, i0, i1))
 
     def apply(v: np.ndarray) -> np.ndarray:
-        out = np.empty((nt - 2, nx, ny), np.result_type(v, centre))
-        buf = np.empty_like(out[:chunks[0][1] - 1])
-        for i0, i1 in chunks:
-            p = _wrap(v[i0 - 1:i1 + 1], 1, 1)     # the chunk's window
-            n, k = i1 - i0, slice(i0 - 1, i1 - 1)
+        out = np.empty((i1 - i0, nx, ny), np.result_type(v, centre))
+        buf = np.empty_like(out[:chunks[0][1] - i0])
+        for c0, c1 in chunks:
+            p = _padded(grid, v[c0 - i0:c1 - i0 + 2])   # the chunk's window
+            n, k = c1 - c0, slice(c0 - i0, c1 - i0)
 
             def at(d):
                 return p[1 + d[0]:1 + n + d[0], 1 + d[1]:nx + 1 + d[1],

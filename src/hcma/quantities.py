@@ -335,23 +335,48 @@ def h_coefficient_planes(grid, g, m, q) -> dict:
     return planes
 
 
-def h_contract(solution, values: np.ndarray, frame) -> np.ndarray:
+def _t_window(solution, values, t_range):
+    """(i0, i1) of t_range (default: every interior plane), after checking
+    that values covers t-planes i0-1..i1 of the solution grid, unpadded or
+    padded periodically by one cell in x and y (grid._padded)."""
+    grid = solution.grid
+    i0, i1 = t_range or (1, grid.nt - 1)
+    shapes = ((i1 - i0 + 2, grid.nx, grid.ny),
+              (i1 - i0 + 2, grid.nx + 2, grid.ny + 2))
+    if any(v.shape not in shapes for v in values):
+        raise ValueError("field shape does not match the solution grid")
+    return i0, i1
+
+
+def h_contract(solution, values, frame, t_range=None):
     """Interior h^{ij*} w_{ij*} of a (possibly complex) grid array w.
 
     Second derivatives of w are realized through the strip identities
     w_zetazetabar = w_tt/4, w_zeta zbar = w_tzbar/2 (w s-independent);
     the contraction is tr(inv(H) @ W) with the solution's h-matrix, whose
-    frame, admissible_frame(solution.phi), the caller passes.
+    frame, admissible_frame(solution.phi), the caller passes.  With
+    t_range = (i0, i1), w holds t-planes i0-1..i1 only and the result
+    planes i0..i1-1, from a stencil of that range's frame slices.  w may
+    come padded by one periodic cell in x and y, which saves the stencil
+    its copy.  values may be a tuple of arrays: they share one stencil, and
+    a tuple of results comes back.
     """
-    grid = solution.grid
-    if values.shape != grid.shape:
-        raise ValueError("field shape does not match the solution grid")
-    g, m, q, det = frame
-    apply = second_order_stencil(grid, h_coefficient_planes(grid, g, m, q))
-    return apply(values) / (4.0 * det)
+    many = isinstance(values, tuple)
+    values = values if many else (values,)
+    i0, i1 = _t_window(solution, values, t_range)
+    k = slice(i0 - 1, i1 - 1)
+    g, (m_r, m_i), q, det = frame
+    apply = second_order_stencil(solution.grid, h_coefficient_planes(
+        solution.grid, g[k], (m_r[k], m_i[k]), q[k]), t_range)
+    out = [apply(v) for v in values]
+    del apply           # its planes, before 4 det h is made
+    det4 = 4.0 * det[k]
+    for o in out:
+        o /= det4
+    return tuple(out) if many else out[0]
 
 
-def apply_L(solution, values: np.ndarray, frame) -> np.ndarray:
+def apply_L(solution, values: np.ndarray, frame, t_range=None):
     """Interior L^{ij*} w_{ij*} of a grid array w, for the scaled
     product-space Laplacian L = p + (eps b/g) diag(0, g^{-1}).
 
@@ -359,16 +384,16 @@ def apply_L(solution, values: np.ndarray, frame) -> np.ndarray:
     adj(h~)/g for h~ = [[q~, m], [m*, g]] with q~ = (|m|^2 + eps_tilde/4)/g,
     so det h~ = eps_tilde/4: the stencil of h_coefficient_planes(g, m, q~),
     divided by 4g.  The caller passes the solution's frame,
-    admissible_frame(solution.phi), as for h_contract.
+    admissible_frame(solution.phi), and t_range, as for h_contract.
     """
     grid = solution.grid
-    if values.shape != grid.shape:
-        raise ValueError("field shape does not match the solution grid")
-    g, (m_r, m_i), _, _ = frame
+    i0, i1 = _t_window(solution, (values,), t_range)
+    k = slice(i0 - 1, i1 - 1)
+    g, (m_r, m_i) = frame[0][k], (frame[1][0][k], frame[1][1][k])
     q_tilde = (m_r * m_r + m_i * m_i
-               + 0.25 * solution.profile.rhs_on(grid)[1:-1]) / g
+               + 0.25 * solution.profile.rhs_on(grid)[i0:i1]) / g
     apply = second_order_stencil(
-        grid, h_coefficient_planes(grid, g, (m_r, m_i), q_tilde))
+        grid, h_coefficient_planes(grid, g, (m_r, m_i), q_tilde), t_range)
     del q_tilde         # freed before the stencil allocates its output
     out = apply(values)
     del apply           # and its planes, before 4g is made

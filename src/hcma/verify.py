@@ -5,7 +5,9 @@ discretization allowance C*h^p (p = 2 for second-derivative inputs, p = 1
 for third-derivative inputs).  Checks never throw on bad data: violations
 and inadmissible solutions produce failing records, and each check returns
 a "vacuous" record, which does not fail the suite, for data outside its
-theorem's hypotheses.
+theorem's hypotheses.  run_checks folds every check in one pass over the
+solution's t-chunks (CheckPass) and hands each check that pass; a check
+called with a solution makes a pass of its own.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import strip_jets, t_chunks, wirt_parts
+from .grid import (plane_jets, strip_jets, t_chunks, wirt_parts, wirt_z,
+                   wirt_zbar)
 from .quantities import (InadmissibleError, NonConvexBoundaryError, apply_L,
                          boundary_S, boundary_delta, check_frame, choose_K,
                          h_contract, sigma_roots, strip_h)
@@ -88,49 +91,39 @@ def _h_scale(grid) -> float:
     return max(grid.ht, grid.hx, grid.hy)
 
 
-def q_field(solution: Solution) -> np.ndarray:
-    """Appendix-style Q = |b|^2/(1+a)^2 on the whole grid (spatial jets only);
-    inf or NaN, without a warning, where 1 + a = 0."""
-    j = solution.phi.jets
+def _q(a, b):
+    """Q = |b|^2/(1+a)^2 of spatial jets; inf or NaN, without a warning,
+    where 1 + a = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.abs(j.b) ** 2 / (1.0 + j.a) ** 2
+        return np.abs(b) ** 2 / (1.0 + a) ** 2
 
 
-def composite_q_field(solution: Solution) -> np.ndarray:
-    """Composite Q = Q_A + Q_B + Q_G (spatial jets only, valid on all planes);
+def _composite_q(grid, a, b, d_x, d_y):
+    """Composite Q = Q_A + Q_B + Q_G of spatial jets (valid on all planes);
     inf or NaN, without a warning, where 1 + a = 0."""
-    j = solution.phi.jets
-    opa = 1.0 + j.a
+    opa = 1.0 + a
     with np.errstate(divide="ignore", invalid="ignore"):
         opa2 = opa ** 2                 # Q_A + Q_B + Q_G, summed in place
-        Q = j.a ** 2 / opa2
-        Q += np.abs(j.b) ** 2 / opa2
+        Q = a ** 2 / opa2
+        Q += np.abs(b) ** 2 / opa2
         del opa2
-        z_r, z_i = wirt_parts(solution.grid, j.d_x, j.d_y)    # Phi_z
+        z_r, z_i = wirt_parts(grid, d_x, d_y)    # Phi_z
         Q += (z_r * z_r + z_i * z_i) / opa
     return Q
 
 
-def _degenerate_node(solution: Solution) -> str:
-    """Names the node of least 1 + a if that is <= 0, where Q means nothing;
-    otherwise the empty string."""
-    opa = 1.0 + solution.phi.jets.a
-    node = np.unravel_index(np.argmin(opa), opa.shape)
-    if opa[node] > 0.0:
-        return ""
-    return f"1 + a = {opa[node]:.3e} <= 0 at node {tuple(map(int, node))}"
-
-
-def boundary_jet_pairs(solution: Solution) -> np.ndarray:
-    """Discrete (a, b) pairs on both Dirichlet planes, an (N, 2) array."""
+def q_field(solution: Solution) -> np.ndarray:
+    """Appendix-style Q = |b|^2/(1+a)^2 on the whole grid (spatial jets only);
+    inf or NaN, without a warning, where 1 + a = 0."""
     j = solution.phi.jets
-    return np.column_stack([j.a[[0, -1]].ravel(), j.b[[0, -1]].ravel()])
+    return _q(j.a, j.b)
 
 
-def _interior_node(arr_interior: np.ndarray, pick=np.argmax) -> tuple:
-    """Grid node (it, ix, iy) of the entry pick selects from interior planes."""
-    it, ix, iy = np.unravel_index(pick(arr_interior), arr_interior.shape)
-    return (int(it) + 1, int(ix), int(iy))
+def composite_q_field(solution: Solution) -> np.ndarray:
+    """Composite Q = Q_A + Q_B + Q_G on the whole grid (spatial jets only);
+    inf or NaN, without a warning, where 1 + a = 0."""
+    j = solution.phi.jets
+    return _composite_q(solution.grid, j.a, j.b, j.d_x, j.d_y)
 
 
 def _vacuous(name: str, note: str, **fields) -> CheckRecord:
@@ -138,6 +131,240 @@ def _vacuous(name: str, note: str, **fields) -> CheckRecord:
     fields = {"measured": 0.0, "bound": 0.0, "tolerance": 0.0, **fields}
     return CheckRecord(name=name, passed=True, vacuous=True, note=note,
                        **fields)
+
+
+def _adj_h(g, m, q, u0, u1):
+    """(g u0 - m u1, q u1 - m* u0), adj(h) u for (zeta, z) components (u0,
+    u1) in a strip frame (g, m, q): with inv(h) = adj(h) / det, h^{ij*}
+    u_i w_j* is (w0 X + w1 Y) / det of (X, Y) = _adj_h(u)."""
+    return g * u0 - m * u1, q * u1 - np.conj(m) * u0
+
+
+# --- the chunked pass --------------------------------------------------------
+
+class _Extreme:
+    """Max (pick np.argmax) or min (np.argmin) of the arrays added in C
+    order, with the grid node where it first occurs: what pick gives on
+    their concatenation, NaN winning."""
+
+    def __init__(self, pick=np.argmax):
+        self.pick, self.found = pick, []
+
+    def add(self, arr, t0: int = 0):
+        """Fold in arr, whose first t-plane is grid plane t0."""
+        idx = np.unravel_index(self.pick(arr), arr.shape)
+        self.found.append((arr[idx], (int(idx[0]) + t0, *map(int, idx[1:]))))
+
+    @property
+    def value(self):
+        return self.found[self.pick([v for v, _ in self.found])][0]
+
+    @property
+    def node(self) -> tuple:
+        return self.found[self.pick([v for v, _ in self.found])][1]
+
+
+# the unpadded part of a window padded by one cell in x and y; with the
+# t-planes of its interior
+_INNER_XY = np.s_[:, 1:-1, 1:-1]
+_INNER = np.s_[1:-1, 1:-1, 1:-1]
+
+# the checks that apply an h-operator and read the solution's strip frame
+FRAME_CHECKS = ("ab_equations", "ekq_subharmonic", "lq_ratio")
+
+
+class CheckPass:
+    """One pass over a solution's t-chunks that folds what the named checks
+    report: extrema with the first node in C order where they occur,
+    scales and counts.
+
+    The boundary planes come first, for boundary (a, b) pairs and K.  Each
+    chunk's window of phi gives a, b, d_x and d_y through one periodic pad.
+    With a FRAME_CHECKS name, one strip_h frame is built and read in chunk
+    slices: per chunk the h-planes are built once and applied to a, b and
+    W = e^{KQ}, the L-planes to the composite Q, and the third-order jets
+    are differenced on the window.  No whole-grid jet is made or cached.
+    Every check takes a CheckPass in place of its solution; points=True
+    also collects jet_map_export's (Re b, Im b, a) points.
+    """
+
+    def __init__(self, solution: Solution, names, points: bool = False):
+        self.solution, self.grid = solution, solution.grid
+        grid, values = self.grid, solution.phi.values
+        names = set(names)
+        # boundary planes t = 0 and t = 1: spatial jets only
+        a_bnd, b_bnd = (x[_INNER_XY] for x in
+                        plane_jets(grid, values[[0, -1]])[:2])
+        pairs = np.column_stack([a_bnd.ravel(), b_bnd.ravel()])
+        self.S = boundary_S(pairs)
+        try:
+            self.delta, self.delta_note = boundary_delta(pairs), ""
+        except NonConvexBoundaryError as exc:
+            self.delta, self.delta_note = None, str(exc)
+        del pairs
+        self.plane_q = np.empty(grid.nt)        # max Q of each t-plane
+        self.plane_q[[0, -1]] = _q(a_bnd, b_bnd).max(axis=(1, 2))
+        self.max_bnd_q = float(self.plane_q[[0, -1]].max())
+        opa_bnd = 1.0 + a_bnd
+        # least 1 + a over the interior, and over the whole grid in C order:
+        # the t = 0 plane, the chunks, then the t = 1 plane
+        self.opa, self.least = _Extreme(np.argmin), _Extreme(np.argmin)
+        last = _Extreme(np.argmin)
+        self.least.add(opa_bnd[:1], 0)
+        last.add(opa_bnd[1:], grid.nt - 1)
+        del a_bnd, b_bnd, opa_bnd
+        self.gap, self.q, self.val = _Extreme(), _Extreme(), _Extreme()
+        self.cap, self.upper = _Extreme(), _Extreme()
+        self.points = (np.empty(((grid.nt - 2) * grid.nx * grid.ny, 3))
+                       if points else None)
+        # the h-operator checks
+        self.inadmissible = ""
+        self.ab = "ab_equations" in names
+        self.ekq = ("ekq_subharmonic" in names
+                    and self.max_bnd_q < 1.0)  # not NaN, where 1+a = b = 0
+        self.lq = "lq_ratio" in names
+        self.res_a, self.res_b, self.lhs_a, self.lhs_b = (
+            _Extreme() for _ in range(4))
+        if self.ekq:
+            self.K = choose_K(self.max_bnd_q)
+            self.sigma2 = sigma_roots(self.K)[1]
+        self.n_out, self.hw, self.peak = 0, _Extreme(np.argmin), _Extreme()
+        self.q_finite, self.lq_nodes, self.rho = True, 0, _Extreme(np.argmin)
+        frame = None
+        if names & set(FRAME_CHECKS):
+            frame = strip_h(solution.phi)
+            try:
+                check_frame(frame)
+            except InadmissibleError as exc:
+                frame, self.inadmissible = None, str(exc)
+        for i0, i1 in t_chunks(grid):
+            self._chunk(values[i0 - 1:i1 + 1], i0, i1, frame)
+        self.least.found += last.found
+
+    def _chunk(self, window, i0: int, i1: int, frame) -> None:
+        """Folds the interior t-planes i0..i1-1 from their window.  Every
+        window array is padded by one periodic cell in x and y, so the
+        stencils read it without a copy."""
+        grid, solution = self.grid, self.solution
+        a_p, b_p, d_x, d_y = plane_jets(grid, window)
+        if self.lq and self.q_finite:
+            Qc = _composite_q(grid, a_p, b_p, d_x, d_y)
+            del d_x, d_y
+            self.q_finite = bool(np.isfinite(Qc).all())
+            if frame is not None and self.q_finite:
+                LQ = apply_L(solution, Qc, frame, (i0, i1))
+                eps = solution.profile.rhs_on(grid)[i0:i1]
+                Qi = Qc[_INNER]
+                mask = Qi > Q_FLOOR
+                if mask.any():
+                    self.lq_nodes += int(mask.sum())
+                    self.rho.add(LQ[mask] / (eps[mask] * Qi[mask]))
+                del LQ, Qi
+            del Qc
+        else:
+            del d_x, d_y
+        Q = _q(a_p, b_p)
+        a, b, Qi = a_p[_INNER], b_p[_INNER], Q[_INNER]
+        opa, abs_b = 1.0 + a, np.abs(b)
+        self.opa.add(opa, i0)
+        self.least.add(opa, i0)
+        self.gap.add(abs_b - opa, i0)
+        self.q.add(Qi, i0)
+        self.plane_q[i0:i1] = Qi.max(axis=(1, 2))
+        self.val.add(abs_b + a + 1.0, i0)
+        if self.delta is not None:
+            self.cap.add(abs_b + self.delta - opa)
+        self.upper.add(abs_b - (self.S - 1.0 - a))
+        if self.points is not None:
+            rows = self.points[(i0 - 1) * a[0].size:(i1 - 1) * a[0].size]
+            rows[:, 0], rows[:, 1], rows[:, 2] = (
+                b.real.ravel(), b.imag.ravel(), a.ravel())
+        del opa, abs_b
+        if frame is None or not (self.ab or self.ekq):
+            return
+        k = slice(i0 - 1, i1 - 1)
+        g, (m_r, m_i), q, det = frame
+        g, m_r, m_i, q, det = g[k], m_r[k], m_i[k], q[k], det[k]
+        fields = (b_p, a_p) if self.ab else ()
+        if self.ekq:
+            in_hyp = Qi < self.sigma2
+            W = self.K * Q               # clip only out-of-hypothesis nodes
+            np.minimum(W, 700.0, out=W)
+            np.exp(W, out=W)
+            self._ekq_allowance(W, g, m_r, m_i, q, det)
+            fields += (W,)
+            del W
+        del Q, Qi
+        lhs = list(h_contract(solution, fields, frame, (i0, i1)))
+        del fields
+        if self.ekq:
+            hW = lhs.pop()
+            self.n_out += int((~in_hyp).sum())
+            if in_hyp.any():
+                self.hw.add(hW[in_hyp])
+            del hW
+        if self.ab:
+            self._ab(*lhs[::-1], a_p, b_p, g, m_r, m_i, q, det, i0)
+
+    def _ekq_allowance(self, W, g, m_r, m_i, q, det) -> None:
+        """Folds the allowance of ekq_subharmonic, which scales with the
+        contracted magnitude (h-inverse included), from W's a, Phi_tz and
+        Phi_tt on its padded window."""
+        a, w_tz, w_tt = strip_jets(self.grid, W, 1, len(W) - 1)
+        # W is real, so |W_zeta zbar| = |W_z zetabar|: one term, added twice
+        mixed = np.hypot(m_r, m_i) * (0.5 * np.hypot(*w_tz))
+        self.peak.add((g * np.abs(0.25 * w_tt) + mixed + mixed
+                       + q * np.abs(a)) / det)
+
+    def _ab(self, lhs_a, lhs_b, a_p, b_p, g, m_r, m_i, q, det, i0) -> None:
+        """Folds the a/b equation residuals from the contractions and the
+        padded windows of a and b, one t-plane at a time, so the
+        third-order jets and right-hand sides are plane-sized."""
+        grid, h2 = self.grid, 2 * self.grid.ht
+        res_a, res_b = np.empty_like(lhs_a), np.empty_like(lhs_a)
+        for j in range(len(lhs_a)):           # grid t-plane i0 + j
+            f = g[j], m_r[j] + 1j * m_i[j], q[j]
+            pa, pb = a_p[j + 1:j + 2], b_p[j + 1:j + 2]
+            # third-order jets: wirt_z(a), wirt_zbar(b) and the central
+            # t-differences of dt1; strip frame, Im(zeta)-independent, so
+            # d/dzeta = d/dzetabar = (d/dt)/2
+            u = (0.5 * ((a_p[j + 2, 1:-1, 1:-1] - a_p[j, 1:-1, 1:-1]) / h2),
+                 wirt_z(grid, pa[_INNER_XY], pa)[0])
+            w = (0.5 * ((b_p[j + 2, 1:-1, 1:-1] - b_p[j, 1:-1, 1:-1]) / h2),
+                 wirt_zbar(grid, pb[_INNER_XY], pb)[0])
+            (x, y), (xw, yw) = _adj_h(*f, *u), _adj_h(*f, *map(np.conj, w))
+            # h^{ij*} a_i a_j* + h^{ij*} b_j* conj(b)_i, and h^{ij*} a_i b_j*
+            rhs_a = (((np.conj(u[0]) * x + np.conj(u[1]) * y) / det[j]).real
+                     + ((w[0] * xw + w[1] * yw) / det[j]).real)
+            res_a[j] = np.abs(lhs_a[j] - rhs_a / g[j])
+            res_b[j] = np.abs(lhs_b[j]
+                              - 2.0 * ((w[0] * x + w[1] * y) / det[j]) / g[j])
+        self.res_a.add(res_a, i0)
+        self.res_b.add(res_b)
+        self.lhs_a.add(np.abs(lhs_a))
+        self.lhs_b.add(np.abs(lhs_b))
+
+    def check_admissible(self) -> None:
+        """InadmissibleError, as check_frame raised it, if the strip frame
+        of an h-operator check is not admissible."""
+        if self.inadmissible:
+            raise InadmissibleError(self.inadmissible)
+
+    def degenerate_note(self) -> str:
+        """Names the node of least 1 + a if that is <= 0, where Q means
+        nothing; otherwise the empty string."""
+        if self.least.value > 0.0:
+            return ""
+        return (f"1 + a = {self.least.value:.3e} <= 0 at node "
+                f"{self.least.node}")
+
+
+def _pass_for(solution, name: str) -> CheckPass:
+    """The CheckPass run_checks passes in place of the solution, else one
+    made for the named check alone."""
+    if isinstance(solution, CheckPass):
+        return solution
+    return CheckPass(solution, (name,))
 
 
 # --- individual checks -------------------------------------------------------
@@ -153,34 +380,32 @@ def check_converged(solution: Solution) -> CheckRecord:
         note=note, extra={"iterations": solution.iterations})
 
 
-def check_convexity(solution: Solution) -> CheckRecord:
+def check_convexity(solution) -> CheckRecord:
     """Interior slices stay strictly omega_0-convex: |b| < 1+a and 1+a > 0."""
-    j = solution.phi.jets
-    gap = np.abs(j.b[1:-1]) - (1.0 + j.a[1:-1])
-    min_opa = float((1.0 + j.a[1:-1]).min())
-    measured = float(gap.max())
-    h2 = C_H2 * _h_scale(solution.grid) ** 2
+    p = _pass_for(solution, "convexity")
+    min_opa = float(p.opa.value)
+    measured = float(p.gap.value)
+    h2 = C_H2 * _h_scale(p.grid) ** 2
     passed = measured < h2 and min_opa > -h2
     return CheckRecord(
         name="convexity", passed=passed, measured=measured, bound=0.0,
-        tolerance=h2, worst_node=_interior_node(gap),
+        tolerance=h2, worst_node=p.gap.node,
         extra={"min_one_plus_a": min_opa})
 
 
-def check_max_principle_Q(solution: Solution) -> CheckRecord:
+def check_max_principle_Q(solution) -> CheckRecord:
     """max interior Q against max boundary Q, plus the factor-2 variant."""
-    Q = q_field(solution)
-    qi, qb = Q[1:-1], Q[[0, -1]]
-    measured = float(qi.max())
-    bound = float(qb.max())
-    h2 = C_H2 * _h_scale(solution.grid) ** 2
+    p = _pass_for(solution, "max_principle_Q")
+    measured = float(p.q.value)
+    bound = p.max_bnd_q
+    h2 = C_H2 * _h_scale(p.grid) ** 2
     plain = measured <= bound * (1.0 + REL_SLACK) + h2
     factor2 = measured <= 2.0 * bound + h2
-    note = _degenerate_node(solution)
+    note = p.degenerate_note()
     return CheckRecord(
         name="max_principle_Q", passed=plain and factor2 and not note,
         measured=measured, bound=bound, tolerance=h2,
-        worst_node=_interior_node(qi), note=note,
+        worst_node=p.q.node, note=note,
         extra={"factor2_pass": bool(factor2), "factor2_bound": 2.0 * bound})
 
 
@@ -207,23 +432,23 @@ def check_u_identity(d_R: float) -> CheckRecord:
                        bound=0.0, tolerance=1e-6)
 
 
-def check_weighted_max_principle(solution: Solution) -> CheckRecord:
+def check_weighted_max_principle(solution) -> CheckRecord:
     """Max principle for Q/u on the annulus image tau = e^{t+is}."""
-    if not isinstance(solution.profile, AnnulusProfile):
+    p = _pass_for(solution, "weighted_max_principle")
+    if not isinstance(p.solution.profile, AnnulusProfile):
         return _vacuous("weighted_max_principle", "requires annulus profile")
     ident = check_u_identity(D_R)
-    Q = q_field(solution)
-    t = solution.grid.t_values
+    t = p.grid.t_values
     s = np.arange(N_ANGLES) * 2.0 * math.pi / N_ANGLES
     tau = np.exp(t[:, None] + 1j * s[None, :])
     u = weight_u(tau, D_R)                 # (nt, N_ANGLES), positive
     # max of Q/u over each t-plane's nodes and angles: Q >= 0 and u > 0,
     # and division is monotone, so it is the plane's max Q over its min u
-    ratio = Q.max(axis=(1, 2)) / u.min(axis=1)
+    ratio = p.plane_q / u.min(axis=1)
     measured = float(ratio[1:-1].max())
     bound = float(ratio[[0, -1]].max())
-    h2 = C_H2 * _h_scale(solution.grid) ** 2
-    note = _degenerate_node(solution)
+    h2 = C_H2 * _h_scale(p.grid) ** 2
+    note = p.degenerate_note()
     passed = (measured <= bound * (1.0 + REL_SLACK) + h2 and ident.passed
               and not note)
     return CheckRecord(
@@ -232,136 +457,86 @@ def check_weighted_max_principle(solution: Solution) -> CheckRecord:
         extra={"u_identity_rel_err": ident.measured, "d_R": D_R})
 
 
-def check_metric_lower_bound(solution: Solution) -> CheckRecord:
+def check_metric_lower_bound(solution) -> CheckRecord:
     """min interior (1+a) stays above the boundary gap delta, up to C h^2."""
-    j = solution.phi.jets
-    opa = 1.0 + j.a[1:-1]
-    measured = float(opa.min())
-    h2 = C_H2 * _h_scale(solution.grid) ** 2
-    try:
-        delta = boundary_delta(boundary_jet_pairs(solution))
-    except NonConvexBoundaryError as exc:
-        return _vacuous("metric_lower_bound", str(exc), measured=measured,
-                        tolerance=h2)
+    p = _pass_for(solution, "metric_lower_bound")
+    measured = float(p.opa.value)
+    h2 = C_H2 * _h_scale(p.grid) ** 2
+    if p.delta is None:
+        return _vacuous("metric_lower_bound", p.delta_note,
+                        measured=measured, tolerance=h2)
     return CheckRecord(
-        name="metric_lower_bound", passed=measured > delta - h2,
-        measured=measured, bound=delta, tolerance=h2,
-        worst_node=_interior_node(opa, np.argmin))
+        name="metric_lower_bound", passed=measured > p.delta - h2,
+        measured=measured, bound=p.delta, tolerance=h2,
+        worst_node=p.opa.node)
 
 
-def check_upper_bound(solution: Solution) -> CheckRecord:
+def check_upper_bound(solution) -> CheckRecord:
     """max interior (|b| + a + 1) against the boundary quantity S."""
-    j = solution.phi.jets
-    val = np.abs(j.b[1:-1]) + j.a[1:-1] + 1.0
-    S = boundary_S(boundary_jet_pairs(solution))
-    measured = float(val.max())
-    h2 = C_H2 * _h_scale(solution.grid) ** 2
+    p = _pass_for(solution, "upper_bound")
+    measured = float(p.val.value)
+    h2 = C_H2 * _h_scale(p.grid) ** 2
     return CheckRecord(
-        name="upper_bound", passed=measured <= S + h2, measured=measured,
-        bound=S, tolerance=h2, worst_node=_interior_node(val))
+        name="upper_bound", passed=measured <= p.S + h2, measured=measured,
+        bound=p.S, tolerance=h2, worst_node=p.val.node)
 
 
-def _h_bilinear(g, m, q, det, u0, u1, w0, w1):
-    """h^{ij*} u_i w_j* of (zeta, z) components (u0, u1) and (w0, w1) in a
-    strip frame (g, m, q, det).  With inv(h) = [[g, -m], [-m*, q]] / det it
-    is (w0 (g u0 - m u1) + w1 (q u1 - m* u0)) / det."""
-    return (w0 * (g * u0 - m * u1) + w1 * (q * u1 - np.conj(m) * u0)) / det
-
-
-def _checked_frame(solution: Solution, frame):
-    """check_frame of the solution's strip_h frame: the one passed (by
-    run_checks), else one built here."""
-    return check_frame(strip_h(solution.phi) if frame is None else frame)
-
-
-def check_ab_equations(solution: Solution, frame=None) -> CheckRecord:
+def check_ab_equations(solution) -> CheckRecord:
     """Residuals of the derived second-order equations for a and b.
 
     h^{ij*} a_{ij*} = h^{ij*}(a_i a_j* + b_j* conj(b)_i)/(1+a) and
     h^{ij*} b_{ij*} = 2 h^{ij*} a_i b_j* /(1+a); third-derivative stencils,
-    so the band is C * h * scale.  The third-order jets and the right-hand
-    sides are made one t-plane at a time, so their temporaries are
-    plane-sized.  frame is the solution's strip_h frame, which run_checks
-    passes; without one the check builds it.
+    so the band is C * h * scale.  The contractions, third-order jets and
+    right-hand sides are made one t-chunk at a time (CheckPass).
     """
-    j = solution.phi.jets
-    frame = _checked_frame(solution, frame)
-    g, (m_r, m_i), q, det = frame                   # g = 1 + a
-    lhs_a = h_contract(solution, j.a, frame)
-    lhs_b = h_contract(solution, j.b, frame)
-    res_a, res_b = np.empty_like(g), np.empty_like(g)
-    for k in range(len(g)):                   # grid t-plane i = k + 1
-        f = g[k], m_r[k] + 1j * m_i[k], q[k], det[k]
-        b_zb, a_z, b_t, a_t = j.third_order(k + 1)
-        # strip frame, Im(zeta)-independent: d/dzeta = d/dzetabar = (d/dt)/2
-        u = 0.5 * a_t, a_z                            # a_zeta, a_z
-        w = 0.5 * b_t, b_zb                           # b_zetabar, b_zbar
-        rhs_a = (_h_bilinear(*f, *u, *map(np.conj, u)).real
-                 + _h_bilinear(*f, *map(np.conj, w), *w).real)
-        res_a[k] = np.abs(lhs_a[k] - rhs_a / g[k])
-        res_b[k] = np.abs(lhs_b[k] - 2.0 * _h_bilinear(*f, *u, *w) / g[k])
-
-    scale = max(1.0, float(np.abs(lhs_a).max()), float(np.abs(lhs_b).max()))
-    tol = C_H1 * _h_scale(solution.grid) * scale
-    measured = float(max(res_a.max(), res_b.max()))
+    p = _pass_for(solution, "ab_equations")
+    p.check_admissible()
+    scale = max(1.0, float(p.lhs_a.value), float(p.lhs_b.value))
+    tol = C_H1 * _h_scale(p.grid) * scale
+    res_a, res_b = p.res_a.value, p.res_b.value
+    measured = float(max(res_a, res_b))
     return CheckRecord(
         name="ab_equations", passed=measured <= tol, measured=measured,
-        bound=0.0, tolerance=tol, worst_node=_interior_node(res_a),
-        extra={"residual_a": float(res_a.max()),
-               "residual_b": float(res_b.max()), "scale": scale})
+        bound=0.0, tolerance=tol, worst_node=p.res_a.node,
+        extra={"residual_a": float(res_a), "residual_b": float(res_b),
+               "scale": scale})
 
 
-def check_ekq_subharmonic(solution: Solution, frame=None) -> CheckRecord:
+def check_ekq_subharmonic(solution) -> CheckRecord:
     """Discrete h^{ij*}-subharmonicity of e^{KQ} where Q < sigma_2(K); the
-    allowance reads W = e^{KQ}'s a, Phi_tz and Phi_tt from strip_jets one
-    t-chunk at a time.  frame: as for check_ab_equations."""
-    Q = q_field(solution)
-    max_bnd = float(Q[[0, -1]].max())
-    if not max_bnd < 1.0:       # also NaN, where 1 + a = b = 0
-        return _vacuous("ekq_subharmonic", f"boundary Q = {max_bnd} >= 1")
-    K = choose_K(max_bnd)
-    sigma2 = sigma_roots(K)[1]
-    in_hyp = Q[1:-1] < sigma2
-    W = np.exp(np.minimum(K * Q, 700.0))   # clip only out-of-hypothesis nodes
-    frame = _checked_frame(solution, frame)
-    n_out = int((~in_hyp).sum())
-    if not in_hyp.any():
+    allowance reads W = e^{KQ}'s a, Phi_tz and Phi_tt one t-chunk at a
+    time (CheckPass)."""
+    p = _pass_for(solution, "ekq_subharmonic")
+    if not p.ekq:       # also NaN, where 1 + a = b = 0
+        return _vacuous("ekq_subharmonic",
+                        f"boundary Q = {p.max_bnd_q} >= 1")
+    p.check_admissible()
+    if not p.hw.found:
         return _vacuous("ekq_subharmonic",
                         "no interior node inside the hypothesis region")
-    measured = float(h_contract(solution, W, frame)[in_hyp].min())
-    # allowance scales with the contracted magnitude (h-inverse included)
-    g, (m_r, m_i), q, det = frame
-    peaks = []
-    for i0, i1 in t_chunks(solution.grid):
-        k = slice(i0 - 1, i1 - 1)
-        a, w_tz, w_tt = strip_jets(solution.grid, W, i0, i1)
-        # W is real, so |W_zeta zbar| = |W_z zetabar|: one term, added twice
-        mixed = np.hypot(m_r[k], m_i[k]) * (0.5 * np.hypot(*w_tz))
-        peaks.append(((g[k] * np.abs(0.25 * w_tt) + mixed + mixed
-                       + q[k] * np.abs(a)) / det[k]).max())
-    scale = max(1.0, float(np.max(peaks)))
-    tol = C_H2 * _h_scale(solution.grid) ** 2 * scale
+    measured = float(p.hw.value)
+    scale = max(1.0, float(p.peak.value))
+    tol = C_H2 * _h_scale(p.grid) ** 2 * scale
     return CheckRecord(
         name="ekq_subharmonic", passed=measured >= -tol, measured=measured,
         bound=0.0, tolerance=tol,
-        extra={"K": K, "sigma2": sigma2, "out_of_hypothesis_nodes": n_out})
+        extra={"K": p.K, "sigma2": p.sigma2,
+               "out_of_hypothesis_nodes": p.n_out})
 
 
-def lq_ratio_report(solution: Solution, frame=None) -> CheckRecord:
-    """Diagnostic ratio rho = min interior LQ/(eps_tilde Q) for composite Q.
-    frame: as for check_ab_equations."""
-    Q = composite_q_field(solution)
-    if not np.isfinite(Q).all():
+def lq_ratio_report(solution) -> CheckRecord:
+    """Diagnostic ratio rho = min interior LQ/(eps_tilde Q) for composite Q,
+    over the nodes where Q exceeds Q_FLOOR."""
+    p = _pass_for(solution, "lq_ratio")
+    if not p.q_finite:
         return _vacuous("lq_ratio", "composite Q not finite")
-    LQ = apply_L(solution, Q, _checked_frame(solution, frame))
-    eps = solution.profile.rhs_on(solution.grid)[1:-1]
-    mask = Q[1:-1] > Q_FLOOR
-    if not mask.any():
+    p.check_admissible()
+    if not p.lq_nodes:
         return _vacuous("lq_ratio", "Q below floor everywhere")
-    rho = float((LQ[mask] / (eps[mask] * Q[1:-1][mask])).min())
-    return CheckRecord(name="lq_ratio", passed=True, measured=rho, bound=0.0,
+    return CheckRecord(name="lq_ratio", passed=True,
+                       measured=float(p.rho.value), bound=0.0,
                        tolerance=0.0, note="diagnostic",
-                       extra={"nodes": int(mask.sum())})
+                       extra={"nodes": p.lq_nodes})
 
 
 def check_lambda_monotonicity(sweep: list[Solution]) -> CheckRecord:
@@ -414,37 +589,37 @@ def check_metric_lower_bound_stability(sweep: list[Solution]) -> CheckRecord:
         extra={"min_one_plus_a_per_rung": minima})
 
 
+def jet_map_record(solution) -> CheckRecord:
+    """The jet map's record: every interior jet point (Re b, Im b, a) lies
+    in C_0, in the intersection of C_gamma over |gamma| <= delta, and in
+    {|b| < S - 1 - a}, within the C h^2 band."""
+    p = _pass_for(solution, "jet_map")
+    h2 = C_H2 * _h_scale(p.grid) ** 2
+    margin_c0 = float(p.gap.value)
+    extra = {"margin_C0": margin_c0, "S": p.S}
+    worst = margin_c0
+    if p.delta is not None:
+        margin_cap = float(p.cap.value)
+        extra["delta"] = p.delta
+        extra["margin_cone_intersection"] = margin_cap
+        worst = max(worst, margin_cap)
+    else:
+        extra["delta_note"] = p.delta_note
+    margin_s = float(p.upper.value)
+    extra["margin_upper"] = margin_s
+    worst = max(worst, margin_s)
+    return CheckRecord(name="jet_map", passed=worst <= h2, measured=worst,
+                       bound=0.0, tolerance=h2, extra=extra)
+
+
 def jet_map_export(solution: Solution):
     """Interior jet points (Re b, Im b, a) plus region-membership margins.
 
-    Returns (points, record): points is an (N, 3) array; the record asserts
-    every point lies in C_0, in the intersection of C_gamma over |gamma| <=
-    delta, and in {|b| < S - 1 - a}, within the C h^2 band.
+    Returns (points, record): points is an (N, 3) array in C order of the
+    interior nodes; the record is jet_map_record's.
     """
-    j = solution.phi.jets
-    a = j.a[1:-1].ravel()
-    b = j.b[1:-1].ravel()
-    points = np.column_stack([b.real, b.imag, a])
-    pairs = boundary_jet_pairs(solution)
-    S = boundary_S(pairs)
-    h2 = C_H2 * _h_scale(solution.grid) ** 2
-    margin_c0 = float((np.abs(b) - (1.0 + a)).max())
-    extra = {"margin_C0": margin_c0, "S": S}
-    worst = margin_c0
-    try:
-        delta = boundary_delta(pairs)
-        margin_cap = float((np.abs(b) + delta - (1.0 + a)).max())
-        extra["delta"] = delta
-        extra["margin_cone_intersection"] = margin_cap
-        worst = max(worst, margin_cap)
-    except NonConvexBoundaryError as exc:
-        extra["delta_note"] = str(exc)
-    margin_s = float((np.abs(b) - (S - 1.0 - a)).max())
-    extra["margin_upper"] = margin_s
-    worst = max(worst, margin_s)
-    record = CheckRecord(name="jet_map", passed=worst <= h2, measured=worst,
-                         bound=0.0, tolerance=h2, extra=extra)
-    return points, record
+    p = CheckPass(solution, ("jet_map",), points=True)
+    return p.points, jet_map_record(p)
 
 
 # --- orchestration -----------------------------------------------------------
@@ -460,8 +635,6 @@ CHECKS = {
     "ekq_subharmonic": check_ekq_subharmonic,
     "lq_ratio": lq_ratio_report,
 }
-# the checks that apply an h-operator and take the solution's strip frame
-FRAME_CHECKS = ("ab_equations", "ekq_subharmonic", "lq_ratio")
 
 
 def solution_meta(solution: Solution, seed: int | None) -> dict:
@@ -478,32 +651,31 @@ def solution_meta(solution: Solution, seed: int | None) -> dict:
 
 def run_checks(solution: Solution, names=None,
                seed: int | None = None) -> VerificationReport:
-    """Report of the named checks (default: every check and the jet map).
-    The FRAME_CHECKS share one strip_h frame, built at the first of them."""
+    """Report of the named checks (default: every check and the jet map),
+    folded in one CheckPass; every check but converged reads it."""
     meta = {**solution_meta(solution, seed),
             "converged": bool(solution.converged),
             "final_residual": float(solution.final_residual),
             "d_R": D_R}
     report = VerificationReport(meta=meta)
     selected = list(names) if names is not None else list(CHECKS) + ["jet_map"]
-    frame = None
     for name in selected:
         if name not in CHECKS and name != "jet_map":
             raise KeyError(f"unknown check {name!r}")
+    folded = set(selected) - {"converged"}
+    check_pass = CheckPass(solution, folded) if folded else None
+    for name in selected:
         # an inadmissible solution fails; each check returns its own
         # vacuous records; any other exception is a defect and propagates
         try:
             if name == "jet_map":
-                _, record = jet_map_export(solution)
+                record = jet_map_record(check_pass)
             elif name == "weighted_max_principle":
                 # through the module global, which perfbench's tracer wraps
-                record = check_weighted_max_principle(solution)
-            elif name in FRAME_CHECKS:
-                if frame is None:
-                    frame = strip_h(solution.phi)
-                record = CHECKS[name](solution, frame)
+                record = check_weighted_max_principle(check_pass)
             else:
-                record = CHECKS[name](solution)
+                record = CHECKS[name](solution if name == "converged"
+                                      else check_pass)
         except InadmissibleError as exc:
             record = CheckRecord(name=name, passed=False, measured=0.0,
                                  bound=0.0, tolerance=0.0,

@@ -10,8 +10,8 @@ import hcma.grid
 from conftest import chunk_grids
 from hcma.grid import (DegenerateLatticeError, DimensionTooSmallError,
                        ScalarField, _wrap, dt1, interpolate_array, make_grid,
-                       second_order_stencil, t_chunks, wirt_parts, wirt_z,
-                       wirt_zbar, wirtinger_jet)
+                       plane_jets, second_order_stencil, t_chunks,
+                       wirt_parts, wirt_z, wirt_zbar, wirtinger_jet)
 
 
 def field_from(grid, fn):
@@ -77,6 +77,24 @@ def roll_reference(grid, v):
     }
 
 
+class TestWrap:
+    @pytest.mark.parametrize("widths", [(1, 0), (0, 1), (1, 1), (2, 2)])
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (3, 4, 4), (1, 7, 5),
+                                       (5, 9, 6)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bitwise_equal_to_np_pad(self, widths, shape, dtype):
+        # single-plane windows, and the smallest grid (3, 4, 4)
+        rng = np.random.default_rng(sum(shape) + sum(widths))
+        v = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.standard_normal(shape)
+        x, y = widths
+        got = _wrap(v, x, y)
+        want = np.pad(v, ((0, 0), (x, x), (y, y)), mode="wrap")
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestStencilPrimitives:
     @pytest.mark.parametrize("shape", [(3, 4, 5), (4, 7, 6), (5, 9, 9),
                                        (3, 8, 8)])
@@ -108,6 +126,18 @@ class TestStencilPrimitives:
                            atol=1e-14 * abs(ref).max())
         # the cached jets are all real
         assert not any(np.iscomplexobj(x) for x in vars(jets).values())
+
+    @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
+    def test_plane_jets_are_the_padded_whole_grid_jets(self, modulus):
+        g = make_grid(5, 8, 6, modulus)
+        v = np.random.default_rng(7).standard_normal(g.shape)
+        jets = ScalarField(g, v).jets
+        for lo, hi in ((0, 5), (2, 3)):
+            got = plane_jets(g, v[lo:hi])
+            for x, want in zip(got, (jets.a, jets.b, jets.d_x, jets.d_y)):
+                want = _wrap(want[lo:hi], 1, 1)
+                assert x.dtype == want.dtype
+                assert x.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("nt", [3, 5])
     @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])

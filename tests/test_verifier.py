@@ -3,25 +3,29 @@ import json
 import numpy as np
 import pytest
 
+import hcma.grid
 import hcma.verify
 from conftest import COS_AMP, COS_BOUNDARY, chunk_grids
 from hcma import AnnulusProfile, BoundarySpec, make_grid, newton_solve
 from hcma.grid import (JetFields, ScalarField, dt1, wirt_parts, wirt_z,
                        wirt_zbar)
 from hcma.io import report_json
-from hcma.quantities import (DegenerateMetricError, InfeasibleKError,
-                             NonConvexBoundaryError, admissible_frame,
-                             choose_K, h_contract)
+from hcma.quantities import (DegenerateMetricError, InadmissibleError,
+                             InfeasibleKError, NonConvexBoundaryError,
+                             admissible_frame, apply_L, boundary_delta,
+                             boundary_S, choose_K, h_contract, sigma_roots,
+                             strip_h)
 from hcma.solver import Solution
-from hcma.verify import (C_H2, D_R, N_ANGLES, STABILITY_SPREAD,
+from hcma.verify import (C_H1, C_H2, D_R, FRAME_CHECKS, N_ANGLES, Q_FLOOR,
+                         REL_SLACK, STABILITY_SPREAD, CheckRecord,
                          check_ab_equations, check_convexity,
                          check_ekq_subharmonic, check_eps_monotone_limit,
                          check_lambda_monotonicity, check_max_principle_Q,
                          check_metric_lower_bound,
                          check_metric_lower_bound_stability, check_u_identity,
                          check_upper_bound, check_weighted_max_principle,
-                         jet_map_export, lq_ratio_report, q_field,
-                         run_checks, weight_u)
+                         composite_q_field, jet_map_export,
+                         lq_ratio_report, q_field, run_checks, weight_u)
 
 
 def spike_solution(grid):
@@ -394,3 +398,250 @@ class TestRunChecks:
         Q = q_field(sol_cos)
         jet = wirtinger_jet(sol_cos.phi, (7, 11, 23))
         assert Q[7, 11, 23] == pytest.approx(torus_state(jet).Q, rel=1e-12)
+
+
+def whole_grid_records(sol):
+    """Every run_checks record but converged, made as the checks made them
+    before they were folded chunk by chunk: from whole-grid JetFields
+    arrays, whole-grid contractions and per-plane third-order jets.  An
+    h-operator check on an inadmissible solution maps to None."""
+    grid, j = sol.grid, sol.phi.jets
+    h2 = C_H2 * max(grid.ht, grid.hx, grid.hy) ** 2
+    a, b = j.a, j.b
+    opa = 1.0 + a
+    Q = q_field(sol)
+    pairs = np.column_stack([a[[0, -1]].ravel(), b[[0, -1]].ravel()])
+    S = boundary_S(pairs)
+    try:
+        delta, delta_note = boundary_delta(pairs), ""
+    except NonConvexBoundaryError as exc:
+        delta, delta_note = None, str(exc)
+    least = np.unravel_index(np.argmin(opa), opa.shape)
+    degenerate = "" if opa[least] > 0.0 else (
+        f"1 + a = {opa[least]:.3e} <= 0 at node {tuple(map(int, least))}")
+
+    def node(arr, pick=np.argmax):
+        it, ix, iy = np.unravel_index(pick(arr), arr.shape)
+        return (int(it) + 1, int(ix), int(iy))
+
+    out = {}
+    gap = np.abs(b[1:-1]) - opa[1:-1]
+    min_opa = float(opa[1:-1].min())
+    out["convexity"] = CheckRecord(
+        "convexity", float(gap.max()) < h2 and min_opa > -h2,
+        float(gap.max()), 0.0, h2, node(gap),
+        extra={"min_one_plus_a": min_opa})
+    qi, bound = Q[1:-1], float(Q[[0, -1]].max())
+    factor2 = float(qi.max()) <= 2.0 * bound + h2
+    out["max_principle_Q"] = CheckRecord(
+        "max_principle_Q", float(qi.max()) <= bound * (1.0 + REL_SLACK) + h2
+        and factor2 and not degenerate, float(qi.max()), bound, h2, node(qi),
+        note=degenerate, extra={"factor2_pass": bool(factor2),
+                                "factor2_bound": 2.0 * bound})
+    if isinstance(sol.profile, AnnulusProfile):
+        s = np.arange(N_ANGLES) * 2.0 * np.pi / N_ANGLES
+        u = weight_u(np.exp(grid.t_values[:, None] + 1j * s), D_R)
+        ratio = Q.max(axis=(1, 2)) / u.min(axis=1)
+        ident = check_u_identity(D_R)
+        out["weighted_max_principle"] = CheckRecord(
+            "weighted_max_principle", float(ratio[1:-1].max()) <= float(
+                ratio[[0, -1]].max()) * (1.0 + REL_SLACK) + h2
+            and ident.passed and not degenerate, float(ratio[1:-1].max()),
+            float(ratio[[0, -1]].max()), h2, note=degenerate,
+            extra={"u_identity_rel_err": ident.measured, "d_R": D_R})
+    else:
+        out["weighted_max_principle"] = CheckRecord(
+            "weighted_max_principle", True, 0.0, 0.0, 0.0, vacuous=True,
+            note="requires annulus profile")
+    out["metric_lower_bound"] = (
+        CheckRecord("metric_lower_bound", True, min_opa, 0.0, h2,
+                    vacuous=True, note=delta_note) if delta is None else
+        CheckRecord("metric_lower_bound", min_opa > delta - h2, min_opa,
+                    delta, h2, node(opa[1:-1], np.argmin)))
+    val = np.abs(b[1:-1]) + a[1:-1] + 1.0
+    out["upper_bound"] = CheckRecord("upper_bound", float(val.max()) <= S + h2,
+                                     float(val.max()), S, h2, node(val))
+    out.update(whole_grid_frame_records(sol, Q))
+    extra = {"margin_C0": float(gap.max()), "S": S}
+    worst = float(gap.max())
+    if delta is not None:
+        cap = float((np.abs(b[1:-1]) + delta - opa[1:-1]).max())
+        extra.update(delta=delta, margin_cone_intersection=cap)
+        worst = max(worst, cap)
+    else:
+        extra["delta_note"] = delta_note
+    extra["margin_upper"] = float((np.abs(b[1:-1])
+                                   - (S - 1.0 - a[1:-1])).max())
+    worst = max(worst, extra["margin_upper"])
+    out["jet_map"] = CheckRecord("jet_map", worst <= h2, worst, 0.0, h2,
+                                 extra=extra)
+    return out
+
+
+def h_bilinear(g, m, q, det, u0, u1, w0, w1):
+    """h^{ij*} u_i w_j* in a strip frame, (w0 (g u0 - m u1) + w1 (q u1 -
+    m* u0)) / det, as ab_equations formed it plane by plane."""
+    return (w0 * (g * u0 - m * u1) + w1 * (q * u1 - np.conj(m) * u0)) / det
+
+
+def whole_grid_frame_records(sol, Q):
+    """The three h-operator records of whole_grid_records."""
+    grid, j = sol.grid, sol.phi.jets
+    h = max(grid.ht, grid.hx, grid.hy)
+    out = {}
+    max_bnd = float(Q[[0, -1]].max())
+    Qc = composite_q_field(sol)
+    frame = strip_h(sol.phi)
+    if not (frame[0].min() > 0.0 and frame[3].min() > 0.0):
+        out.update(ab_equations=None, ekq_subharmonic=None, lq_ratio=None)
+        if not max_bnd < 1.0:
+            out["ekq_subharmonic"] = CheckRecord(
+                "ekq_subharmonic", True, 0.0, 0.0, 0.0, vacuous=True,
+                note=f"boundary Q = {max_bnd} >= 1")
+        if not np.isfinite(Qc).all():
+            out["lq_ratio"] = CheckRecord(
+                "lq_ratio", True, 0.0, 0.0, 0.0, vacuous=True,
+                note="composite Q not finite")
+        return out
+    g, (m_r, m_i), q, det = frame
+    lhs_a, lhs_b = h_contract(sol, j.a, frame), h_contract(sol, j.b, frame)
+    res_a, res_b = np.empty_like(g), np.empty_like(g)
+    for k in range(len(g)):
+        f = g[k], m_r[k] + 1j * m_i[k], q[k], det[k]
+        b_zb, a_z, b_t, a_t = j.third_order(k + 1)
+        u, w = (0.5 * a_t, a_z), (0.5 * b_t, b_zb)
+        rhs_a = (h_bilinear(*f, *u, *map(np.conj, u)).real
+                 + h_bilinear(*f, *map(np.conj, w), *w).real)
+        res_a[k] = np.abs(lhs_a[k] - rhs_a / g[k])
+        res_b[k] = np.abs(lhs_b[k] - 2.0 * h_bilinear(*f, *u, *w) / g[k])
+    scale = max(1.0, float(np.abs(lhs_a).max()), float(np.abs(lhs_b).max()))
+    measured = float(max(res_a.max(), res_b.max()))
+    it, ix, iy = np.unravel_index(np.argmax(res_a), res_a.shape)
+    out["ab_equations"] = CheckRecord(
+        "ab_equations", measured <= C_H1 * h * scale, measured, 0.0,
+        C_H1 * h * scale, (int(it) + 1, int(ix), int(iy)),
+        extra={"residual_a": float(res_a.max()),
+               "residual_b": float(res_b.max()), "scale": scale})
+    K = choose_K(max_bnd)
+    sigma2 = sigma_roots(K)[1]
+    in_hyp = Q[1:-1] < sigma2
+    W = np.exp(np.minimum(K * Q, 700.0))
+    tol = ekq_tolerance_reference(sol)
+    hW = float(h_contract(sol, W, frame)[in_hyp].min())
+    out["ekq_subharmonic"] = CheckRecord(
+        "ekq_subharmonic", hW >= -tol, hW, 0.0, tol,
+        extra={"K": K, "sigma2": sigma2,
+               "out_of_hypothesis_nodes": int((~in_hyp).sum())})
+    LQ = apply_L(sol, Qc, frame)
+    eps = sol.profile.rhs_on(grid)[1:-1]
+    mask = Qc[1:-1] > Q_FLOOR
+    out["lq_ratio"] = CheckRecord(
+        "lq_ratio", True, float((LQ[mask] / (eps[mask]
+                                             * Qc[1:-1][mask])).min()),
+        0.0, 0.0, note="diagnostic", extra={"nodes": int(mask.sum())})
+    return out
+
+
+def record_text(record) -> str:
+    """A record as JSON text, so equal texts mean bitwise equal numbers
+    (NaN included)."""
+    return json.dumps(record.to_dict(), sort_keys=True)
+
+
+def admissible_tie_solution(grid):
+    """phi = f(x, y) + s i^2 on t-plane i, in dyadic numbers few enough
+    that every difference is exact: a, b, Q and every frame plane are
+    bitwise the same on every t-plane, and f repeats with period 4 in x,
+    so each check's extremum is tied across all t-chunks and 16 times
+    within each plane."""
+    ix = np.arange(grid.nx)[:, None]
+    iy = np.arange(grid.ny)[None, :]
+    f = ((ix % 4) * (1 + iy % 3) + 2 * (ix % 2)) * 2.0**-16
+    s = 2.0**-10
+    values = f[None] + s * np.arange(grid.nt)[:, None, None] ** 2
+    return Solution(phi=ScalarField(grid, values), grid=grid,
+                    profile=AnnulusProfile(1e-3), boundary=BoundarySpec(),
+                    converged=True, final_residual=0.0, iterations=0)
+
+
+def pass_cases():
+    """(id, solution) for the pass tests: whole, partial and single
+    t-chunks on both moduli, a tie across chunks and an inadmissible
+    field."""
+    cases = []
+    for modulus in (1j, 0.3 + 1.1j):
+        for grid, chunks in zip(chunk_grids(modulus),
+                                ("whole", "partial", "single")):
+            cases.append((f"{chunks}-{modulus}", synthetic_solution(
+                grid, lambda t, x, y: 0.05 * t * (t - 1)
+                + 0.005 * t**4 * np.cos(2 * np.pi * (x + y))
+                + 0.002 * np.sin(np.pi * t) * np.sin(2 * np.pi * y))))
+    cases.append(("tie", admissible_tie_solution(chunk_grids(1j)[0])))
+    # 1 + a = 0 at (0, 3, 5) and, tied, at the same node of the t = 1 plane
+    spikes = spike_solution(chunk_grids(1j)[1])
+    values = spikes.phi.values.copy()
+    values[-1, 3, 5] = values[0, 3, 5]
+    cases.append(("degenerate-tie", Solution(
+        phi=ScalarField(spikes.grid, values), grid=spikes.grid,
+        profile=spikes.profile, boundary=spikes.boundary, converged=True,
+        final_residual=0.0, iterations=0)))
+    cases.append(("inadmissible", synthetic_solution(
+        chunk_grids(0.3 + 1.1j)[1],
+        lambda t, x, y: 0.3 * np.cos(2 * np.pi * x) * np.sin(np.pi * t))))
+    return cases
+
+
+@pytest.mark.parametrize("case", [c for _, c in pass_cases()],
+                         ids=[i for i, _ in pass_cases()])
+def test_pass_equals_checks_alone_and_whole_grid(case):
+    sol = case
+    report = run_checks(sol, seed=0)
+    want = whole_grid_records(sol)
+    assert [c.name for c in report.checks] == ["converged", *want]
+    for rec in report.checks[1:]:
+        if want[rec.name] is None:           # inadmissible: fails, noted
+            assert not (rec.passed or rec.vacuous)
+            assert "min(1+a)" in rec.note
+            with pytest.raises(InadmissibleError):
+                hcma.verify.CHECKS[rec.name](sol)
+            continue
+        assert record_text(rec) == record_text(want[rec.name]), rec.name
+        alone = (jet_map_export(sol)[1] if rec.name == "jet_map"
+                 else hcma.verify.CHECKS[rec.name](sol))
+        assert record_text(rec) == record_text(alone), rec.name
+
+
+def test_tied_extrema_pick_the_first_node_in_c_order():
+    sol = admissible_tie_solution(chunk_grids(1j)[0])
+    assert len(list(hcma.grid.t_chunks(sol.grid))) == 2
+    j = sol.phi.jets
+    assert all(np.array_equal(j.a[i], j.a[0]) and np.array_equal(j.b[i], j.b[0])
+               for i in range(sol.grid.nt))
+    report = run_checks(sol, seed=0)
+    for name in ("convexity", "max_principle_Q", "metric_lower_bound",
+                 "upper_bound", "ab_equations"):
+        # the first interior plane, and the first tied (x, y) of it
+        assert not report[name].vacuous
+        assert report[name].worst_node[0] == 1, name
+        assert report[name].worst_node == whole_grid_records(
+            sol)[name].worst_node, name
+
+
+def test_inadmissible_pass_fails_every_frame_check():
+    sol = dict(pass_cases())["inadmissible"]
+    report = run_checks(sol, seed=0)
+    assert len(list(hcma.grid.t_chunks(sol.grid))) == 3
+    for name in FRAME_CHECKS:
+        assert not (report[name].passed or report[name].vacuous)
+        assert report[name].note.startswith(
+            "inadmissible solution: min(1+a)=")
+    assert not report["convexity"].passed
+
+
+def test_jet_map_points_equal_whole_grid():
+    for _, sol in pass_cases()[:3]:
+        j = sol.phi.jets
+        points, _ = jet_map_export(sol)
+        want = np.column_stack([j.b[1:-1].real.ravel(),
+                                j.b[1:-1].imag.ravel(), j.a[1:-1].ravel()])
+        assert points.dtype == want.dtype and np.array_equal(points, want)
