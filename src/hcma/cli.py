@@ -17,14 +17,14 @@ import sys
 import numpy as np
 
 from . import io as hio
-from .grid import GridError
-from .leaves import LeafError, qb_along_leaf, trace_leaf
+from .grid import GridError, spatial_ab
+from .leaves import LeafError, leaf_fields, qb_along_leaf, trace_leaf
 from .solver import (ContinuationFailure, SolverError, check_lambdas,
                      check_schedule, continuation_solve, lambda_sweep,
                      newton_solve, rhs_floor)
 from .verify import (check_eps_monotone_limit, check_lambda_monotonicity,
                      check_metric_lower_bound_stability, jet_map_export,
-                     q_field, run_checks, solution_meta)
+                     q_from_ab, run_checks, solution_meta)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,14 +97,15 @@ def cmd_solve(args) -> int:
         return _fail(EXIT_SOLVER, f"solver failed: {last.message}")
 
     names = _save_snapshots(out, config, solutions, "solution", lone=True)
+    a, b = spatial_ab(last.grid, last.phi.values)
     summary = {
         "meta": solution_meta(last, config.seed),
         "checks": [],
         "summary": {
             "final_residual": last.final_residual,
             "iterations": last.iterations,
-            "min_one_plus_a": float(last.interior_one_plus_a().min()),
-            "max_Q": float(q_field(last).max()),
+            "min_one_plus_a": float((1.0 + a[1:-1]).min()),
+            "max_Q": float(q_from_ab(a, b).max()),
             "snapshots": names,
         },
     }
@@ -127,14 +128,14 @@ def cmd_verify(args) -> int:
     hio.write_report(report.to_dict(), os.path.join(out, "report.json"))
 
     from .solver import residual
-    j = solution.phi.jets
+    a, b = spatial_ab(solution.grid, solution.phi.values)
     try:
         res = residual(solution.phi, solution.profile).values
     except GridError:                   # 4 det h - eps_tilde overflowed
         res = np.full(solution.grid.shape, np.nan)
     hio.write_fields_csv(
         os.path.join(out, "fields.csv"), solution.grid,
-        {"Q": q_field(solution), "a": j.a, "abs_b": np.abs(j.b),
+        {"Q": q_from_ab(a, b), "a": a, "abs_b": np.abs(b),
          "residual": res})
     for rec in report.checks:
         tag = "vacuous" if rec.vacuous else ("pass" if rec.passed else "FAIL")
@@ -183,11 +184,12 @@ def cmd_trace(args) -> int:
         config = hio.load_config(args.config)
     if not config.trace_starts:
         raise hio.ConfigError("no [trace] starts configured")
-    modulus = solution.grid.lattice.modulus
+    grid, fields = solution.grid, leaf_fields(solution.phi)
+    modulus = grid.lattice.modulus
     paths, diag = [], []
     for k, (t0, x0, y0) in enumerate(config.trace_starts):
         try:
-            path = trace_leaf(solution, (t0, x0 + modulus * y0),
+            path = trace_leaf(grid, fields, (t0, x0 + modulus * y0),
                               step=config.trace_step)
             _, second, rec = qb_along_leaf(solution, path)
         except LeafError as exc:

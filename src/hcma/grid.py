@@ -12,7 +12,6 @@ z = x + lam*y.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -238,6 +237,12 @@ def wirt_zzbar(grid: Grid, v: np.ndarray, diffs=None) -> np.ndarray:
             + abs(c2)**2 * yy)
 
 
+def spatial_ab(grid: Grid, v: np.ndarray):
+    """(a, b) = (wirt_zzbar, wirt_zz) of v, from one second_diffs."""
+    diffs = second_diffs(grid, v)
+    return wirt_zzbar(grid, v, diffs), wirt_zz(grid, v, diffs)
+
+
 def _padded(grid: Grid, v: np.ndarray) -> np.ndarray:
     """v padded periodically by one cell in x and y: v itself if it comes
     padded, with shape (n, nx+2, ny+2), else _wrap(v, 1, 1)."""
@@ -247,7 +252,8 @@ def _padded(grid: Grid, v: np.ndarray) -> np.ndarray:
 def plane_jets(grid: Grid, w: np.ndarray):
     """(a, b, d_x, d_y) of a real field on the t-planes w, each padded
     periodically by one cell in x and y: bitwise _wrap(., 1, 1) of the
-    whole-grid JetFields values, differenced on one two-cell pad of w."""
+    whole-grid wirt_zzbar, wirt_zz, dx1 and dy1, differenced on one
+    two-cell pad of w."""
     p = _wrap(w, 2, 2)
     diffs = second_diffs(grid, w, p)
     return (wirt_zzbar(grid, w, diffs), wirt_zz(grid, w, diffs),
@@ -259,7 +265,7 @@ def strip_jets(grid: Grid, values: np.ndarray, i0: int, i1: int):
     t-planes i0..i1-1, from the (i1-i0+2)-plane window of its values around
     them: wirt_zzbar, dx1 and dy1 on one padded copy of the window and the
     central t-differences of dt1 and dt2, so every entry is bitwise the
-    whole-grid JetFields value (a, wirt_parts(d_tx, d_ty), d_tt).  values
+    whole-grid (wirt_zzbar, wirt_parts(dt1(dx1), dt1(dy1)), dt2).  values
     may itself be such a window, with (i0, i1) = (1, len(values) - 1), and
     may come padded (_padded)."""
     h = grid.ht
@@ -363,70 +369,6 @@ class Jet:
         return 3 if self.d_zzzb is not None else 2
 
 
-class JetFields:
-    """Whole-grid derivative arrays of one field's values, computed lazily.
-
-    Serves pointwise jets, the verifier and leaf tracing (wirtinger_jet
-    just reads these arrays at a node); the solver and the strip frame do
-    not use it, they read strip_jets one t-chunk at a time.  No reference
-    back to the ScalarField, so a dropped field is freed without the cyclic GC.
-
-    First-order and t-mixed derivatives are cached as real pairs: (d_x, d_y)
-    and (d_tx, d_ty) = (Phi_tx, Phi_ty); consumers combine them into
-    Wirtinger derivatives through wirt_parts.  Third-order jets are made one
-    t-plane at a time (third_order) and never cached.
-    """
-
-    def __init__(self, grid: Grid, values: np.ndarray):
-        self._grid = grid
-        self._values = values
-
-    @cached_property
-    def d_t(self):
-        return dt1(self._grid, self._values)
-
-    @cached_property
-    def d_tt(self):
-        return dt2(self._grid, self._values)
-
-    @cached_property
-    def d_x(self):
-        return dx1(self._grid, self._values)
-
-    @cached_property
-    def d_y(self):
-        return dy1(self._grid, self._values)
-
-    @cached_property
-    def a(self):
-        return wirt_zzbar(self._grid, self._values).real
-
-    @cached_property
-    def b(self):
-        return wirt_zz(self._grid, self._values)
-
-    @cached_property
-    def d_tx(self):
-        return dt1(self._grid, dx1(self._grid, self._values))
-
-    @cached_property
-    def d_ty(self):
-        return dt1(self._grid, dy1(self._grid, self._values))
-
-    def third_order(self, i: int):
-        """(Phi_zzzbar, Phi_zzbarz, Phi_tzz, Phi_tzzbar) on t-plane i: the
-        differences wirt_zbar(b), wirt_z(a), dt1(b), dt1(a) of the
-        second-order jets (O(h) accepted), taken on a three-plane window so
-        the values are bitwise the whole-grid ones (one-sided at t = 0, 1).
-        """
-        grid = self._grid
-        lo = min(max(i - 1, 0), grid.nt - 3)
-        a, b = self.a[lo:lo + 3], self.b[lo:lo + 3]
-        k = i - lo
-        return (wirt_zbar(grid, b[k:k + 1])[0], wirt_z(grid, a[k:k + 1])[0],
-                dt1(grid, b)[k], dt1(grid, a)[k])
-
-
 class ScalarField:
     """Real-valued function sampled on a Grid; immutable after construction."""
 
@@ -441,7 +383,6 @@ class ScalarField:
         values.setflags(write=False)
         self.grid = grid
         self.values = values
-        self.jets = JetFields(grid, values)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "ScalarField":
@@ -456,30 +397,31 @@ class ScalarField:
 
 def wirtinger_jet(fld: ScalarField, node: tuple[int, int, int],
                   order: int = 2) -> Jet:
-    """Jet of a field at a grid node; order 2 or 3."""
+    """Jet of a field at a grid node; order 3 adds differences of a and b
+    (O(h) accepted).  Every entry is bitwise the whole-grid difference at
+    the node, taken on the window of at most four t-planes around it
+    (dt2's one-sided reach at t = 0, 1)."""
     if order not in (2, 3):
         raise GridError(f"jet order must be 2 or 3, got {order}")
-    it, ix, iy = fld.grid.check_node(node)
-    j = fld.jets
-    idx = (it, ix, iy)
-    d_z = complex(*wirt_parts(fld.grid, j.d_x[idx], j.d_y[idx]))
-    d_tz = complex(*wirt_parts(fld.grid, j.d_tx[idx], j.d_ty[idx]))
-    third = {}
-    if order == 3:
-        third = {name: complex(plane[ix, iy]) for name, plane in zip(
-            ("d_zzzb", "d_zzbz", "d_tzz", "d_tzzb"), j.third_order(it))}
-    return Jet(
-        value=float(fld.values[idx]),
-        d_t=float(j.d_t[idx]),
-        d_tt=float(j.d_tt[idx]),
-        d_z=d_z,
-        a=float(j.a[idx]),
-        b=complex(j.b[idx]),
-        d_tz=d_tz,
-        d_tzb=d_tz.conjugate(),
-        one_sided_t=not 0 < it < fld.grid.nt - 1,
-        **third,
-    )
+    grid = fld.grid
+    it, ix, iy = grid.check_node(node)
+    lo = max(0, min(it - 1, grid.nt - 4))
+    w = fld.values[lo:lo + 4]
+    a, b, d_x, d_y = (f[:, 1:-1, 1:-1] for f in plane_jets(grid, w))
+    idx = (it - lo, ix, iy)
+    d_tz = complex(*wirt_parts(grid, dt1(grid, d_x)[idx],
+                               dt1(grid, d_y)[idx]))
+    third = {} if order == 2 else {
+        "d_zzzb": complex(wirt_zbar(grid, b)[idx]),
+        "d_zzbz": complex(wirt_z(grid, a)[idx]),
+        "d_tzz": complex(dt1(grid, b)[idx]),
+        "d_tzzb": complex(dt1(grid, a)[idx])}
+    return Jet(value=float(w[idx]), d_t=float(dt1(grid, w)[idx]),
+               d_tt=float(dt2(grid, w)[idx]),
+               d_z=complex(*wirt_parts(grid, d_x[idx], d_y[idx])),
+               a=float(a[idx]), b=complex(b[idx]), d_tz=d_tz,
+               d_tzb=d_tz.conjugate(), one_sided_t=not 0 < it < grid.nt - 1,
+               **third)
 
 
 def interpolate_array(grid: Grid, values: np.ndarray, t: float, x: float,

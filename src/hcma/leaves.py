@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import interpolate_array, wirt_parts
+from .grid import (Grid, ScalarField, dt1, dx1, dy1, interpolate_array,
+                   spatial_ab, wirt_parts)
 from .solver import Solution
 
 
@@ -71,10 +72,18 @@ def rk4_path(velocity, t0: float, z0: complex, step: float = 0.01):
     return np.array(ts), np.array(zs)
 
 
-def trace_leaf(solution: Solution, start: tuple, step: float = 0.01) -> LeafPath:
-    """Trace one leaf from (t0, z0) to t = 1 with trilinear interpolation."""
+def leaf_fields(phi: ScalarField) -> tuple:
+    """(a, b, Phi_tx, Phi_ty) of phi on the whole grid: the arrays
+    trace_leaf interpolates, built once for every leaf traced through phi."""
+    g, v = phi.grid, phi.values
+    return (*spatial_ab(g, v), dt1(g, dx1(g, v)), dt1(g, dy1(g, v)))
+
+
+def trace_leaf(grid: Grid, fields: tuple, start: tuple,
+               step: float = 0.01) -> LeafPath:
+    """Trace one leaf from (t0, z0) to t = 1 with trilinear interpolation
+    of fields, the leaf_fields of the solution's phi on grid."""
     t0, z0 = start
-    grid = solution.grid
     if not (0.0 <= t0 < 1.0):
         raise LeafError(f"start t = {t0} outside [0, 1)")
     if not np.isfinite(z0):
@@ -86,10 +95,7 @@ def trace_leaf(solution: Solution, start: tuple, step: float = 0.01) -> LeafPath
     if not step > 0.5 * np.spacing(T_END - 1e-14):
         raise LeafError(f"step {step} is too small to advance t")
     modulus = grid.lattice.modulus
-    jets = solution.phi.jets
-    d_tx, d_ty = jets.d_tx, jets.d_ty
-    a_arr = jets.a
-    b_arr = jets.b
+    a_arr, b_arr, d_tx, d_ty = fields
 
     def velocity(t, z):
         x, y = _z_to_lattice(complex(z), modulus)

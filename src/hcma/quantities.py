@@ -275,9 +275,9 @@ def strip_h(phi: ScalarField):
 
     q = Phi_tt/4, m = Phi_tzbar/2 as its real pair (Re m, Im m), g = 1 + a;
     det = q g - |m|^2.  Built from phi.values one t-chunk at a time
-    (strip_jets over t_chunks), bitwise the JetFields values: nothing is
-    cached on phi.jets, no complex array and no whole-grid temporary is
-    made.  Does not check admissibility.
+    (strip_jets over t_chunks), bitwise the whole-grid differences: no
+    complex array and no whole-grid temporary is made.  Does not check
+    admissibility.
     """
     grid = phi.grid
     shape = (grid.nt - 2, grid.nx, grid.ny)

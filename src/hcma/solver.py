@@ -215,7 +215,7 @@ class Solution:
     message: str = "ok"
 
     def interior_one_plus_a(self) -> np.ndarray:
-        return 1.0 + self.phi.jets.a[1:-1]
+        return 1.0 + wirt_zzbar(self.grid, self.phi.values[1:-1])
 
     @property
     def admissible(self) -> bool:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (plane_jets, strip_jets, t_chunks, wirt_parts, wirt_z,
-                   wirt_zbar)
+from .grid import (dx1, dy1, plane_jets, spatial_ab, strip_jets, t_chunks,
+                   wirt_parts, wirt_z, wirt_zbar)
 from .quantities import (InadmissibleError, NonConvexBoundaryError, apply_L,
                          boundary_S, boundary_delta, check_frame, choose_K,
                          h_contract, sigma_roots, strip_h)
@@ -91,7 +91,7 @@ def _h_scale(grid) -> float:
     return max(grid.ht, grid.hx, grid.hy)
 
 
-def _q(a, b):
+def q_from_ab(a, b):
     """Q = |b|^2/(1+a)^2 of spatial jets; inf or NaN, without a warning,
     where 1 + a = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -115,15 +115,14 @@ def _composite_q(grid, a, b, d_x, d_y):
 def q_field(solution: Solution) -> np.ndarray:
     """Appendix-style Q = |b|^2/(1+a)^2 on the whole grid (spatial jets only);
     inf or NaN, without a warning, where 1 + a = 0."""
-    j = solution.phi.jets
-    return _q(j.a, j.b)
+    return q_from_ab(*spatial_ab(solution.grid, solution.phi.values))
 
 
 def composite_q_field(solution: Solution) -> np.ndarray:
     """Composite Q = Q_A + Q_B + Q_G on the whole grid (spatial jets only);
     inf or NaN, without a warning, where 1 + a = 0."""
-    j = solution.phi.jets
-    return _composite_q(solution.grid, j.a, j.b, j.d_x, j.d_y)
+    g, v = solution.grid, solution.phi.values
+    return _composite_q(g, *spatial_ab(g, v), dx1(g, v), dy1(g, v))
 
 
 def _vacuous(name: str, note: str, **fields) -> CheckRecord:
@@ -203,7 +202,7 @@ class CheckPass:
             self.delta, self.delta_note = None, str(exc)
         del pairs
         self.plane_q = np.empty(grid.nt)        # max Q of each t-plane
-        self.plane_q[[0, -1]] = _q(a_bnd, b_bnd).max(axis=(1, 2))
+        self.plane_q[[0, -1]] = q_from_ab(a_bnd, b_bnd).max(axis=(1, 2))
         self.max_bnd_q = float(self.plane_q[[0, -1]].max())
         opa_bnd = 1.0 + a_bnd
         # least 1 + a over the interior, and over the whole grid in C order:
@@ -263,7 +262,7 @@ class CheckPass:
             del Qc
         else:
             del d_x, d_y
-        Q = _q(a_p, b_p)
+        Q = q_from_ab(a_p, b_p)
         a, b, Qi = a_p[_INNER], b_p[_INNER], Q[_INNER]
         opa, abs_b = 1.0 + a, np.abs(b)
         self.opa.add(opa, i0)

@@ -15,7 +15,7 @@ from conftest import (COS_BOUNDARY, closed_form_annulus,
                       closed_form_constant)
 from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, FieldRhs,
                   continuation_solve, lambda_sweep, make_grid, newton_solve)
-from hcma.leaves import qb_along_leaf, rk4_path, trace_leaf
+from hcma.leaves import leaf_fields, qb_along_leaf, rk4_path, trace_leaf
 from hcma.quantities import (FlatJet, TorusPointState, general_flat_state,
                              m_matrix, sigma_roots)
 from hcma.verify import (check_ab_equations, check_convexity,
@@ -204,14 +204,16 @@ def test_criterion_11_lq_ratio_stability(eps_sweep):
 
 
 def test_criterion_12_leaf_diagnostics(sol_zero_const, sol_cos):
-    path = trace_leaf(sol_zero_const, (0.0, 0.3 + 0.4j), step=0.05)
+    path = trace_leaf(sol_zero_const.grid, leaf_fields(sol_zero_const.phi),
+                      (0.0, 0.3 + 0.4j), step=0.05)
     vertical = np.abs(path.zs - path.zs[0]).max()
     errs = []
     for step in (0.1, 0.05, 0.025):
         _, zs = rk4_path(lambda t, z: z, 0.0, 1.0 + 0j, step=step)
         errs.append(abs(zs[-1] - np.e))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    path2 = trace_leaf(sol_cos, (0.0, 0.25 + 0.5j), step=0.02)
+    path2 = trace_leaf(sol_cos.grid, leaf_fields(sol_cos.phi),
+                       (0.0, 0.25 + 0.5j), step=0.02)
     _, _, rec = qb_along_leaf(sol_cos, path2)
     g = sol_cos.grid
     tol = 10.0 * max(g.ht, g.hx) ** 2 * max(1.0, rec["max_qb"] / g.ht**2)

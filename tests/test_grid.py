@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 import hcma.grid
 from conftest import chunk_grids
 from hcma.grid import (DegenerateLatticeError, DimensionTooSmallError,
-                       ScalarField, _wrap, dt1, interpolate_array, make_grid,
-                       plane_jets, second_order_stencil, t_chunks,
-                       wirt_parts, wirt_z, wirt_zbar, wirtinger_jet)
+                       ScalarField, _wrap, dt1, dt2, dx1, dy1,
+                       interpolate_array, make_grid, plane_jets,
+                       second_order_stencil, t_chunks, wirt_parts, wirt_z,
+                       wirt_zbar, wirt_zz, wirt_zzbar, wirtinger_jet)
 
 
 def field_from(grid, fn):
@@ -117,41 +118,24 @@ class TestStencilPrimitives:
     def test_complex_jets_built_from_the_real_pairs(self, modulus):
         g = make_grid(5, 8, 6, modulus)
         v = np.random.default_rng(4).standard_normal(g.shape)
-        jets = ScalarField(g, v).jets
-        z_r, z_i = wirt_parts(g, jets.d_x, jets.d_y)
+        z_r, z_i = wirt_parts(g, dx1(g, v), dy1(g, v))
         assert np.array_equal(z_r + 1j * z_i, wirt_z(g, v))
         ref = dt1(g, wirt_z(g, v))             # Phi_tz, differenced complex
-        tz_r, tz_i = wirt_parts(g, jets.d_tx, jets.d_ty)
+        tz_r, tz_i = wirt_parts(g, dt1(g, dx1(g, v)), dt1(g, dy1(g, v)))
         assert np.allclose(tz_r + 1j * tz_i, ref, rtol=0,
                            atol=1e-14 * abs(ref).max())
-        # the cached jets are all real
-        assert not any(np.iscomplexobj(x) for x in vars(jets).values())
 
     @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
     def test_plane_jets_are_the_padded_whole_grid_jets(self, modulus):
         g = make_grid(5, 8, 6, modulus)
         v = np.random.default_rng(7).standard_normal(g.shape)
-        jets = ScalarField(g, v).jets
+        whole = (wirt_zzbar(g, v), wirt_zz(g, v), dx1(g, v), dy1(g, v))
         for lo, hi in ((0, 5), (2, 3)):
             got = plane_jets(g, v[lo:hi])
-            for x, want in zip(got, (jets.a, jets.b, jets.d_x, jets.d_y)):
+            for x, want in zip(got, whole):
                 want = _wrap(want[lo:hi], 1, 1)
                 assert x.dtype == want.dtype
                 assert x.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("nt", [3, 5])
-    @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
-    def test_third_order_planes_bitwise_equal_to_whole_grid(self, nt,
-                                                            modulus):
-        g = make_grid(nt, 8, 6, modulus)
-        v = np.random.default_rng(nt).standard_normal(g.shape)
-        jets = ScalarField(g, v).jets
-        whole = (wirt_zbar(g, jets.b), wirt_z(g, jets.a), dt1(g, jets.b),
-                 dt1(g, jets.a))
-        for i in range(nt):                  # one-sided at i = 0, nt - 1
-            for got, want in zip(jets.third_order(i), whole):
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want[i])
 
 
 def whole_grid_apply(grid, planes, v):
@@ -320,9 +304,37 @@ class TestWirtingerJet:
         assert j0.a == pytest.approx(j1.a, abs=1e-12)
         assert j0.b == pytest.approx(j1.b, abs=1e-12)
 
+    # nt = 3 takes dt2's fallback, nt = 4 is the tightest four-plane window
+    @pytest.mark.parametrize("nt", [3, 4, 5, 7])
+    @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
+    def test_every_node_class_bitwise_equal_to_whole_grid(self, nt, modulus):
+        g = make_grid(nt, 8, 6, modulus)
+        v = np.random.default_rng(nt).standard_normal(g.shape)
+        a, b = wirt_zzbar(g, v), wirt_zz(g, v)
+        tz_r, tz_i = wirt_parts(g, dt1(g, dx1(g, v)), dt1(g, dy1(g, v)))
+        z_r, z_i = wirt_parts(g, dx1(g, v), dy1(g, v))
+        whole = {"value": v, "d_t": dt1(g, v), "d_tt": dt2(g, v),
+                 "d_z": z_r + 1j * z_i, "a": a, "b": b,
+                 "d_tz": tz_r + 1j * tz_i, "d_tzb": tz_r - 1j * tz_i}
+        third = {"d_zzzb": wirt_zbar(g, b), "d_zzbz": wirt_z(g, a),
+                 "d_tzz": dt1(g, b), "d_tzzb": dt1(g, a)}
+        fld = ScalarField(g, v)
+        for order in (2, 3):
+            want = {**whole, **third} if order == 3 else whole
+            for it in range(nt):            # one-sided at it = 0, nt - 1
+                for ix, iy in ((0, 0), (3, 5), (7, 2)):
+                    jet = wirtinger_jet(fld, (it, ix, iy), order)
+                    assert jet.order == order
+                    assert jet.one_sided_t == (it in (0, nt - 1))
+                    for name, arr in want.items():
+                        got = getattr(jet, name)
+                        ref = type(got)(arr[it, ix, iy])
+                        assert np.array(got).tobytes() == np.array(
+                            ref).tobytes(), (name, it, ix, iy)
+
     def test_field_freed_without_cyclic_gc(self):
         fld = field_from(make_grid(5, 8, 8), lambda t, x, y: t * x + y)
-        assert all(np.isfinite(p).all() for p in fld.jets.third_order(2))
+        assert np.isfinite(wirtinger_jet(fld, (2, 3, 3), order=3).d_tzz)
         ref = weakref.ref(fld)
         gc.disable()
         try:

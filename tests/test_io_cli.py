@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcma import AnnulusProfile, BoundarySpec, cli, make_grid
-from hcma.grid import ScalarField
+from hcma.grid import ScalarField, wirt_zz, wirt_zzbar
 from hcma.io import (_SCHEMA, MAGIC, ConfigError, ExperimentConfig, Snapshot,
                      SnapshotError, load_config, report_json,
                      write_fields_csv)
@@ -758,6 +758,26 @@ class TestCliFrontDoor:
         with open(v / "fields.csv", newline="") as fh:
             res = [row["residual"] for row in csv.DictReader(fh)]
         assert set(res) == {"nan"}
+
+    @pytest.mark.parametrize("modulus", ["0.0+1.0j", "0.3+1.1j"])
+    def test_verify_fields_csv_jet_columns(self, tmp_path, modulus):
+        # a, |b| and Q = |b|^2/(1+a)^2 of the snapshot's phi, bitwise
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace(
+            "ny = 16\n", f"ny = 16\nmodulus = {modulus}\n"))
+        assert cli.main(["solve", "--config", cfg, "--out",
+                         str(tmp_path)]) == 0
+        snap, v = str(tmp_path / "solution.snap"), tmp_path / "v"
+        assert cli.main(["verify", "--snapshot", snap, "--out", str(v)]) == 0
+        sol, _ = Snapshot.load(snap).to_solution()
+        a, b = wirt_zzbar(sol.grid, sol.phi.values), wirt_zz(
+            sol.grid, sol.phi.values)
+        want = {"a": a, "abs_b": np.abs(b),
+                "Q": np.abs(b) ** 2 / (1.0 + a) ** 2}
+        with open(v / "fields.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for name, arr in want.items():
+            assert [row[name] for row in rows] == list(
+                map(repr, arr.ravel().tolist())), name
 
     def test_checks_all_overrides_the_echo(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG.replace(

@@ -3,8 +3,13 @@ import pytest
 
 from conftest import COS_BOUNDARY
 from hcma import AnnulusProfile, make_grid, newton_solve
-from hcma.leaves import (LeafError, LeafPath, qb_along_leaf, rk4_path,
-                         trace_leaf)
+from hcma.leaves import (LeafError, LeafPath, leaf_fields, qb_along_leaf,
+                         rk4_path, trace_leaf)
+
+
+def trace(sol, start, step=0.01):
+    """One leaf through sol's phi, from the leaf_fields hcma trace builds."""
+    return trace_leaf(sol.grid, leaf_fields(sol.phi), start, step)
 
 
 class TestRk4Path:
@@ -37,18 +42,18 @@ class TestRk4Path:
 class TestTraceLeaf:
     def test_vertical_on_zero_boundary(self, sol_zero_const):
         # Phi_tzbar = 0 everywhere, so every leaf is a vertical line
-        path = trace_leaf(sol_zero_const, (0.0, 0.3 + 0.4j), step=0.05)
+        path = trace(sol_zero_const, (0.0, 0.3 + 0.4j), step=0.05)
         assert not path.aborted
         assert np.abs(path.zs - path.zs[0]).max() == pytest.approx(0.0)
         assert path.ts[-1] == pytest.approx(1.0)
 
     def test_vertical_on_t_independent_spatial_part(self, sol_zero_annulus):
-        path = trace_leaf(sol_zero_annulus, (0.0, 0.1 + 0.2j), step=0.05)
+        path = trace(sol_zero_annulus, (0.0, 0.1 + 0.2j), step=0.05)
         assert not path.aborted
         assert np.abs(path.zs - path.zs[0]).max() < 1e-12
 
     def test_cos_boundary_stays_in_hypothesis(self, sol_cos):
-        path = trace_leaf(sol_cos, (0.0, 0.25 + 0.5j), step=0.02)
+        path = trace(sol_cos, (0.0, 0.25 + 0.5j), step=0.02)
         assert not path.aborted
         qb, second, record = qb_along_leaf(sol_cos, path)
         assert record["in_hypothesis"]
@@ -56,13 +61,13 @@ class TestTraceLeaf:
 
     def test_bad_start_t(self, sol_zero_const):
         with pytest.raises(LeafError):
-            trace_leaf(sol_zero_const, (1.0, 0j))
+            trace(sol_zero_const, (1.0, 0j))
         with pytest.raises(LeafError):
-            trace_leaf(sol_zero_const, (-0.1, 0j))
+            trace(sol_zero_const, (-0.1, 0j))
 
     def test_bad_step(self, sol_zero_const):
         with pytest.raises(LeafError):
-            trace_leaf(sol_zero_const, (0.0, 0j), step=0.0)
+            trace(sol_zero_const, (0.0, 0j), step=0.0)
 
     @pytest.mark.parametrize("start, step", [
         ((float("nan"), 0j), 0.1), ((0.0, complex(float("nan"), 0.5)), 0.1),
@@ -70,33 +75,33 @@ class TestTraceLeaf:
         ((0.0, 0j), float("inf"))])
     def test_non_finite_start_or_step(self, sol_zero_const, start, step):
         with pytest.raises(LeafError):
-            trace_leaf(sol_zero_const, start, step=step)
+            trace(sol_zero_const, start, step=step)
 
     @pytest.mark.parametrize("t0", [0.0, 0.5])
     def test_step_too_small_to_advance_t(self, sol_zero_const,
                                          rk4_step_limit, t0):
         # 1e-17 is below half the float spacing on [0.5, 1): t + step == t
         with pytest.raises(LeafError, match="too small to advance t"):
-            trace_leaf(sol_zero_const, (t0, 0j), step=1e-17)
+            trace(sol_zero_const, (t0, 0j), step=1e-17)
 
     def test_smallest_advancing_step_is_accepted(self, sol_zero_const,
                                                  rk4_step_limit):
         # just over half the spacing: slow, but every step advances t
         step = np.nextafter(0.5 * np.spacing(0.75), 1.0)
         with pytest.raises(RuntimeError, match="step limit"):
-            trace_leaf(sol_zero_const, (0.5, 0j), step=step)
+            trace(sol_zero_const, (0.5, 0j), step=step)
 
     def test_lattice_wrap(self, sol_cos):
         # starts one period apart follow identical wrapped paths
-        p0 = trace_leaf(sol_cos, (0.0, 0.25 + 0j), step=0.05)
-        p1 = trace_leaf(sol_cos, (0.0, 1.25 + 0j), step=0.05)
+        p0 = trace(sol_cos, (0.0, 0.25 + 0j), step=0.05)
+        p1 = trace(sol_cos, (0.0, 1.25 + 0j), step=0.05)
         assert np.abs(p0.zs - p1.zs).max() < 1e-10
 
     def test_adjacent_starts_stay_close(self, sol_cos):
         # Lipschitz continuity of the flow in the initial condition
         d0 = 1e-3
-        p0 = trace_leaf(sol_cos, (0.0, 0.3 + 0.3j), step=0.02)
-        p1 = trace_leaf(sol_cos, (0.0, 0.3 + d0 + 0.3j), step=0.02)
+        p0 = trace(sol_cos, (0.0, 0.3 + 0.3j), step=0.02)
+        p1 = trace(sol_cos, (0.0, 0.3 + d0 + 0.3j), step=0.02)
         sep = np.abs(p1.zs - p0.zs)
         assert sep.max() < 10 * d0
 
@@ -111,7 +116,7 @@ class TestTraceLeaf:
         sol = Solution(phi=fld, grid=grid_small, profile=AnnulusProfile(1e-3),
                        boundary=BoundarySpec(), converged=True,
                        final_residual=0.0, iterations=0)
-        path = trace_leaf(sol, (0.0, 0.0 + 0.5j), step=0.05)
+        path = trace(sol, (0.0, 0.0 + 0.5j), step=0.05)
         assert path.aborted
         assert "degenerate" in path.message
         assert path.n_samples >= 1
@@ -126,20 +131,20 @@ class TestQbAlongLeaf:
             qb_along_leaf(sol_zero_const, path)
 
     def test_zero_on_zero_boundary(self, sol_zero_const):
-        path = trace_leaf(sol_zero_const, (0.0, 0.2 + 0.7j), step=0.05)
+        path = trace(sol_zero_const, (0.0, 0.2 + 0.7j), step=0.05)
         qb, second, record = qb_along_leaf(sol_zero_const, path)
         assert np.abs(qb).max() < 1e-12
         assert record["min_second_diff"] == pytest.approx(0.0, abs=1e-10)
 
     def test_nonuniform_tail_handled(self, sol_zero_const):
         # step that does not divide 1 forces a shortened final interval
-        path = trace_leaf(sol_zero_const, (0.0, 0.2 + 0.7j), step=0.07)
+        path = trace(sol_zero_const, (0.0, 0.2 + 0.7j), step=0.07)
         qb, second, record = qb_along_leaf(sol_zero_const, path)
         assert np.isfinite(second).all()
 
     def test_convexity_in_hypothesis(self, sol_cos):
         # paper's convexity statement: (Q_B)_XXbar >= 0 up to the h^2 band
-        path = trace_leaf(sol_cos, (0.0, 0.25 + 0.5j), step=0.02)
+        path = trace(sol_cos, (0.0, 0.25 + 0.5j), step=0.02)
         _, second, record = qb_along_leaf(sol_cos, path)
         assert record["in_hypothesis"]
         h2 = 10.0 * max(sol_cos.grid.ht, sol_cos.grid.hx) ** 2
@@ -152,7 +157,7 @@ class TestEpsSweepCoherence:
         # endpoints drift as eps shrinks; record the spread, no threshold
         ends = []
         for sol in eps_sweep:
-            path = trace_leaf(sol, (0.0, 0.25 + 0.5j), step=0.05)
+            path = trace(sol, (0.0, 0.25 + 0.5j), step=0.05)
             assert not path.aborted
             ends.append(path.zs[-1])
         spread = max(abs(a - b) for a in ends for b in ends)

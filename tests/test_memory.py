@@ -5,7 +5,6 @@ deterministic count of allocations, not a timing)."""
 import tracemalloc
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from conftest import COS_BOUNDARY
@@ -37,17 +36,14 @@ def test_newton_solve_caches_no_jet():
     sol = newton_solve(make_grid(17, 32, 32), COS_BOUNDARY,
                        AnnulusProfile(1e-3))
     assert sol.converged
-    assert not [name for name, value in vars(sol.phi.jets).items()
-                if isinstance(value, np.ndarray) and name != "_values"]
+    assert vars(sol.phi).keys() == {"grid", "values"}
 
 
-def test_run_checks_caches_no_third_order_jet(sol_cos):
-    # a fresh field, since other tests read the shared fixture's jets
+def test_run_checks_caches_no_jet(sol_cos):
     phi = ScalarField(sol_cos.grid, sol_cos.phi.values)
     report = run_checks(replace(sol_cos, phi=phi), seed=0)
     assert report.all_pass
-    assert not [name for name, value in vars(phi.jets).items()
-                if isinstance(value, np.ndarray) and name != "_values"]
+    assert vars(phi).keys() == {"grid", "values"}
 
 
 def peak_bytes_per_node(names=None):

@@ -7,8 +7,8 @@ import hcma.grid
 import hcma.verify
 from conftest import COS_AMP, COS_BOUNDARY, chunk_grids
 from hcma import AnnulusProfile, BoundarySpec, make_grid, newton_solve
-from hcma.grid import (JetFields, ScalarField, dt1, wirt_parts, wirt_z,
-                       wirt_zbar)
+from hcma.grid import (ScalarField, dt1, dt2, dx1, dy1, wirt_parts, wirt_z,
+                       wirt_zbar, wirt_zz, wirt_zzbar)
 from hcma.io import report_json
 from hcma.quantities import (DegenerateMetricError, InadmissibleError,
                              InfeasibleKError, NonConvexBoundaryError,
@@ -151,21 +151,22 @@ def ab_residuals_reference(sol):
     arithmetic: third-order jets differenced on the whole grid, b contracted
     as its real and imaginary parts, every product on full interior
     arrays."""
-    grid, j = sol.grid, sol.phi.jets
+    grid, v = sol.grid, sol.phi.values
+    a, b = wirt_zzbar(grid, v), wirt_zz(grid, v)
     frame = admissible_frame(sol.phi)
     g, (m_r, m_i), q, det = frame
     m = m_r + 1j * m_i
     i = np.s_[1:-1]
-    a_zeta, a_z = 0.5 * dt1(grid, j.a)[i], wirt_z(grid, j.a)[i]
-    b_zetabar, b_zbar = 0.5 * dt1(grid, j.b)[i], wirt_zbar(grid, j.b)[i]
+    a_zeta, a_z = 0.5 * dt1(grid, a)[i], wirt_z(grid, a)[i]
+    b_zetabar, b_zbar = 0.5 * dt1(grid, b)[i], wirt_zbar(grid, b)[i]
 
     def h_bilinear(u0, u1, w0, w1):
         return (g * u0 * w0 - m * u1 * w0 - np.conj(m) * u0 * w1
                 + q * u1 * w1) / det
 
-    lhs_a = h_contract(sol, j.a, frame)
-    lhs_b = (h_contract(sol, j.b.real, frame)
-             + 1j * h_contract(sol, j.b.imag, frame))
+    lhs_a = h_contract(sol, a, frame)
+    lhs_b = (h_contract(sol, b.real, frame)
+             + 1j * h_contract(sol, b.imag, frame))
     rhs_a = (h_bilinear(a_zeta, a_z, np.conj(a_zeta), np.conj(a_z))
              + h_bilinear(np.conj(b_zetabar), np.conj(b_zbar), b_zetabar,
                           b_zbar)).real / g
@@ -240,18 +241,18 @@ class TestEkqSubharmonic:
 
 
 def ekq_tolerance_reference(sol):
-    """The ekq_subharmonic allowance from W's whole-grid JetFields jets, as
-    it was computed before it went chunk by chunk."""
+    """The ekq_subharmonic allowance from W's whole-grid jets, as it was
+    computed before it went chunk by chunk."""
     grid = sol.grid
     Q = q_field(sol)
     K = choose_K(float(Q[[0, -1]].max()))
     W = np.exp(np.minimum(K * Q, 700.0))
     g, (m_r, m_i), q, det = admissible_frame(sol.phi)
-    w = JetFields(grid, W)
-    w_tz = wirt_parts(grid, w.d_tx[1:-1], w.d_ty[1:-1])
+    w_tz = wirt_parts(grid, dt1(grid, dx1(grid, W))[1:-1],
+                      dt1(grid, dy1(grid, W))[1:-1])
     mixed = np.hypot(m_r, m_i) * (0.5 * np.hypot(*w_tz))
-    mag = (g * np.abs(0.25 * w.d_tt[1:-1]) + mixed + mixed
-           + q * np.abs(w.a[1:-1])) / det
+    mag = (g * np.abs(0.25 * dt2(grid, W)[1:-1]) + mixed + mixed
+           + q * np.abs(wirt_zzbar(grid, W)[1:-1])) / det
     return C_H2 * max(grid.ht, grid.hx, grid.hy) ** 2 * max(1.0, float(
         mag.max()))
 
@@ -402,12 +403,12 @@ class TestRunChecks:
 
 def whole_grid_records(sol):
     """Every run_checks record but converged, made as the checks made them
-    before they were folded chunk by chunk: from whole-grid JetFields
-    arrays, whole-grid contractions and per-plane third-order jets.  An
+    before they were folded chunk by chunk: from whole-grid jets,
+    whole-grid contractions and per-plane third-order jets.  An
     h-operator check on an inadmissible solution maps to None."""
-    grid, j = sol.grid, sol.phi.jets
+    grid, v = sol.grid, sol.phi.values
     h2 = C_H2 * max(grid.ht, grid.hx, grid.hy) ** 2
-    a, b = j.a, j.b
+    a, b = wirt_zzbar(grid, v), wirt_zz(grid, v)
     opa = 1.0 + a
     Q = q_field(sol)
     pairs = np.column_stack([a[[0, -1]].ravel(), b[[0, -1]].ravel()])
@@ -486,7 +487,8 @@ def h_bilinear(g, m, q, det, u0, u1, w0, w1):
 
 def whole_grid_frame_records(sol, Q):
     """The three h-operator records of whole_grid_records."""
-    grid, j = sol.grid, sol.phi.jets
+    grid, v = sol.grid, sol.phi.values
+    a, b = wirt_zzbar(grid, v), wirt_zz(grid, v)
     h = max(grid.ht, grid.hx, grid.hy)
     out = {}
     max_bnd = float(Q[[0, -1]].max())
@@ -504,11 +506,12 @@ def whole_grid_frame_records(sol, Q):
                 note="composite Q not finite")
         return out
     g, (m_r, m_i), q, det = frame
-    lhs_a, lhs_b = h_contract(sol, j.a, frame), h_contract(sol, j.b, frame)
+    lhs_a, lhs_b = h_contract(sol, a, frame), h_contract(sol, b, frame)
     res_a, res_b = np.empty_like(g), np.empty_like(g)
+    third = wirt_zbar(grid, b), wirt_z(grid, a), dt1(grid, b), dt1(grid, a)
     for k in range(len(g)):
         f = g[k], m_r[k] + 1j * m_i[k], q[k], det[k]
-        b_zb, a_z, b_t, a_t = j.third_order(k + 1)
+        b_zb, a_z, b_t, a_t = (x[k + 1] for x in third)
         u, w = (0.5 * a_t, a_z), (0.5 * b_t, b_zb)
         rhs_a = (h_bilinear(*f, *u, *map(np.conj, u)).real
                  + h_bilinear(*f, *map(np.conj, w), *w).real)
@@ -614,8 +617,9 @@ def test_pass_equals_checks_alone_and_whole_grid(case):
 def test_tied_extrema_pick_the_first_node_in_c_order():
     sol = admissible_tie_solution(chunk_grids(1j)[0])
     assert len(list(hcma.grid.t_chunks(sol.grid))) == 2
-    j = sol.phi.jets
-    assert all(np.array_equal(j.a[i], j.a[0]) and np.array_equal(j.b[i], j.b[0])
+    grid, v = sol.grid, sol.phi.values
+    a, b = wirt_zzbar(grid, v), wirt_zz(grid, v)
+    assert all(np.array_equal(a[i], a[0]) and np.array_equal(b[i], b[0])
                for i in range(sol.grid.nt))
     report = run_checks(sol, seed=0)
     for name in ("convexity", "max_principle_Q", "metric_lower_bound",
@@ -640,8 +644,9 @@ def test_inadmissible_pass_fails_every_frame_check():
 
 def test_jet_map_points_equal_whole_grid():
     for _, sol in pass_cases()[:3]:
-        j = sol.phi.jets
+        grid, v = sol.grid, sol.phi.values
+        a, b = wirt_zzbar(grid, v), wirt_zz(grid, v)
         points, _ = jet_map_export(sol)
-        want = np.column_stack([j.b[1:-1].real.ravel(),
-                                j.b[1:-1].imag.ravel(), j.a[1:-1].ravel()])
+        want = np.column_stack([b[1:-1].real.ravel(), b[1:-1].imag.ravel(),
+                                a[1:-1].ravel()])
         assert points.dtype == want.dtype and np.array_equal(points, want)
