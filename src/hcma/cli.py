@@ -9,7 +9,6 @@ solver would reject is caught before anything is solved or written),
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -222,21 +221,18 @@ def cmd_plotdata(args) -> int:
               None if delta is None else 1.0 + a_ref - delta),
              ("upper_bound", record.extra["S"] - 1.0 - a_ref))
     thetas = np.linspace(0.0, 2.0 * math.pi, 129)
+    # the table's row sections: the jets, then per radius its cone section,
+    # or a note row where the radius is unknown
+    sections = [(["jets"] * len(points), *points.T)]
+    for section, r in radii:
+        sections.append(
+            (["note"], [f"{section} omitted"],
+             [record.extra.get("delta_note", "")], [""]) if r is None else
+            ([section] * len(thetas), [r * math.cos(th) for th in thetas],
+             [r * math.sin(th) for th in thetas], [a_ref] * len(thetas)))
     path = os.path.join(out, "jetmap.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["section", "col1", "col2", "col3"])
-        for re_b, im_b, a in points:
-            w.writerow(["jets", repr(float(re_b)), repr(float(im_b)),
-                        repr(float(a))])
-        for section, r in radii:
-            if r is None:
-                w.writerow(["note", f"{section} omitted",
-                            record.extra.get("delta_note", ""), ""])
-                continue
-            for th in thetas:
-                w.writerow([section, repr(r * math.cos(th)),
-                            repr(r * math.sin(th)), repr(a_ref)])
+    hio.write_csv(path, ["section", "col1", "col2", "col3"],
+                  list(zip(*sections)))
     print(f"jet-map data -> {path}")
     return EXIT_OK
 

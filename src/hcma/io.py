@@ -20,10 +20,11 @@ with configparser; unknown sections or keys are rejected.  Snapshot format
 from __future__ import annotations
 
 import configparser
-import csv
 import dataclasses
+import itertools
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
@@ -341,21 +342,46 @@ def write_report(report_dict: dict, path) -> None:
         fh.write(report_json(report_dict))
 
 
+# Values of an array column turned into Python objects at a time, so no
+# column is held whole as Python objects.
+CSV_BLOCK_ROWS = 1024
+_CSV_QUOTED = re.compile('[,"\r\n]')   # csv.writer quotes a text holding one
+
+
+def _csv_cells(column):
+    """A column's cells: a tuple's pieces laid end to end, a numpy array's
+    values a block at a time, and a list's as they are, each text quoted
+    if it holds a comma, a quote or a line break."""
+    if isinstance(column, tuple):
+        return itertools.chain.from_iterable(map(_csv_cells, column))
+    if isinstance(column, np.ndarray):
+        return itertools.chain.from_iterable(
+            column[i:i + CSV_BLOCK_ROWS].tolist()
+            for i in range(0, len(column), CSV_BLOCK_ROWS))
+    return ('"' + c.replace('"', '""') + '"'
+            if isinstance(c, str) and _CSV_QUOTED.search(c) else c
+            for c in column)
+
+
+def write_csv(path, header, columns) -> None:
+    """CSV of a header row and then equal-length columns (int or float
+    arrays, lists, or tuples of such pieces), lines ending in CRLF.  Ints
+    and floats are written with str, which for a float is its repr, so
+    each parses back bitwise."""
+    row = ",".join(["%s"] * len(header)) + "\r\n"
+    rows = zip(*map(_csv_cells, columns), strict=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(row % tuple(_csv_cells(list(header))))
+        fh.writelines(map(row.__mod__, rows))
+
+
 def write_fields_csv(path, grid: Grid, fields: dict) -> None:
     """Node-per-row CSV: it, ix, iy, then one column per named field."""
-    columns = np.indices(grid.shape).reshape(3, -1).tolist()
-    columns += [map(repr, np.asarray(f, dtype=float).ravel().tolist())
-                for f in fields.values()]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["it", "ix", "iy"] + list(fields))
-        w.writerows(zip(*columns))
+    index = np.indices(grid.shape, dtype=np.int32).reshape(3, -1)
+    write_csv(path, ["it", "ix", "iy", *fields], [*index, *(
+        np.asarray(f, dtype=float).ravel() for f in fields.values())])
 
 
 def write_leaf_csv(path, path_obj) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "re_z", "im_z", "q_b"])
-        for t, z, qb in zip(path_obj.ts, path_obj.zs, path_obj.qb_samples):
-            w.writerow([repr(float(t)), repr(float(z.real)),
-                        repr(float(z.imag)), repr(float(qb))])
+    write_csv(path, ["t", "re_z", "im_z", "q_b"], [
+        path_obj.ts, path_obj.zs.real, path_obj.zs.imag, path_obj.qb_samples])

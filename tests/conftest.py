@@ -11,11 +11,13 @@ COS_BOUNDARY = BoundarySpec(phi1=((1, 0, COS_AMP),))
 
 def chunk_grids(modulus):
     """Grids whose nt - 2 interior t-planes make two whole t-chunks, two
-    and part of a third, and part of one chunk."""
+    and part of a third, part of one chunk, and five one-plane chunks (an
+    x-y plane of CHUNK_NODES nodes, as on the largest grids)."""
     per = max(1, CHUNK_NODES // (64 * 64))
     return [make_grid(2 + 2 * per, 64, 64, modulus),
             make_grid(3 + 2 * per, 64, 64, modulus),
-            make_grid(9, 16, 16, modulus)]
+            make_grid(9, 16, 16, modulus),
+            make_grid(7, 128, CHUNK_NODES // 128, modulus)]
 
 
 @pytest.fixture

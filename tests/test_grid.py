@@ -181,7 +181,8 @@ class TestChunkedStencil:
             chunks = list(t_chunks(g))
             assert chunks[0][0] == 1 and chunks[-1][1] == g.nt - 1
             assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        assert [len(list(t_chunks(g))) for g in chunk_grids(1j)] == [2, 3, 1]
+        assert ([len(list(t_chunks(g))) for g in chunk_grids(1j)]
+                == [2, 3, 1, 5])
 
     @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
     @pytest.mark.parametrize("dtype", [float, complex])

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import struct
@@ -11,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hcma.io
 from hcma import AnnulusProfile, BoundarySpec, cli, make_grid
 from hcma.grid import ScalarField, wirt_zz, wirt_zzbar
 from hcma.io import (_SCHEMA, MAGIC, ConfigError, ExperimentConfig, Snapshot,
-                     SnapshotError, load_config, report_json,
-                     write_fields_csv)
+                     SnapshotError, load_config, report_json, write_csv,
+                     write_fields_csv, write_leaf_csv)
+from hcma.leaves import leaf_fields, trace_leaf
 from hcma.solver import Solution
-from hcma.verify import CHECKS
+from hcma.verify import CHECKS, jet_map_export
 
 SMALL_CONFIG = """\
 [grid]
@@ -367,6 +370,63 @@ class TestSnapshot:
             pass
 
 
+# --- the earlier row-loop CSV writers, kept as references --------------------
+
+SPECIAL = [1e300, -1e-300, -0.0, 1.0 / 3.0, 5e-324, 0.1, -7.0,
+           float("nan"), float("inf"), float("-inf")]
+
+
+def csv_bytes(rows) -> bytes:
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+def reference_fields_csv(grid, fields) -> bytes:
+    columns = np.indices(grid.shape).reshape(3, -1).tolist()
+    columns += [map(repr, np.asarray(f, dtype=float).ravel().tolist())
+                for f in fields.values()]
+    return csv_bytes([["it", "ix", "iy"] + list(fields), *zip(*columns)])
+
+
+def reference_leaf_csv(path_obj) -> bytes:
+    rows = [["t", "re_z", "im_z", "q_b"]]
+    for t, z, qb in zip(path_obj.ts, path_obj.zs, path_obj.qb_samples):
+        rows.append([repr(float(t)), repr(float(z.real)),
+                     repr(float(z.imag)), repr(float(qb))])
+    return csv_bytes(rows)
+
+
+def reference_jetmap_csv(points, record) -> bytes:
+    a_ref = float(np.median(points[:, 2]))
+    delta = record.extra.get("delta")
+    radii = (("cone_C0", 1.0 + a_ref),
+             ("cone_intersection",
+              None if delta is None else 1.0 + a_ref - delta),
+             ("upper_bound", record.extra["S"] - 1.0 - a_ref))
+    rows = [["section", "col1", "col2", "col3"]]
+    for re_b, im_b, a in points:
+        rows.append(["jets", repr(float(re_b)), repr(float(im_b)),
+                     repr(float(a))])
+    for section, r in radii:
+        if r is None:
+            rows.append(["note", f"{section} omitted",
+                         record.extra.get("delta_note", ""), ""])
+            continue
+        for th in np.linspace(0.0, 2.0 * math.pi, 129):
+            rows.append([section, repr(r * math.cos(th)),
+                         repr(r * math.sin(th)), repr(a_ref)])
+    return csv_bytes(rows)
+
+
+def block_sizes(monkeypatch):
+    """Sets io.CSV_BLOCK_ROWS to 2, 7 and its own value in turn: the small
+    blocks split every table, and the pieces of a column, mid-way."""
+    for block in (2, 7, hcma.io.CSV_BLOCK_ROWS):
+        monkeypatch.setattr(hcma.io, "CSV_BLOCK_ROWS", block)
+        yield block
+
+
 class TestReports:
     def test_deterministic_after_stripping_timestamp(self):
         d = {"meta": {"seed": 0}, "checks": [{"name": "x", "pass": True}]}
@@ -383,21 +443,73 @@ class TestReports:
         assert lines[0] == "it,ix,iy,one"
         assert len(lines) == 1 + grid_small.n_nodes
 
-    def test_fields_csv_bytes(self, tmp_path):
-        from hcma import make_grid
+    def test_fields_csv_bytes(self, tmp_path, monkeypatch):
         grid = make_grid(3, 4, 5)
-        special = [1e300, -1e-300, -0.0, 1.0 / 3.0, 5e-324, 0.1, -7.0]
-        u = np.resize(special, grid.n_nodes).reshape(grid.shape)
+        u = np.resize(SPECIAL, grid.n_nodes).reshape(grid.shape)
         fields = {"u": u, "v": -2.0 * u[::-1]}
         p = tmp_path / "f.csv"
-        write_fields_csv(p, grid, fields)
-        expected = io.StringIO(newline="")
-        w = csv.writer(expected)
-        w.writerow(["it", "ix", "iy", "u", "v"])
-        for node in np.ndindex(grid.shape):
-            w.writerow(list(node) + [repr(float(f[node]))
-                                     for f in fields.values()])
-        assert p.read_bytes() == expected.getvalue().encode("utf-8")
+        for _ in block_sizes(monkeypatch):
+            write_fields_csv(p, grid, fields)
+            assert p.read_bytes() == reference_fields_csv(grid, fields)
+
+    def test_leaf_csv_bytes(self, tmp_path, monkeypatch, grid_small):
+        # 1 + a < 0 near t = 1 along x = 0, so the leaf aborts
+        phi = ScalarField.from_function(
+            grid_small, lambda t, x, y: 0.15 * np.cos(2 * np.pi * x) * t**2)
+        path = trace_leaf(grid_small, leaf_fields(phi), (0.0, 0.5j), 0.05)
+        assert path.aborted and path.n_samples > 7
+        path.qb_samples[-1] = np.nan
+        p = tmp_path / "leaf.csv"
+        for _ in block_sizes(monkeypatch):
+            write_leaf_csv(p, path)
+            assert p.read_bytes() == reference_leaf_csv(path)
+        assert p.read_bytes().endswith(b",nan\r\n")
+
+    @pytest.mark.parametrize("note", [None, 'gap "delta" < 0, at (0, 3, 5)'],
+                             ids=["cones", "note"])
+    def test_jetmap_csv_bytes(self, tmp_path, monkeypatch, solved_snapshot,
+                              note):
+        points, record = jet_map_export(
+            Snapshot.load(solved_snapshot).to_solution()[0])
+        points = points.copy()
+        points[:len(SPECIAL), 0] = SPECIAL
+        points[:len(SPECIAL), 1] = SPECIAL[::-1]
+        if note is not None:
+            del record.extra["delta"]
+            record.extra["delta_note"] = note
+        monkeypatch.setattr(cli, "jet_map_export", lambda sol: (points,
+                                                                record))
+        out = tmp_path / "p"
+        for _ in block_sizes(monkeypatch):
+            assert cli.main(["plotdata", "--snapshot", solved_snapshot,
+                             "--out", str(out)]) == 0
+            got = (out / "jetmap.csv").read_bytes()
+            assert got == reference_jetmap_csv(points, record)
+        assert (b"\r\nnote,cone_intersection omitted,"
+                b'"gap ""delta"" < 0, at (0, 3, 5)",\r\n' in got) == bool(note)
+
+    def test_write_csv_quotes_only_text_cells_that_need_it(
+            self, tmp_path, monkeypatch):
+        header = ["n", "x", 'mixed, "in pieces"', "text"]
+        columns = [np.arange(-2, 3, dtype=np.int32),
+                   np.array([0.1, -0.0, np.nan, np.inf, 5e-324]),
+                   ([1, 2.5], ["x"], np.array([-np.inf]), [""]),
+                   ["plain", "a, b", 'say "hi"', "cr\r", "lf\n"]]
+        want = csv_bytes([header,
+                          ["-2", "0.1", "1", "plain"],
+                          ["-1", "-0.0", "2.5", "a, b"],
+                          ["0", "nan", "x", 'say "hi"'],
+                          ["1", "inf", "-inf", "cr\r"],
+                          ["2", "5e-324", "", "lf\n"]])
+        p = tmp_path / "t.csv"
+        for _ in block_sizes(monkeypatch):
+            write_csv(p, header, columns)
+            assert p.read_bytes() == want
+
+    def test_write_csv_rejects_ragged_columns(self, tmp_path):
+        p = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            write_csv(p, ["a", "b"], [np.arange(3), ([1], [2.0])])
 
 
 class TestCliEndToEnd:

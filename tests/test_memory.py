@@ -1,17 +1,19 @@
-"""Memory guards: the solver caches no jets, and newton_solve and
-run_checks stay under bytes-per-node bounds counted by tracemalloc (a
-deterministic count of allocations, not a timing)."""
+"""Memory guards: the solver caches no jets, and newton_solve, run_checks
+and the fields CSV writer stay under bytes-per-node bounds counted by
+tracemalloc (a deterministic count of allocations, not a timing)."""
 
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import COS_BOUNDARY
 from hcma import AnnulusProfile, make_grid, newton_solve
-from hcma.grid import ScalarField
-from hcma.solver import default_initial_guess
-from hcma.verify import run_checks
+from hcma.grid import ScalarField, spatial_ab
+from hcma.io import write_fields_csv
+from hcma.solver import default_initial_guess, residual
+from hcma.verify import q_from_ab, run_checks
 
 # run_checks on the 33x64x64 cos solution peaks at 70.8 B per node (numpy
 # 2.4): the one strip frame (37.6) and one t-chunk's temporaries; the bound
@@ -30,6 +32,11 @@ SOLVE_PEAK_B_PER_NODE = {1j: 308.0, 0.3 + 1.1j: 316.0}
 # margin.  One dense (nt-2)^2 float matrix alone would take 1022 B per node
 # there.
 GUESS_PEAK_B_PER_NODE = 36.0
+# write_fields_csv of hcma verify's four fields on the 33x64x64 cos
+# solution peaks at 13.5 B per node: the int32 node indices (12) and one
+# block of each column as Python values; the bound leaves a 10% margin.
+# Whole columns of Python floats would take 32 B per node each.
+FIELDS_CSV_PEAK_B_PER_NODE = 14.8
 
 
 def test_newton_solve_caches_no_jet():
@@ -112,3 +119,18 @@ def test_initial_guess_peak_bytes_per_node():
     finally:
         tracemalloc.stop()
     assert peak / grid.n_nodes < GUESS_PEAK_B_PER_NODE
+
+
+def test_fields_csv_peak_bytes_per_node(tmp_path):
+    grid = make_grid(33, 64, 64)
+    sol = newton_solve(grid, COS_BOUNDARY, AnnulusProfile(1e-3))
+    a, b = spatial_ab(grid, sol.phi.values)
+    fields = {"Q": q_from_ab(a, b), "a": a, "abs_b": np.abs(b),
+              "residual": residual(sol.phi, sol.profile).values}
+    tracemalloc.start()
+    try:
+        write_fields_csv(tmp_path / "fields.csv", grid, fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / grid.n_nodes < FIELDS_CSV_PEAK_B_PER_NODE

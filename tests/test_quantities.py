@@ -315,8 +315,9 @@ def reference_strip_h(phi):
 
 class TestChunkedStripFrame:
     @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
-    @pytest.mark.parametrize("case", [0, 1, 2],
-                             ids=["whole-chunks", "part-chunk", "one-chunk"])
+    @pytest.mark.parametrize("case", [0, 1, 2, 3],
+                             ids=["whole-chunks", "part-chunk", "one-chunk",
+                                  "one-plane-chunks"])
     def test_bitwise_equal_to_whole_grid_jets(self, modulus, case):
         grid = chunk_grids(modulus)[case]
         rng = np.random.default_rng(case)

@@ -568,13 +568,13 @@ def admissible_tie_solution(grid):
 
 
 def pass_cases():
-    """(id, solution) for the pass tests: whole, partial and single
-    t-chunks on both moduli, a tie across chunks and an inadmissible
-    field."""
+    """(id, solution) for the pass tests: whole, partial, single and
+    one-plane t-chunks on both moduli, a tie across chunks and an
+    inadmissible field."""
     cases = []
     for modulus in (1j, 0.3 + 1.1j):
         for grid, chunks in zip(chunk_grids(modulus),
-                                ("whole", "partial", "single")):
+                                ("whole", "partial", "single", "one-plane")):
             cases.append((f"{chunks}-{modulus}", synthetic_solution(
                 grid, lambda t, x, y: 0.05 * t * (t - 1)
                 + 0.005 * t**4 * np.cos(2 * np.pi * (x + y))
