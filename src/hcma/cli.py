@@ -190,7 +190,7 @@ def cmd_trace(args) -> int:
         try:
             path = trace_leaf(grid, fields, (t0, x0 + modulus * y0),
                               step=config.trace_step)
-            _, second, rec = qb_along_leaf(solution, path)
+            _, second, rec = qb_along_leaf(path)
         except LeafError as exc:
             raise hio.ConfigError(f"leaf {k}: {exc}") from None
         rec.update({"leaf": k, "aborted": path.aborted,

@@ -126,14 +126,14 @@ def make_grid(nt: int, nx: int, ny: int, modulus: complex = 1j) -> Grid:
 CHUNK_NODES = 2**15
 
 
-def t_chunks(grid: Grid, i0: int = 1, i1: int | None = None):
-    """(c0, c1) per chunk of t-planes c0..c1-1, from c0 = i0 (default 1)
-    to c1 = i1 (default nt-1, so the interior); each but the last holds
-    CHUNK_NODES // (nx ny) planes, at least one."""
+def t_chunks(grid: Grid, n: int | None = None):
+    """(c0, c1) per chunk of planes c0..c1-1, covering the planes 1..n of
+    an (n+2)-plane window (default n = nt-2: the interior); each but the
+    last holds CHUNK_NODES // (nx ny) planes, at least one."""
     step = max(1, CHUNK_NODES // (grid.nx * grid.ny))
-    i1 = grid.nt - 1 if i1 is None else i1
-    for c0 in range(i0, i1, step):
-        yield c0, min(c0 + step, i1)
+    n = grid.nt - 2 if n is None else n
+    for c0 in range(1, n + 1, step):
+        yield c0, min(c0 + step, n + 1)
 
 
 def _wrap(v: np.ndarray, x: int, y: int) -> np.ndarray:
@@ -260,16 +260,15 @@ def plane_jets(grid: Grid, w: np.ndarray):
             dx1(grid, w, p), dy1(grid, w, p))
 
 
-def strip_jets(grid: Grid, values: np.ndarray, i0: int, i1: int):
-    """(a, Phi_tz as its real pair, Phi_tt) of a real field on interior
-    t-planes i0..i1-1, from the (i1-i0+2)-plane window of its values around
-    them: wirt_zzbar, dx1 and dy1 on one padded copy of the window and the
-    central t-differences of dt1 and dt2, so every entry is bitwise the
-    whole-grid (wirt_zzbar, wirt_parts(dt1(dx1), dt1(dy1)), dt2).  values
-    may itself be such a window, with (i0, i1) = (1, len(values) - 1), and
-    may come padded (_padded)."""
+def strip_jets(grid: Grid, window: np.ndarray):
+    """(a, Phi_tz as its real pair, Phi_tt) of a real field on the planes
+    1..n of an (n+2)-plane window of its values: wirt_zzbar, dx1 and dy1 on
+    one padded copy of the window and the central t-differences of dt1 and
+    dt2, so every entry is bitwise the whole-grid (wirt_zzbar,
+    wirt_parts(dt1(dx1), dt1(dy1)), dt2).  The window may come padded
+    (_padded)."""
     h = grid.ht
-    p = _padded(grid, values[i0 - 1:i1 + 1])
+    p = _padded(grid, window)
     w = p[:, 1:-1, 1:-1]
     px, py = dx1(grid, w, p), dy1(grid, w, p)
     tz = wirt_parts(grid, (px[2:] - px[:-2]) / (2 * h),
@@ -279,24 +278,23 @@ def strip_jets(grid: Grid, values: np.ndarray, i0: int, i1: int):
     return a, tz, (w[2:] - 2 * w[1:-1] + w[:-2]) / h**2
 
 
-def second_order_stencil(grid: Grid, planes: dict, t_range=None):
-    """Variable-coefficient second-order operator on interior t-planes.
+def second_order_stencil(grid: Grid, planes: dict):
+    """Variable-coefficient second-order operator on n t-planes.
 
     planes maps tt, xx, yy and any of xy, tx, ty (zero when missing) to
-    real arrays over the interior t-planes i0..i1-1 of t_range = (i0, i1)
-    (default: all of them, (1, nt-1)); the returned apply(v) sums each
-    plane times the matching central second difference of a real or
-    complex array v over t-planes i0-1..i1 into a new (i1-i0, nx, ny)
-    array, the same differences as dt2, second_diffs, dt1(dx1) and
-    dt1(dy1).  The stencil takes the planes over: mesh factors are folded
-    into them in place, once.  An apply walks the t_chunks of the range: it
-    pads only each chunk's window periodically, unless v comes padded
-    (_padded), and sums the legs through one chunk-sized buffer, so it
-    copies no full grid.
+    real (n, nx, ny) arrays, n taken from tt; the returned apply(v) sums
+    each plane times the matching central second difference of a real or
+    complex (n+2)-plane window v (the whole grid for the interior) into a
+    new (n, nx, ny) array over its planes 1..n, the same differences as
+    dt2, second_diffs, dt1(dx1) and dt1(dy1).  The stencil takes the
+    planes over: mesh factors are folded into them in place, once.  An
+    apply walks the window's t_chunks: it pads only each chunk's window
+    periodically, unless v comes padded (_padded), and sums the legs
+    through one chunk-sized buffer, so it copies no full grid.
     """
-    nt, nx, ny = grid.shape
+    nx, ny = grid.nx, grid.ny
     ht, hx, hy = grid.ht, grid.hx, grid.hy
-    i0, i1 = t_range or (1, nt - 1)
+    n = len(planes["tt"])
     legs = []       # (plane, two (t, x, y) offsets added, offsets subtracted)
     for key, factor, plus, minus in (
             ("tt", ht**2, ((1, 0, 0), (-1, 0, 0)), ()),
@@ -312,20 +310,20 @@ def second_order_stencil(grid: Grid, planes: dict, t_range=None):
             planes[key] /= factor
             legs.append((planes[key], plus, minus))
     centre = -2.0 * (planes["tt"] + planes["xx"] + planes["yy"])
-    chunks = list(t_chunks(grid, i0, i1))
+    chunks = list(t_chunks(grid, n))
 
     def apply(v: np.ndarray) -> np.ndarray:
-        out = np.empty((i1 - i0, nx, ny), np.result_type(v, centre))
-        buf = np.empty_like(out[:chunks[0][1] - i0])
+        out = np.empty((n, nx, ny), np.result_type(v, centre))
+        buf = np.empty_like(out[:chunks[0][1] - 1])
         for c0, c1 in chunks:
-            p = _padded(grid, v[c0 - i0:c1 - i0 + 2])   # the chunk's window
-            n, k = c1 - c0, slice(c0 - i0, c1 - i0)
+            p = _padded(grid, v[c0 - 1:c1 + 1])     # the chunk's window
+            k = slice(c0 - 1, c1 - 1)
 
             def at(d):
-                return p[1 + d[0]:1 + n + d[0], 1 + d[1]:nx + 1 + d[1],
+                return p[1 + d[0]:len(p) - 1 + d[0], 1 + d[1]:nx + 1 + d[1],
                          1 + d[2]:ny + 1 + d[2]]
 
-            o, tmp = out[k], buf[:n]
+            o, tmp = out[k], buf[:c1 - c0]
             np.multiply(at((0, 0, 0)), centre[k], out=o)
             for coeff, (d1, d2), minus in legs:
                 np.add(at(d1), at(d2), out=tmp)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .grid import (Grid, ScalarField, dt1, dx1, dy1, interpolate_array,
                    spatial_ab, wirt_parts)
-from .solver import Solution
 
 
 T_END = 1.0          # leaves are traced up to the t = 1 plane
@@ -133,7 +132,7 @@ class _DegenerateLeafState(Exception):
         self.t, self.z = t, z
 
 
-def qb_along_leaf(solution: Solution, path: LeafPath):
+def qb_along_leaf(path: LeafPath):
     """Q_B along a leaf and its discrete second derivative in the X-direction.
 
     (Q_B)_XXbar is estimated as one quarter of the second t-difference of

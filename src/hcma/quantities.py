@@ -284,7 +284,7 @@ def strip_h(phi: ScalarField):
     g, m_r, m_i, q, det = (np.empty(shape) for _ in range(5))
     for i0, i1 in t_chunks(grid):
         k = slice(i0 - 1, i1 - 1)
-        a, (tz_r, tz_i), tt = strip_jets(grid, phi.values, i0, i1)
+        a, (tz_r, tz_i), tt = strip_jets(grid, phi.values[i0 - 1:i1 + 1])
         np.add(1.0, a, out=g[k])
         np.multiply(tz_r, 0.5, out=m_r[k])
         np.multiply(tz_i, -0.5, out=m_i[k])
@@ -335,65 +335,55 @@ def h_coefficient_planes(grid, g, m, q) -> dict:
     return planes
 
 
-def _t_window(solution, values, t_range):
-    """(i0, i1) of t_range (default: every interior plane), after checking
-    that values covers t-planes i0-1..i1 of the solution grid, unpadded or
-    padded periodically by one cell in x and y (grid._padded)."""
-    grid = solution.grid
-    i0, i1 = t_range or (1, grid.nt - 1)
-    shapes = ((i1 - i0 + 2, grid.nx, grid.ny),
-              (i1 - i0 + 2, grid.nx + 2, grid.ny + 2))
-    if any(v.shape not in shapes for v in values):
-        raise ValueError("field shape does not match the solution grid")
-    return i0, i1
+def _t_window(grid, values, frame) -> None:
+    """ValueError unless each of values holds len(g) + 2 t-planes, the
+    frame's and their two neighbours, unpadded or padded (grid._padded)."""
+    n = len(frame[0])
+    if any(v.shape not in ((n + 2, grid.nx, grid.ny),
+                           (n + 2, grid.nx + 2, grid.ny + 2)) for v in values):
+        raise ValueError("field shape does not match the frame's window")
 
 
-def h_contract(solution, values, frame, t_range=None):
-    """Interior h^{ij*} w_{ij*} of a (possibly complex) grid array w.
+def h_contract(grid, values, frame):
+    """h^{ij*} w_{ij*} of a (possibly complex) array w on the planes of a
+    strip frame.
 
     Second derivatives of w are realized through the strip identities
     w_zetazetabar = w_tt/4, w_zeta zbar = w_tzbar/2 (w s-independent);
-    the contraction is tr(inv(H) @ W) with the solution's h-matrix, whose
-    frame, admissible_frame(solution.phi), the caller passes.  With
-    t_range = (i0, i1), w holds t-planes i0-1..i1 only and the result
-    planes i0..i1-1, from a stencil of that range's frame slices.  w may
-    come padded by one periodic cell in x and y, which saves the stencil
-    its copy.  values may be a tuple of arrays: they share one stencil, and
-    a tuple of results comes back.
+    the contraction is tr(inv(H) @ W) with the h-matrix of the frame the
+    caller passes: admissible_frame(phi) for the interior, or one t-chunk's
+    slices of it.  w is the window of those planes and their two
+    neighbours, and may come padded by one periodic cell in x and y, which
+    saves the stencil its copy.  values may be a tuple of arrays: they
+    share one stencil, and a tuple of results comes back.
     """
     many = isinstance(values, tuple)
     values = values if many else (values,)
-    i0, i1 = _t_window(solution, values, t_range)
-    k = slice(i0 - 1, i1 - 1)
-    g, (m_r, m_i), q, det = frame
-    apply = second_order_stencil(solution.grid, h_coefficient_planes(
-        solution.grid, g[k], (m_r[k], m_i[k]), q[k]), t_range)
+    _t_window(grid, values, frame)
+    apply = second_order_stencil(grid, h_coefficient_planes(grid, *frame[:3]))
     out = [apply(v) for v in values]
     del apply           # its planes, before 4 det h is made
-    det4 = 4.0 * det[k]
+    det4 = 4.0 * frame[3]
     for o in out:
         o /= det4
     return tuple(out) if many else out[0]
 
 
-def apply_L(solution, values: np.ndarray, frame, t_range=None):
-    """Interior L^{ij*} w_{ij*} of a grid array w, for the scaled
-    product-space Laplacian L = p + (eps b/g) diag(0, g^{-1}).
+def apply_L(grid, values: np.ndarray, frame, eps_tilde):
+    """L^{ij*} w_{ij*} of an array w on the planes of a strip frame, for
+    the scaled product-space Laplacian L = p + (eps b/g) diag(0, g^{-1}).
 
     At n = 1 on the strip eps b/g = eps_tilde / (4 (1+a)), and L equals
     adj(h~)/g for h~ = [[q~, m], [m*, g]] with q~ = (|m|^2 + eps_tilde/4)/g,
     so det h~ = eps_tilde/4: the stencil of h_coefficient_planes(g, m, q~),
-    divided by 4g.  The caller passes the solution's frame,
-    admissible_frame(solution.phi), and t_range, as for h_contract.
+    divided by 4g.  The caller passes the frame and w's window as for
+    h_contract, and eps_tilde on the frame's planes.
     """
-    grid = solution.grid
-    i0, i1 = _t_window(solution, (values,), t_range)
-    k = slice(i0 - 1, i1 - 1)
-    g, (m_r, m_i) = frame[0][k], (frame[1][0][k], frame[1][1][k])
-    q_tilde = (m_r * m_r + m_i * m_i
-               + 0.25 * solution.profile.rhs_on(grid)[i0:i1]) / g
+    _t_window(grid, (values,), frame)
+    g, (m_r, m_i) = frame[:2]
+    q_tilde = (m_r * m_r + m_i * m_i + 0.25 * eps_tilde) / g
     apply = second_order_stencil(
-        grid, h_coefficient_planes(grid, g, (m_r, m_i), q_tilde), t_range)
+        grid, h_coefficient_planes(grid, g, (m_r, m_i), q_tilde))
     del q_tilde         # freed before the stencil allocates its output
     out = apply(values)
     del apply           # and its planes, before 4g is made

@@ -179,10 +179,10 @@ class CheckPass:
 
     The boundary planes come first, for boundary (a, b) pairs and K.  Each
     chunk's window of phi gives a, b, d_x and d_y through one periodic pad.
-    With a FRAME_CHECKS name, one strip_h frame is built and read in chunk
-    slices: per chunk the h-planes are built once and applied to a, b and
-    W = e^{KQ}, the L-planes to the composite Q, and the third-order jets
-    are differenced on the window.  No whole-grid jet is made or cached.
+    With a FRAME_CHECKS name, one strip_h frame is built; each chunk
+    slices it once and hands that slice with its windows to h_contract
+    (a, b and W = e^{KQ} on one set of h-planes), apply_L (the composite
+    Q) and the allowance and a/b folds.  No whole-grid jet is made or cached.
     Every check takes a CheckPass in place of its solution; points=True
     also collects jet_map_export's (Re b, Im b, a) points.
     """
@@ -241,18 +241,22 @@ class CheckPass:
         self.least.found += last.found
 
     def _chunk(self, window, i0: int, i1: int, frame) -> None:
-        """Folds the interior t-planes i0..i1-1 from their window.  Every
-        window array is padded by one periodic cell in x and y, so the
-        stencils read it without a copy."""
-        grid, solution = self.grid, self.solution
+        """Folds the interior t-planes i0..i1-1 from their window, padded
+        by one periodic cell in x and y so the stencils read it without a
+        copy, and the frame, sliced once to those planes."""
+        grid = self.grid
+        if frame is not None:
+            k = slice(i0 - 1, i1 - 1)
+            g, (m_r, m_i), q, det = frame
+            frame = g[k], (m_r[k], m_i[k]), q[k], det[k]
         a_p, b_p, d_x, d_y = plane_jets(grid, window)
         if self.lq and self.q_finite:
             Qc = _composite_q(grid, a_p, b_p, d_x, d_y)
             del d_x, d_y
             self.q_finite = bool(np.isfinite(Qc).all())
             if frame is not None and self.q_finite:
-                LQ = apply_L(solution, Qc, frame, (i0, i1))
-                eps = solution.profile.rhs_on(grid)[i0:i1]
+                eps = self.solution.profile.rhs_on(grid)[i0:i1]
+                LQ = apply_L(grid, Qc, frame, eps)
                 Qi = Qc[_INNER]
                 mask = Qi > Q_FLOOR
                 if mask.any():
@@ -281,20 +285,17 @@ class CheckPass:
         del opa, abs_b
         if frame is None or not (self.ab or self.ekq):
             return
-        k = slice(i0 - 1, i1 - 1)
-        g, (m_r, m_i), q, det = frame
-        g, m_r, m_i, q, det = g[k], m_r[k], m_i[k], q[k], det[k]
         fields = (b_p, a_p) if self.ab else ()
         if self.ekq:
             in_hyp = Qi < self.sigma2
             W = self.K * Q               # clip only out-of-hypothesis nodes
             np.minimum(W, 700.0, out=W)
             np.exp(W, out=W)
-            self._ekq_allowance(W, g, m_r, m_i, q, det)
+            self._ekq_allowance(W, frame)
             fields += (W,)
             del W
         del Q, Qi
-        lhs = list(h_contract(solution, fields, frame, (i0, i1)))
+        lhs = list(h_contract(grid, fields, frame))
         del fields
         if self.ekq:
             hW = lhs.pop()
@@ -303,23 +304,25 @@ class CheckPass:
                 self.hw.add(hW[in_hyp])
             del hW
         if self.ab:
-            self._ab(*lhs[::-1], a_p, b_p, g, m_r, m_i, q, det, i0)
+            self._ab(*lhs[::-1], a_p, b_p, frame, i0)
 
-    def _ekq_allowance(self, W, g, m_r, m_i, q, det) -> None:
+    def _ekq_allowance(self, W, frame) -> None:
         """Folds the allowance of ekq_subharmonic, which scales with the
         contracted magnitude (h-inverse included), from W's a, Phi_tz and
-        Phi_tt on its padded window."""
-        a, w_tz, w_tt = strip_jets(self.grid, W, 1, len(W) - 1)
+        Phi_tt on its padded window and the frame."""
+        g, (m_r, m_i), q, det = frame
+        a, w_tz, w_tt = strip_jets(self.grid, W)
         # W is real, so |W_zeta zbar| = |W_z zetabar|: one term, added twice
         mixed = np.hypot(m_r, m_i) * (0.5 * np.hypot(*w_tz))
         self.peak.add((g * np.abs(0.25 * w_tt) + mixed + mixed
                        + q * np.abs(a)) / det)
 
-    def _ab(self, lhs_a, lhs_b, a_p, b_p, g, m_r, m_i, q, det, i0) -> None:
-        """Folds the a/b equation residuals from the contractions and the
-        padded windows of a and b, one t-plane at a time, so the
-        third-order jets and right-hand sides are plane-sized."""
+    def _ab(self, lhs_a, lhs_b, a_p, b_p, frame, i0) -> None:
+        """Folds the a/b equation residuals from the contractions, the
+        padded windows of a and b and the frame, one t-plane at a time, so
+        the third-order jets and right-hand sides are plane-sized."""
         grid, h2 = self.grid, 2 * self.grid.ht
+        g, (m_r, m_i), q, det = frame
         res_a, res_b = np.empty_like(lhs_a), np.empty_like(lhs_a)
         for j in range(len(lhs_a)):           # grid t-plane i0 + j
             f = g[j], m_r[j] + 1j * m_i[j], q[j]
@@ -580,6 +583,9 @@ def check_eps_monotone_limit(sweep: list[Solution]) -> CheckRecord:
 
 def check_metric_lower_bound_stability(sweep: list[Solution]) -> CheckRecord:
     """min interior (1+a) moves by at most STABILITY_SPREAD along a ladder."""
+    if len(sweep) <= 1:
+        return _vacuous("metric_lower_bound_stability",
+                        "schedule of length <= 1", bound=STABILITY_SPREAD)
     minima = [float(s.interior_one_plus_a().min()) for s in sweep]
     spread = max(minima) - min(minima)
     return CheckRecord(

@@ -214,7 +214,7 @@ def test_criterion_12_leaf_diagnostics(sol_zero_const, sol_cos):
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     path2 = trace_leaf(sol_cos.grid, leaf_fields(sol_cos.phi),
                        (0.0, 0.25 + 0.5j), step=0.02)
-    _, _, rec = qb_along_leaf(sol_cos, path2)
+    _, _, rec = qb_along_leaf(path2)
     g = sol_cos.grid
     tol = 10.0 * max(g.ht, g.hx) ** 2 * max(1.0, rec["max_qb"] / g.ht**2)
     ok = (vertical == 0.0 and min(orders) >= 3.8 and rec["in_hypothesis"]

@@ -178,9 +178,14 @@ def whole_grid_apply(grid, planes, v):
 class TestChunkedStencil:
     def test_chunks_cover_the_interior_once(self):
         for g in chunk_grids(1j):
-            chunks = list(t_chunks(g))
-            assert chunks[0][0] == 1 and chunks[-1][1] == g.nt - 1
-            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            step = max(1, hcma.grid.CHUNK_NODES // (g.nx * g.ny))
+            for n in (None, 1, step - 1, step, step + 1):
+                if n == 0:
+                    continue
+                chunks = list(t_chunks(g, n))
+                assert [i for c0, c1 in chunks for i in range(c0, c1)] == list(
+                    range(1, (g.nt - 2 if n is None else n) + 1))
+                assert all(0 < c1 - c0 <= step for c0, c1 in chunks)
         assert ([len(list(t_chunks(g))) for g in chunk_grids(1j)]
                 == [2, 3, 1, 5])
 
@@ -202,6 +207,15 @@ class TestChunkedStencil:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
             assert np.array_equal(apply(v), want)     # applies repeat
+            # the stencil of one t-chunk's planes, on the chunk's window
+            # unpadded or padded, gives the chunk's planes of the whole
+            for c0, c1 in t_chunks(g):
+                k, window = slice(c0 - 1, c1 - 1), v[c0 - 1:c1 + 1]
+                for w in (window, _wrap(window, 1, 1)):
+                    part = second_order_stencil(
+                        g, {key: p[k].copy() for key, p in planes.items()})(w)
+                    assert part.dtype == got.dtype
+                    assert part.tobytes() == got[k].tobytes()
 
 
 class TestWirtingerJet:

@@ -55,7 +55,7 @@ class TestTraceLeaf:
     def test_cos_boundary_stays_in_hypothesis(self, sol_cos):
         path = trace(sol_cos, (0.0, 0.25 + 0.5j), step=0.02)
         assert not path.aborted
-        qb, second, record = qb_along_leaf(sol_cos, path)
+        qb, second, record = qb_along_leaf(path)
         assert record["in_hypothesis"]
         assert record["max_qb"] < 0.5
 
@@ -124,28 +124,28 @@ class TestTraceLeaf:
 
 
 class TestQbAlongLeaf:
-    def test_needs_three_samples(self, sol_zero_const):
+    def test_needs_three_samples(self):
         path = LeafPath(ts=np.array([0.0, 1.0]), zs=np.zeros(2, complex),
                         qb_samples=np.zeros(2))
         with pytest.raises(LeafError):
-            qb_along_leaf(sol_zero_const, path)
+            qb_along_leaf(path)
 
     def test_zero_on_zero_boundary(self, sol_zero_const):
         path = trace(sol_zero_const, (0.0, 0.2 + 0.7j), step=0.05)
-        qb, second, record = qb_along_leaf(sol_zero_const, path)
+        qb, second, record = qb_along_leaf(path)
         assert np.abs(qb).max() < 1e-12
         assert record["min_second_diff"] == pytest.approx(0.0, abs=1e-10)
 
     def test_nonuniform_tail_handled(self, sol_zero_const):
         # step that does not divide 1 forces a shortened final interval
         path = trace(sol_zero_const, (0.0, 0.2 + 0.7j), step=0.07)
-        qb, second, record = qb_along_leaf(sol_zero_const, path)
+        qb, second, record = qb_along_leaf(path)
         assert np.isfinite(second).all()
 
     def test_convexity_in_hypothesis(self, sol_cos):
         # paper's convexity statement: (Q_B)_XXbar >= 0 up to the h^2 band
         path = trace(sol_cos, (0.0, 0.25 + 0.5j), step=0.02)
-        _, second, record = qb_along_leaf(sol_cos, path)
+        _, second, record = qb_along_leaf(path)
         assert record["in_hypothesis"]
         h2 = 10.0 * max(sol_cos.grid.ht, sol_cos.grid.hx) ** 2
         scale = max(1.0, record["max_qb"] / sol_cos.grid.ht ** 2)

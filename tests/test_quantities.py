@@ -7,16 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import COS_BOUNDARY, chunk_grids
 from hcma import AnnulusProfile, make_grid, newton_solve
-from hcma.grid import (ScalarField, dt1, dt2, dx1, dy1, second_order_stencil,
-                       wirt_parts, wirt_zzbar, wirtinger_jet)
+from hcma.grid import (ScalarField, _wrap, dt1, dt2, dx1, dy1,
+                       second_order_stencil, t_chunks, wirt_parts, wirt_zzbar,
+                       wirtinger_jet)
 from hcma.quantities import (DegenerateMetricError, FlatJet, InfeasibleKError,
                              NonConvexBoundaryError, TorusPointState,
                              admissible_frame, apply_L, boundary_S,
                              boundary_delta, choose_K, cone_membership,
                              flat_jet_from_torus, general_flat_state,
-                             h_coefficient_planes, m_matrix, n_matrix,
-                             q_gamma, sigma2_prime, sigma_roots, strip_h,
-                             torus_state)
+                             h_coefficient_planes, h_contract, m_matrix,
+                             n_matrix, q_gamma, sigma2_prime, sigma_roots,
+                             strip_h, torus_state)
 from hcma.solver import Solution
 from hcma.verify import composite_q_field
 
@@ -335,18 +336,24 @@ class TestChunkedStripFrame:
         assert vars(phi).keys() == {"grid", "values"}
 
 
+def interior_eps(solution):
+    """eps_tilde on the interior t-planes, which apply_L takes with the
+    whole-interior frame."""
+    return solution.profile.rhs_on(solution.grid)[1:-1]
+
+
 class TestApplyL:
     def test_constant_field(self, sol_cos):
-        out = apply_L(sol_cos, ScalarField.from_function(
+        out = apply_L(sol_cos.grid, ScalarField.from_function(
             sol_cos.grid, lambda t, x, y: 0 * t + 3.0).values,
-            admissible_frame(sol_cos.phi))
+            admissible_frame(sol_cos.phi), interior_eps(sol_cos))
         assert np.abs(out).max() == pytest.approx(0.0, abs=1e-10)
 
     def test_t_squared_on_closed_form(self, sol_zero_const):
         # Phi_tzbar = 0, so L[t^2] = (t^2)_zetazetabar = 1/2
-        out = apply_L(sol_zero_const, ScalarField.from_function(
+        out = apply_L(sol_zero_const.grid, ScalarField.from_function(
             sol_zero_const.grid, lambda t, x, y: t**2 + 0 * x).values,
-            admissible_frame(sol_zero_const.phi))
+            admissible_frame(sol_zero_const.phi), interior_eps(sol_zero_const))
         assert np.allclose(out, 0.5, atol=1e-9)
 
     def test_decomposition_matches_general_flat_state(self, sol_cos):
@@ -368,8 +375,98 @@ class TestApplyL:
 
     def test_shape_mismatch(self, sol_cos):
         with pytest.raises(ValueError):
-            apply_L(sol_cos, np.zeros((3, 4, 4)),
-                    admissible_frame(sol_cos.phi))
+            apply_L(sol_cos.grid, np.zeros((3, 4, 4)),
+                    admissible_frame(sol_cos.phi), interior_eps(sol_cos))
+
+
+def chunk_problem(modulus, case):
+    """(grid, strip frame, real w, complex w) on chunk_grids(modulus)[case],
+    the frame of an admissible field with t-mixed terms."""
+    grid = chunk_grids(modulus)[case]
+    rng = np.random.default_rng(case)
+    t = grid.t_values[:, None, None]
+    x = grid.x_values[None, :, None]
+    y = grid.y_values[None, None, :]
+    phi = ScalarField(grid, 0.05 * t * (t - 1.0)
+                      + 0.01 * t * np.cos(2 * np.pi * (x + y))
+                      + 0.002 * np.sin(2 * np.pi * x))
+    w = rng.standard_normal(grid.shape)
+    return grid, admissible_frame(phi), w, w + 1j * rng.standard_normal(
+        grid.shape)
+
+
+def chunk_frame(frame, c0, c1):
+    """The frame's slices for grid t-planes c0..c1-1."""
+    k = slice(c0 - 1, c1 - 1)
+    g, (m_r, m_i), q, det = frame
+    return g[k], (m_r[k], m_i[k]), q[k], det[k]
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+CHUNK_CASES = pytest.mark.parametrize(
+    "case", [0, 1, 2, 3], ids=["whole-chunks", "part-chunk", "one-chunk",
+                               "one-plane-chunks"])
+MODULI = pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
+PADDED = pytest.mark.parametrize("padded", [False, True],
+                                 ids=["unpadded", "padded"])
+
+
+class TestChunkWindows:
+    """h_contract and apply_L on one t-chunk's window and frame slice give
+    that chunk's planes of the whole-interior call, bitwise."""
+
+    @MODULI
+    @CHUNK_CASES
+    @PADDED
+    def test_h_contract(self, modulus, case, padded):
+        grid, frame, w, wc = chunk_problem(modulus, case)
+        want = h_contract(grid, (w, wc), frame)
+        assert_bitwise(h_contract(grid, w, frame), want[0])
+        for c0, c1 in t_chunks(grid):
+            k, part = slice(c0 - 1, c1 - 1), chunk_frame(frame, c0, c1)
+            windows = [x[c0 - 1:c1 + 1] for x in (w, wc)]
+            if padded:
+                windows = [_wrap(x, 1, 1) for x in windows]
+            got = h_contract(grid, tuple(windows), part)
+            assert isinstance(got, tuple) and len(got) == 2
+            for x, y in zip(got, want):
+                assert_bitwise(x, y[k])
+            for x, y in zip(windows, want):
+                assert_bitwise(h_contract(grid, x, part), y[k])
+
+    @MODULI
+    @CHUNK_CASES
+    @PADDED
+    def test_apply_L(self, modulus, case, padded):
+        grid, frame, w, wc = chunk_problem(modulus, case)
+        eps = AnnulusProfile(1e-3).rhs_on(grid)
+        for v in (w, wc):
+            want = apply_L(grid, v, frame, eps[1:-1])
+            for c0, c1 in t_chunks(grid):
+                window = v[c0 - 1:c1 + 1]
+                got = apply_L(grid, _wrap(window, 1, 1) if padded else window,
+                              chunk_frame(frame, c0, c1), eps[c0:c1])
+                assert_bitwise(got, want[c0 - 1:c1 - 1])
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["n+1", "n+3"])
+    def test_window_of_another_length_raises(self, extra):
+        grid, frame, w, wc = chunk_problem(1j, 2)
+        eps = AnnulusProfile(1e-3).rhs_on(grid)
+        whole = np.concatenate([wc, wc[:1]]) if extra > 0 else wc[:-1]
+        for c0, c1, v in ((2, 5, wc[1:6 + extra]), (1, grid.nt - 1, whole)):
+            part = chunk_frame(frame, c0, c1)
+            good = wc[c0 - 1:c1 + 1]
+            assert len(v) == len(part[0]) + 2 + extra
+            for bad in (v, _wrap(v, 1, 1)):
+                with pytest.raises(ValueError):
+                    h_contract(grid, bad, part)
+                with pytest.raises(ValueError):
+                    h_contract(grid, (good, bad), part)
+                with pytest.raises(ValueError):
+                    apply_L(grid, bad.real, part, eps[c0:c1])
 
 
 # --- the earlier two-step plane arithmetic, kept as a reference --------------
@@ -454,6 +551,7 @@ class TestOnePlaneBuilder:
 
     def test_apply_L_matches_coefficient_fields(self, strip_field):
         Q = composite_q_field(strip_field)
-        got = apply_L(strip_field, Q, admissible_frame(strip_field.phi))
+        got = apply_L(strip_field.grid, Q, admissible_frame(strip_field.phi),
+                      interior_eps(strip_field))
         want = reference_L(strip_field, Q)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -164,9 +164,9 @@ def ab_residuals_reference(sol):
         return (g * u0 * w0 - m * u1 * w0 - np.conj(m) * u0 * w1
                 + q * u1 * w1) / det
 
-    lhs_a = h_contract(sol, a, frame)
-    lhs_b = (h_contract(sol, b.real, frame)
-             + 1j * h_contract(sol, b.imag, frame))
+    lhs_a = h_contract(grid, a, frame)
+    lhs_b = (h_contract(grid, b.real, frame)
+             + 1j * h_contract(grid, b.imag, frame))
     rhs_a = (h_bilinear(a_zeta, a_z, np.conj(a_zeta), np.conj(a_z))
              + h_bilinear(np.conj(b_zetabar), np.conj(b_zbar), b_zetabar,
                           b_zbar)).real / g
@@ -296,6 +296,13 @@ class TestSweepChecks:
         rec = check_eps_monotone_limit(eps_sweep)
         assert rec.passed
         assert rec.extra["gaps_decreasing"]
+
+    def test_stability_vacuous_single(self, sol_cos):
+        # one rung has no spread to measure, as for its two siblings
+        rec = check_metric_lower_bound_stability([sol_cos])
+        assert rec.vacuous and rec.passed
+        assert rec.note == "schedule of length <= 1"
+        assert rec.bound == STABILITY_SPREAD
 
     def test_metric_lower_bound_stability(self, eps_sweep):
         rec = check_metric_lower_bound_stability(eps_sweep)
@@ -506,7 +513,7 @@ def whole_grid_frame_records(sol, Q):
                 note="composite Q not finite")
         return out
     g, (m_r, m_i), q, det = frame
-    lhs_a, lhs_b = h_contract(sol, a, frame), h_contract(sol, b, frame)
+    lhs_a, lhs_b = h_contract(grid, a, frame), h_contract(grid, b, frame)
     res_a, res_b = np.empty_like(g), np.empty_like(g)
     third = wirt_zbar(grid, b), wirt_z(grid, a), dt1(grid, b), dt1(grid, a)
     for k in range(len(g)):
@@ -530,13 +537,13 @@ def whole_grid_frame_records(sol, Q):
     in_hyp = Q[1:-1] < sigma2
     W = np.exp(np.minimum(K * Q, 700.0))
     tol = ekq_tolerance_reference(sol)
-    hW = float(h_contract(sol, W, frame)[in_hyp].min())
+    hW = float(h_contract(grid, W, frame)[in_hyp].min())
     out["ekq_subharmonic"] = CheckRecord(
         "ekq_subharmonic", hW >= -tol, hW, 0.0, tol,
         extra={"K": K, "sigma2": sigma2,
                "out_of_hypothesis_nodes": int((~in_hyp).sum())})
-    LQ = apply_L(sol, Qc, frame)
     eps = sol.profile.rhs_on(grid)[1:-1]
+    LQ = apply_L(grid, Qc, frame, eps)
     mask = Qc[1:-1] > Q_FLOOR
     out["lq_ratio"] = CheckRecord(
         "lq_ratio", True, float((LQ[mask] / (eps[mask]
