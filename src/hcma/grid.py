@@ -72,6 +72,8 @@ class Grid:
         if self.nt < 3 or self.nx < 4 or self.ny < 4:
             raise DimensionTooSmallError(
                 f"grid ({self.nt},{self.nx},{self.ny}) below minimum (3,4,4)")
+        if self.nt * self.nx * self.ny * 8 > np.iinfo(np.intp).max:
+            raise GridError(f"grid {self.shape} too large for numpy to index")
 
     @property
     def ht(self) -> float:
@@ -136,39 +138,34 @@ def t_chunks(grid: Grid, n: int | None = None):
         yield c0, min(c0 + step, n + 1)
 
 
-def _wrap(v: np.ndarray, x: int, y: int) -> np.ndarray:
-    """v padded periodically by x <= nx cells at both ends of axis 1, y <=
-    ny of axis 2: np.pad(mode="wrap") built in one np.empty from slice
-    copies."""
+def _wrap(v: np.ndarray) -> np.ndarray:
+    """v padded periodically by one cell at both ends of axes 1 and 2:
+    np.pad(mode="wrap") built in one np.empty from slice copies."""
     n, nx, ny = v.shape
-    p = np.empty((n, nx + 2 * x, ny + 2 * y), v.dtype)
-    p[:, x:x + nx, y:y + ny] = v
-    if x:
-        p[:, :x, y:y + ny] = v[:, nx - x:]
-        p[:, x + nx:, y:y + ny] = v[:, :x]
-    if y:                       # whole columns, so the corners come along
-        p[:, :, :y] = p[:, :, ny:ny + y]
-        p[:, :, y + ny:] = p[:, :, y:2 * y]
+    p = np.empty((n, nx + 2, ny + 2), v.dtype)
+    p[:, 1:-1, 1:-1] = v
+    p[:, 0, 1:-1], p[:, -1, 1:-1] = v[:, -1], v[:, 0]
+    p[:, :, 0], p[:, :, -1] = p[:, :, -2], p[:, :, 1]   # corners come along
     return p
 
 
-# dx1, dy1 and second_diffs take an optional p, v's _wrap(v, 1, 1) copy, so
-# one padded copy serves all three stencils; without it each pads v itself.
+# dx1, dy1 and second_diffs take an optional p, v's _wrap(v) copy, so one
+# padded copy serves all three stencils; without it each pads v itself.
 
 def dx1(grid: Grid, v: np.ndarray, p: np.ndarray | None = None):
-    p = _wrap(v, 1, 0) if p is None else p[:, :, 1:-1]
-    return (p[:, 2:] - p[:, :-2]) / (2 * grid.hx)
+    p = _wrap(v) if p is None else p
+    return (p[:, 2:, 1:-1] - p[:, :-2, 1:-1]) / (2 * grid.hx)
 
 
 def dy1(grid: Grid, v: np.ndarray, p: np.ndarray | None = None):
-    p = _wrap(v, 0, 1) if p is None else p[:, 1:-1]
-    return (p[:, :, 2:] - p[:, :, :-2]) / (2 * grid.hy)
+    p = _wrap(v) if p is None else p
+    return (p[:, 1:-1, 2:] - p[:, 1:-1, :-2]) / (2 * grid.hy)
 
 
 def second_diffs(grid: Grid, v: np.ndarray, p: np.ndarray | None = None):
     """(d_xx, d_xy, d_yy) of v from one periodically padded copy: central
     second differences and the 4-point centered cross stencil."""
-    p = _wrap(v, 1, 1) if p is None else p
+    p = _wrap(v) if p is None else p
     c = p[:, 1:-1, 1:-1]                                # v itself
     return ((p[:, 2:, 1:-1] - 2 * c + p[:, :-2, 1:-1]) / grid.hx**2,
             (p[:, 2:, 2:] - p[:, 2:, :-2] - p[:, :-2, 2:]
@@ -243,18 +240,11 @@ def spatial_ab(grid: Grid, v: np.ndarray):
     return wirt_zzbar(grid, v, diffs), wirt_zz(grid, v, diffs)
 
 
-def _padded(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """v padded periodically by one cell in x and y: v itself if it comes
-    padded, with shape (n, nx+2, ny+2), else _wrap(v, 1, 1)."""
-    return v if v.shape[1:] == (grid.nx + 2, grid.ny + 2) else _wrap(v, 1, 1)
-
-
 def plane_jets(grid: Grid, w: np.ndarray):
-    """(a, b, d_x, d_y) of a real field on the t-planes w, each padded
-    periodically by one cell in x and y: bitwise _wrap(., 1, 1) of the
+    """(a, b, d_x, d_y) of a real field on the t-planes w: bitwise the
     whole-grid wirt_zzbar, wirt_zz, dx1 and dy1, differenced on one
-    two-cell pad of w."""
-    p = _wrap(w, 2, 2)
+    periodic pad of w."""
+    p = _wrap(w)
     diffs = second_diffs(grid, w, p)
     return (wirt_zzbar(grid, w, diffs), wirt_zz(grid, w, diffs),
             dx1(grid, w, p), dy1(grid, w, p))
@@ -263,19 +253,18 @@ def plane_jets(grid: Grid, w: np.ndarray):
 def strip_jets(grid: Grid, window: np.ndarray):
     """(a, Phi_tz as its real pair, Phi_tt) of a real field on the planes
     1..n of an (n+2)-plane window of its values: wirt_zzbar, dx1 and dy1 on
-    one padded copy of the window and the central t-differences of dt1 and
-    dt2, so every entry is bitwise the whole-grid (wirt_zzbar,
-    wirt_parts(dt1(dx1), dt1(dy1)), dt2).  The window may come padded
-    (_padded)."""
+    one periodic pad of the window and the central t-differences of dt1
+    and dt2, so every entry is bitwise the whole-grid (wirt_zzbar,
+    wirt_parts(dt1(dx1), dt1(dy1)), dt2)."""
     h = grid.ht
-    p = _padded(grid, window)
-    w = p[:, 1:-1, 1:-1]
-    px, py = dx1(grid, w, p), dy1(grid, w, p)
+    p = _wrap(window)
+    px, py = dx1(grid, window, p), dy1(grid, window, p)
     tz = wirt_parts(grid, (px[2:] - px[:-2]) / (2 * h),
                     (py[2:] - py[:-2]) / (2 * h))
     del px, py
-    a = wirt_zzbar(grid, w[1:-1], second_diffs(grid, w[1:-1], p[1:-1]))
-    return a, tz, (w[2:] - 2 * w[1:-1] + w[:-2]) / h**2
+    w = window[1:-1]
+    a = wirt_zzbar(grid, w, second_diffs(grid, w, p[1:-1]))
+    return a, tz, (window[2:] - 2 * w + window[:-2]) / h**2
 
 
 def second_order_stencil(grid: Grid, planes: dict):
@@ -286,11 +275,12 @@ def second_order_stencil(grid: Grid, planes: dict):
     each plane times the matching central second difference of a real or
     complex (n+2)-plane window v (the whole grid for the interior) into a
     new (n, nx, ny) array over its planes 1..n, the same differences as
-    dt2, second_diffs, dt1(dx1) and dt1(dy1).  The stencil takes the
-    planes over: mesh factors are folded into them in place, once.  An
-    apply walks the window's t_chunks: it pads only each chunk's window
-    periodically, unless v comes padded (_padded), and sums the legs
-    through one chunk-sized buffer, so it copies no full grid.
+    dt2, second_diffs, dt1(dx1) and dt1(dy1).  A v of any other shape
+    than (n+2, nx, ny) raises ValueError.  The stencil takes the planes
+    over: mesh factors are folded into them in place, once.  An apply walks
+    the window's t_chunks: it pads only each chunk's window periodically
+    and sums the legs through one chunk-sized buffer, so it copies no full
+    grid.
     """
     nx, ny = grid.nx, grid.ny
     ht, hx, hy = grid.ht, grid.hx, grid.hy
@@ -313,10 +303,12 @@ def second_order_stencil(grid: Grid, planes: dict):
     chunks = list(t_chunks(grid, n))
 
     def apply(v: np.ndarray) -> np.ndarray:
+        if v.shape != (n + 2, nx, ny):
+            raise ValueError(f"window {v.shape} != {(n + 2, nx, ny)}")
         out = np.empty((n, nx, ny), np.result_type(v, centre))
         buf = np.empty_like(out[:chunks[0][1] - 1])
         for c0, c1 in chunks:
-            p = _padded(grid, v[c0 - 1:c1 + 1])     # the chunk's window
+            p = _wrap(v[c0 - 1:c1 + 1])             # the chunk's window
             k = slice(c0 - 1, c1 - 1)
 
             def at(d):
@@ -405,7 +397,7 @@ def wirtinger_jet(fld: ScalarField, node: tuple[int, int, int],
     it, ix, iy = grid.check_node(node)
     lo = max(0, min(it - 1, grid.nt - 4))
     w = fld.values[lo:lo + 4]
-    a, b, d_x, d_y = (f[:, 1:-1, 1:-1] for f in plane_jets(grid, w))
+    a, b, d_x, d_y = plane_jets(grid, w)
     idx = (it - lo, ix, iy)
     d_tz = complex(*wirt_parts(grid, dt1(grid, d_x)[idx],
                                dt1(grid, d_y)[idx]))

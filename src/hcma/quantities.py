@@ -335,15 +335,6 @@ def h_coefficient_planes(grid, g, m, q) -> dict:
     return planes
 
 
-def _t_window(grid, values, frame) -> None:
-    """ValueError unless each of values holds len(g) + 2 t-planes, the
-    frame's and their two neighbours, unpadded or padded (grid._padded)."""
-    n = len(frame[0])
-    if any(v.shape not in ((n + 2, grid.nx, grid.ny),
-                           (n + 2, grid.nx + 2, grid.ny + 2)) for v in values):
-        raise ValueError("field shape does not match the frame's window")
-
-
 def h_contract(grid, values, frame):
     """h^{ij*} w_{ij*} of a (possibly complex) array w on the planes of a
     strip frame.
@@ -353,13 +344,12 @@ def h_contract(grid, values, frame):
     the contraction is tr(inv(H) @ W) with the h-matrix of the frame the
     caller passes: admissible_frame(phi) for the interior, or one t-chunk's
     slices of it.  w is the window of those planes and their two
-    neighbours, and may come padded by one periodic cell in x and y, which
-    saves the stencil its copy.  values may be a tuple of arrays: they
-    share one stencil, and a tuple of results comes back.
+    neighbours; the stencil raises ValueError on any other shape.  values
+    may be a tuple of arrays: they share one stencil, and a tuple of
+    results comes back.
     """
     many = isinstance(values, tuple)
     values = values if many else (values,)
-    _t_window(grid, values, frame)
     apply = second_order_stencil(grid, h_coefficient_planes(grid, *frame[:3]))
     out = [apply(v) for v in values]
     del apply           # its planes, before 4 det h is made
@@ -379,7 +369,6 @@ def apply_L(grid, values: np.ndarray, frame, eps_tilde):
     divided by 4g.  The caller passes the frame and w's window as for
     h_contract, and eps_tilde on the frame's planes.
     """
-    _t_window(grid, (values,), frame)
     g, (m_r, m_i) = frame[:2]
     q_tilde = (m_r * m_r + m_i * m_i + 0.25 * eps_tilde) / g
     apply = second_order_stencil(

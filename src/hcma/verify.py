@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (dx1, dy1, plane_jets, spatial_ab, strip_jets, t_chunks,
+from .grid import (_wrap, plane_jets, spatial_ab, strip_jets, t_chunks,
                    wirt_parts, wirt_z, wirt_zbar)
 from .quantities import (InadmissibleError, NonConvexBoundaryError, apply_L,
                          boundary_S, boundary_delta, check_frame, choose_K,
@@ -121,8 +121,8 @@ def q_field(solution: Solution) -> np.ndarray:
 def composite_q_field(solution: Solution) -> np.ndarray:
     """Composite Q = Q_A + Q_B + Q_G on the whole grid (spatial jets only);
     inf or NaN, without a warning, where 1 + a = 0."""
-    g, v = solution.grid, solution.phi.values
-    return _composite_q(g, *spatial_ab(g, v), dx1(g, v), dy1(g, v))
+    return _composite_q(solution.grid,
+                        *plane_jets(solution.grid, solution.phi.values))
 
 
 def _vacuous(name: str, note: str, **fields) -> CheckRecord:
@@ -163,11 +163,6 @@ class _Extreme:
         return self.found[self.pick([v for v, _ in self.found])][1]
 
 
-# the unpadded part of a window padded by one cell in x and y; with the
-# t-planes of its interior
-_INNER_XY = np.s_[:, 1:-1, 1:-1]
-_INNER = np.s_[1:-1, 1:-1, 1:-1]
-
 # the checks that apply an h-operator and read the solution's strip frame
 FRAME_CHECKS = ("ab_equations", "ekq_subharmonic", "lq_ratio")
 
@@ -192,8 +187,7 @@ class CheckPass:
         grid, values = self.grid, solution.phi.values
         names = set(names)
         # boundary planes t = 0 and t = 1: spatial jets only
-        a_bnd, b_bnd = (x[_INNER_XY] for x in
-                        plane_jets(grid, values[[0, -1]])[:2])
+        a_bnd, b_bnd = spatial_ab(grid, values[[0, -1]])
         pairs = np.column_stack([a_bnd.ravel(), b_bnd.ravel()])
         self.S = boundary_S(pairs)
         try:
@@ -241,23 +235,22 @@ class CheckPass:
         self.least.found += last.found
 
     def _chunk(self, window, i0: int, i1: int, frame) -> None:
-        """Folds the interior t-planes i0..i1-1 from their window, padded
-        by one periodic cell in x and y so the stencils read it without a
-        copy, and the frame, sliced once to those planes."""
+        """Folds the interior t-planes i0..i1-1 from their window of phi,
+        planes i0-1..i1, and the frame, sliced once to those planes."""
         grid = self.grid
         if frame is not None:
             k = slice(i0 - 1, i1 - 1)
             g, (m_r, m_i), q, det = frame
             frame = g[k], (m_r[k], m_i[k]), q[k], det[k]
-        a_p, b_p, d_x, d_y = plane_jets(grid, window)
+        a_w, b_w, d_x, d_y = plane_jets(grid, window)
         if self.lq and self.q_finite:
-            Qc = _composite_q(grid, a_p, b_p, d_x, d_y)
+            Qc = _composite_q(grid, a_w, b_w, d_x, d_y)
             del d_x, d_y
             self.q_finite = bool(np.isfinite(Qc).all())
             if frame is not None and self.q_finite:
                 eps = self.solution.profile.rhs_on(grid)[i0:i1]
                 LQ = apply_L(grid, Qc, frame, eps)
-                Qi = Qc[_INNER]
+                Qi = Qc[1:-1]
                 mask = Qi > Q_FLOOR
                 if mask.any():
                     self.lq_nodes += int(mask.sum())
@@ -266,8 +259,8 @@ class CheckPass:
             del Qc
         else:
             del d_x, d_y
-        Q = q_from_ab(a_p, b_p)
-        a, b, Qi = a_p[_INNER], b_p[_INNER], Q[_INNER]
+        Q = q_from_ab(a_w, b_w)
+        a, b, Qi = a_w[1:-1], b_w[1:-1], Q[1:-1]
         opa, abs_b = 1.0 + a, np.abs(b)
         self.opa.add(opa, i0)
         self.least.add(opa, i0)
@@ -285,7 +278,7 @@ class CheckPass:
         del opa, abs_b
         if frame is None or not (self.ab or self.ekq):
             return
-        fields = (b_p, a_p) if self.ab else ()
+        fields = (b_w, a_w) if self.ab else ()
         if self.ekq:
             in_hyp = Qi < self.sigma2
             W = self.K * Q               # clip only out-of-hypothesis nodes
@@ -304,12 +297,12 @@ class CheckPass:
                 self.hw.add(hW[in_hyp])
             del hW
         if self.ab:
-            self._ab(*lhs[::-1], a_p, b_p, frame, i0)
+            self._ab(*lhs[::-1], a_w, b_w, frame, i0)
 
     def _ekq_allowance(self, W, frame) -> None:
         """Folds the allowance of ekq_subharmonic, which scales with the
         contracted magnitude (h-inverse included), from W's a, Phi_tz and
-        Phi_tt on its padded window and the frame."""
+        Phi_tt on its window and the frame."""
         g, (m_r, m_i), q, det = frame
         a, w_tz, w_tt = strip_jets(self.grid, W)
         # W is real, so |W_zeta zbar| = |W_z zetabar|: one term, added twice
@@ -317,23 +310,23 @@ class CheckPass:
         self.peak.add((g * np.abs(0.25 * w_tt) + mixed + mixed
                        + q * np.abs(a)) / det)
 
-    def _ab(self, lhs_a, lhs_b, a_p, b_p, frame, i0) -> None:
+    def _ab(self, lhs_a, lhs_b, a_w, b_w, frame, i0) -> None:
         """Folds the a/b equation residuals from the contractions, the
-        padded windows of a and b and the frame, one t-plane at a time, so
-        the third-order jets and right-hand sides are plane-sized."""
+        windows of a and b and the frame, one t-plane at a time, so the
+        third-order jets and right-hand sides are plane-sized."""
         grid, h2 = self.grid, 2 * self.grid.ht
         g, (m_r, m_i), q, det = frame
         res_a, res_b = np.empty_like(lhs_a), np.empty_like(lhs_a)
         for j in range(len(lhs_a)):           # grid t-plane i0 + j
             f = g[j], m_r[j] + 1j * m_i[j], q[j]
-            pa, pb = a_p[j + 1:j + 2], b_p[j + 1:j + 2]
-            # third-order jets: wirt_z(a), wirt_zbar(b) and the central
-            # t-differences of dt1; strip frame, Im(zeta)-independent, so
-            # d/dzeta = d/dzetabar = (d/dt)/2
-            u = (0.5 * ((a_p[j + 2, 1:-1, 1:-1] - a_p[j, 1:-1, 1:-1]) / h2),
-                 wirt_z(grid, pa[_INNER_XY], pa)[0])
-            w = (0.5 * ((b_p[j + 2, 1:-1, 1:-1] - b_p[j, 1:-1, 1:-1]) / h2),
-                 wirt_zbar(grid, pb[_INNER_XY], pb)[0])
+            a_j, b_j = a_w[j + 1:j + 2], b_w[j + 1:j + 2]
+            # third-order jets: wirt_z(a), wirt_zbar(b), each on one pad of
+            # its plane, and the central t-differences of dt1; strip frame,
+            # Im(zeta)-independent, so d/dzeta = d/dzetabar = (d/dt)/2
+            u = (0.5 * ((a_w[j + 2] - a_w[j]) / h2),
+                 wirt_z(grid, a_j, _wrap(a_j))[0])
+            w = (0.5 * ((b_w[j + 2] - b_w[j]) / h2),
+                 wirt_zbar(grid, b_j, _wrap(b_j))[0])
             (x, y), (xw, yw) = _adj_h(*f, *u), _adj_h(*f, *map(np.conj, w))
             # h^{ij*} a_i a_j* + h^{ij*} b_j* conj(b)_i, and h^{ij*} a_i b_j*
             rhs_a = (((np.conj(u[0]) * x + np.conj(u[1]) * y) / det[j]).real

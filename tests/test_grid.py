@@ -79,7 +79,9 @@ def roll_reference(grid, v):
 
 
 class TestWrap:
-    @pytest.mark.parametrize("widths", [(1, 0), (0, 1), (1, 1), (2, 2)])
+    # the slices of the one-cell pad the stencils read: dx1's x pad, dy1's
+    # y pad, second_diffs' whole pad and its centre
+    @pytest.mark.parametrize("widths", [(1, 0), (0, 1), (1, 1), (0, 0)])
     @pytest.mark.parametrize("shape", [(1, 4, 4), (3, 4, 4), (1, 7, 5),
                                        (5, 9, 6)])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -90,7 +92,7 @@ class TestWrap:
         if dtype is complex:
             v += 1j * rng.standard_normal(shape)
         x, y = widths
-        got = _wrap(v, x, y)
+        got = _wrap(v)[:, 1 - x:shape[1] + 1 + x, 1 - y:shape[2] + 1 + y]
         want = np.pad(v, ((0, 0), (x, x), (y, y)), mode="wrap")
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -126,14 +128,14 @@ class TestStencilPrimitives:
                            atol=1e-14 * abs(ref).max())
 
     @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
-    def test_plane_jets_are_the_padded_whole_grid_jets(self, modulus):
+    def test_plane_jets_are_the_whole_grid_jets(self, modulus):
         g = make_grid(5, 8, 6, modulus)
         v = np.random.default_rng(7).standard_normal(g.shape)
         whole = (wirt_zzbar(g, v), wirt_zz(g, v), dx1(g, v), dy1(g, v))
         for lo, hi in ((0, 5), (2, 3)):
             got = plane_jets(g, v[lo:hi])
             for x, want in zip(got, whole):
-                want = _wrap(want[lo:hi], 1, 1)
+                want = want[lo:hi]
                 assert x.dtype == want.dtype
                 assert x.tobytes() == want.tobytes()
 
@@ -158,7 +160,7 @@ def whole_grid_apply(grid, planes, v):
             legs.append((planes[key] / factor, plus, minus))
     centre = -2.0 * (planes["tt"] / ht**2 + planes["xx"] / hx**2
                      + planes["yy"] / hy**2)
-    p = _wrap(v, 1, 1)
+    p = _wrap(v)
 
     def at(d):
         return p[1 + d[0]:nt - 1 + d[0], 1 + d[1]:nx + 1 + d[1],
@@ -207,15 +209,24 @@ class TestChunkedStencil:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
             assert np.array_equal(apply(v), want)     # applies repeat
-            # the stencil of one t-chunk's planes, on the chunk's window
-            # unpadded or padded, gives the chunk's planes of the whole
+            # the stencil of one t-chunk's planes, on the chunk's window,
+            # gives the chunk's planes of the whole
             for c0, c1 in t_chunks(g):
                 k, window = slice(c0 - 1, c1 - 1), v[c0 - 1:c1 + 1]
-                for w in (window, _wrap(window, 1, 1)):
-                    part = second_order_stencil(
-                        g, {key: p[k].copy() for key, p in planes.items()})(w)
-                    assert part.dtype == got.dtype
-                    assert part.tobytes() == got[k].tobytes()
+                part = second_order_stencil(
+                    g, {key: p[k].copy() for key, p in planes.items()})(window)
+                assert part.dtype == got.dtype
+                assert part.tobytes() == got[k].tobytes()
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["n+1", "n+3"])
+    def test_window_of_another_length_raises(self, extra):
+        g = make_grid(9, 16, 16)
+        n = g.nt - 2
+        apply = second_order_stencil(g, {key: np.ones((n, g.nx, g.ny))
+                                         for key in ("tt", "xx", "yy")})
+        assert apply(np.zeros(g.shape)).shape == (n, g.nx, g.ny)
+        with pytest.raises(ValueError):
+            apply(np.zeros((n + 2 + extra, g.nx, g.ny)))
 
 
 class TestWirtingerJet:

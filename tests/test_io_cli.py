@@ -751,6 +751,8 @@ REJECTED = {
     "epsilon=inf": ("epsilon = 1e-3", "epsilon = inf"),
     "epsilon=1e308": ("epsilon = 1e-3", "epsilon = 1e308"),
     "epsilon=1e300": ("epsilon = 1e-3", "epsilon = 1e300"),  # norm overflows
+    # more float64 bytes than numpy can index
+    "nt=2**63-1": ("nt = 9", "nt = 9223372036854775807"),
     "modulus=nan+1j": ("ny = 16", "ny = 16\nmodulus = nan+1j"),
     "phi1-nan": ("phi1 = 1,0,0.005,0", "phi1 = 1,0,nan,0"),
     "phi1-1e308": ("phi1 = 1,0,0.005,0", "phi1 = 1,0,1e308,0"),
