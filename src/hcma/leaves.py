@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, ScalarField, dt1, dx1, dy1, interpolate_array,
-                   spatial_ab, wirt_parts)
+from .grid import (Grid, ScalarField, dt1, interpolate_array, plane_jets,
+                   wirt_parts)
 
 
 T_END = 1.0          # leaves are traced up to the t = 1 plane
@@ -72,10 +72,10 @@ def rk4_path(velocity, t0: float, z0: complex, step: float = 0.01):
 
 
 def leaf_fields(phi: ScalarField) -> tuple:
-    """(a, b, Phi_tx, Phi_ty) of phi on the whole grid: the arrays
-    trace_leaf interpolates, built once for every leaf traced through phi."""
-    g, v = phi.grid, phi.values
-    return (*spatial_ab(g, v), dt1(g, dx1(g, v)), dt1(g, dy1(g, v)))
+    """(a, b, Phi_tx, Phi_ty) of phi on the whole grid, from one plane_jets
+    pad and dt1: what trace_leaf interpolates, built once for every leaf."""
+    a, b, d_x, d_y = plane_jets(phi.grid, phi.values)
+    return a, b, dt1(phi.grid, d_x), dt1(phi.grid, d_y)
 
 
 def trace_leaf(grid: Grid, fields: tuple, start: tuple,

@@ -8,9 +8,9 @@ with the coefficient matrices of the scaled product-space Laplacian and the
 non-negative terms E, P, T, for an arbitrary complex dimension n with flat
 background metric.  At n = 1 those two layers must agree exactly; that cross
 check is part of the test suite.  The third, solution-level layer builds
-the strip-frame h-matrix of a whole field, and from it, through the one
-plane builder h_coefficient_planes, Newton's Jacobian, the h-Laplacian and
-L = adj(h~)/g.
+the strip-frame h-matrix on a t-window of a field, and from it, through the
+one plane builder h_coefficient_planes, Newton's Jacobian, the h-Laplacian
+and L = adj(h~)/g.
 
 Index conventions: g^{ab*} is stored as the matrix conj(inv(G)) where
 G[a, b] = g_{ab*}; with that choice any contraction h^{ij*} X_{ij*} of
@@ -270,21 +270,20 @@ class InadmissibleError(ValueError):
     """1 + a > 0 or det h > 0 fails at an interior node."""
 
 
-def strip_h(phi: ScalarField):
-    """Interior arrays (g, m, q, det) of the strip h-matrix [[q, m], [m*, g]].
+def strip_h(grid, window):
+    """(g, m, q, det) of the strip h-matrix [[q, m], [m*, g]] on planes 1..n
+    of an (n+2)-plane window of a field's values (phi.values: the interior).
 
     q = Phi_tt/4, m = Phi_tzbar/2 as its real pair (Re m, Im m), g = 1 + a;
-    det = q g - |m|^2.  Built from phi.values one t-chunk at a time
-    (strip_jets over t_chunks), bitwise the whole-grid differences: no
-    complex array and no whole-grid temporary is made.  Does not check
-    admissibility.
+    det = q g - |m|^2.  Built one t-chunk at a time (strip_jets over
+    t_chunks), bitwise the whole-grid differences: no complex array and no
+    whole-grid temporary is made.  Does not check admissibility.
     """
-    grid = phi.grid
-    shape = (grid.nt - 2, grid.nx, grid.ny)
+    shape = (len(window) - 2, grid.nx, grid.ny)
     g, m_r, m_i, q, det = (np.empty(shape) for _ in range(5))
-    for i0, i1 in t_chunks(grid):
+    for i0, i1 in t_chunks(grid, shape[0]):
         k = slice(i0 - 1, i1 - 1)
-        a, (tz_r, tz_i), tt = strip_jets(grid, phi.values[i0 - 1:i1 + 1])
+        a, (tz_r, tz_i), tt = strip_jets(grid, window[i0 - 1:i1 + 1])
         np.add(1.0, a, out=g[k])
         np.multiply(tz_r, 0.5, out=m_r[k])
         np.multiply(tz_i, -0.5, out=m_i[k])
@@ -305,8 +304,8 @@ def check_frame(frame, g_floor: float = 0.0, det_floor: float = 0.0):
 
 
 def admissible_frame(phi: ScalarField):
-    """strip_h(phi), checked by check_frame."""
-    return check_frame(strip_h(phi))
+    """strip_h of phi's interior, checked by check_frame."""
+    return check_frame(strip_h(phi.grid, phi.values))
 
 
 def h_coefficient_planes(grid, g, m, q) -> dict:
@@ -342,10 +341,10 @@ def h_contract(grid, values, frame):
     Second derivatives of w are realized through the strip identities
     w_zetazetabar = w_tt/4, w_zeta zbar = w_tzbar/2 (w s-independent);
     the contraction is tr(inv(H) @ W) with the h-matrix of the frame the
-    caller passes: admissible_frame(phi) for the interior, or one t-chunk's
-    slices of it.  w is the window of those planes and their two
-    neighbours; the stencil raises ValueError on any other shape.  values
-    may be a tuple of arrays: they share one stencil, and a tuple of
+    caller passes: admissible_frame(phi) for the interior, or the strip_h
+    frame of one t-chunk's window.  w is the window of those planes and
+    their two neighbours; the stencil raises ValueError on any other shape.
+    values may be a tuple of arrays: they share one stencil, and a tuple of
     results comes back.
     """
     many = isinstance(values, tuple)

@@ -231,7 +231,7 @@ class Solution:
 def residual(phi: ScalarField, profile) -> ScalarField:
     """Residual Phi_tt (1+a) - |Phi_tzbar|^2 - eps_tilde, that is 4 det h -
     eps_tilde, on the interior t-planes; 0 on the two Dirichlet planes."""
-    r = _det_residual(phi.grid, strip_h(phi)[3], profile)
+    r = _det_residual(phi.grid, strip_h(phi.grid, phi.values)[3], profile)
     return ScalarField(phi.grid, np.pad(r, ((1, 1), (0, 0), (0, 0))))
 
 
@@ -417,7 +417,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         initial = (initial,)
 
     def frame_and_residual(phi):    # GridError if the residual overflows
-        frame = strip_h(phi)
+        frame = strip_h(grid, phi.values)
         r = _det_residual(grid, frame[3], profile)
         rn = float(np.abs(r).max())
         if not rn < np.inf:

@@ -173,13 +173,13 @@ class CheckPass:
     scales and counts.
 
     The boundary planes come first, for boundary (a, b) pairs and K.  Each
-    chunk's window of phi gives a, b, d_x and d_y through one periodic pad.
-    With a FRAME_CHECKS name, one strip_h frame is built; each chunk
-    slices it once and hands that slice with its windows to h_contract
-    (a, b and W = e^{KQ} on one set of h-planes), apply_L (the composite
-    Q) and the allowance and a/b folds.  No whole-grid jet is made or cached.
-    Every check takes a CheckPass in place of its solution; points=True
-    also collects jet_map_export's (Re b, Im b, a) points.
+    chunk's window of phi gives a, b, d_x and d_y through one periodic pad
+    and, with a FRAME_CHECKS name, the chunk's strip_h frame, which it
+    hands with its windows to h_contract (a, b and W = e^{KQ} on one set
+    of h-planes), apply_L (the composite Q) and the allowance and a/b
+    folds.  No whole-grid jet or frame is made.  Every check takes a
+    CheckPass in place of its solution; points=True also collects
+    jet_map_export's (Re b, Im b, a) points.
     """
 
     def __init__(self, solution: Solution, names, points: bool = False):
@@ -199,10 +199,10 @@ class CheckPass:
         self.plane_q[[0, -1]] = q_from_ab(a_bnd, b_bnd).max(axis=(1, 2))
         self.max_bnd_q = float(self.plane_q[[0, -1]].max())
         opa_bnd = 1.0 + a_bnd
-        # least 1 + a over the interior, and over the whole grid in C order:
-        # the t = 0 plane, the chunks, then the t = 1 plane
-        self.opa, self.least = _Extreme(np.argmin), _Extreme(np.argmin)
-        last = _Extreme(np.argmin)
+        # least g = 1 + a and det h over the interior; least 1 + a over the
+        # whole grid in C order: the t = 0 plane, the chunks, the t = 1 plane
+        self.opa, self.det = _Extreme(np.argmin), _Extreme(np.argmin)
+        self.least, last = _Extreme(np.argmin), _Extreme(np.argmin)
         self.least.add(opa_bnd[:1], 0)
         last.add(opa_bnd[1:], grid.nt - 1)
         del a_bnd, b_bnd, opa_bnd
@@ -211,7 +211,7 @@ class CheckPass:
         self.points = (np.empty(((grid.nt - 2) * grid.nx * grid.ny, 3))
                        if points else None)
         # the h-operator checks
-        self.inadmissible = ""
+        self.inadmissible, self.framed = "", bool(names & set(FRAME_CHECKS))
         self.ab = "ab_equations" in names
         self.ekq = ("ekq_subharmonic" in names
                     and self.max_bnd_q < 1.0)  # not NaN, where 1+a = b = 0
@@ -223,25 +223,26 @@ class CheckPass:
             self.sigma2 = sigma_roots(self.K)[1]
         self.n_out, self.hw, self.peak = 0, _Extreme(np.argmin), _Extreme()
         self.q_finite, self.lq_nodes, self.rho = True, 0, _Extreme(np.argmin)
-        frame = None
-        if names & set(FRAME_CHECKS):
-            frame = strip_h(solution.phi)
+        for i0, i1 in t_chunks(grid):
+            self._chunk(values[i0 - 1:i1 + 1], i0, i1)
+        self.least.found += last.found
+        if self.framed:     # check_frame's text, from the folded minima
+            try:
+                check_frame((self.opa.value, None, None, self.det.value))
+            except InadmissibleError as exc:
+                self.inadmissible = str(exc)
+
+    def _chunk(self, window, i0: int, i1: int) -> None:
+        """Folds the interior t-planes i0..i1-1 from their window of phi,
+        planes i0-1..i1, and their strip_h frame, if admissible."""
+        grid, frame = self.grid, None
+        if self.framed:
+            frame = strip_h(grid, window)
+            self.det.add(frame[3])
             try:
                 check_frame(frame)
-            except InadmissibleError as exc:
-                frame, self.inadmissible = None, str(exc)
-        for i0, i1 in t_chunks(grid):
-            self._chunk(values[i0 - 1:i1 + 1], i0, i1, frame)
-        self.least.found += last.found
-
-    def _chunk(self, window, i0: int, i1: int, frame) -> None:
-        """Folds the interior t-planes i0..i1-1 from their window of phi,
-        planes i0-1..i1, and the frame, sliced once to those planes."""
-        grid = self.grid
-        if frame is not None:
-            k = slice(i0 - 1, i1 - 1)
-            g, (m_r, m_i), q, det = frame
-            frame = g[k], (m_r[k], m_i[k]), q[k], det[k]
+            except InadmissibleError:
+                frame = None
         a_w, b_w, d_x, d_y = plane_jets(grid, window)
         if self.lq and self.q_finite:
             Qc = _composite_q(grid, a_w, b_w, d_x, d_y)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, make_grid,
-                  newton_solve)
+from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, FieldRhs,
+                  make_grid, newton_solve)
 from hcma.grid import CHUNK_NODES
 
 COS_AMP = 0.005
@@ -22,16 +22,17 @@ def chunk_grids(modulus):
 
 @pytest.fixture
 def strip_h_calls(monkeypatch):
-    """Counts strip_h calls, through every module that calls it."""
+    """Records the (grid, window) of each strip_h call, through every
+    module that calls it."""
     import hcma.quantities
     import hcma.solver
     import hcma.verify
     calls = []
     real = hcma.quantities.strip_h
 
-    def counted(phi):
-        calls.append(phi)
-        return real(phi)
+    def counted(grid, window):
+        calls.append((grid, window))
+        return real(grid, window)
 
     monkeypatch.setattr(hcma.quantities, "strip_h", counted)
     monkeypatch.setattr(hcma.solver, "strip_h", counted)
@@ -101,3 +102,26 @@ def closed_form_annulus(grid, eps=0.01):
     t = grid.t_values[:, None, None]
     return eps * (np.exp(2.0 * t) - 1.0
                   - (np.e**2 - 1.0) * t) * np.ones(grid.shape)
+
+
+def manufactured(grid, kx, ky, amp):
+    """(boundary, rhs, exact) of the manufactured problem with solution
+    Phi* = 0.1 t^2 + amp (1 + 2t) cos 2 pi (kx x + ky y).
+
+    f = Phi_tt (1 + a) - |Phi_tzbar|^2 comes from the analytic mode
+    derivatives (BoundarySpec.analytic_jets' rule, d/dz e = i s e with s =
+    2 pi (c1 kx + c2 ky)): d/dz cos = -s sin, so Phi_tt = 0.2, a = -|s|^2
+    amp (1 + 2t) cos and |Phi_tzbar|^2 = 4 amp^2 |s|^2 sin^2.  A (1, 1)
+    mode exercises the skew lattice's xy leg, and Phi_tzbar the t-mixed
+    legs."""
+    c1, c2 = grid.lattice.dz_coefficients
+    s2 = abs(2.0 * np.pi * (c1 * kx + c2 * ky)) ** 2
+    t, x, y = np.meshgrid(grid.t_values, grid.x_values, grid.y_values,
+                          indexing="ij")
+    theta = 2.0 * np.pi * (kx * x + ky * y)
+    exact = 0.1 * t**2 + amp * (1.0 + 2.0 * t) * np.cos(theta)
+    f = (0.2 * (1.0 - s2 * amp * (1.0 + 2.0 * t) * np.cos(theta))
+         - 4.0 * amp**2 * s2 * np.sin(theta) ** 2)
+    boundary = BoundarySpec(phi0=((kx, ky, amp),),
+                            phi1=((0, 0, 0.1), (kx, ky, 3.0 * amp)))
+    return boundary, FieldRhs(grid, f), exact

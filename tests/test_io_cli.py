@@ -512,7 +512,24 @@ class TestReports:
             write_csv(p, ["a", "b"], [np.arange(3), ([1], [2.0])])
 
 
+def readme_config() -> str:
+    """The ini block of README's "Config format" section, verbatim."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 class TestCliEndToEnd:
+    def test_readme_config_solves(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)         # its out_dir is relative
+        cfg = write_config(tmp_path, readme_config())
+        config = hcma.io.load_config(cfg)
+        assert config.make_grid().lattice.modulus == 1j
+        assert config.schedule == (1e-2, 1e-3)
+        assert cli.main(["solve", "--config", cfg]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["summary"]["snapshots"] == [
+            "solution_000.snap", "solution_001.snap"]
+
     def test_solve_verify_trace_plotdata(self, tmp_path):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")

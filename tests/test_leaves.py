@@ -3,8 +3,26 @@ import pytest
 
 from conftest import COS_BOUNDARY
 from hcma import AnnulusProfile, make_grid, newton_solve
+from hcma.grid import ScalarField, dt1, dx1, dy1, spatial_ab
 from hcma.leaves import (LeafError, LeafPath, leaf_fields, qb_along_leaf,
                          rk4_path, trace_leaf)
+
+
+def test_leaf_fields_are_the_whole_grid_differences():
+    # bitwise what spatial_ab, dt1(dx1) and dt1(dy1) give, each on its own
+    # pad of the grid, on both lattices
+    for modulus in (1j, 0.3 + 1.1j):
+        grid = make_grid(9, 16, 12, modulus)
+        rng = np.random.default_rng(0)
+        phi = ScalarField(grid, rng.standard_normal(grid.shape))
+        v = phi.values
+        want = (*spatial_ab(grid, v), dt1(grid, dx1(grid, v)),
+                dt1(grid, dy1(grid, v)))
+        got = leaf_fields(phi)
+        assert len(got) == 4
+        for g_arr, w_arr in zip(got, want):
+            assert g_arr.dtype == w_arr.dtype
+            assert np.array_equal(g_arr, w_arr)
 
 
 def trace(sol, start, step=0.01):

@@ -15,14 +15,16 @@ from hcma.io import write_fields_csv
 from hcma.solver import default_initial_guess, residual
 from hcma.verify import q_from_ab, run_checks
 
-# run_checks on the 33x64x64 cos solution peaks at 70.8 B per node (numpy
-# 2.4): the one strip frame (37.6) and one t-chunk's temporaries; the bound
-# leaves a 10% margin.  The solution carries no jets, so every jet the
-# checks read is counted here.
-RUN_CHECKS_PEAK_B_PER_NODE = 77.9
-# lq_ratio alone on a fresh 33x64x64 cos solution peaks at 66.0 B per node;
-# the bound leaves a 10% margin.
-LQ_RATIO_PEAK_B_PER_NODE = 72.6
+# run_checks on the 33x64x64 cos solution peaks at 46.5 B per node on the
+# square lattice and at 48.4 on modulus 0.3+1.1j (numpy 2.4): one t-chunk's
+# strip frame, jets and temporaries, with no frame of the whole interior;
+# the bounds leave a 10% margin.  The solution carries no jets, so every
+# jet the checks read is counted here.
+RUN_CHECKS_PEAK_B_PER_NODE = {1j: 51.2, 0.3 + 1.1j: 53.3}
+# lq_ratio alone on a fresh 33x64x64 cos solution peaks at 38.6 B per node
+# on the square lattice and at 40.5 on modulus 0.3+1.1j; the bounds leave
+# a 10% margin.
+LQ_RATIO_PEAK_B_PER_NODE = {1j: 42.4, 0.3 + 1.1j: 44.5}
 # newton_solve on the 33x64x64 cos problem peaks at 279.7 B per node on the
 # square lattice, which has no xy plane, and at 287.2 on modulus 0.3+1.1j;
 # the bounds leave a 10% margin.
@@ -53,10 +55,10 @@ def test_run_checks_caches_no_jet(sol_cos):
     assert vars(phi).keys() == {"grid", "values"}
 
 
-def peak_bytes_per_node(names=None):
+def peak_bytes_per_node(modulus, names=None):
     """(report, tracemalloc peak per node) of run_checks on a fresh 33x64x64
     cos solution."""
-    grid = make_grid(33, 64, 64)
+    grid = make_grid(33, 64, 64, modulus)
     sol = newton_solve(grid, COS_BOUNDARY, AnnulusProfile(1e-3))
     tracemalloc.start()
     try:
@@ -67,16 +69,20 @@ def peak_bytes_per_node(names=None):
     return report, peak / grid.n_nodes
 
 
-def test_run_checks_peak_bytes_per_node():
-    report, peak = peak_bytes_per_node()
+@pytest.mark.parametrize("modulus", list(RUN_CHECKS_PEAK_B_PER_NODE),
+                         ids=["square", "skew"])
+def test_run_checks_peak_bytes_per_node(modulus):
+    report, peak = peak_bytes_per_node(modulus)
     assert report.all_pass
-    assert peak < RUN_CHECKS_PEAK_B_PER_NODE
+    assert peak < RUN_CHECKS_PEAK_B_PER_NODE[modulus]
 
 
-def test_lq_ratio_peak_bytes_per_node():
-    report, peak = peak_bytes_per_node(["lq_ratio"])
+@pytest.mark.parametrize("modulus", list(LQ_RATIO_PEAK_B_PER_NODE),
+                         ids=["square", "skew"])
+def test_lq_ratio_peak_bytes_per_node(modulus):
+    report, peak = peak_bytes_per_node(modulus, ["lq_ratio"])
     assert report.all_pass
-    assert peak < LQ_RATIO_PEAK_B_PER_NODE
+    assert peak < LQ_RATIO_PEAK_B_PER_NODE[modulus]
 
 
 @pytest.mark.parametrize("modulus", list(SOLVE_PEAK_B_PER_NODE),

@@ -328,7 +328,7 @@ class TestChunkedStripFrame:
         values = (0.05 * t * (t - 1.0) + 0.01 * np.cos(2 * np.pi * (x + y))
                   + 1e-4 * rng.standard_normal(grid.shape))
         phi = ScalarField(grid, values)
-        g, (m_r, m_i), q, det = strip_h(phi)
+        g, (m_r, m_i), q, det = strip_h(grid, phi.values)
         want_g, (want_r, want_i), want_q, want_det = reference_strip_h(phi)
         for got, want in ((g, want_g), (m_r, want_r), (m_i, want_i),
                           (q, want_q), (det, want_det)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (COS_BOUNDARY, closed_form_annulus,
-                      closed_form_constant)
+                      closed_form_constant, manufactured)
 from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, FieldRhs,
                   continuation_solve, lambda_sweep, make_grid, newton_solve)
 from hcma.grid import ScalarField, wirt_zz, wirt_zzbar
@@ -296,17 +296,12 @@ class TestNewtonSolve:
 
     def test_admissibility_invariant(self, sol_cos):
         assert sol_cos.interior_one_plus_a().min() > 0
-        assert strip_h(sol_cos.phi)[3].min() > 0
+        assert strip_h(sol_cos.grid, sol_cos.phi.values)[3].min() > 0
 
     def test_manufactured_solution(self):
         g = make_grid(9, 16, 16)
-        t, x, _ = np.meshgrid(g.t_values, g.x_values, g.y_values,
-                              indexing="ij")
-        exact = 0.1 * t**2 + 0.01 * np.cos(2 * np.pi * x)
-        f = 0.2 * (1.0 - 0.01 * np.pi**2 * np.cos(2 * np.pi * x))
-        bnd = BoundarySpec(phi0=((1, 0, 0.01),),
-                           phi1=((0, 0, 0.1), (1, 0, 0.01)))
-        sol = newton_solve(g, bnd, FieldRhs(g, f))
+        bnd, rhs, exact = manufactured(g, 1, 0, 0.01)
+        sol = newton_solve(g, bnd, rhs)
         assert sol.converged
         assert np.abs(sol.phi.values - exact).max() < 5e-4
 
@@ -393,7 +388,7 @@ class TestInitialGuess:
                        1.5 + np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)))
                    }[kind]
         phi = default_initial_guess(grid, boundary, profile)
-        r = _det_residual(grid, strip_h(phi)[3], profile)
+        r = _det_residual(grid, strip_h(grid, phi.values)[3], profile)
         tol = 1e-13 * profile.rhs_on(grid).max()
         assert r.min() >= -tol
         # psi_tt is the plane max itself: each plane touches 0
@@ -426,7 +421,7 @@ class TestInitialGuess:
                                     BoundarySpec(phi1=((1, 0, 0.2),)),
                                     AnnulusProfile(1e-3))
         with pytest.raises(InadmissibleError, match=r"min\(1\+a\)=-"):
-            check_frame(strip_h(phi))
+            check_frame(strip_h(phi.grid, phi.values))
 
 
 class TestLineSearch:
@@ -659,11 +654,13 @@ class TestSecantPredictor:
                 predicting.append(True)
             return real_solve(*args, initial=initial, **kwargs)
 
-        def strip_h(phi):       # a secant rung's first frame: the prediction
-            g, m, q, det = real_strip_h(phi)
-            if predicting:      # inadmissible, its small residual kept
+        # a secant rung's first frame, its prediction's, is made
+        # inadmissible with its small residual kept
+        def strip_h(grid, window):
+            g, m, q, det = real_strip_h(grid, window)
+            if predicting:
                 predicting.clear()
-                rejected.append(phi)
+                rejected.append(window)
                 g = -np.ones_like(g)
             return g, m, q, det
 

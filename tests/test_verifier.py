@@ -7,8 +7,8 @@ import hcma.grid
 import hcma.verify
 from conftest import COS_AMP, COS_BOUNDARY, chunk_grids
 from hcma import AnnulusProfile, BoundarySpec, make_grid, newton_solve
-from hcma.grid import (ScalarField, dt1, dt2, dx1, dy1, wirt_parts, wirt_z,
-                       wirt_zbar, wirt_zz, wirt_zzbar)
+from hcma.grid import (ScalarField, dt1, dt2, dx1, dy1, t_chunks, wirt_parts,
+                       wirt_z, wirt_zbar, wirt_zz, wirt_zzbar)
 from hcma.io import report_json
 from hcma.quantities import (DegenerateMetricError, InadmissibleError,
                              InfeasibleKError, NonConvexBoundaryError,
@@ -365,12 +365,27 @@ class TestRunChecks:
             run_checks(sol_cos, names=["convexity", "upper_bound"])
 
     def test_strip_frames_per_run(self, sol_cos, strip_h_calls):
-        # one, shared by the h-operator checks: ab_equations (its two
-        # contractions and bilinear forms), ekq_subharmonic (contraction
-        # and allowance) and lq_ratio (apply_L)
-        run_checks(sol_cos, seed=0)
-        assert len(strip_h_calls) == 1
-        assert all(phi is sol_cos.phi for phi in strip_h_calls)
+        # one per t-chunk, on the chunk's window of phi, shared by the
+        # h-operator checks: ab_equations (its two contractions and bilinear
+        # forms), ekq_subharmonic (contraction and allowance) and lq_ratio
+        # (apply_L); no frame of the whole interior.  One chunk, three
+        # chunks (the last partial) and five one-plane chunks.
+        cases, counts = dict(pass_cases()), []
+        for sol in (sol_cos, cases["partial-1j"],
+                    cases["one-plane-(0.3+1.1j)"]):
+            strip_h_calls.clear()
+            run_checks(sol, seed=0)
+            values = sol.phi.values
+            counts.append(len(list(t_chunks(sol.grid))))
+            assert len(strip_h_calls) == counts[-1]
+            planes = []
+            for grid, window in strip_h_calls:
+                assert grid is sol.grid and np.shares_memory(window, values)
+                first = ((window.ctypes.data - values.ctypes.data)
+                         // values.strides[0])
+                planes += range(first + 1, first + len(window) - 1)
+            assert planes == list(range(1, sol.grid.nt - 1))
+        assert counts == [1, 3, 5]
 
     def test_degenerate_data_never_throws(self, grid_small):
         sol = synthetic_solution(
@@ -500,7 +515,7 @@ def whole_grid_frame_records(sol, Q):
     out = {}
     max_bnd = float(Q[[0, -1]].max())
     Qc = composite_q_field(sol)
-    frame = strip_h(sol.phi)
+    frame = strip_h(grid, v)
     if not (frame[0].min() > 0.0 and frame[3].min() > 0.0):
         out.update(ab_equations=None, ekq_subharmonic=None, lq_ratio=None)
         if not max_bnd < 1.0:
