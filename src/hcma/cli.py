@@ -126,6 +126,8 @@ def cmd_verify(args) -> int:
     out = _ensure_out(args, config)
     hio.write_report(report.to_dict(), os.path.join(out, "report.json"))
 
+    # perfbench's tracer wraps hcma.solver.residual at call time: a
+    # top-level import would bind the unwrapped function
     from .solver import residual
     a, b = spatial_ab(solution.grid, solution.phi.values)
     try:

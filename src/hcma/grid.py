@@ -251,20 +251,13 @@ def plane_jets(grid: Grid, w: np.ndarray):
 
 
 def strip_jets(grid: Grid, window: np.ndarray):
-    """(a, Phi_tz as its real pair, Phi_tt) of a real field on the planes
-    1..n of an (n+2)-plane window of its values: wirt_zzbar, dx1 and dy1 on
-    one periodic pad of the window and the central t-differences of dt1
-    and dt2, so every entry is bitwise the whole-grid (wirt_zzbar,
-    wirt_parts(dt1(dx1), dt1(dy1)), dt2)."""
-    h = grid.ht
+    """(a, d_x, d_y) of a real field on an (n+2)-plane window of its
+    values: wirt_zzbar on the planes 1..n, dx1 and dy1 on every plane, all
+    from one periodic pad of the window, bitwise the whole-grid values."""
     p = _wrap(window)
-    px, py = dx1(grid, window, p), dy1(grid, window, p)
-    tz = wirt_parts(grid, (px[2:] - px[:-2]) / (2 * h),
-                    (py[2:] - py[:-2]) / (2 * h))
-    del px, py
     w = window[1:-1]
-    a = wirt_zzbar(grid, w, second_diffs(grid, w, p[1:-1]))
-    return a, tz, (window[2:] - 2 * w + window[:-2]) / h**2
+    return (wirt_zzbar(grid, w, second_diffs(grid, w, p[1:-1])),
+            dx1(grid, window, p), dy1(grid, window, p))
 
 
 def second_order_stencil(grid: Grid, planes: dict):

@@ -7,10 +7,10 @@ convexity, lower-bound and upper-bound checks.  The general-n flat layer
 with the coefficient matrices of the scaled product-space Laplacian and the
 non-negative terms E, P, T, for an arbitrary complex dimension n with flat
 background metric.  At n = 1 those two layers must agree exactly; that cross
-check is part of the test suite.  The third, solution-level layer builds
-the strip-frame h-matrix on a t-window of a field, and from it, through the
-one plane builder h_coefficient_planes, Newton's Jacobian, the h-Laplacian
-and L = adj(h~)/g.
+check is part of the test suite.  The third, solution-level layer forms
+the strip-frame h-matrix on a t-window of a field from its jets, in the
+one formula strip_frame, and from it, through the one plane builder
+h_coefficient_planes, Newton's Jacobian, the h-Laplacian and L = adj(h~)/g.
 
 Index conventions: g^{ab*} is stored as the matrix conj(inv(G)) where
 G[a, b] = g_{ab*}; with that choice any contraction h^{ij*} X_{ij*} of
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import (Jet, ScalarField, second_order_stencil, strip_jets,
-                   t_chunks)
+                   t_chunks, wirt_parts)
 
 
 class DegenerateMetricError(ValueError):
@@ -270,30 +270,35 @@ class InadmissibleError(ValueError):
     """1 + a > 0 or det h > 0 fails at an interior node."""
 
 
-def strip_h(grid, window):
+def strip_frame(grid, window, a, d_x, d_y):
     """(g, m, q, det) of the strip h-matrix [[q, m], [m*, g]] on planes 1..n
-    of an (n+2)-plane window of a field's values (phi.values: the interior).
+    of an (n+2)-plane window from a on those planes and d_x, d_y on the
+    window: q = Phi_tt/4, m = Phi_tzbar/2 as (Re m, Im m), g = 1 + a, det =
+    q g - |m|^2, bitwise the whole-grid frame; admissibility unchecked."""
+    h = grid.ht
+    m_r, m_i = wirt_parts(grid, (d_x[2:] - d_x[:-2]) / (2 * h),
+                          (d_y[2:] - d_y[:-2]) / (2 * h))     # Phi_tz
+    m_r *= 0.5
+    m_i *= -0.5
+    g = 1.0 + a
+    q = 0.25 * ((window[2:] - 2 * window[1:-1] + window[:-2]) / h**2)
+    return g, (m_r, m_i), q, q * g - (m_r * m_r + m_i * m_i)
 
-    q = Phi_tt/4, m = Phi_tzbar/2 as its real pair (Re m, Im m), g = 1 + a;
-    det = q g - |m|^2.  Built one t-chunk at a time (strip_jets over
-    t_chunks), bitwise the whole-grid differences: no complex array and no
-    whole-grid temporary is made.  Does not check admissibility.
-    """
+
+def strip_h(grid, window):
+    """strip_frame of an (n+2)-plane window of a field's values (phi.values:
+    the interior), one t-chunk at a time from its strip_jets."""
     shape = (len(window) - 2, grid.nx, grid.ny)
     g, m_r, m_i, q, det = (np.empty(shape) for _ in range(5))
     for i0, i1 in t_chunks(grid, shape[0]):
-        k = slice(i0 - 1, i1 - 1)
-        a, (tz_r, tz_i), tt = strip_jets(grid, window[i0 - 1:i1 + 1])
-        np.add(1.0, a, out=g[k])
-        np.multiply(tz_r, 0.5, out=m_r[k])
-        np.multiply(tz_i, -0.5, out=m_i[k])
-        np.multiply(0.25, tt, out=q[k])
-        det[k] = q[k] * g[k] - (m_r[k] * m_r[k] + m_i[k] * m_i[k])
+        k, w = slice(i0 - 1, i1 - 1), window[i0 - 1:i1 + 1]
+        g[k], (m_r[k], m_i[k]), q[k], det[k] = strip_frame(
+            grid, w, *strip_jets(grid, w))
     return g, (m_r, m_i), q, det
 
 
 def check_frame(frame, g_floor: float = 0.0, det_floor: float = 0.0):
-    """The strip_h frame (g, m, q, det) if 1 + a > g_floor and det h >
+    """The strip frame (g, m, q, det) if 1 + a > g_floor and det h >
     det_floor at every interior node, else InadmissibleError.  Floors 0
     are the admissibility rule; Newton's line search raises them."""
     g, _, _, det = frame
@@ -341,8 +346,8 @@ def h_contract(grid, values, frame):
     Second derivatives of w are realized through the strip identities
     w_zetazetabar = w_tt/4, w_zeta zbar = w_tzbar/2 (w s-independent);
     the contraction is tr(inv(H) @ W) with the h-matrix of the frame the
-    caller passes: admissible_frame(phi) for the interior, or the strip_h
-    frame of one t-chunk's window.  w is the window of those planes and
+    caller passes: admissible_frame(phi) for the interior, or the
+    strip_frame of one t-chunk's window.  w is the window of those planes and
     their two neighbours; the stencil raises ValueError on any other shape.
     values may be a tuple of arrays: they share one stencil, and a tuple of
     results comes back.

@@ -21,7 +21,7 @@ from .grid import (_wrap, plane_jets, spatial_ab, strip_jets, t_chunks,
                    wirt_parts, wirt_z, wirt_zbar)
 from .quantities import (InadmissibleError, NonConvexBoundaryError, apply_L,
                          boundary_S, boundary_delta, check_frame, choose_K,
-                         h_contract, sigma_roots, strip_h)
+                         h_contract, sigma_roots, strip_frame)
 from .solver import AnnulusProfile, Solution
 
 # allowance constants, fixed per check (bands are C * h^p)
@@ -174,10 +174,10 @@ class CheckPass:
 
     The boundary planes come first, for boundary (a, b) pairs and K.  Each
     chunk's window of phi gives a, b, d_x and d_y through one periodic pad
-    and, with a FRAME_CHECKS name, the chunk's strip_h frame, which it
-    hands with its windows to h_contract (a, b and W = e^{KQ} on one set
-    of h-planes), apply_L (the composite Q) and the allowance and a/b
-    folds.  No whole-grid jet or frame is made.  Every check takes a
+    and, with a FRAME_CHECKS name, the chunk's strip_frame from them,
+    which it hands with its windows to h_contract (a, b and W = e^{KQ} on
+    one set of h-planes), apply_L (the composite Q) and the allowance and
+    a/b folds.  No whole-grid jet or frame is made.  Every check takes a
     CheckPass in place of its solution; points=True also collects
     jet_map_export's (Re b, Im b, a) points.
     """
@@ -225,7 +225,7 @@ class CheckPass:
         self.q_finite, self.lq_nodes, self.rho = True, 0, _Extreme(np.argmin)
         for i0, i1 in t_chunks(grid):
             self._chunk(values[i0 - 1:i1 + 1], i0, i1)
-        self.least.found += last.found
+        self.least.found += self.opa.found + last.found
         if self.framed:     # check_frame's text, from the folded minima
             try:
                 check_frame((self.opa.value, None, None, self.det.value))
@@ -234,16 +234,16 @@ class CheckPass:
 
     def _chunk(self, window, i0: int, i1: int) -> None:
         """Folds the interior t-planes i0..i1-1 from their window of phi,
-        planes i0-1..i1, and their strip_h frame, if admissible."""
+        planes i0-1..i1, its plane_jets and strip_frame, if admissible."""
         grid, frame = self.grid, None
+        a_w, b_w, d_x, d_y = plane_jets(grid, window)
         if self.framed:
-            frame = strip_h(grid, window)
+            frame = strip_frame(grid, window, a_w[1:-1], d_x, d_y)
             self.det.add(frame[3])
             try:
                 check_frame(frame)
             except InadmissibleError:
                 frame = None
-        a_w, b_w, d_x, d_y = plane_jets(grid, window)
         if self.lq and self.q_finite:
             Qc = _composite_q(grid, a_w, b_w, d_x, d_y)
             del d_x, d_y
@@ -264,7 +264,6 @@ class CheckPass:
         a, b, Qi = a_w[1:-1], b_w[1:-1], Q[1:-1]
         opa, abs_b = 1.0 + a, np.abs(b)
         self.opa.add(opa, i0)
-        self.least.add(opa, i0)
         self.gap.add(abs_b - opa, i0)
         self.q.add(Qi, i0)
         self.plane_q[i0:i1] = Qi.max(axis=(1, 2))
@@ -302,14 +301,15 @@ class CheckPass:
 
     def _ekq_allowance(self, W, frame) -> None:
         """Folds the allowance of ekq_subharmonic, which scales with the
-        contracted magnitude (h-inverse included), from W's a, Phi_tz and
-        Phi_tt on its window and the frame."""
+        contracted magnitude (h-inverse included), from the strip_frame of
+        W's window (its a, m and q) and the chunk's frame."""
         g, (m_r, m_i), q, det = frame
-        a, w_tz, w_tt = strip_jets(self.grid, W)
+        a, d_x, d_y = strip_jets(self.grid, W)
+        m_w, q_w = strip_frame(self.grid, W, a, d_x, d_y)[1:3]
+        del d_x, d_y
         # W is real, so |W_zeta zbar| = |W_z zetabar|: one term, added twice
-        mixed = np.hypot(m_r, m_i) * (0.5 * np.hypot(*w_tz))
-        self.peak.add((g * np.abs(0.25 * w_tt) + mixed + mixed
-                       + q * np.abs(a)) / det)
+        mixed = np.hypot(m_r, m_i) * np.hypot(*m_w)
+        self.peak.add((g * np.abs(q_w) + mixed + mixed + q * np.abs(a)) / det)
 
     def _ab(self, lhs_a, lhs_b, a_w, b_w, frame, i0) -> None:
         """Folds the a/b equation residuals from the contractions, the

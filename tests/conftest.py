@@ -23,20 +23,24 @@ def chunk_grids(modulus):
 @pytest.fixture
 def strip_h_calls(monkeypatch):
     """Records the (grid, window) of each strip_h call, through every
-    module that calls it."""
+    module that calls it, and of each strip_frame call the verifier
+    makes."""
     import hcma.quantities
     import hcma.solver
     import hcma.verify
     calls = []
-    real = hcma.quantities.strip_h
 
-    def counted(grid, window):
-        calls.append((grid, window))
-        return real(grid, window)
+    def counted(real):
+        def call(grid, window, *jets):
+            calls.append((grid, window))
+            return real(grid, window, *jets)
+        return call
 
-    monkeypatch.setattr(hcma.quantities, "strip_h", counted)
-    monkeypatch.setattr(hcma.solver, "strip_h", counted)
-    monkeypatch.setattr(hcma.verify, "strip_h", counted)
+    strip_h = counted(hcma.quantities.strip_h)
+    monkeypatch.setattr(hcma.quantities, "strip_h", strip_h)
+    monkeypatch.setattr(hcma.solver, "strip_h", strip_h)
+    monkeypatch.setattr(hcma.verify, "strip_frame",
+                        counted(hcma.verify.strip_frame))
     return calls
 
 

@@ -11,8 +11,9 @@ from conftest import chunk_grids
 from hcma.grid import (DegenerateLatticeError, DimensionTooSmallError,
                        ScalarField, _wrap, dt1, dt2, dx1, dy1,
                        interpolate_array, make_grid, plane_jets,
-                       second_order_stencil, t_chunks, wirt_parts, wirt_z,
-                       wirt_zbar, wirt_zz, wirt_zzbar, wirtinger_jet)
+                       second_order_stencil, strip_jets, t_chunks,
+                       wirt_parts, wirt_z, wirt_zbar, wirt_zz, wirt_zzbar,
+                       wirtinger_jet)
 
 
 def field_from(grid, fn):
@@ -137,6 +138,14 @@ class TestStencilPrimitives:
             for x, want in zip(got, whole):
                 want = want[lo:hi]
                 assert x.dtype == want.dtype
+                assert x.tobytes() == want.tobytes()
+        # strip_jets: a on a window's inner planes, d_x and d_y on all of it
+        for lo, hi in ((0, 5), (1, 4), (2, 4)):
+            got = strip_jets(g, v[lo:hi])
+            wants = (whole[0][lo + 1:hi - 1], whole[2][lo:hi],
+                     whole[3][lo:hi])
+            for x, want in zip(got, wants):
+                assert x.dtype == want.dtype and x.shape == want.shape
                 assert x.tobytes() == want.tobytes()
 
 

@@ -518,6 +518,20 @@ def readme_config() -> str:
     return text.split("```ini\n", 1)[1].split("```", 1)[0]
 
 
+def readme_quick_start() -> str:
+    """The python block of README's "Library quick start" section."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    namespace = {}
+    exec(readme_quick_start(), namespace)
+    assert namespace["report"].all_pass
+    assert capsys.readouterr().out == "True\n"
+
+
 class TestCliEndToEnd:
     def test_readme_config_solves(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)         # its out_dir is relative

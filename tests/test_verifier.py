@@ -7,14 +7,14 @@ import hcma.grid
 import hcma.verify
 from conftest import COS_AMP, COS_BOUNDARY, chunk_grids
 from hcma import AnnulusProfile, BoundarySpec, make_grid, newton_solve
-from hcma.grid import (ScalarField, dt1, dt2, dx1, dy1, t_chunks, wirt_parts,
-                       wirt_z, wirt_zbar, wirt_zz, wirt_zzbar)
+from hcma.grid import (ScalarField, dt1, dt2, dx1, dy1, plane_jets, t_chunks,
+                       wirt_parts, wirt_z, wirt_zbar, wirt_zz, wirt_zzbar)
 from hcma.io import report_json
 from hcma.quantities import (DegenerateMetricError, InadmissibleError,
                              InfeasibleKError, NonConvexBoundaryError,
                              admissible_frame, apply_L, boundary_delta,
                              boundary_S, choose_K, h_contract, sigma_roots,
-                             strip_h)
+                             strip_frame, strip_h)
 from hcma.solver import Solution
 from hcma.verify import (C_H1, C_H2, D_R, FRAME_CHECKS, N_ANGLES, Q_FLOOR,
                          REL_SLACK, STABILITY_SPREAD, CheckRecord,
@@ -368,8 +368,10 @@ class TestRunChecks:
         # one per t-chunk, on the chunk's window of phi, shared by the
         # h-operator checks: ab_equations (its two contractions and bilinear
         # forms), ekq_subharmonic (contraction and allowance) and lq_ratio
-        # (apply_L); no frame of the whole interior.  One chunk, three
-        # chunks (the last partial) and five one-plane chunks.
+        # (apply_L); no frame of the whole interior.  The allowance frames
+        # each chunk's window of W = e^{KQ} too; those are not views of phi.
+        # One chunk, three chunks (the last partial) and five one-plane
+        # chunks.
         cases, counts = dict(pass_cases()), []
         for sol in (sol_cos, cases["partial-1j"],
                     cases["one-plane-(0.3+1.1j)"]):
@@ -377,10 +379,13 @@ class TestRunChecks:
             run_checks(sol, seed=0)
             values = sol.phi.values
             counts.append(len(list(t_chunks(sol.grid))))
-            assert len(strip_h_calls) == counts[-1]
+            frames = [(grid, window) for grid, window in strip_h_calls
+                      if np.shares_memory(window, values)]
+            assert len(strip_h_calls) == 2 * counts[-1]
+            assert len(frames) == counts[-1]
             planes = []
-            for grid, window in strip_h_calls:
-                assert grid is sol.grid and np.shares_memory(window, values)
+            for grid, window in frames:
+                assert grid is sol.grid
                 first = ((window.ctypes.data - values.ctypes.data)
                          // values.strides[0])
                 planes += range(first + 1, first + len(window) - 1)
@@ -634,6 +639,28 @@ def test_pass_equals_checks_alone_and_whole_grid(case):
         alone = (jet_map_export(sol)[1] if rec.name == "jet_map"
                  else hcma.verify.CHECKS[rec.name](sol))
         assert record_text(rec) == record_text(alone), rec.name
+
+
+def flat_frame(frame):
+    """A strip frame (g, (Re m, Im m), q, det) as five arrays."""
+    g, (m_r, m_i), q, det = frame
+    return g, m_r, m_i, q, det
+
+
+def test_chunk_frames_from_plane_jets_are_strip_h():
+    # the pass frames each chunk from the jets plane_jets gives it: bitwise
+    # strip_h of the chunk's window and the whole interior's frame there
+    for _, sol in pass_cases():
+        grid, v = sol.grid, sol.phi.values
+        whole = flat_frame(strip_h(grid, v))
+        for i0, i1 in t_chunks(grid):
+            w = v[i0 - 1:i1 + 1]
+            a, _, d_x, d_y = plane_jets(grid, w)
+            got = flat_frame(strip_frame(grid, w, a[1:-1], d_x, d_y))
+            for want in (flat_frame(strip_h(grid, w)),
+                         [x[i0 - 1:i1 - 1] for x in whole]):
+                assert [x.tobytes() for x in got] == [
+                    x.tobytes() for x in want]
 
 
 def test_tied_extrema_pick_the_first_node_in_c_order():
