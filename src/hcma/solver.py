@@ -253,32 +253,30 @@ def rhs_floor(profile, grid: Grid) -> float:
     return lo
 
 
-def linearize(grid: Grid, frame) -> spla.LinearOperator:
-    """Exact Jacobian of the interior residual in the (nt-2) nx ny interior
-    unknowns, since a Newton correction vanishes on the Dirichlet planes.
+def linearize(grid: Grid, frame):
+    """(jacobian, preconditioner) of the interior residual in the (nt-2)
+    nx ny interior unknowns, since a Newton correction vanishes on the
+    Dirichlet planes.
 
-    First variation: (1+a) dPhi_tt + Phi_tt da - 2 Re(Phi_tz dPhi_tzbar),
-    expressed through the same central stencils the residual uses, so Newton
-    is exactly quadratic.  Applied matrix-free between two zero t-planes: it
-    is 4 det(h) times the verifier's h_contract, through the same stencil
-    planes, which also build the operator's ``preconditioner``.  The caller
-    passes the iterate's strip_h frame, checked by check_frame.  The
-    operator owns one zero-bordered grid, whose interior planes each apply
-    overwrites with x.
+    jacobian(x) is the exact first variation (1+a) dPhi_tt + Phi_tt da -
+    2 Re(Phi_tz dPhi_tzbar), expressed through the same central stencils
+    the residual uses, so Newton is exactly quadratic.  Applied matrix-free
+    between two zero t-planes: it is 4 det(h) times the verifier's
+    h_contract, through the same stencil planes, which also build the
+    _SeparablePreconditioner.  The caller passes the iterate's strip_h
+    frame, checked by check_frame.  The jacobian owns one zero-bordered
+    grid, whose interior planes each call overwrites with x.
     """
     planes = h_coefficient_planes(grid, *frame[:3])
     preconditioner = _SeparablePreconditioner(grid, planes)
     apply = second_order_stencil(grid, planes)      # scales the planes
     v = np.zeros(grid.shape)
 
-    def matvec(x):
+    def jacobian(x):
         v[1:-1] = x.reshape(v[1:-1].shape)
         return apply(v).ravel()
 
-    n = (grid.nt - 2) * grid.nx * grid.ny
-    jac = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    jac.preconditioner = preconditioner
-    return jac
+    return jacobian, preconditioner
 
 
 class _SeparablePreconditioner:
@@ -329,10 +327,11 @@ class _SeparablePreconditioner:
         return out.ravel()
 
 
-def _solve_linear(jac: spla.LinearOperator, rhs, rtol: float) -> np.ndarray:
-    """Solve jac @ x = rhs to relative residual <= rtol, Newton's forcing
-    term, by GMRES restarted every 20 iterations, 60 times at most, with the
-    ``preconditioner`` that linearize attached to jac.
+def _solve_linear(jacobian, preconditioner, rhs, rtol: float) -> np.ndarray:
+    """Solve jacobian(x) = rhs to relative residual <= rtol, Newton's
+    forcing term, by GMRES restarted every 20 iterations, 60 times at most,
+    with preconditioner.solve: the pair linearize returns.  The only code
+    that builds scipy operators.
 
     A result is accepted on its true residual, whatever GMRES reports;
     otherwise SolverError carries the preconditioner applies (one per
@@ -344,21 +343,21 @@ def _solve_linear(jac: spla.LinearOperator, rhs, rtol: float) -> np.ndarray:
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
-    pre = jac.preconditioner
-    M = spla.LinearOperator(jac.shape, matvec=pre.solve, dtype=float)
+    A, M = (spla.LinearOperator((rhs.size,) * 2, matvec=f, dtype=float)
+            for f in (jacobian, preconditioner.solve))
     restart = 20
     try:
-        x, info = spla.gmres(jac, rhs, M=M, rtol=rtol, atol=0.0,
+        x, info = spla.gmres(A, rhs, M=M, rtol=rtol, atol=0.0,
                              restart=restart, maxiter=60)
     except MemoryError as exc:
         raise SolverError(f"out of memory for a gmres workspace of "
                           f"{(restart + 1) * rhs.size * 8} bytes") from exc
-    rel = np.linalg.norm(jac @ x - rhs) / rhs_norm
+    rel = np.linalg.norm(jacobian(x) - rhs) / rhs_norm
     if rel <= rtol:
         return x
     raise SolverError(f"gmres stopped short of rtol {rtol:.1e} after "
-                      f"{pre.applies} preconditioner applies (scipy "
-                      f"info={info}): relative residual {rel:.3e}")
+                      f"{preconditioner.applies} preconditioner applies "
+                      f"(scipy info={info}): relative residual {rel:.3e}")
 
 
 # --- Newton iteration --------------------------------------------------------
@@ -465,16 +464,16 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         if k == config.max_newton_iters:
             return finish("max-iterations-exceeded", rn, k)
         try:
-            jac = linearize(grid, check_frame(frame))
+            jacobian, preconditioner = linearize(grid, check_frame(frame))
         except InadmissibleError as exc:
             return finish(f"inadmissible iterate: {exc}", rn, k)
         del frame               # freed before GMRES allocates
         try:
-            step = _solve_linear(jac, r.ravel(),
+            step = _solve_linear(jacobian, preconditioner, r.ravel(),
                                  min(1e-2, max(rn, LINEAR_RTOL)))
         except SolverError as exc:
             return finish(f"linear-solve-failure: {exc}", rn, k)
-        del jac             # freed before the line search allocates
+        del jacobian, preconditioner    # freed before the line search
         step = step.reshape(r.shape)    # J step = r: Newton's move is -step
         for halvings in range(config.max_halvings + 1):
             vals = np.array(phi.values)

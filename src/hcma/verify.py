@@ -34,6 +34,10 @@ U_FD_STEP = 1e-3  # finite-difference step of the u-identity check
 N_ANGLES = 16     # annulus angles sampled by the weighted max principle
 Q_FLOOR = 1e-12   # lq_ratio skips nodes with Q at or below this
 D_R = 2.0 * math.e  # d_R of the weight u in the weighted max principle
+# converged: phi's Dirichlet planes may differ from the boundary data they
+# were evaluated from by this times the summed mode amplitudes (a few ulps
+# per mode, from one platform's exp to another's)
+BOUNDARY_ROUND_OFF = 1e-12
 
 
 @dataclass
@@ -366,14 +370,26 @@ def _pass_for(solution, name: str) -> CheckPass:
 # --- individual checks -------------------------------------------------------
 
 def check_converged(solution: Solution) -> CheckRecord:
-    """The Newton solve converged, so the other checks test a solution."""
-    note = "" if solution.converged else (
+    """The Newton solve converged, so the other checks test a solution, and
+    phi's t = 0 and t = 1 planes hold the solution's boundary data: their
+    largest gap to BoundarySpec.evaluate is at most BOUNDARY_ROUND_OFF
+    times the summed |amplitude| of the modes."""
+    grid, boundary = solution.grid, solution.boundary
+    gap = float(np.abs(solution.phi.values[[0, -1]] - [
+        boundary.evaluate(grid, which) for which in (0, 1)]).max())
+    bound = BOUNDARY_ROUND_OFF * sum(
+        abs(complex(amp)) for _, _, amp in boundary.phi0 + boundary.phi1)
+    notes = [] if solution.converged else [
         f"not converged: final residual {solution.final_residual:.3e} "
-        f"after {solution.iterations} Newton iterations")
+        f"after {solution.iterations} Newton iterations"]
+    if not gap <= bound:
+        notes.append(f"boundary planes {gap:.3e} from the boundary data, "
+                     f"above {bound:.3e}")
     return CheckRecord(
-        name="converged", passed=bool(solution.converged),
+        name="converged", passed=bool(solution.converged) and gap <= bound,
         measured=solution.final_residual, bound=0.0, tolerance=0.0,
-        note=note, extra={"iterations": solution.iterations})
+        note="; ".join(notes),
+        extra={"iterations": solution.iterations, "boundary_gap": gap})
 
 
 def check_convexity(solution) -> CheckRecord:

@@ -659,6 +659,27 @@ class TestCliEndToEnd:
         assert rec["measured"] > 1e-3 and rec["extra"]["iterations"] == 0
         assert "not converged" in rec["note"]
 
+    def test_edited_boundary_echo_verify_exit_4(self, tmp_path,
+                                                solved_snapshot):
+        # phi keeps the t = 1 plane of amplitude 0.005; the echo claims half
+        snap = Snapshot.load(solved_snapshot)
+        old = "phi1 = 1,0,0.005,0.0\n"
+        assert old in snap.config_text
+        snap.config_text = snap.config_text.replace(old,
+                                                    "phi1 = 1,0,0.0025,0.0\n")
+        edited, v = tmp_path / "edited.snap", tmp_path / "v"
+        snap.save(edited)
+        assert cli.main(["verify", "--snapshot", str(edited),
+                         "--out", str(v)]) == 4
+        report = json.loads((v / "report.json").read_text())
+        rec = report["checks"][0]
+        assert rec["name"] == "converged" and not rec["pass"]
+        assert rec["extra"]["boundary_gap"] == pytest.approx(0.0025,
+                                                             rel=1e-12)
+        assert rec["note"].startswith("boundary planes 2.500e-03 from")
+        # no estimate check sees it
+        assert all(c["pass"] or c["vacuous"] for c in report["checks"][1:])
+
     @pytest.mark.parametrize("line", ["out_dir = ml/a\n  b",
                                       "checks = convexity\n  lq_ratio"])
     def test_line_break_in_value_exit_2(self, tmp_path, line):

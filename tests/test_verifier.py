@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 import hcma.grid
 import hcma.verify
 from conftest import COS_AMP, COS_BOUNDARY, chunk_grids
-from hcma import AnnulusProfile, BoundarySpec, make_grid, newton_solve
+from hcma import (AnnulusProfile, BoundarySpec, lambda_sweep, make_grid,
+                  newton_solve)
 from hcma.grid import (ScalarField, dt1, dt2, dx1, dy1, plane_jets, t_chunks,
                        wirt_parts, wirt_z, wirt_zbar, wirt_zz, wirt_zzbar)
 from hcma.io import report_json
@@ -16,9 +18,10 @@ from hcma.quantities import (DegenerateMetricError, InadmissibleError,
                              boundary_S, choose_K, h_contract, sigma_roots,
                              strip_frame, strip_h)
 from hcma.solver import Solution
-from hcma.verify import (C_H1, C_H2, D_R, FRAME_CHECKS, N_ANGLES, Q_FLOOR,
-                         REL_SLACK, STABILITY_SPREAD, CheckRecord,
-                         check_ab_equations, check_convexity,
+from hcma.verify import (BOUNDARY_ROUND_OFF, C_H1, C_H2, D_R, FRAME_CHECKS,
+                         N_ANGLES, Q_FLOOR, REL_SLACK, STABILITY_SPREAD,
+                         CheckRecord, check_ab_equations, check_converged,
+                         check_convexity,
                          check_ekq_subharmonic, check_eps_monotone_limit,
                          check_lambda_monotonicity, check_max_principle_Q,
                          check_metric_lower_bound,
@@ -45,6 +48,55 @@ def synthetic_solution(grid, fn, profile=None):
         phi=ScalarField.from_function(grid, fn), grid=grid,
         profile=profile or AnnulusProfile(1e-3), boundary=BoundarySpec(),
         converged=True, final_residual=0.0, iterations=0)
+
+
+class TestConverged:
+    def test_solved_planes_are_the_boundary_data(self, request, grid_small):
+        # Newton writes phi's t = 0 and t = 1 planes from evaluate
+        sols = [request.getfixturevalue(name) for name in
+                ("sol_zero_const", "sol_zero_annulus", "sol_cos")]
+        sols += request.getfixturevalue("eps_sweep")
+        sols += lambda_sweep(grid_small, COS_BOUNDARY, [0.0, 0.5, 1.0],
+                             AnnulusProfile(1e-3))
+        for sol in sols:
+            rec = check_converged(sol)
+            assert rec.passed and rec.note == ""
+            assert rec.extra["boundary_gap"] == 0.0
+
+    def test_other_boundary_data_fails(self, sol_cos):
+        # phi unchanged, its boundary the lambda = 0.5 scaling: the residual
+        # never reads the Dirichlet planes, nor does any estimate check
+        mutant = dataclasses.replace(sol_cos,
+                                     boundary=sol_cos.boundary.scaled(0.5))
+        report = run_checks(mutant, seed=0)
+        assert not report.all_pass
+        rec = report["converged"]
+        assert not rec.passed and not rec.vacuous
+        assert rec.extra["boundary_gap"] == pytest.approx(0.5 * COS_AMP,
+                                                          rel=1e-12)
+        bound = BOUNDARY_ROUND_OFF * 0.5 * COS_AMP
+        assert rec.note == (f"boundary planes 2.500e-03 from the boundary "
+                            f"data, above {bound:.3e}")
+        assert all(c.passed or c.vacuous for c in report.checks[1:])
+
+    @pytest.mark.parametrize("plane", [0, -1])
+    def test_round_off_bound(self, sol_cos, plane):
+        bound = BOUNDARY_ROUND_OFF * COS_AMP
+        for shift, passed in ((0.5 * bound, True), (2.0 * bound, False)):
+            values = sol_cos.phi.values.copy()
+            values[plane, 3, 5] += shift
+            rec = check_converged(dataclasses.replace(
+                sol_cos, phi=ScalarField(sol_cos.grid, values)))
+            assert rec.passed == passed
+            assert rec.extra["boundary_gap"] == pytest.approx(shift,
+                                                              rel=1e-3)
+
+    def test_unconverged_keeps_both_notes(self, sol_cos):
+        rec = check_converged(dataclasses.replace(
+            sol_cos, converged=False, boundary=BoundarySpec()))
+        assert not rec.passed
+        assert rec.note.startswith("not converged: final residual ")
+        assert "; boundary planes 5.000e-03 from the boundary data" in rec.note
 
 
 class TestConvexity:
