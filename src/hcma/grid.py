@@ -138,13 +138,14 @@ def t_chunks(grid: Grid, n: int | None = None):
         yield c0, min(c0 + step, n + 1)
 
 
-def _wrap(v: np.ndarray) -> np.ndarray:
-    """v padded periodically by one cell at both ends of axes 1 and 2:
-    np.pad(mode="wrap") built in one np.empty from slice copies."""
-    n, nx, ny = v.shape
-    p = np.empty((n, nx + 2, ny + 2), v.dtype)
-    p[:, 1:-1, 1:-1] = v
-    p[:, 0, 1:-1], p[:, -1, 1:-1] = v[:, -1], v[:, 0]
+def _wrap(*blocks: np.ndarray) -> np.ndarray:
+    """The blocks stacked in t and padded periodically by one cell in x and
+    y: np.pad(mode="wrap") of their concatenation, in one np.empty."""
+    nx, ny = blocks[0].shape[1:]
+    p = np.empty((sum(map(len, blocks)), nx + 2, ny + 2),
+                 np.result_type(*blocks))
+    np.concatenate(blocks, out=p[:, 1:-1, 1:-1])
+    p[:, 0, 1:-1], p[:, -1, 1:-1] = p[:, -2, 1:-1], p[:, 1, 1:-1]
     p[:, :, 0], p[:, :, -1] = p[:, :, -2], p[:, :, 1]   # corners come along
     return p
 
@@ -260,60 +261,83 @@ def strip_jets(grid: Grid, window: np.ndarray):
             dx1(grid, window, p), dy1(grid, window, p))
 
 
-def second_order_stencil(grid: Grid, planes: dict):
-    """Variable-coefficient second-order operator on n t-planes.
+def second_order_stencil(grid: Grid, g, m, q):
+    """Stencil of 4 adj(h) = 4 [[g, -m], [-m*, q]] for a strip h-matrix
+    [[q, m], [m*, g]] on n t-planes, from real (n, nx, ny) arrays g, m =
+    (Re m, Im m) and q: with w_zetazetabar = w_tt/4, w_z zetabar = w_tz/2
+    and d/dz = k1 d/dx + k2 d/dy, g w_tt + q (4|k1|^2 w_xx + 8 Re(k1 k2*)
+    w_xy + 4|k2|^2 w_yy) - 4 Re(m k1) w_tx - 4 Re(m k2) w_ty, through the
+    differences of dt2, second_diffs, dt1(dx1) and dt1(dy1).  Every
+    constant is real, so it is exact on complex w; a zero one drops its
+    term (w_xy on the square lattice).  The stencil takes the arrays over:
+    g and q are scaled in place, Re m and Im m become the coefficients of
+    w_tx and w_ty in place, and one centre array is kept beside them.
 
-    planes maps tt, xx, yy and any of xy, tx, ty (zero when missing) to
-    real (n, nx, ny) arrays, n taken from tt; the returned apply(v) sums
-    each plane times the matching central second difference of a real or
-    complex (n+2)-plane window v (the whole grid for the interior) into a
-    new (n, nx, ny) array over its planes 1..n, the same differences as
-    dt2, second_diffs, dt1(dx1) and dt1(dy1).  A v of any other shape
-    than (n+2, nx, ny) raises ValueError.  The stencil takes the planes
-    over: mesh factors are folded into them in place, once.  An apply walks
-    the window's t_chunks: it pads only each chunk's window periodically
-    and sums the legs through one chunk-sized buffer, so it copies no full
-    grid.
+    apply(w, below, above) takes w on the n planes and the planes below
+    and above them (zero planes for a Newton correction, a window's ends
+    for a field) and returns a new (n, nx, ny) array; any other shape
+    raises ValueError.  It pads each of the t_chunks' windows on its own
+    and sums through one chunk-sized buffer, so it copies no full grid.
     """
     nx, ny = grid.nx, grid.ny
     ht, hx, hy = grid.ht, grid.hx, grid.hy
-    n = len(planes["tt"])
-    legs = []       # (plane, two (t, x, y) offsets added, offsets subtracted)
-    for key, factor, plus, minus in (
-            ("tt", ht**2, ((1, 0, 0), (-1, 0, 0)), ()),
-            ("xx", hx**2, ((0, 1, 0), (0, -1, 0)), ()),
-            ("yy", hy**2, ((0, 0, 1), (0, 0, -1)), ()),
-            ("xy", 4 * hx * hy, ((0, 1, 1), (0, -1, -1)),
-             ((0, 1, -1), (0, -1, 1))),
-            ("tx", 4 * ht * hx, ((1, 1, 0), (-1, -1, 0)),
-             ((1, -1, 0), (-1, 1, 0))),
-            ("ty", 4 * ht * hy, ((1, 0, 1), (-1, 0, -1)),
-             ((1, 0, -1), (-1, 0, 1)))):
-        if key in planes:
-            planes[key] /= factor
-            legs.append((planes[key], plus, minus))
-    centre = -2.0 * (planes["tt"] + planes["xx"] + planes["yy"])
-    chunks = list(t_chunks(grid, n))
+    k1, k2 = grid.lattice.dz_coefficients
+    n = len(g)
+    chunks = [slice(c0 - 1, c1 - 1) for c0, c1 in t_chunks(grid, n)]
+    cxx, cyy = 4.0 * abs(k1)**2 / hx**2, 4.0 * abs(k2)**2 / hy**2
+    cxy = 2.0 * (k1 * np.conj(k2)).real / (hx * hy)
+    g *= 1.0 / ht**2
+    q *= cxx
+    centre = q * (1.0 + cyy / cxx)
+    centre += g
+    centre *= -2.0
+    # Re m and Im m become the coefficients of w_tx and w_ty, -4 Re(m k1)
+    # and -4 Re(m k2) over 4 ht hx and 4 ht hy, one t-chunk at a time
+    (rx, ix), (ry, iy) = ((-k.real / (ht * h), k.imag / (ht * h))
+                          for k, h in ((k1, hx), (k2, hy)))
+    for k in chunks:
+        r, i = m[0][k], m[1][k]
+        r[...], i[...] = rx * r + ix * i, ry * r + iy * i
+    # per leg its array and per term the (t, x, y) offsets d, e of the +-d
+    # added and +-e subtracted, then a scale; summed Horner-wise, last first
+    xy = [((0, 1, 1), (0, 1, -1), cxy / cyy)] if cxy else []
+    legs = ((g, [((1, 0, 0), None, 1.0)]),
+            (q, xy + [((0, 0, 1), None, cyy / cxx), ((0, 1, 0), None, 1.0)]),
+            (m[0], [((1, 1, 0), (1, -1, 0), 1.0)]),
+            (m[1], [((1, 0, 1), (1, 0, -1), 1.0)]))
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        if v.shape != (n + 2, nx, ny):
-            raise ValueError(f"window {v.shape} != {(n + 2, nx, ny)}")
-        out = np.empty((n, nx, ny), np.result_type(v, centre))
-        buf = np.empty_like(out[:chunks[0][1] - 1])
-        for c0, c1 in chunks:
-            p = _wrap(v[c0 - 1:c1 + 1])             # the chunk's window
-            k = slice(c0 - 1, c1 - 1)
+    def apply(w: np.ndarray, below: np.ndarray,
+              above: np.ndarray) -> np.ndarray:
+        if (w.shape, below.shape, above.shape) != ((n, nx, ny),
+                                                   (nx, ny), (nx, ny)):
+            raise ValueError(f"planes {w.shape}, {below.shape} and "
+                             f"{above.shape} do not fit {(n, nx, ny)}")
+        out = np.empty((n, nx, ny), np.result_type(w, below, above, centre))
+        buf = np.empty_like(out[chunks[0]])
+        for k in chunks:
+            lo, hi = k.start, k.stop
+            p = _wrap(w[lo - 1:lo] if lo else below[None], w[k],
+                      w[hi:hi + 1] if hi < n else above[None])
 
-            def at(d):
-                return p[1 + d[0]:len(p) - 1 + d[0], 1 + d[1]:nx + 1 + d[1],
-                         1 + d[2]:ny + 1 + d[2]]
+            def at(d, s=1):
+                t, x, y = (s * c for c in d)
+                return p[1 + t:len(p) - 1 + t, 1 + x:nx + 1 + x,
+                         1 + y:ny + 1 + y]
 
-            o, tmp = out[k], buf[:c1 - c0]
+            o, tmp = out[k], buf[:hi - lo]
             np.multiply(at((0, 0, 0)), centre[k], out=o)
-            for coeff, (d1, d2), minus in legs:
-                np.add(at(d1), at(d2), out=tmp)
-                for d in minus:
-                    tmp -= at(d)
+            for coeff, terms in legs:
+                for j, (d, e, s) in enumerate(terms):
+                    if j:
+                        tmp += at(d)
+                        tmp += at(d, -1)
+                    else:
+                        np.add(at(d), at(d, -1), out=tmp)
+                    if e:
+                        tmp -= at(e)
+                        tmp -= at(e, -1)
+                    if s != 1.0:
+                        tmp *= s
                 tmp *= coeff[k]
                 o += tmp
         return out

@@ -9,8 +9,9 @@ non-negative terms E, P, T, for an arbitrary complex dimension n with flat
 background metric.  At n = 1 those two layers must agree exactly; that cross
 check is part of the test suite.  The third, solution-level layer forms
 the strip-frame h-matrix on a t-window of a field from its jets, in the
-one formula strip_frame, and from it, through the one plane builder
-h_coefficient_planes, Newton's Jacobian, the h-Laplacian and L = adj(h~)/g.
+one formula strip_frame, and from it, through the one stencil of 4 adj(h)
+(grid.second_order_stencil), Newton's Jacobian, the h-Laplacian and
+L = adj(h~)/g.
 
 Index conventions: g^{ab*} is stored as the matrix conj(inv(G)) where
 G[a, b] = g_{ab*}; with that choice any contraction h^{ij*} X_{ij*} of
@@ -20,6 +21,7 @@ Hermitian matrices is tr(inv(H) @ X).
 from __future__ import annotations
 
 import math
+from copy import deepcopy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -313,32 +315,6 @@ def admissible_frame(phi: ScalarField):
     return check_frame(strip_h(phi.grid, phi.values))
 
 
-def h_coefficient_planes(grid, g, m, q) -> dict:
-    """Interior stencil planes of 4 adj(h) = 4 [[g, -m], [-m*, q]] for a
-    strip h-matrix [[q, m], [m*, g]], with m given as its real pair
-    (Re m, Im m).
-
-    With w_zetazetabar = w_tt/4, w_z zetabar = w_tz/2 and d/dz = k1 d/dx +
-    k2 d/dy every plane is real (the t-mixed ones are -4 Re(m k)), so the
-    operator is exact on complex w as well; the factor 4 sits in the
-    lattice constants.  This is the one plane builder: on strip_h's frame
-    the planes applied are Newton's Jacobian (1+a) w_tt + Phi_tt w_zzbar
-    - 2 Re(Phi_tz w_tzbar) and, divided by 4 det h, the h-Laplacian; on
-    (g, m, q~) they give L (apply_L).  The caller checks admissibility
-    (check_frame).  tt is a copy of g, since the stencil takes its
-    planes over; xy is left out where its lattice constant is 0 (modulus i).
-    """
-    k1, k2 = grid.lattice.dz_coefficients
-    m_r, m_i = m
-    planes = {"tt": g.copy(), "xx": q * (4.0 * abs(k1) ** 2),
-              "yy": q * (4.0 * abs(k2) ** 2),
-              "tx": m_r * (-4.0 * k1.real) - m_i * (-4.0 * k1.imag),
-              "ty": m_r * (-4.0 * k2.real) - m_i * (-4.0 * k2.imag)}
-    if (kxy := 8.0 * (k1 * np.conj(k2)).real) != 0.0:
-        planes["xy"] = q * kxy
-    return planes
-
-
 def h_contract(grid, values, frame):
     """h^{ij*} w_{ij*} of a (possibly complex) array w on the planes of a
     strip frame.
@@ -350,13 +326,13 @@ def h_contract(grid, values, frame):
     strip_frame of one t-chunk's window.  w is the window of those planes and
     their two neighbours; the stencil raises ValueError on any other shape.
     values may be a tuple of arrays: they share one stencil, and a tuple of
-    results comes back.
+    results comes back.  The stencil takes copies of the frame's arrays.
     """
     many = isinstance(values, tuple)
     values = values if many else (values,)
-    apply = second_order_stencil(grid, h_coefficient_planes(grid, *frame[:3]))
-    out = [apply(v) for v in values]
-    del apply           # its planes, before 4 det h is made
+    apply = second_order_stencil(grid, *deepcopy(frame[:3]))
+    out = [apply(v[1:-1], v[0], v[-1]) for v in values]
+    del apply           # its arrays, before 4 det h is made
     det4 = 4.0 * frame[3]
     for o in out:
         o /= det4
@@ -369,17 +345,15 @@ def apply_L(grid, values: np.ndarray, frame, eps_tilde):
 
     At n = 1 on the strip eps b/g = eps_tilde / (4 (1+a)), and L equals
     adj(h~)/g for h~ = [[q~, m], [m*, g]] with q~ = (|m|^2 + eps_tilde/4)/g,
-    so det h~ = eps_tilde/4: the stencil of h_coefficient_planes(g, m, q~),
-    divided by 4g.  The caller passes the frame and w's window as for
-    h_contract, and eps_tilde on the frame's planes.
+    so det h~ = eps_tilde/4: the stencil of 4 adj(h~), divided by 4g.  The
+    caller passes the frame and w's window as for h_contract, and
+    eps_tilde on the frame's planes.
     """
     g, (m_r, m_i) = frame[:2]
     q_tilde = (m_r * m_r + m_i * m_i + 0.25 * eps_tilde) / g
-    apply = second_order_stencil(
-        grid, h_coefficient_planes(grid, g, (m_r, m_i), q_tilde))
-    del q_tilde         # freed before the stencil allocates its output
-    out = apply(values)
-    del apply           # and its planes, before 4g is made
+    apply = second_order_stencil(grid, *deepcopy(frame[:2]), q_tilde)
+    out = apply(values[1:-1], values[0], values[-1])
+    del apply           # and its arrays, before 4g is made
     out /= 4.0 * g
     return out
 

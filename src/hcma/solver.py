@@ -21,8 +21,7 @@ import scipy.sparse.linalg as spla
 from .grid import (Grid, GridError, ScalarField, dx1, dy1,
                    second_order_stencil, wirt_parts, wirt_zzbar)
 from .quantities import (InadmissibleError, NonConvexBoundaryError,
-                         admissible_frame, check_frame, h_coefficient_planes,
-                         strip_h)
+                         admissible_frame, check_frame, strip_h)
 
 LINEAR_RTOL = 1e-12    # floor of the forcing term of each Newton linear solve
 
@@ -261,20 +260,19 @@ def linearize(grid: Grid, frame):
     jacobian(x) is the exact first variation (1+a) dPhi_tt + Phi_tt da -
     2 Re(Phi_tz dPhi_tzbar), expressed through the same central stencils
     the residual uses, so Newton is exactly quadratic.  Applied matrix-free
-    between two zero t-planes: it is 4 det(h) times the verifier's
-    h_contract, through the same stencil planes, which also build the
-    _SeparablePreconditioner.  The caller passes the iterate's strip_h
-    frame, checked by check_frame.  The jacobian owns one zero-bordered
-    grid, whose interior planes each call overwrites with x.
+    to x where it lies, with one zero plane for both Dirichlet neighbours:
+    it is 4 det(h) times the verifier's h_contract, the same stencil of 4
+    adj(h).  The caller hands over the iterate's strip_h frame, checked by
+    check_frame: the _SeparablePreconditioner takes its plane means from g
+    and q, and the stencil then takes g, m and q over.
     """
-    planes = h_coefficient_planes(grid, *frame[:3])
-    preconditioner = _SeparablePreconditioner(grid, planes)
-    apply = second_order_stencil(grid, planes)      # scales the planes
-    v = np.zeros(grid.shape)
+    g, m, q = frame[:3]
+    preconditioner = _SeparablePreconditioner(grid, g, q)
+    apply = second_order_stencil(grid, g, m, q)     # scales them in place
+    shape, zero = g.shape, np.zeros(g.shape[1:])
 
     def jacobian(x):
-        v[1:-1] = x.reshape(v[1:-1].shape)
-        return apply(v).ravel()
+        return apply(x.reshape(shape), zero, zero).ravel()
 
     return jacobian, preconditioner
 
@@ -283,24 +281,24 @@ class _SeparablePreconditioner:
     """Fast approximate inverse of the Jacobian, on the interior unknowns.
 
     Uses the separable averaged operator ptt(t) d_tt + pxx(t) d_xx +
-    pyy(t) d_yy (plane means of the true coefficients, mixed terms dropped,
-    zero on the Dirichlet planes), diagonal under the real FFT in x, y and
-    tridiagonal in t: its Thomas pivot reciprocals and factors cp are
-    computed once, and an apply is an rfft2 of the nt-2 interior planes, a
-    forward and back sweep in place, and an irfft2.  GMRES then needs a
-    handful of iterations for the small variable-coefficient and
-    mixed-stencil corrections.
+    pyy(t) d_yy (plane means of the true coefficients: of g, and of q
+    times 4|k1|^2 and 4|k2|^2; mixed terms dropped, zero on the Dirichlet
+    planes), diagonal under the real FFT in x, y and tridiagonal in t: its
+    Thomas pivot reciprocals and factors cp are computed once, and an apply
+    is an rfft2 of the nt-2 interior planes, a forward and back sweep in
+    place, and an irfft2.  GMRES then needs a handful of iterations for the
+    small variable-coefficient and mixed-stencil corrections.
     """
 
-    def __init__(self, grid: Grid, coeffs: dict):
+    def __init__(self, grid: Grid, g: np.ndarray, q: np.ndarray):
         nt, nx, ny = grid.shape
         self.shape = (nt - 2, nx, ny)
-        pxx_t = coeffs["xx"].mean(axis=(1, 2))
-        pyy_t = coeffs["yy"].mean(axis=(1, 2))
+        pxx_t, pyy_t = (4.0 * abs(k) ** 2 * q.mean(axis=(1, 2))
+                        for k in grid.lattice.dz_coefficients)
         lam_x = (2.0 * np.cos(2.0 * np.pi * np.arange(nx) / nx) - 2.0) / grid.hx**2
         lam_y = (2.0 * np.cos(2.0 * np.pi * np.arange(ny // 2 + 1) / ny)
                  - 2.0) / grid.hy**2
-        self.off = off = coeffs["tt"].mean(axis=(1, 2)) / grid.ht**2  # (nt-2,)
+        self.off = off = g.mean(axis=(1, 2)) / grid.ht**2     # (nt-2,)
         # per-mode diagonal, made in place 1 / (diag_k - off_k cp_{k-1})
         self.inv = inv = -2.0 * off[:, None, None] + (
             pxx_t[:, None, None] * lam_x[None, :, None]
@@ -333,12 +331,14 @@ def _solve_linear(jacobian, preconditioner, rhs, rtol: float) -> np.ndarray:
     with preconditioner.solve: the pair linearize returns.  The only code
     that builds scipy operators.
 
-    A result is accepted on its true residual, whatever GMRES reports;
-    otherwise SolverError carries the preconditioner applies (one per
-    iteration plus one per restart), scipy's info (which reads maxiter
-    whenever GMRES stops short, after a breakdown too) and the relative
-    residual, or the size of the workspace it ran out of: (restart + 1)
-    float64 vectors of the (nt-2) nx ny interior unknowns.
+    A result is accepted on its true residual: scipy's GMRES reports info 0
+    only when its final r = rhs - jacobian(x) meets rtol, and any other
+    info is judged on r recomputed here.  A miss raises a SolverError that
+    carries the preconditioner applies (one per iteration, one per restart
+    cycle and one for scipy's inner tolerance), scipy's info (which reads
+    maxiter whenever GMRES stops short, after a breakdown too) and the
+    relative residual, or the size of the workspace it ran out of: (restart
+    + 1) float64 vectors of the (nt-2) nx ny interior unknowns.
     """
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
@@ -352,12 +352,14 @@ def _solve_linear(jacobian, preconditioner, rhs, rtol: float) -> np.ndarray:
     except MemoryError as exc:
         raise SolverError(f"out of memory for a gmres workspace of "
                           f"{(restart + 1) * rhs.size * 8} bytes") from exc
-    rel = np.linalg.norm(jacobian(x) - rhs) / rhs_norm
-    if rel <= rtol:
-        return x
-    raise SolverError(f"gmres stopped short of rtol {rtol:.1e} after "
-                      f"{preconditioner.applies} preconditioner applies "
-                      f"(scipy info={info}): relative residual {rel:.3e}")
+    if info != 0:
+        rel = np.linalg.norm(jacobian(x) - rhs) / rhs_norm
+        if not rel <= rtol:
+            raise SolverError(
+                f"gmres stopped short of rtol {rtol:.1e} after "
+                f"{preconditioner.applies} preconditioner applies "
+                f"(scipy info={info}): relative residual {rel:.3e}")
+    return x
 
 
 # --- Newton iteration --------------------------------------------------------

@@ -97,6 +97,12 @@ class TestWrap:
         want = np.pad(v, ((0, 0), (x, x), (y, y)), mode="wrap")
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        # t-blocks are padded as their concatenation; a real block joins a
+        # complex one as complex
+        parts = _wrap(v[:1].real, v[1:], np.zeros((2,) + shape[1:]))
+        assert parts.tobytes() == _wrap(np.concatenate(
+            [v[:1].real.astype(dtype), v[1:], np.zeros((2,) + shape[1:],
+                                                        dtype)])).tobytes()
 
 
 class TestStencilPrimitives:
@@ -149,40 +155,44 @@ class TestStencilPrimitives:
                 assert x.tobytes() == want.tobytes()
 
 
-def whole_grid_apply(grid, planes, v):
-    """The stencil of second_order_stencil over the whole grid at once: one
-    periodic pad of v, whole-grid slices and a whole-grid buffer."""
-    nt, nx, ny = grid.shape
+def whole_grid_apply(grid, g, m, q, v):
+    """The stencil of second_order_stencil over the whole grid at once: the
+    same coefficients, terms and sums, on one periodic pad of the window v
+    and whole-grid arrays."""
+    n, nx, ny = len(v) - 2, grid.nx, grid.ny
     ht, hx, hy = grid.ht, grid.hx, grid.hy
-    legs = []
-    for key, factor, plus, minus in (
-            ("tt", ht**2, ((1, 0, 0), (-1, 0, 0)), ()),
-            ("xx", hx**2, ((0, 1, 0), (0, -1, 0)), ()),
-            ("yy", hy**2, ((0, 0, 1), (0, 0, -1)), ()),
-            ("xy", 4 * hx * hy, ((0, 1, 1), (0, -1, -1)),
-             ((0, 1, -1), (0, -1, 1))),
-            ("tx", 4 * ht * hx, ((1, 1, 0), (-1, -1, 0)),
-             ((1, -1, 0), (-1, 1, 0))),
-            ("ty", 4 * ht * hy, ((1, 0, 1), (-1, 0, -1)),
-             ((1, 0, -1), (-1, 0, 1)))):
-        if key in planes:
-            legs.append((planes[key] / factor, plus, minus))
-    centre = -2.0 * (planes["tt"] / ht**2 + planes["xx"] / hx**2
-                     + planes["yy"] / hy**2)
+    k1, k2 = grid.lattice.dz_coefficients
+    cxx, cyy = 4.0 * abs(k1)**2 / hx**2, 4.0 * abs(k2)**2 / hy**2
+    cxy = 2.0 * (k1 * np.conj(k2)).real / (hx * hy)
+    g, q = g * (1.0 / ht**2), q * cxx
+    centre = -2.0 * (g + (1.0 + cyy / cxx) * q)
+    (rx, ix), (ry, iy) = ((-k.real / (ht * h), k.imag / (ht * h))
+                          for k, h in ((k1, hx), (k2, hy)))
+    tx, ty = rx * m[0] + ix * m[1], ry * m[0] + iy * m[1]
     p = _wrap(v)
 
-    def at(d):
-        return p[1 + d[0]:nt - 1 + d[0], 1 + d[1]:nx + 1 + d[1],
-                 1 + d[2]:ny + 1 + d[2]]
+    def d(plus, minus=()):
+        t = at(plus[0]) + at(plus[1])
+        for o in minus:
+            t = t - at(o)
+        return t
 
+    def at(o):
+        return p[1 + o[0]:n + 1 + o[0], 1 + o[1]:nx + 1 + o[1],
+                 1 + o[2]:ny + 1 + o[2]]
+
+    q_sum = d(((0, 0, 1), (0, 0, -1)))      # Horner-wise: xy, yy, xx
+    if cxy:
+        q_sum = d(((0, 1, 1), (0, -1, -1)), ((0, 1, -1), (0, -1, 1)))
+        q_sum = q_sum * (cxy / cyy) + at((0, 0, 1)) + at((0, 0, -1))
+    if cyy / cxx != 1.0:
+        q_sum = q_sum * (cyy / cxx)
+    q_sum = q_sum + at((0, 1, 0)) + at((0, -1, 0))
     out = at((0, 0, 0)) * centre
-    tmp = np.empty_like(out)
-    for coeff, (d1, d2), minus in legs:
-        np.add(at(d1), at(d2), out=tmp)
-        for d in minus:
-            tmp -= at(d)
-        tmp *= coeff
-        out += tmp
+    out += d(((1, 0, 0), (-1, 0, 0))) * g
+    out += q_sum * q
+    out += d(((1, 1, 0), (-1, -1, 0)), ((1, -1, 0), (-1, 1, 0))) * tx
+    out += d(((1, 0, 1), (-1, 0, -1)), ((1, 0, -1), (-1, 0, 1))) * ty
     return out
 
 
@@ -205,37 +215,50 @@ class TestChunkedStencil:
     def test_bitwise_equal_to_whole_grid(self, modulus, dtype):
         for g in chunk_grids(modulus):
             rng = np.random.default_rng(g.nt)
-            interior = (g.nt - 2, g.nx, g.ny)
-            planes = {key: rng.standard_normal(interior)
-                      for key in ("tt", "xx", "yy", "xy", "tx", "ty")}
+            g_, m_r, m_i, q = rng.standard_normal((4, g.nt - 2, g.nx, g.ny))
             v = rng.standard_normal(g.shape).astype(dtype)
             if dtype is complex:
                 v += 1j * rng.standard_normal(g.shape)
-            want = whole_grid_apply(g, planes, v)
-            apply = second_order_stencil(
-                g, {k: p.copy() for k, p in planes.items()})
-            got = apply(v)
+
+            def stencil(k):     # the stencil of the arrays' planes k
+                return second_order_stencil(
+                    g, g_[k].copy(), (m_r[k].copy(), m_i[k].copy()),
+                    q[k].copy())
+
+            want = whole_grid_apply(g, g_, (m_r, m_i), q, v)
+            apply = stencil(slice(None))
+            got = apply(v[1:-1], v[0], v[-1])
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-            assert np.array_equal(apply(v), want)     # applies repeat
-            # the stencil of one t-chunk's planes, on the chunk's window,
-            # gives the chunk's planes of the whole
+            assert np.array_equal(apply(v[1:-1], v[0], v[-1]), want)
+            # Dirichlet neighbours: one zero plane below and above
+            zero, d = np.zeros((g.nx, g.ny)), v.copy()
+            d[0] = d[-1] = 0.0
+            assert np.array_equal(apply(v[1:-1], zero, zero),
+                                  whole_grid_apply(g, g_, (m_r, m_i), q, d))
+            # the stencil of one t-chunk's planes, on the chunk's planes and
+            # their neighbours, gives the chunk's planes of the whole
             for c0, c1 in t_chunks(g):
-                k, window = slice(c0 - 1, c1 - 1), v[c0 - 1:c1 + 1]
-                part = second_order_stencil(
-                    g, {key: p[k].copy() for key, p in planes.items()})(window)
+                k = slice(c0 - 1, c1 - 1)
+                part = stencil(k)(v[c0:c1], v[c0 - 1], v[c1])
                 assert part.dtype == got.dtype
                 assert part.tobytes() == got[k].tobytes()
 
     @pytest.mark.parametrize("extra", [-1, 1], ids=["n+1", "n+3"])
     def test_window_of_another_length_raises(self, extra):
+        # n planes and their two neighbours make a window of n+2; one
+        # plane fewer or more, or a neighbour of another shape, raises
         g = make_grid(9, 16, 16)
-        n = g.nt - 2
-        apply = second_order_stencil(g, {key: np.ones((n, g.nx, g.ny))
-                                         for key in ("tt", "xx", "yy")})
-        assert apply(np.zeros(g.shape)).shape == (n, g.nx, g.ny)
+        n, plane = g.nt - 2, np.zeros((g.nx, g.ny))
+        g_, m_r, m_i, q = np.ones((4, n, g.nx, g.ny))
+        apply = second_order_stencil(g, g_, (m_r, m_i), q)
+        assert apply(np.zeros((n, g.nx, g.ny)), plane, plane).shape == (
+            n, g.nx, g.ny)
         with pytest.raises(ValueError):
-            apply(np.zeros((n + 2 + extra, g.nx, g.ny)))
+            apply(np.zeros((n + extra, g.nx, g.ny)), plane, plane)
+        for ends in ((plane[None], plane), (plane, plane[:-1])):
+            with pytest.raises(ValueError):
+                apply(np.zeros((n, g.nx, g.ny)), *ends)
 
 
 class TestWirtingerJet:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import COS_BOUNDARY, chunk_grids
 from hcma import AnnulusProfile, make_grid, newton_solve
-from hcma.grid import (ScalarField, _wrap, dt1, dt2, dx1, dy1,
+from hcma.grid import (ScalarField, _wrap, dt1, dt2, dx1, dy1, second_diffs,
                        second_order_stencil, t_chunks, wirt_parts, wirt_zzbar,
                        wirtinger_jet)
 from hcma.quantities import (DegenerateMetricError, FlatJet, InfeasibleKError,
@@ -15,7 +15,7 @@ from hcma.quantities import (DegenerateMetricError, FlatJet, InfeasibleKError,
                              admissible_frame, apply_L, boundary_S,
                              boundary_delta, choose_K, cone_membership,
                              flat_jet_from_torus, general_flat_state,
-                             h_coefficient_planes, h_contract, m_matrix,
+                             h_contract, m_matrix,
                              n_matrix, q_gamma, sigma2_prime, sigma_roots,
                              strip_h, torus_state)
 from hcma.solver import Solution
@@ -498,6 +498,15 @@ def reference_h_planes(grid, g, m, q):
     return planes
 
 
+def reference_apply(grid, planes, w):
+    """Interior sum of each plane times the matching second difference of
+    the grid array w, from the grid's own stencils."""
+    xx, xy, yy = second_diffs(grid, w)
+    diffs = {"tt": dt2(grid, w), "xx": xx, "xy": xy, "yy": yy,
+             "tx": dt1(grid, dx1(grid, w)), "ty": dt1(grid, dy1(grid, w))}
+    return sum(plane * diffs[key][1:-1] for key, plane in planes.items())
+
+
 def reference_L(solution, values):
     """Interior L[w] from the coefficient fields L00 = 1, L10 = -m/g,
     L11 = |m|^2/g^2 + eps~/(4 g^2)."""
@@ -507,7 +516,7 @@ def reference_L(solution, values):
     L10 = (-m_r / g, -m_i / g)
     L11 = (m_r * m_r + m_i * m_i) / g**2 + ratio / g
     planes = reference_strip_planes(grid, np.full_like(g, 1.0), L10, L11)
-    return second_order_stencil(grid, planes)(values)
+    return reference_apply(grid, planes, values)
 
 
 @pytest.fixture(scope="module", params=[1j, 0.3 + 1.1j],
@@ -541,20 +550,29 @@ def strip_field(request, cos_on_modulus):
 
 class TestOnePlaneBuilder:
     def test_h_planes_equal_two_step_formula(self, strip_field):
-        # equal values are equal bits, except that an exact zero of a t-mixed
-        # plane (Re(m k) = 0) may differ in sign: times a finite difference
-        # it is again a zero, so no stencil sum changes.  xy is absent
-        # exactly where its lattice constant is zero (the square lattice)
+        # the stencil of 4 adj(h), applied to w, is the sum of the two-step
+        # formula's planes times the grid's own differences of w
         grid = strip_field.grid
-        k1, k2 = grid.lattice.dz_coefficients
-        frame = admissible_frame(strip_field.phi)[:3]
-        got = h_coefficient_planes(grid, *frame)
-        want = reference_h_planes(grid, *frame)
-        assert ("xy" in got) == ((k1 * np.conj(k2)).real != 0.0)
-        assert got.keys() <= want.keys()
-        assert want.keys() - got.keys() <= {"xy"}
-        for key in got:
-            assert np.array_equal(got[key], want[key]), key
+        g, (m_r, m_i), q, _ = admissible_frame(strip_field.phi)
+        w = np.random.default_rng(5).standard_normal(grid.shape)
+        want = reference_apply(grid, reference_h_planes(grid, g, (m_r, m_i), q),
+                               w)
+        got = second_order_stencil(grid, g, (m_r, m_i), q)(w[1:-1], w[0],
+                                                            w[-1])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_operators_leave_the_frame_alone(self, strip_field):
+        # the stencil scales the arrays it is given in place: h_contract
+        # and apply_L give it copies of the caller's frame
+        grid = strip_field.grid
+        frame = admissible_frame(strip_field.phi)
+        g, (m_r, m_i), q, det = frame
+        before = [x.copy() for x in (g, m_r, m_i, q, det)]
+        Q = composite_q_field(strip_field)
+        h_contract(grid, (Q, Q + 1j), frame)
+        apply_L(grid, Q, frame, interior_eps(strip_field))
+        for x, y in zip((g, m_r, m_i, q, det), before):
+            assert np.array_equal(x, y)
 
     def test_apply_L_matches_coefficient_fields(self, strip_field):
         Q = composite_q_field(strip_field)

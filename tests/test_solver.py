@@ -9,8 +9,7 @@ from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, FieldRhs,
                   continuation_solve, lambda_sweep, make_grid, newton_solve)
 from hcma.grid import ScalarField, wirt_zz, wirt_zzbar
 from hcma.quantities import (InadmissibleError, NonConvexBoundaryError,
-                             admissible_frame, check_frame,
-                             h_coefficient_planes, strip_h)
+                             admissible_frame, check_frame, strip_h)
 from hcma.solver import (LINEAR_RTOL, ContinuationFailure,
                          SolverConfig, SolverError, _SeparablePreconditioner,
                          _det_residual, check_lambdas, check_schedule,
@@ -734,7 +733,9 @@ class TestSharedOperator:
         rng = np.random.default_rng(7)
         w = rng.standard_normal(g.shape)
         w[0] = w[-1] = 0.0                      # zero on the Dirichlet planes
-        jw = linearize(g, frame)[0](w[1:-1].ravel()).reshape(det.shape)
+        # linearize takes its frame over, so it gets one of its own
+        jw = linearize(g, admissible_frame(phi))[0](
+            w[1:-1].ravel()).reshape(det.shape)
         hw = h_contract(g, w, frame)
         assert np.allclose(jw, 4.0 * det * hw, rtol=1e-13,
                            atol=1e-13 * np.abs(jw).max())
@@ -774,6 +775,35 @@ class TestLinearSolve:
         sol = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
         assert sol.converged
         assert np.array_equal(sol.phi.values, expected.phi.values)
+
+    def test_converged_gmres_is_taken_as_it_is(self, grid_small, no_splu,
+                                               monkeypatch):
+        # scipy's GMRES reports info 0 only once its own final true residual
+        # meets rtol, so no Jacobian apply follows such a return
+        import hcma.solver
+        applies, calls = [], []
+        linearize_, gmres = hcma.solver.linearize, no_splu.gmres
+
+        def counting_linearize(grid, frame):
+            jacobian, preconditioner = linearize_(grid, frame)
+
+            def counted(x):
+                applies.append(x.size)
+                return jacobian(x)
+            return counted, preconditioner
+
+        def spy(*args, **kwargs):
+            start = len(applies)
+            x, info = gmres(*args, **kwargs)
+            calls.append((start, info, len(applies)))
+            return x, info
+        monkeypatch.setattr(hcma.solver, "linearize", counting_linearize)
+        monkeypatch.setattr(no_splu, "gmres", spy)
+        sol = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
+        assert sol.converged and len(calls) == sol.iterations > 0
+        assert [info for _, info, _ in calls] == [0] * len(calls)
+        ends = [end for _, _, end in calls]
+        assert [start for start, _, _ in calls[1:]] + [len(applies)] == ends
 
     def test_failure_carries_gmres_statistics(self, grid_small, no_splu,
                                               monkeypatch):
@@ -828,7 +858,10 @@ class TestLinearSolve:
         phi = default_initial_guess(grid, COS_BOUNDARY, AnnulusProfile(0.1))
         phi = ScalarField(grid, phi.values
                           + 1e-3 * rng.standard_normal(grid.shape))
-        planes = h_coefficient_planes(grid, *admissible_frame(phi)[:3])
+        g, _, q, _ = admissible_frame(phi)
+        k1, k2 = grid.lattice.dz_coefficients
+        planes = {"tt": g, "xx": 4.0 * abs(k1) ** 2 * q,
+                  "yy": 4.0 * abs(k2) ** 2 * q}
 
         def d2(n, h):
             eye = np.eye(n)
@@ -850,6 +883,6 @@ class TestLinearSolve:
             rows[:, i * m:(i + 1) * m] = -2.0 * off + pxx * lap_x + pyy * lap_y
         v = rng.standard_normal((nt - 2) * m)
         ref = np.linalg.solve(dense, v)
-        got = _SeparablePreconditioner(grid, planes).solve(v)
+        got = _SeparablePreconditioner(grid, g, q).solve(v)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
