@@ -107,12 +107,6 @@ class Grid:
     def y_values(self) -> np.ndarray:
         return np.arange(self.ny) * self.hy
 
-    def check_node(self, node: tuple[int, int, int]) -> tuple[int, int, int]:
-        it, ix, iy = node
-        if not (0 <= it < self.nt):
-            raise GridError(f"t-index {it} out of range [0, {self.nt})")
-        return it, ix % self.nx, iy % self.ny
-
 
 def make_grid(nt: int, nx: int, ny: int, modulus: complex = 1j) -> Grid:
     """Build a Grid; raises on degenerate lattice or undersized dimensions."""
@@ -345,36 +339,7 @@ def second_order_stencil(grid: Grid, g, m, q):
     return apply
 
 
-# --- jets --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Jet:
-    """Pointwise Wirtinger derivative record of a real field.
-
-    a = Phi_zzbar (real), b = Phi_zz.  For real fields d_tzb = conj(d_tz).
-    Third-order entries are present only for order-3 jets.  one_sided_t marks
-    t-derivatives computed with boundary stencils; consumers that need true
-    interior t-derivatives must skip such jets.
-    """
-
-    value: float
-    d_t: float
-    d_tt: float
-    d_z: complex
-    a: float
-    b: complex
-    d_tz: complex
-    d_tzb: complex
-    one_sided_t: bool
-    d_zzzb: complex | None = None
-    d_zzbz: complex | None = None
-    d_tzz: complex | None = None
-    d_tzzb: complex | None = None
-
-    @property
-    def order(self) -> int:
-        return 3 if self.d_zzzb is not None else 2
-
+# --- fields ------------------------------------------------------------------
 
 class ScalarField:
     """Real-valued function sampled on a Grid; immutable after construction."""
@@ -400,35 +365,6 @@ class ScalarField:
         t, x, y = np.meshgrid(grid.t_values, grid.x_values, grid.y_values,
                               indexing="ij")
         return cls(grid, fn(t, x, y))
-
-
-def wirtinger_jet(fld: ScalarField, node: tuple[int, int, int],
-                  order: int = 2) -> Jet:
-    """Jet of a field at a grid node; order 3 adds differences of a and b
-    (O(h) accepted).  Every entry is bitwise the whole-grid difference at
-    the node, taken on the window of at most four t-planes around it
-    (dt2's one-sided reach at t = 0, 1)."""
-    if order not in (2, 3):
-        raise GridError(f"jet order must be 2 or 3, got {order}")
-    grid = fld.grid
-    it, ix, iy = grid.check_node(node)
-    lo = max(0, min(it - 1, grid.nt - 4))
-    w = fld.values[lo:lo + 4]
-    a, b, d_x, d_y = plane_jets(grid, w)
-    idx = (it - lo, ix, iy)
-    d_tz = complex(*wirt_parts(grid, dt1(grid, d_x)[idx],
-                               dt1(grid, d_y)[idx]))
-    third = {} if order == 2 else {
-        "d_zzzb": complex(wirt_zbar(grid, b)[idx]),
-        "d_zzbz": complex(wirt_z(grid, a)[idx]),
-        "d_tzz": complex(dt1(grid, b)[idx]),
-        "d_tzzb": complex(dt1(grid, a)[idx])}
-    return Jet(value=float(w[idx]), d_t=float(dt1(grid, w)[idx]),
-               d_tt=float(dt2(grid, w)[idx]),
-               d_z=complex(*wirt_parts(grid, d_x[idx], d_y[idx])),
-               a=float(a[idx]), b=complex(b[idx]), d_tz=d_tz,
-               d_tzb=d_tz.conjugate(), one_sided_t=not 0 < it < grid.nt - 1,
-               **third)
 
 
 def interpolate_array(grid: Grid, values: np.ndarray, t: float, x: float,

@@ -65,12 +65,6 @@ def _rk4_steps(velocity, t, z, step):
         yield t, z
 
 
-def rk4_path(velocity, t0: float, z0: complex, step: float = 0.01):
-    """RK4 path of dz/dt = velocity(t, z) from (t0, z0) to T_END as (ts, zs)."""
-    ts, zs = zip(*_rk4_steps(velocity, t0, z0, step))
-    return np.array(ts), np.array(zs)
-
-
 def leaf_fields(phi: ScalarField) -> tuple:
     """(a, b, Phi_tx, Phi_ty) of phi on the whole grid, from one plane_jets
     pad and dt1: what trace_leaf interpolates, built once for every leaf."""

@@ -7,8 +7,8 @@ The scalar equation solved on [0,1]_t x T^2 is
 with Dirichlet data on the t = 0, 1 planes.  In Annulus mode
 eps_tilde(t) = 4 eps e^{2t}, the pullback of the constant right-hand side
 eps on the annulus {1 < |tau| < e} under tau = e^{t+is}; Constant mode uses
-eps_tilde = eps0 directly.  A field-valued right-hand side (FieldRhs) exists
-solely for manufactured-solution testing.
+eps_tilde = eps0 directly.  A profile is any object with rhs_on(grid) and
+describe().
 """
 
 from __future__ import annotations
@@ -83,25 +83,6 @@ class AnnulusProfile(_TimeProfile):
 
     def describe(self) -> str:
         return f"annulus(eps={self.epsilon})"
-
-
-class FieldRhs:
-    """Explicit right-hand-side field f(t, x, y); manufactured solutions only."""
-
-    def __init__(self, grid: Grid, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError(f"rhs shape {values.shape} != grid {grid.shape}")
-        self.grid = grid
-        self.values = values.copy()
-
-    def rhs_on(self, grid: Grid) -> np.ndarray:
-        if grid.shape != self.grid.shape:
-            raise ValueError("rhs defined on a different grid")
-        return self.values
-
-    def describe(self) -> str:
-        return "field-rhs(manufactured)"
 
 
 # --- boundary data -----------------------------------------------------------
@@ -284,9 +265,9 @@ class _SeparablePreconditioner:
     pyy(t) d_yy (plane means of the true coefficients: of g, and of q
     times 4|k1|^2 and 4|k2|^2; mixed terms dropped, zero on the Dirichlet
     planes), diagonal under the real FFT in x, y and tridiagonal in t: its
-    Thomas pivot reciprocals and factors cp are computed once, and an apply
-    is an rfft2 of the nt-2 interior planes, a forward and back sweep in
-    place, and an irfft2.  GMRES then needs a handful of iterations for the
+    Thomas pivot reciprocals inv are computed once, and an apply is an
+    rfft2 of the nt-2 interior planes, a forward and back sweep in place
+    (each factor off_k inv_k formed as it is used), and an irfft2.  GMRES then needs a handful of iterations for the
     small variable-coefficient and mixed-stencil corrections.
     """
 
@@ -300,18 +281,18 @@ class _SeparablePreconditioner:
                  - 2.0) / grid.hy**2
         self.off = off = g.mean(axis=(1, 2)) / grid.ht**2     # (nt-2,)
         # per-mode diagonal, made in place 1 / (diag_k - off_k cp_{k-1})
+        # with the factor cp_{k-1} = off_{k-1} inv_{k-1}
         self.inv = inv = -2.0 * off[:, None, None] + (
             pxx_t[:, None, None] * lam_x[None, :, None]
             + pyy_t[:, None, None] * lam_y[None, None, :])
-        self.cp = cp = np.zeros_like(inv)                 # cp[-1] = 0 at k = 0
-        for k in range(nt - 2):
-            inv[k] = 1.0 / (inv[k] - off[k] * cp[k - 1])
-            cp[k] = off[k] * inv[k]
+        inv[0] = 1.0 / inv[0]
+        for k in range(1, nt - 2):
+            inv[k] = 1.0 / (inv[k] - off[k] * (off[k - 1] * inv[k - 1]))
         self.applies = 0
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         self.applies += 1
-        off, inv, cp = self.off, self.inv, self.cp
+        off, inv = self.off, self.inv
         rhs = np.fft.rfft2(v.reshape(self.shape),
                            out=np.empty_like(inv, dtype=complex))
         rhs[0] *= inv[0]
@@ -319,7 +300,7 @@ class _SeparablePreconditioner:
             rhs[k] -= off[k] * rhs[k - 1]
             rhs[k] *= inv[k]
         for k in range(len(rhs) - 2, -1, -1):
-            rhs[k] -= cp[k] * rhs[k + 1]
+            rhs[k] -= (off[k] * inv[k]) * rhs[k + 1]
         # irfft2 as its two 1-D passes, in place: irfft2 ignores out=
         out = np.fft.irfft(np.fft.ifft(rhs, axis=1, out=rhs), self.shape[2])
         return out.ravel()

@@ -122,13 +122,6 @@ def q_field(solution: Solution) -> np.ndarray:
     return q_from_ab(*spatial_ab(solution.grid, solution.phi.values))
 
 
-def composite_q_field(solution: Solution) -> np.ndarray:
-    """Composite Q = Q_A + Q_B + Q_G on the whole grid (spatial jets only);
-    inf or NaN, without a warning, where 1 + a = 0."""
-    return _composite_q(solution.grid,
-                        *plane_jets(solution.grid, solution.phi.values))
-
-
 def _vacuous(name: str, note: str, **fields) -> CheckRecord:
     """A record for data outside the check's hypotheses; it does not fail."""
     fields = {"measured": 0.0, "bound": 0.0, "tolerance": 0.0, **fields}

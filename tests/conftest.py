@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, FieldRhs,
-                  make_grid, newton_solve)
+from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, make_grid,
+                  newton_solve)
 from hcma.grid import CHUNK_NODES
+from oracle import FieldRhs
 
 COS_AMP = 0.005
 COS_BOUNDARY = BoundarySpec(phi1=((1, 0, COS_AMP),))
@@ -87,6 +88,15 @@ def sol_zero_annulus(grid_mid):
 @pytest.fixture(scope="session")
 def sol_cos(grid_mid):
     sol = newton_solve(grid_mid, COS_BOUNDARY, AnnulusProfile(1e-3))
+    assert sol.converged
+    return sol
+
+
+@pytest.fixture(scope="session")
+def sol_cos_skew():
+    """sol_cos on the skew lattice of modulus 0.3 + 1.1i."""
+    sol = newton_solve(make_grid(17, 32, 32, 0.3 + 1.1j), COS_BOUNDARY,
+                       AnnulusProfile(1e-3))
     assert sol.converged
     return sol
 

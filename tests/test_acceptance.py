@@ -15,15 +15,16 @@ from conftest import (COS_BOUNDARY, closed_form_annulus,
                       closed_form_constant, manufactured)
 from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile,
                   continuation_solve, lambda_sweep, make_grid, newton_solve)
-from hcma.leaves import leaf_fields, qb_along_leaf, rk4_path, trace_leaf
-from hcma.quantities import (FlatJet, TorusPointState, general_flat_state,
-                             m_matrix, sigma_roots)
+from hcma.leaves import leaf_fields, qb_along_leaf, trace_leaf
+from hcma.quantities import sigma_roots
 from hcma.verify import (check_ab_equations, check_convexity,
                          check_ekq_subharmonic, check_eps_monotone_limit,
                          check_lambda_monotonicity, check_max_principle_Q,
                          check_metric_lower_bound, check_u_identity,
                          check_upper_bound, check_weighted_max_principle,
                          lq_ratio_report, q_field)
+from oracle import (FlatJet, TorusPointState, general_flat_state, m_matrix,
+                    rk4_path)
 
 EPSILONS = (1e-2, 1e-3, 1e-4)
 

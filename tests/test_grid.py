@@ -12,8 +12,8 @@ from hcma.grid import (DegenerateLatticeError, DimensionTooSmallError,
                        ScalarField, _wrap, dt1, dt2, dx1, dy1,
                        interpolate_array, make_grid, plane_jets,
                        second_order_stencil, strip_jets, t_chunks,
-                       wirt_parts, wirt_z, wirt_zbar, wirt_zz, wirt_zzbar,
-                       wirtinger_jet)
+                       wirt_parts, wirt_z, wirt_zbar, wirt_zz, wirt_zzbar)
+from oracle import wirtinger_jet
 
 
 def field_from(grid, fn):

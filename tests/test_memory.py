@@ -106,8 +106,8 @@ def test_newton_solve_peak_bytes_per_node(modulus):
 def test_linearize_keeps_five_grids(modulus):
     """The pair linearize returns holds the frame's g, Re m, Im m and q
     and the stencil's centre, five interior grids, beside the
-    preconditioner's factors: the frame's det goes with the frame, and
-    no plane or bordered grid is made."""
+    preconditioner's one array of pivot reciprocals: the frame's det goes
+    with the frame, and no plane or bordered grid is made."""
     grid = make_grid(17, 32, 32, modulus)
     phi = default_initial_guess(grid, COS_BOUNDARY, AnnulusProfile(1e-3))
     tracemalloc.start()
@@ -120,7 +120,7 @@ def test_linearize_keeps_five_grids(modulus):
     finally:
         tracemalloc.stop()
     grid_bytes = (grid.nt - 2) * grid.nx * grid.ny * 8
-    factors = preconditioner.inv.nbytes + preconditioner.cp.nbytes
+    factors = preconditioner.inv.nbytes
     # and one zero plane, with a few small objects
     assert kept <= 5 * grid_bytes + factors + 2 * grid.nx * grid.ny * 8
 

@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 from conftest import COS_BOUNDARY, chunk_grids
 from hcma import AnnulusProfile, make_grid, newton_solve
 from hcma.grid import (ScalarField, _wrap, dt1, dt2, dx1, dy1, second_diffs,
-                       second_order_stencil, t_chunks, wirt_parts, wirt_zzbar,
-                       wirtinger_jet)
-from hcma.quantities import (DegenerateMetricError, FlatJet, InfeasibleKError,
-                             NonConvexBoundaryError, TorusPointState,
+                       second_order_stencil, t_chunks, wirt_parts, wirt_zzbar)
+from hcma.quantities import (InfeasibleKError, NonConvexBoundaryError,
                              admissible_frame, apply_L, boundary_S,
-                             boundary_delta, choose_K, cone_membership,
-                             flat_jet_from_torus, general_flat_state,
-                             h_contract, m_matrix,
-                             n_matrix, q_gamma, sigma2_prime, sigma_roots,
-                             strip_h, torus_state)
+                             boundary_delta, choose_K, h_contract, sigma_roots,
+                             strip_h)
 from hcma.solver import Solution
-from hcma.verify import composite_q_field
+from oracle import (DegenerateMetricError, FlatJet, TorusPointState,
+                    composite_q_field, cone_membership, flat_jet_from_torus,
+                    general_flat_state, m_matrix, n_matrix, q_gamma,
+                    sigma2_prime, torus_state, wirtinger_jet)
 
 
 def state(a, b):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (COS_BOUNDARY, closed_form_annulus,
                       closed_form_constant, manufactured)
-from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, FieldRhs,
+from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile,
                   continuation_solve, lambda_sweep, make_grid, newton_solve)
 from hcma.grid import ScalarField, wirt_zz, wirt_zzbar
 from hcma.quantities import (InadmissibleError, NonConvexBoundaryError,
@@ -14,6 +14,7 @@ from hcma.solver import (LINEAR_RTOL, ContinuationFailure,
                          SolverConfig, SolverError, _SeparablePreconditioner,
                          _det_residual, check_lambdas, check_schedule,
                          default_initial_guess, linearize, residual)
+from oracle import FieldRhs
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 

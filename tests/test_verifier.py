@@ -12,11 +12,10 @@ from hcma import (AnnulusProfile, BoundarySpec, lambda_sweep, make_grid,
 from hcma.grid import (ScalarField, dt1, dt2, dx1, dy1, plane_jets, t_chunks,
                        wirt_parts, wirt_z, wirt_zbar, wirt_zz, wirt_zzbar)
 from hcma.io import report_json
-from hcma.quantities import (DegenerateMetricError, InadmissibleError,
-                             InfeasibleKError, NonConvexBoundaryError,
-                             admissible_frame, apply_L, boundary_delta,
-                             boundary_S, choose_K, h_contract, sigma_roots,
-                             strip_frame, strip_h)
+from hcma.quantities import (InadmissibleError, InfeasibleKError,
+                             NonConvexBoundaryError, admissible_frame, apply_L,
+                             boundary_delta, boundary_S, choose_K, h_contract,
+                             sigma_roots, strip_frame, strip_h)
 from hcma.solver import Solution
 from hcma.verify import (BOUNDARY_ROUND_OFF, C_H1, C_H2, D_R, FRAME_CHECKS,
                          N_ANGLES, Q_FLOOR, REL_SLACK, STABILITY_SPREAD,
@@ -27,8 +26,10 @@ from hcma.verify import (BOUNDARY_ROUND_OFF, C_H1, C_H2, D_R, FRAME_CHECKS,
                          check_metric_lower_bound,
                          check_metric_lower_bound_stability, check_u_identity,
                          check_upper_bound, check_weighted_max_principle,
-                         composite_q_field, jet_map_export,
-                         lq_ratio_report, q_field, run_checks, weight_u)
+                         jet_map_export, lq_ratio_report, q_field,
+                         run_checks, weight_u)
+from oracle import (DegenerateMetricError, composite_q_field, torus_state,
+                    wirtinger_jet)
 
 
 def spike_solution(grid):
@@ -473,11 +474,51 @@ class TestRunChecks:
         assert [c["bound"] for c in checks] == [None, None]
 
     def test_q_field_matches_pointwise(self, sol_cos):
-        from hcma.grid import wirtinger_jet
-        from hcma.quantities import torus_state
         Q = q_field(sol_cos)
         jet = wirtinger_jet(sol_cos.phi, (7, 11, 23))
         assert Q[7, 11, 23] == pytest.approx(torus_state(jet).Q, rel=1e-12)
+
+
+# the estimate checks whose record names a worst node, and per check the
+# value at one node from the oracle's torus_state and its sign: +1 if the
+# record's measured is the interior max, -1 if the min
+ORACLE_CHECKS = {
+    "convexity": (lambda s: abs(s.b) - s.one_plus_a, 1),
+    "max_principle_Q": (lambda s: s.Q, 1),
+    "metric_lower_bound": (lambda s: s.one_plus_a, -1),
+    "upper_bound": (lambda s: abs(s.b) + s.a + 1.0, 1),
+}
+# The oracle takes |b| with Python's abs(complex) and squares with float
+# pow, the pass with numpy's complex absolute and square: a few ulps apart
+# on the skew lattice, bitwise on the square one.
+ORACLE_REL = 1e-15
+
+
+@pytest.mark.parametrize("fixture", ["sol_zero_const", "sol_zero_annulus",
+                                     "sol_cos", "sol_cos_skew"])
+def test_worst_nodes_equal_the_pointwise_oracle(fixture, request):
+    """At each estimate check's worst node the oracle, one node's jet from
+    its window of at most four t-planes (wirtinger_jet) and its
+    torus_state, gives the record's measured to ORACLE_REL: it shares none
+    of CheckPass's chunks or folds.  At 50 seeded interior nodes it never
+    finds a value beyond the folded extremum."""
+    sol = request.getfixturevalue(fixture)
+    grid = sol.grid
+    report = run_checks(sol, names=list(ORACLE_CHECKS), seed=0)
+    rng = np.random.default_rng(0)
+    sample = list(zip(*(rng.integers(lo, hi, 50) for lo, hi in
+                        ((1, grid.nt - 1), (0, grid.nx), (0, grid.ny)))))
+    states = [torus_state(wirtinger_jet(sol.phi, node)) for node in sample]
+    for name, (value, sign) in ORACLE_CHECKS.items():
+        record = report[name]
+        assert record.passed and not record.vacuous
+        node = tuple(record.worst_node)
+        assert 0 < node[0] < grid.nt - 1
+        measured = record.measured
+        assert value(torus_state(wirtinger_jet(sol.phi, node))) == (
+            pytest.approx(measured, rel=ORACLE_REL, abs=0.0)), name
+        worst = max(sign * value(state) for state in states)
+        assert worst <= sign * measured + ORACLE_REL * abs(measured), name
 
 
 def whole_grid_records(sol):
