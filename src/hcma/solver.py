@@ -451,9 +451,12 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         except InadmissibleError as exc:
             return finish(f"inadmissible iterate: {exc}", rn, k)
         del frame               # freed before GMRES allocates
+        # of order rn, so the convergence stays quadratic, but no smaller
+        # than a linear residual of newton_tol / 2 in the 2-norm needs
+        rtol = min(1e-2, max(rn, LINEAR_RTOL,
+                             0.5 * config.newton_tol / np.linalg.norm(r)))
         try:
-            step = _solve_linear(jacobian, preconditioner, r.ravel(),
-                                 min(1e-2, max(rn, LINEAR_RTOL)))
+            step = _solve_linear(jacobian, preconditioner, r.ravel(), rtol)
         except SolverError as exc:
             return finish(f"linear-solve-failure: {exc}", rn, k)
         del jacobian, preconditioner    # freed before the line search

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (COS_BOUNDARY, closed_form_annulus,
+from conftest import (COS_AMP, COS_BOUNDARY, closed_form_annulus,
                       closed_form_constant, manufactured)
 from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile,
                   continuation_solve, lambda_sweep, make_grid, newton_solve)
@@ -832,22 +832,46 @@ class TestLinearSolve:
                                "gmres workspace of "
                                f"{21 * (nt - 2) * nx * ny * 8} bytes")
 
-    def test_forcing_terms_follow_the_residual(self, grid_mid, no_splu,
-                                               monkeypatch):
-        rtols = []
+    @staticmethod
+    def forcing_terms(no_splu, monkeypatch, grid, amp):
+        """(solution, rtols, floored) of a solve of phi1 = amp cos 2 pi x;
+        each eta_k is min(1e-2, max(r_k, LINEAR_RTOL, tol / 2 / |F_k|_2)),
+        and floored marks the steps the last term sets."""
+        rtols, norms = [], []
         gmres = no_splu.gmres
 
-        def spy(*args, rtol, **kwargs):
+        def spy(A, rhs, *args, rtol, **kwargs):
             rtols.append(rtol)
-            return gmres(*args, rtol=rtol, **kwargs)
+            norms.append(np.linalg.norm(rhs))
+            return gmres(A, rhs, *args, rtol=rtol, **kwargs)
         monkeypatch.setattr(no_splu, "gmres", spy)
-        sol = newton_solve(grid_mid, COS_BOUNDARY, AnnulusProfile(1e-3))
+        tol = SolverConfig().newton_tol
+        sol = newton_solve(grid, BoundarySpec(phi1=((1, 0, amp),)),
+                           AnnulusProfile(1e-3))
         assert sol.converged
         assert len(rtols) == sol.iterations
         assert rtols[0] == min(1e-2, sol.residual_history[0])
-        for eta, rk in zip(rtols, sol.residual_history):
-            assert eta <= max(rk, LINEAR_RTOL)
+        for eta, rk, norm in zip(rtols, sol.residual_history, norms):
+            assert eta == min(1e-2, max(rk, LINEAR_RTOL, 0.5 * tol / norm))
+        return sol, rtols, [max(rk, LINEAR_RTOL) < 0.5 * tol / norm
+                            for rk, norm in zip(sol.residual_history, norms)]
+
+    def test_forcing_terms_follow_the_residual(self, grid_mid, no_splu,
+                                               monkeypatch):
+        _, rtols, floored = self.forcing_terms(no_splu, monkeypatch,
+                                               grid_mid, COS_AMP)
+        assert not any(floored)
         assert all(b <= a for a, b in zip(rtols, rtols[1:]))
+
+    def test_forcing_term_floor_stops_the_last_step_oversolving(
+            self, grid_mid, no_splu, monkeypatch):
+        # without the floor the last step asked for 2.2e-9 and reached a
+        # final residual of 3.5e-15 against newton_tol = 1e-10
+        sol, rtols, floored = self.forcing_terms(no_splu, monkeypatch,
+                                                 grid_mid, 0.05)
+        assert floored == [False] * (len(rtols) - 1) + [True]
+        assert rtols[-1] > sol.residual_history[-2]
+        assert sol.final_residual <= SolverConfig().newton_tol
 
     @pytest.mark.parametrize("shape", [(7, 8, 6), (6, 6, 7), (5, 5, 9)])
     def test_preconditioner_is_the_separable_solve(self, shape):
