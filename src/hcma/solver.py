@@ -267,8 +267,9 @@ class _SeparablePreconditioner:
     planes), diagonal under the real FFT in x, y and tridiagonal in t: its
     Thomas pivot reciprocals inv are computed once, and an apply is an
     rfft2 of the nt-2 interior planes, a forward and back sweep in place
-    (each factor off_k inv_k formed as it is used), and an irfft2.  GMRES then needs a handful of iterations for the
-    small variable-coefficient and mixed-stencil corrections.
+    (each factor off_k inv_k formed as it is used), and an irfft2.  GMRES
+    then needs a handful of iterations for the small variable-coefficient
+    and mixed-stencil corrections.
     """
 
     def __init__(self, grid: Grid, g: np.ndarray, q: np.ndarray):

@@ -8,7 +8,6 @@ import sys
 from pathlib import Path
 
 import hcma
-import hcma.cli  # noqa: F401  (imports every module of the package)
 from hcma.grid import Grid
 
 ROOT = Path(__file__).resolve().parents[1]

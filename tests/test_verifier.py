@@ -230,12 +230,9 @@ def ab_residuals_reference(sol):
 
 class TestAbEquations:
     @pytest.mark.parametrize("case", ["cos", "cos_skew", "perturbed"])
-    def test_matches_whole_grid_reference(self, case, sol_cos):
-        if case == "cos":
-            sol = sol_cos
-        elif case == "cos_skew":
-            sol = newton_solve(make_grid(17, 32, 32, 0.3 + 1.1j),
-                               COS_BOUNDARY, AnnulusProfile(1e-3))
+    def test_matches_whole_grid_reference(self, case, request):
+        if case != "perturbed":
+            sol = request.getfixturevalue(f"sol_{case}")
         else:
             # admissible, but no solution: t-z mixing and third-order terms
             sol = synthetic_solution(
