@@ -374,7 +374,7 @@ def interpolate_array(grid: Grid, values: np.ndarray, t: float, x: float,
     if not (0.0 <= t <= 1.0):
         raise GridError(f"t={t} outside [0, 1]")
     st = min(t / grid.ht, grid.nt - 1 - 1e-12)
-    it = int(st)
+    it = min(int(st), grid.nt - 2)      # st may round to nt - 1
     ft = st - it
     sx = (x % 1.0) / grid.hx
     ix = int(sx) % grid.nx

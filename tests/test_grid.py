@@ -439,6 +439,14 @@ class TestInterpolate:
         with pytest.raises(Exception):
             interpolate_array(fld.grid, fld.values, 1.5, 0.0, 0.0)
 
+    def test_t_one_on_a_tall_grid(self):
+        # from nt = 16386 on, nt - 1 - 1e-12 rounds to nt - 1: t = 1 must
+        # still read the last two planes, not a plane past the end
+        g = make_grid(16386, 4, 4)
+        values = np.zeros(g.shape)
+        values[-1] = 7.0
+        assert interpolate_array(g, values, 1.0, 0.25, 0.5) == 7.0
+
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=40, deadline=None)
     def test_exact_on_trilinear(self, t, x, y):

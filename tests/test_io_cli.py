@@ -775,6 +775,20 @@ class TestCliEndToEnd:
         _, echo = rung0.to_solution()
         assert [amp for _, _, amp in echo.phi1_modes] == [0j]
 
+    def test_trace_of_a_tall_snapshot(self, tmp_path):
+        # every leaf's last RK4 stage reaches t = 1, where a grid of 16386
+        # or more planes once read a plane past the end
+        grid = make_grid(16386, 4, 4)
+        t = grid.t_values[:, None, None]
+        snap = str(tmp_path / "tall.snap")
+        Snapshot(config_text=SMALL_CONFIG, nt=grid.nt, nx=grid.nx,
+                 ny=grid.ny, modulus=1j, converged=True, iterations=0,
+                 final_residual=0.0,
+                 values=np.broadcast_to(t * t, grid.shape)).save(snap)
+        out = str(tmp_path / "out")
+        assert cli.main(["trace", "--snapshot", snap, "--out", out]) == 0
+        assert os.path.exists(os.path.join(out, "leaf_000.csv"))
+
     def test_bad_trace_start_exit_2(self, tmp_path):
         text = SMALL_CONFIG.replace("starts = 0.0,0.25,0.5",
                                     "starts = 1.5,0.25,0.5")
