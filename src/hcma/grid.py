@@ -263,9 +263,9 @@ def second_order_stencil(grid: Grid, g, m, q):
     w_xy + 4|k2|^2 w_yy) - 4 Re(m k1) w_tx - 4 Re(m k2) w_ty, through the
     differences of dt2, second_diffs, dt1(dx1) and dt1(dy1).  Every
     constant is real, so it is exact on complex w; a zero one drops its
-    term (w_xy on the square lattice).  The stencil takes the arrays over:
-    g and q are scaled in place, Re m and Im m become the coefficients of
-    w_tx and w_ty in place, and one centre array is kept beside them.
+    term (w_xy on the square lattice).  It keeps five arrays of its own,
+    the coefficients of its four legs and of the centre, and leaves g, m
+    and q as they are.
 
     apply(w, below, above) takes w on the n planes and the planes below
     and above them (zero planes for a Newton correction, a window's ends
@@ -280,25 +280,22 @@ def second_order_stencil(grid: Grid, g, m, q):
     chunks = [slice(c0 - 1, c1 - 1) for c0, c1 in t_chunks(grid, n)]
     cxx, cyy = 4.0 * abs(k1)**2 / hx**2, 4.0 * abs(k2)**2 / hy**2
     cxy = 2.0 * (k1 * np.conj(k2)).real / (hx * hy)
-    g *= 1.0 / ht**2
-    q *= cxx
+    g, q = g * (1.0 / ht**2), q * cxx
     centre = q * (1.0 + cyy / cxx)
     centre += g
     centre *= -2.0
-    # Re m and Im m become the coefficients of w_tx and w_ty, -4 Re(m k1)
-    # and -4 Re(m k2) over 4 ht hx and 4 ht hy, one t-chunk at a time
+    # the coefficients of w_tx and w_ty, -4 Re(m k1) and -4 Re(m k2) over
+    # 4 ht hx and 4 ht hy
     (rx, ix), (ry, iy) = ((-k.real / (ht * h), k.imag / (ht * h))
                           for k, h in ((k1, hx), (k2, hy)))
-    for k in chunks:
-        r, i = m[0][k], m[1][k]
-        r[...], i[...] = rx * r + ix * i, ry * r + iy * i
+    tx, ty = rx * m[0] + ix * m[1], ry * m[0] + iy * m[1]
     # per leg its array and per term the (t, x, y) offsets d, e of the +-d
     # added and +-e subtracted, then a scale; summed Horner-wise, last first
     xy = [((0, 1, 1), (0, 1, -1), cxy / cyy)] if cxy else []
     legs = ((g, [((1, 0, 0), None, 1.0)]),
             (q, xy + [((0, 0, 1), None, cyy / cxx), ((0, 1, 0), None, 1.0)]),
-            (m[0], [((1, 1, 0), (1, -1, 0), 1.0)]),
-            (m[1], [((1, 0, 1), (1, 0, -1), 1.0)]))
+            (tx, [((1, 1, 0), (1, -1, 0), 1.0)]),
+            (ty, [((1, 0, 1), (1, 0, -1), 1.0)]))
 
     def apply(w: np.ndarray, below: np.ndarray,
               above: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ the scalars the verifier's pass reads off the boundary planes.
 from __future__ import annotations
 
 import math
-from copy import deepcopy
 
 import numpy as np
 
@@ -138,11 +137,11 @@ def h_contract(grid, values, frame):
     strip_frame of one t-chunk's window.  w is the window of those planes and
     their two neighbours; the stencil raises ValueError on any other shape.
     values may be a tuple of arrays: they share one stencil, and a tuple of
-    results comes back.  The stencil takes copies of the frame's arrays.
+    results comes back.
     """
     many = isinstance(values, tuple)
     values = values if many else (values,)
-    apply = second_order_stencil(grid, *deepcopy(frame[:3]))
+    apply = second_order_stencil(grid, *frame[:3])
     out = [apply(v[1:-1], v[0], v[-1]) for v in values]
     del apply           # its arrays, before 4 det h is made
     det4 = 4.0 * frame[3]
@@ -163,7 +162,7 @@ def apply_L(grid, values: np.ndarray, frame, eps_tilde):
     """
     g, (m_r, m_i) = frame[:2]
     q_tilde = (m_r * m_r + m_i * m_i + 0.25 * eps_tilde) / g
-    apply = second_order_stencil(grid, *deepcopy(frame[:2]), q_tilde)
+    apply = second_order_stencil(grid, *frame[:2], q_tilde)
     out = apply(values[1:-1], values[0], values[-1])
     del apply           # and its arrays, before 4g is made
     out /= 4.0 * g

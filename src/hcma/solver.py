@@ -243,13 +243,12 @@ def linearize(grid: Grid, frame):
     the residual uses, so Newton is exactly quadratic.  Applied matrix-free
     to x where it lies, with one zero plane for both Dirichlet neighbours:
     it is 4 det(h) times the verifier's h_contract, the same stencil of 4
-    adj(h).  The caller hands over the iterate's strip_h frame, checked by
-    check_frame: the _SeparablePreconditioner takes its plane means from g
-    and q, and the stencil then takes g, m and q over.
+    adj(h).  frame is the iterate's strip_h frame, checked by check_frame;
+    the _SeparablePreconditioner takes its plane means from g and q.
     """
     g, m, q = frame[:3]
     preconditioner = _SeparablePreconditioner(grid, g, q)
-    apply = second_order_stencil(grid, g, m, q)     # scales them in place
+    apply = second_order_stencil(grid, g, m, q)
     shape, zero = g.shape, np.zeros(g.shape[1:])
 
     def jacobian(x):

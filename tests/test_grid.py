@@ -221,9 +221,7 @@ class TestChunkedStencil:
                 v += 1j * rng.standard_normal(g.shape)
 
             def stencil(k):     # the stencil of the arrays' planes k
-                return second_order_stencil(
-                    g, g_[k].copy(), (m_r[k].copy(), m_i[k].copy()),
-                    q[k].copy())
+                return second_order_stencil(g, g_[k], (m_r[k], m_i[k]), q[k])
 
             want = whole_grid_apply(g, g_, (m_r, m_i), q, v)
             apply = stencil(slice(None))

@@ -32,6 +32,12 @@ LQ_RATIO_PEAK_B_PER_NODE = {1j: 42.4, 0.3 + 1.1j: 44.5}
 # leave a 4% margin, below the 279.6 a stencil with six planes and a
 # zero-bordered copy of its argument reached.
 SOLVE_PEAK_B_PER_NODE = {1j: 275.0, 0.3 + 1.1j: 275.0}
+# linearize of the 33x64x64 cos problem's default guess peaks at 86.6 B
+# per node on both lattices (numpy 2.4), the strip frame it is given
+# included: the frame's five grids, the stencil's own five and the
+# temporaries of its t-mixed coefficients.  The bounds leave a 10% margin;
+# the solve's own peak, above, is three times as high.
+LINEARIZE_PEAK_B_PER_NODE = {1j: 95.2, 0.3 + 1.1j: 95.2}
 # default_initial_guess on the 2049x4x4 cos problem peaks at 32.6 B per
 # node, a handful of grid arrays and no strip frame; the bound leaves a 10%
 # margin.  One dense (nt-2)^2 float matrix alone would take 1022 B per node
@@ -104,10 +110,10 @@ def test_newton_solve_peak_bytes_per_node(modulus):
 
 @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j], ids=["square", "skew"])
 def test_linearize_keeps_five_grids(modulus):
-    """The pair linearize returns holds the frame's g, Re m, Im m and q
-    and the stencil's centre, five interior grids, beside the
-    preconditioner's one array of pivot reciprocals: the frame's det goes
-    with the frame, and no plane or bordered grid is made."""
+    """The pair linearize returns holds the stencil's five interior grids,
+    the coefficients of its four legs and of the centre, beside the
+    preconditioner's one array of pivot reciprocals: the frame goes when
+    its caller drops it, and no plane or bordered grid is made."""
     grid = make_grid(17, 32, 32, modulus)
     phi = default_initial_guess(grid, COS_BOUNDARY, AnnulusProfile(1e-3))
     tracemalloc.start()
@@ -123,6 +129,22 @@ def test_linearize_keeps_five_grids(modulus):
     factors = preconditioner.inv.nbytes
     # and one zero plane, with a few small objects
     assert kept <= 5 * grid_bytes + factors + 2 * grid.nx * grid.ny * 8
+
+
+@pytest.mark.parametrize("modulus", list(LINEARIZE_PEAK_B_PER_NODE),
+                         ids=["square", "skew"])
+def test_linearize_peak_bytes_per_node(modulus):
+    grid = make_grid(33, 64, 64, modulus)
+    phi = default_initial_guess(grid, COS_BOUNDARY, AnnulusProfile(1e-3))
+    tracemalloc.start()
+    try:
+        frame = admissible_frame(phi)
+        tracemalloc.reset_peak()
+        linearize(grid, frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / grid.n_nodes < LINEARIZE_PEAK_B_PER_NODE[modulus]
 
 
 def test_run_checks_peak_below_the_solve():

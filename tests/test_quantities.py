@@ -13,7 +13,7 @@ from hcma.quantities import (InfeasibleKError, NonConvexBoundaryError,
                              admissible_frame, apply_L, boundary_S,
                              boundary_delta, choose_K, h_contract, sigma_roots,
                              strip_h)
-from hcma.solver import Solution
+from hcma.solver import Solution, linearize
 from oracle import (DegenerateMetricError, FlatJet, TorusPointState,
                     composite_q_field, cone_membership, flat_jet_from_torus,
                     general_flat_state, m_matrix, n_matrix, q_gamma,
@@ -560,17 +560,20 @@ class TestOnePlaneBuilder:
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_operators_leave_the_frame_alone(self, strip_field):
-        # the stencil scales the arrays it is given in place: h_contract
-        # and apply_L give it copies of the caller's frame
+        # the stencil, linearize, h_contract and apply_L leave every array
+        # they are given as it was, bit for bit: the frame, the window and
+        # eps_tilde
         grid = strip_field.grid
         frame = admissible_frame(strip_field.phi)
         g, (m_r, m_i), q, det = frame
-        before = [x.copy() for x in (g, m_r, m_i, q, det)]
-        Q = composite_q_field(strip_field)
+        Q, eps = composite_q_field(strip_field), interior_eps(strip_field)
+        arrays = (g, m_r, m_i, q, det, Q, eps)
+        before = [x.tobytes() for x in arrays]
+        second_order_stencil(grid, g, (m_r, m_i), q)(Q[1:-1], Q[0], Q[-1])
+        linearize(grid, frame)[0](Q[1:-1].ravel())
         h_contract(grid, (Q, Q + 1j), frame)
-        apply_L(grid, Q, frame, interior_eps(strip_field))
-        for x, y in zip((g, m_r, m_i, q, det), before):
-            assert np.array_equal(x, y)
+        apply_L(grid, Q, frame, eps)
+        assert [x.tobytes() for x in arrays] == before
 
     def test_apply_L_matches_coefficient_fields(self, strip_field):
         Q = composite_q_field(strip_field)

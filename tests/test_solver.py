@@ -734,9 +734,7 @@ class TestSharedOperator:
         rng = np.random.default_rng(7)
         w = rng.standard_normal(g.shape)
         w[0] = w[-1] = 0.0                      # zero on the Dirichlet planes
-        # linearize takes its frame over, so it gets one of its own
-        jw = linearize(g, admissible_frame(phi))[0](
-            w[1:-1].ravel()).reshape(det.shape)
+        jw = linearize(g, frame)[0](w[1:-1].ravel()).reshape(det.shape)
         hw = h_contract(g, w, frame)
         assert np.allclose(jw, 4.0 * det * hw, rtol=1e-13,
                            atol=1e-13 * np.abs(jw).max())
