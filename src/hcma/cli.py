@@ -21,7 +21,8 @@ from .leaves import LeafError, leaf_fields, qb_along_leaf, trace_leaf
 from .solver import (ContinuationFailure, SolverError, check_lambdas,
                      check_schedule, continuation_solve, lambda_sweep,
                      newton_solve, rhs_floor)
-from .verify import (check_eps_monotone_limit, check_lambda_monotonicity,
+from .verify import (LadderFold, check_eps_monotone_limit,
+                     check_lambda_monotonicity,
                      check_metric_lower_bound_stability, jet_map_export,
                      q_from_ab, run_checks, solution_meta)
 
@@ -61,28 +62,42 @@ def _load_problem(path, lambdas: bool):
         raise hio.ConfigError(str(exc)) from None
 
 
-def _save_snapshots(out, config, sols, stem, lone=False) -> list[str]:
-    names = ([f"{stem}.snap"] if lone and len(sols) == 1 else
-             [f"{stem}_{k:03d}.snap" for k in range(len(sols))])
-    for name, sol in zip(names, sols):
-        hio.Snapshot.from_solution(sol, config).save(os.path.join(out, name))
-    return names
+def _save_rung(out, config, sol, stem, k=None) -> str:
+    """Saves a rung's snapshot as stem_<k>.snap, or stem.snap if k is
+    None, and returns the file name."""
+    name = f"{stem}.snap" if k is None else f"{stem}_{k:03d}.snap"
+    hio.Snapshot.from_solution(sol, config).save(os.path.join(out, name))
+    return name
+
+
+def _sweep_ladder(out, config, ladder, stem, checks) -> list[dict]:
+    """Saves each rung of a ladder as it is drawn and folds it, so no more
+    than the ladder's own two rungs are held, then runs the sweep checks
+    on the fold: the records of checks."""
+    fold = LadderFold()
+    for k, sol in enumerate(ladder):
+        _save_rung(out, config, sol, stem, k)
+        fold.add(sol)
+    return [check(fold).to_dict() for check in checks]
 
 
 def cmd_solve(args) -> int:
     config, grid, boundary, solver_cfg = _load_problem(args.config,
                                                        lambdas=False)
     out = _ensure_out(args, config)
-    try:
-        solutions = (continuation_solve(grid, boundary, config.schedule,
-                                        solver_cfg,
-                                        make_profile=config.make_profile)
-                     if config.schedule else
-                     [newton_solve(grid, boundary, config.make_profile(),
-                                   solver_cfg)])
+    rungs = (continuation_solve(grid, boundary, config.schedule, solver_cfg,
+                                make_profile=config.make_profile)
+             if config.schedule else
+             [newton_solve(grid, boundary, config.make_profile(), solver_cfg)])
+    lone = len(config.schedule) <= 1       # saved as solution.snap
+    names = []
+    try:                # each rung is saved as it converges
+        for k, last in enumerate(rungs):
+            if last.converged:      # else a lone solve; a ladder raises
+                names.append(_save_rung(out, config, last, "solution",
+                                        None if lone else k))
     except ContinuationFailure as exc:
-        solutions = [exc.solution]
-    last = solutions[-1]
+        last = exc.solution
     if not last.converged:
         hio.Snapshot.from_solution(last, config).save(
             os.path.join(out, "diagnostics.snap"))
@@ -95,7 +110,6 @@ def cmd_solve(args) -> int:
             os.path.join(out, "summary.json"))
         return _fail(EXIT_SOLVER, f"solver failed: {last.message}")
 
-    names = _save_snapshots(out, config, solutions, "solution", lone=True)
     a, b = spatial_ab(last.grid, last.phi.values)
     summary = {
         "meta": solution_meta(last, config.seed),
@@ -159,16 +173,17 @@ def cmd_sweep(args) -> int:
             "boundary": boundary.describe(), "seed": config.seed}
 
     if config.lambdas:
-        sols = lambda_sweep(grid, boundary, config.lambdas,
-                            config.make_profile(), solver_cfg)
-        _save_snapshots(out, config, sols, "lambda")
-        checks.append(check_lambda_monotonicity(sols).to_dict())
+        checks += _sweep_ladder(
+            out, config, lambda_sweep(grid, boundary, config.lambdas,
+                                      config.make_profile(), solver_cfg),
+            "lambda", (check_lambda_monotonicity,))
     if config.schedule:
-        sols = continuation_solve(grid, boundary, config.schedule, solver_cfg,
-                                  make_profile=config.make_profile)
-        _save_snapshots(out, config, sols, "eps")
-        checks.append(check_eps_monotone_limit(sols).to_dict())
-        checks.append(check_metric_lower_bound_stability(sols).to_dict())
+        checks += _sweep_ladder(
+            out, config, continuation_solve(grid, boundary, config.schedule,
+                                            solver_cfg,
+                                            make_profile=config.make_profile),
+            "eps", (check_eps_monotone_limit,
+                    check_metric_lower_bound_stability))
 
     hio.write_report({"meta": meta, "checks": checks},
                      os.path.join(out, "sweep_report.json"))

@@ -264,8 +264,9 @@ class Snapshot:
                                  self.iterations, self.final_residual))
             fh.write(struct.pack("<I", len(cfg)))
             fh.write(cfg)
-            fh.write(np.ascontiguousarray(
-                self.values, dtype="<f8").tobytes())
+            # the array's own buffer: no copy unless it is strided or not
+            # little-endian float64
+            fh.write(np.ascontiguousarray(self.values, dtype="<f8").data)
 
     @classmethod
     def load(cls, path) -> "Snapshot":

@@ -13,6 +13,7 @@ describe().
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 import numpy as np
@@ -222,12 +223,14 @@ def _det_residual(grid: Grid, det, profile) -> np.ndarray:
 
 def rhs_floor(profile, grid: Grid) -> float:
     """min of profile.rhs_on(grid); ValueError unless all positive, finite,
-    and of finite 2-norm over the grid, the norm the linear solves take."""
+    and of finite 2-norm over the grid, the norm the linear solves take:
+    its square, summed by einsum on the broadcast right-hand side without
+    a grid-sized copy, is nx ny sum_t eps_tilde(t)^2 for a t-profile."""
     rhs = profile.rhs_on(grid)
     lo = float(rhs.min())
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(rhs))
-    if not (lo > 0.0 and float(rhs.max()) < np.inf and norm < np.inf):
+        norm2 = float(np.einsum("ijk,ijk->", rhs, rhs))
+    if not (lo > 0.0 and float(rhs.max()) < np.inf and norm2 < np.inf):
         raise ValueError("right-hand side must be positive and finite, "
                          "with a finite norm over the grid")
     return lo
@@ -479,8 +482,9 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
 
 
 def _warm_start_ladder(grid: Grid, name: str, rungs,
-                       config: SolverConfig) -> list[Solution]:
-    """Solve each (value, boundary, profile) rung, warm-starting the next.
+                       config: SolverConfig) -> Iterator[Solution]:
+    """Solve each (value, boundary, profile) rung, warm-starting the next,
+    and yield each solution as it converges.
 
     Rung 0 starts cold and rung 1 from rung 0's solution.  Rung k >= 2
     offers newton_solve two warm starts: the secant predictor
@@ -492,12 +496,12 @@ def _warm_start_ladder(grid: Grid, name: str, rungs,
     amplifies costs no step.  After a repeated value (v_{k-1} = v_{k-2}),
     or when the predicted field is not finite, only the previous solution
     is offered.  Each rung converges to within config.newton_tol, not
-    necessarily to round-off.
+    necessarily to round-off.  The ladder holds phi_{k-1} and phi_{k-2}
+    only: a rung the caller drops is freed once two more are drawn.
 
-    Raises ContinuationFailure, labelled name=value, at the first rung that
-    does not converge.
+    Raises ContinuationFailure, labelled name=value, when the first rung
+    that does not converge is drawn.
     """
-    out = []
     older = warm = None     # (value, phi) of rungs k-2 and k-1
     for k, (value, boundary, profile) in enumerate(rungs):
         starts = None if warm is None else warm[1]
@@ -511,11 +515,11 @@ def _warm_start_ladder(grid: Grid, name: str, rungs,
             except GridError:
                 pass
         sol = newton_solve(grid, boundary, profile, config, initial=starts)
+        starts = guess = None   # the prediction is not held past its rung
         if not sol.converged:
             raise ContinuationFailure(k, name, value, sol)
-        out.append(sol)
         older, warm = warm, (value, sol.phi)
-    return out
+        yield sol
 
 
 def check_schedule(schedule) -> None:
@@ -536,11 +540,13 @@ def check_lambdas(lambdas) -> None:
 
 def continuation_solve(grid: Grid, boundary: BoundarySpec, schedule,
                        config: SolverConfig = SolverConfig(),
-                       make_profile=AnnulusProfile) -> list[Solution]:
+                       make_profile=AnnulusProfile) -> Iterator[Solution]:
     """Solve along a strictly decreasing epsilon schedule with warm starts:
     rung 0 cold, rung 1 from rung 0's solution, rung k >= 2 from the secant
     in eps, or from rung k-1's solution if that is inadmissible (see
-    _warm_start_ladder).  Each rung converges to within config.newton_tol."""
+    _warm_start_ladder).  Each rung converges to within config.newton_tol.
+    The schedule is checked at once; the rungs are solved as the returned
+    iterator is drawn."""
     schedule = list(schedule)
     check_schedule(schedule)
     return _warm_start_ladder(
@@ -549,12 +555,13 @@ def continuation_solve(grid: Grid, boundary: BoundarySpec, schedule,
 
 
 def lambda_sweep(grid: Grid, boundary: BoundarySpec, lambdas, profile,
-                 config: SolverConfig = SolverConfig()) -> list[Solution]:
+                 config: SolverConfig = SolverConfig()) -> Iterator[Solution]:
     """Solve with boundary data scaled by each lambda in a non-decreasing
     ladder: rung 0 cold, rung 1 from rung 0's solution, rung k >= 2 from
     the secant in lambda, or from rung k-1's solution after a repeated
     lambda or if the secant is inadmissible (see _warm_start_ladder).  Each
-    rung converges to within config.newton_tol."""
+    rung converges to within config.newton_tol.  The ladder is checked at
+    once; the rungs are solved as the returned iterator is drawn."""
     lambdas = list(lambdas)
     check_lambdas(lambdas)
     return _warm_start_ladder(

@@ -7,7 +7,8 @@ and inadmissible solutions produce failing records, and each check returns
 a "vacuous" record, which does not fail the suite, for data outside its
 theorem's hypotheses.  run_checks folds every check in one pass over the
 solution's t-chunks (CheckPass) and hands each check that pass; a check
-called with a solution makes a pass of its own.
+called with a solution makes a pass of its own.  The sweep checks read a
+LadderFold, which folds a ladder one rung at a time, in the same way.
 """
 
 from __future__ import annotations
@@ -544,38 +545,73 @@ def lq_ratio_report(solution) -> CheckRecord:
                        extra={"nodes": p.lq_nodes})
 
 
-def check_lambda_monotonicity(sweep: list[Solution]) -> CheckRecord:
+class LadderFold:
+    """What the sweep checks read of a ladder, folded one rung at a time,
+    so a sweep need not hold its rungs: per rung the max Q over the grid,
+    whether the interior max Q stays within the factor-2 band of the
+    boundary's, and the least interior 1 + a; per pair of neighbouring
+    rungs the largest phi_prev - phi_next and the max-norm gap.  Only the
+    last rung's phi is kept, for the next gap.  The sweep checks take a
+    LadderFold in place of a list of solutions.
+    """
+
+    def __init__(self, rungs=()):
+        self.max_q, self.factor2, self.min_one_plus_a = [], [], []
+        self.worst_increase, self.gaps = -np.inf, []
+        self.last = None
+        for solution in rungs:
+            self.add(solution)
+
+    def __len__(self) -> int:
+        return len(self.max_q)
+
+    def add(self, solution: Solution) -> None:
+        grid, values = solution.grid, solution.phi.values
+        a, b = spatial_ab(grid, values)
+        Q = q_from_ab(a, b)
+        self.max_q.append(float(Q.max()))
+        h2 = C_H2 * _h_scale(grid) ** 2
+        self.factor2.append(not Q[1:-1].max() > 2.0 * Q[[0, -1]].max() + h2)
+        del Q, b
+        self.min_one_plus_a.append(float((1.0 + a[1:-1]).min()))
+        del a
+        if self.last is not None:
+            diff = self.last - values            # must be <= slack
+            self.worst_increase = max(self.worst_increase, float(diff.max()))
+            self.gaps.append(float(np.abs(diff).max()))
+        self.last = values
+
+
+def _fold_of(sweep) -> LadderFold:
+    """The LadderFold the CLI passes, else one folded from the solutions."""
+    return sweep if isinstance(sweep, LadderFold) else LadderFold(sweep)
+
+
+def check_lambda_monotonicity(
+        sweep: LadderFold | list[Solution]) -> CheckRecord:
     """max-grid Q is non-decreasing along a lambda ladder; Prop-1 band holds."""
-    if len(sweep) <= 1:
+    fold = _fold_of(sweep)
+    if len(fold) <= 1:
         return _vacuous("lambda_monotonicity", "ladder of length <= 1",
                         tolerance=MONOTONE_SLACK)
-    seq, rung_ok = [], True
-    for s in sweep:
-        Q = q_field(s)
-        seq.append(float(Q.max()))
-        h2 = C_H2 * _h_scale(s.grid) ** 2
-        if Q[1:-1].max() > 2.0 * Q[[0, -1]].max() + h2:
-            rung_ok = False
+    seq, rung_ok = fold.max_q, all(fold.factor2)
     worst_drop = max(a - b for a, b in zip(seq, seq[1:]))
     return CheckRecord(
         name="lambda_monotonicity",
         passed=worst_drop <= MONOTONE_SLACK and rung_ok,
         measured=worst_drop, bound=0.0, tolerance=MONOTONE_SLACK,
-        extra={"max_Q_sequence": [float(v) for v in seq],
+        extra={"max_Q_sequence": list(seq),
                "factor2_each_rung": bool(rung_ok)})
 
 
-def check_eps_monotone_limit(sweep: list[Solution]) -> CheckRecord:
+def check_eps_monotone_limit(
+        sweep: LadderFold | list[Solution]) -> CheckRecord:
     """Potentials increase pointwise as epsilon decreases; gaps shrink."""
-    if len(sweep) <= 1:
+    fold = _fold_of(sweep)
+    if len(fold) <= 1:
         return _vacuous("eps_monotone_limit", "schedule of length <= 1",
                         tolerance=MONOTONE_SLACK)
-    worst = -np.inf
-    gaps = []
-    for prev, nxt in zip(sweep, sweep[1:]):
-        diff = prev.phi.values - nxt.phi.values   # must be <= slack
-        worst = max(worst, float(diff.max()))
-        gaps.append(float(np.abs(diff).max()))
+    worst, gaps = fold.worst_increase, list(fold.gaps)
     cauchy = all(b <= a + MONOTONE_SLACK for a, b in zip(gaps, gaps[1:]))
     return CheckRecord(
         name="eps_monotone_limit",
@@ -584,12 +620,14 @@ def check_eps_monotone_limit(sweep: list[Solution]) -> CheckRecord:
         extra={"max_norm_gaps": gaps, "gaps_decreasing": bool(cauchy)})
 
 
-def check_metric_lower_bound_stability(sweep: list[Solution]) -> CheckRecord:
+def check_metric_lower_bound_stability(
+        sweep: LadderFold | list[Solution]) -> CheckRecord:
     """min interior (1+a) moves by at most STABILITY_SPREAD along a ladder."""
-    if len(sweep) <= 1:
+    fold = _fold_of(sweep)
+    if len(fold) <= 1:
         return _vacuous("metric_lower_bound_stability",
                         "schedule of length <= 1", bound=STABILITY_SPREAD)
-    minima = [float(s.interior_one_plus_a().min()) for s in sweep]
+    minima = list(fold.min_one_plus_a)
     spread = max(minima) - min(minima)
     return CheckRecord(
         name="metric_lower_bound_stability", passed=spread <= STABILITY_SPREAD,

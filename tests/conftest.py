@@ -104,7 +104,8 @@ def sol_cos_skew():
 @pytest.fixture(scope="session")
 def eps_sweep(grid_mid):
     from hcma import continuation_solve
-    return continuation_solve(grid_mid, COS_BOUNDARY, [1e-2, 1e-3, 1e-4])
+    return list(continuation_solve(grid_mid, COS_BOUNDARY,
+                                   [1e-2, 1e-3, 1e-4]))
 
 
 def closed_form_constant(grid, eps0=0.25):

@@ -303,8 +303,8 @@ class TestSnapshot:
     def test_numpy_epsilon_round_trips(self, tmp_path, grid_small):
         from hcma import continuation_solve
         cfg = ExperimentConfig.parse(SMALL_CONFIG)
-        sol = continuation_solve(grid_small, cfg.make_boundary(),
-                                 np.geomspace(1e-2, 1e-3, 2))[-1]
+        sol = list(continuation_solve(grid_small, cfg.make_boundary(),
+                                      np.geomspace(1e-2, 1e-3, 2)))[-1]
         assert isinstance(sol.profile.epsilon, np.float64)
         p = tmp_path / "a.snap"
         Snapshot.from_solution(sol, cfg).save(p)
@@ -756,6 +756,44 @@ class TestCliEndToEnd:
         out = str(tmp_path / "o")
         assert cli.main(["sweep", "--config", cfg, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "lambda_002.snap"))
+
+    def test_sweep_failure_mid_ladder_keeps_converged_rungs(self, tmp_path,
+                                                            capsys):
+        # rung 0 (lambda = 0) starts at the discrete solution and takes 0
+        # steps; rung 1 needs 2
+        text = SMALL_CONFIG + ("\n[solver]\nmax_newton_iters = 1\n"
+                               "\n[sweep]\nlambdas = 0.0, 1.0\n")
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", write_config(tmp_path, text),
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: continuation rung 1 (lambda=1.0) failed: "
+            "max-iterations-exceeded\n")
+        assert sorted(os.listdir(out)) == ["lambda_000.snap"]
+        sol, _ = Snapshot.load(out / "lambda_000.snap").to_solution()
+        assert sol.converged and sol.iterations == 0
+
+    def test_solve_failure_mid_schedule_keeps_converged_rungs(self, tmp_path,
+                                                              capsys):
+        # zero boundary data: rung 0 starts at the discrete solution and
+        # takes 0 steps; rung 1 needs 1
+        text = SMALL_CONFIG.replace(
+            "epsilon = 1e-3", "epsilon = 1e-3\nschedule = 1e-2, 1e-3"
+        ).replace("phi1 = 1,0,0.005,0\n", "") + (
+            "\n[solver]\nmax_newton_iters = 0\n")
+        out = tmp_path / "o"
+        assert cli.main(["solve", "--config", write_config(tmp_path, text),
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: solver failed: max-iterations-exceeded\n")
+        assert sorted(os.listdir(out)) == [
+            "diagnostics.snap", "solution_000.snap", "summary.json"]
+        sol, _ = Snapshot.load(out / "solution_000.snap").to_solution()
+        assert sol.converged and sol.iterations == 0
+        assert not Snapshot.load(out / "diagnostics.snap").converged
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failure"]["message"] == "max-iterations-exceeded"
+        assert summary["meta"]["profile"] == "annulus(eps=0.001)"
 
     def test_rung_snapshots_echo_their_own_parameter(self, tmp_path):
         text = SMALL_CONFIG.replace(

@@ -1,6 +1,7 @@
 """Memory guards: the solver caches no jets, and newton_solve, run_checks
 and the fields CSV writer stay under bytes-per-node bounds counted by
-tracemalloc (a deterministic count of allocations, not a timing)."""
+tracemalloc (a deterministic count of allocations, not a timing); a
+sweep's peak does not grow with its rungs."""
 
 import tracemalloc
 from dataclasses import replace
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import COS_BOUNDARY
-from hcma import AnnulusProfile, make_grid, newton_solve
+from hcma import AnnulusProfile, cli, make_grid, newton_solve
 from hcma.grid import ScalarField, spatial_ab
-from hcma.io import write_fields_csv
+from hcma.io import ExperimentConfig, Snapshot, write_fields_csv
 from hcma.quantities import admissible_frame
-from hcma.solver import default_initial_guess, linearize, residual
+from hcma.solver import (default_initial_guess, linearize, residual,
+                         rhs_floor)
 from hcma.verify import q_from_ab, run_checks
 
 # run_checks on the 33x64x64 cos solution peaks at 46.5 B per node on the
@@ -188,3 +190,58 @@ def test_fields_csv_peak_bytes_per_node(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / grid.n_nodes < FIELDS_CSV_PEAK_B_PER_NODE
+
+
+def test_snapshot_save_copies_no_grid(tmp_path, sol_cos):
+    """Snapshot.save writes phi's own buffer: its peak is the header and
+    config echo, far below the 17x32x32 grid it writes."""
+    snap = Snapshot.from_solution(sol_cos, ExperimentConfig())
+    tracemalloc.start()
+    try:
+        snap.save(tmp_path / "a.snap")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sol_cos.phi.values.nbytes / 10
+    assert Snapshot.load(tmp_path / "a.snap").values.tobytes() == (
+        sol_cos.phi.values.tobytes())
+
+
+def test_rhs_floor_copies_no_grid():
+    """rhs_floor reads the broadcast right-hand side in place: 8 B per
+    node would be its copy."""
+    grid = make_grid(33, 64, 64)
+    tracemalloc.start()
+    try:
+        rhs_floor(AnnulusProfile(1e-3), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / grid.n_nodes < 1.0
+
+
+def sweep_peak(tmp_path, n_rungs) -> int:
+    """tracemalloc peak of hcma sweep on the 17x32x32 cos problem with an
+    n_rungs lambda ladder from 0 to 1."""
+    lambdas = ", ".join(repr(k / (n_rungs - 1)) for k in range(n_rungs))
+    cfg = tmp_path / f"sweep{n_rungs}.ini"
+    cfg.write_text("[grid]\nnt = 17\nnx = 32\nny = 32\n\n[profile]\n"
+                   "kind = annulus\nepsilon = 1e-3\n\n[boundary]\n"
+                   "phi1 = 1,0,0.005,0\n\n[sweep]\n"
+                   f"lambdas = {lambdas}\n")
+    tracemalloc.start()
+    try:
+        rc = cli.main(["sweep", "--config", str(cfg),
+                       "--out", str(tmp_path / f"out{n_rungs}")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    return peak
+
+
+def test_sweep_peak_does_not_grow_with_rungs(tmp_path):
+    """A sweep saves and folds each rung as it converges and holds at most
+    two rungs' phi, so eight more rungs cost less than one grid."""
+    grid_bytes = 17 * 32 * 32 * 8
+    assert abs(sweep_peak(tmp_path, 11) - sweep_peak(tmp_path, 3)) < grid_bytes

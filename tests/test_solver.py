@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -510,7 +511,7 @@ class TestLadderChecks:
 
 class TestContinuation:
     def test_single_rung_equals_newton(self, grid_small):
-        sols = continuation_solve(grid_small, BoundarySpec(), [1e-2])
+        sols = list(continuation_solve(grid_small, BoundarySpec(), [1e-2]))
         direct = newton_solve(grid_small, BoundarySpec(), AnnulusProfile(1e-2))
         assert np.abs(sols[0].phi.values - direct.phi.values).max() < 1e-12
 
@@ -523,7 +524,8 @@ class TestContinuation:
             assert err <= 5 * grid_mid.ht**2
 
     def test_pointwise_monotone(self, grid_mid):
-        sols = continuation_solve(grid_mid, BoundarySpec(), [1e-2, 1e-3])
+        sols = list(continuation_solve(grid_mid, BoundarySpec(),
+                                       [1e-2, 1e-3]))
         assert (sols[1].phi.values >= sols[0].phi.values - 1e-8).all()
 
     def test_bad_schedule(self, grid_small):
@@ -535,17 +537,17 @@ class TestContinuation:
     def test_failure_carries_index(self, grid_small):
         cfg = SolverConfig(newton_tol=1e-16, max_newton_iters=0)
         with pytest.raises(ContinuationFailure) as err:
-            continuation_solve(grid_small, BoundarySpec(), [1e-2], cfg)
+            list(continuation_solve(grid_small, BoundarySpec(), [1e-2], cfg))
         assert err.value.index == 0
 
     def test_failure_names_the_ladder_parameter(self, grid_small):
         cfg = SolverConfig(newton_tol=1e-16, max_newton_iters=0)
         with pytest.raises(ContinuationFailure) as err:
-            continuation_solve(grid_small, BoundarySpec(), [1e-2], cfg)
+            list(continuation_solve(grid_small, BoundarySpec(), [1e-2], cfg))
         assert str(err.value).startswith("continuation rung 0 (eps=0.01) failed")
         with pytest.raises(ContinuationFailure) as err:
-            lambda_sweep(grid_small, COS_BOUNDARY, [0.5],
-                         AnnulusProfile(1e-3), cfg)
+            list(lambda_sweep(grid_small, COS_BOUNDARY, [0.5],
+                              AnnulusProfile(1e-3), cfg))
         assert str(err.value).startswith(
             "continuation rung 0 (lambda=0.5) failed")
         assert (err.value.name, err.value.value) == ("lambda", 0.5)
@@ -553,8 +555,8 @@ class TestContinuation:
 
 class TestLambdaSweep:
     def test_endpoints(self, grid_mid, sol_cos):
-        sols = lambda_sweep(grid_mid, COS_BOUNDARY, [0.0, 1.0],
-                            AnnulusProfile(1e-3))
+        sols = list(lambda_sweep(grid_mid, COS_BOUNDARY, [0.0, 1.0],
+                                 AnnulusProfile(1e-3)))
         zero_err = np.abs(sols[0].phi.values
                           - closed_form_annulus(grid_mid, 1e-3)).max()
         assert zero_err <= 5 * grid_mid.ht**2
@@ -600,19 +602,49 @@ def warm_chain(grid, rungs):
     return sols
 
 
+class TestLadderStreaming:
+    """A ladder solves each rung as it is drawn and holds two rungs."""
+
+    def test_rungs_are_solved_as_drawn(self, grid_small, ladder_starts):
+        ladder = lambda_sweep(grid_small, COS_BOUNDARY, [0.0, 0.5, 1.0],
+                              AnnulusProfile(1e-3))
+        assert ladder_starts == []
+        assert next(ladder).converged
+        assert len(ladder_starts) == 1
+
+    def test_ladder_holds_two_rungs(self, grid_small):
+        ladder = continuation_solve(grid_small, COS_BOUNDARY,
+                                    [1e-1, 1e-2, 1e-3, 1e-4])
+        rung0 = weakref.ref(next(ladder).phi)
+        next(ladder)
+        assert rung0() is not None      # phi_{k-2} of the secant of rung 2
+        next(ladder)
+        assert rung0() is None
+
+    def test_failure_is_raised_when_its_rung_is_drawn(self, grid_small):
+        cfg = SolverConfig(max_newton_iters=1)
+        ladder = lambda_sweep(grid_small, COS_BOUNDARY, [0.0, 1.0],
+                              AnnulusProfile(1e-3), cfg)
+        assert next(ladder).iterations == 0
+        with pytest.raises(ContinuationFailure) as err:
+            next(ladder)
+        assert err.value.index == 1
+
+
 class TestSecantPredictor:
     """Rungs k >= 2 start from the secant through the last two solutions."""
 
     def test_lambda_ladder_steps(self, grid_mid):
-        sols = lambda_sweep(grid_mid, COS_BOUNDARY, [k / 10 for k in range(11)],
-                            AnnulusProfile(1e-3))
+        sols = list(lambda_sweep(grid_mid, COS_BOUNDARY,
+                                 [k / 10 for k in range(11)],
+                                 AnnulusProfile(1e-3)))
         assert all(s.converged and s.final_residual <= SolverConfig().newton_tol
                    for s in sols)
         assert sum(s.iterations for s in sols) <= 12       # 21 from phi_{k-1}
 
     def test_eps_schedule_steps(self, grid_mid):
-        sols = continuation_solve(grid_mid, COS_BOUNDARY,
-                                  [1e-1, 1e-2, 1e-3, 1e-4])
+        sols = list(continuation_solve(grid_mid, COS_BOUNDARY,
+                                       [1e-1, 1e-2, 1e-3, 1e-4]))
         assert all(s.converged and s.final_residual <= SolverConfig().newton_tol
                    for s in sols)
         assert sum(s.iterations for s in sols) <= 12       # 14 from phi_{k-1}
@@ -622,8 +654,8 @@ class TestSecantPredictor:
     def test_degenerate_secant_starts_from_previous(self, grid_small, lambdas,
                                                     ladder_starts):
         # a repeated value has no secant; 5e-324 makes w non-finite
-        sols = lambda_sweep(grid_small, COS_BOUNDARY, lambdas,
-                            AnnulusProfile(1e-3))
+        sols = list(lambda_sweep(grid_small, COS_BOUNDARY, lambdas,
+                                 AnnulusProfile(1e-3)))
         assert all(s.converged for s in sols)
         assert ladder_starts[-1] is sols[-2].phi
 
@@ -634,11 +666,11 @@ class TestSecantPredictor:
         if kind == "lambda":
             values = [0.5, 1.0][:n_rungs]
             prof = AnnulusProfile(1e-3)
-            sols = lambda_sweep(grid_small, COS_BOUNDARY, values, prof)
+            sols = list(lambda_sweep(grid_small, COS_BOUNDARY, values, prof))
             rungs = [(COS_BOUNDARY.scaled(v), prof) for v in values]
         else:
             values = [1e-2, 1e-3][:n_rungs]
-            sols = continuation_solve(grid_small, COS_BOUNDARY, values)
+            sols = list(continuation_solve(grid_small, COS_BOUNDARY, values))
             rungs = [(COS_BOUNDARY, AnnulusProfile(v)) for v in values]
         ref = warm_chain(grid_small, rungs)
         assert len(sols) == n_rungs
@@ -677,7 +709,7 @@ class TestSecantPredictor:
         monkeypatch.setattr(hcma.solver, "default_initial_guess", guess)
         values = [0.0, 1 / 3, 2 / 3, 1.0]
         prof = AnnulusProfile(1e-3)
-        sols = lambda_sweep(grid_small, COS_BOUNDARY, values, prof)
+        sols = list(lambda_sweep(grid_small, COS_BOUNDARY, values, prof))
         assert len(rejected) == 2                       # rungs 2 and 3
         assert len(cold) == 1                           # rung 0 only
         assert ladder_starts[0] is None
@@ -694,8 +726,8 @@ class TestSecantPredictor:
         # w = 5e13 multiplies Newton noise in phi_1 - phi_2: the previous
         # solution is the closer start
         lambdas = [0.0, 0.5, 0.5 + 1e-14, 1.0]
-        sols = lambda_sweep(grid_small, COS_BOUNDARY, lambdas,
-                            AnnulusProfile(1e-3))
+        sols = list(lambda_sweep(grid_small, COS_BOUNDARY, lambdas,
+                                 AnnulusProfile(1e-3)))
         assert all(s.converged for s in sols)
         assert sols[-1].iterations == 2
 

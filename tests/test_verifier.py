@@ -19,7 +19,8 @@ from hcma.quantities import (InadmissibleError, InfeasibleKError,
 from hcma.solver import Solution
 from hcma.verify import (BOUNDARY_ROUND_OFF, C_H1, C_H2, D_R, FRAME_CHECKS,
                          N_ANGLES, Q_FLOOR, REL_SLACK, STABILITY_SPREAD,
-                         CheckRecord, check_ab_equations, check_converged,
+                         CheckRecord, LadderFold, check_ab_equations,
+                         check_converged,
                          check_convexity,
                          check_ekq_subharmonic, check_eps_monotone_limit,
                          check_lambda_monotonicity, check_max_principle_Q,
@@ -360,6 +361,16 @@ class TestSweepChecks:
         assert rec.passed and rec.bound == STABILITY_SPREAD
         assert rec.measured == max(minima) - min(minima)
         assert len(minima) == len(eps_sweep)
+
+    def test_fold_drawn_rung_by_rung_matches_the_list(self, eps_sweep):
+        fold = LadderFold()
+        for sol in eps_sweep:
+            fold.add(sol)
+        for check in (check_eps_monotone_limit, check_lambda_monotonicity,
+                      check_metric_lower_bound_stability):
+            assert check(fold).to_dict() == check(eps_sweep).to_dict()
+        assert len(fold) == len(eps_sweep)
+        assert fold.last is eps_sweep[-1].phi.values    # no copy, no list
 
     def test_lambda_sweep(self, grid_mid):
         from hcma import lambda_sweep
