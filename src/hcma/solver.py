@@ -195,9 +195,6 @@ class Solution:
     residual_history: list = dc_field(default_factory=list)
     message: str = "ok"
 
-    def interior_one_plus_a(self) -> np.ndarray:
-        return 1.0 + wirt_zzbar(self.grid, self.phi.values[1:-1])
-
     @property
     def admissible(self) -> bool:
         try:

@@ -6,9 +6,10 @@ for third-derivative inputs).  Checks never throw on bad data: violations
 and inadmissible solutions produce failing records, and each check returns
 a "vacuous" record, which does not fail the suite, for data outside its
 theorem's hypotheses.  run_checks folds every check in one pass over the
-solution's t-chunks (CheckPass) and hands each check that pass; a check
-called with a solution makes a pass of its own.  The sweep checks read a
-LadderFold, which folds a ladder one rung at a time, in the same way.
+solution's t-chunks (CheckPass) and hands each check but converged that
+pass; run_checks(solution, names=[name]) runs one check.  The sweep
+checks read a LadderFold, which folds a ladder one rung at a time, in the
+same way.
 """
 
 from __future__ import annotations
@@ -117,10 +118,10 @@ def _composite_q(grid, a, b, d_x, d_y):
     return Q
 
 
-def q_field(solution: Solution) -> np.ndarray:
-    """Appendix-style Q = |b|^2/(1+a)^2 on the whole grid (spatial jets only);
-    inf or NaN, without a warning, where 1 + a = 0."""
-    return q_from_ab(*spatial_ab(solution.grid, solution.phi.values))
+def _within_factor2(measured, bound, h2) -> bool:
+    """Proposition 1's factor-2 band, measured <= 2 bound + h2: false if
+    either is NaN."""
+    return bool(measured <= 2.0 * bound + h2)
 
 
 def _vacuous(name: str, note: str, **fields) -> CheckRecord:
@@ -175,14 +176,15 @@ class CheckPass:
     and, with a FRAME_CHECKS name, the chunk's strip_frame from them,
     which it hands with its windows to h_contract (a, b and W = e^{KQ} on
     one set of h-planes), apply_L (the composite Q) and the allowance and
-    a/b folds.  No whole-grid jet or frame is made.  Every check takes a
-    CheckPass in place of its solution; points=True also collects
+    a/b folds.  No whole-grid jet or frame is made.  h2 is the C_H2 h^2
+    band of the second-derivative checks; points=True also collects
     jet_map_export's (Re b, Im b, a) points.
     """
 
     def __init__(self, solution: Solution, names, points: bool = False):
         self.solution, self.grid = solution, solution.grid
         grid, values = self.grid, solution.phi.values
+        self.h2 = C_H2 * _h_scale(grid) ** 2
         names = set(names)
         # boundary planes t = 0 and t = 1: spatial jets only
         a_bnd, b_bnd = spatial_ab(grid, values[[0, -1]])
@@ -313,7 +315,7 @@ class CheckPass:
         """Folds the a/b equation residuals from the contractions, the
         windows of a and b and the frame, one t-plane at a time, so the
         third-order jets and right-hand sides are plane-sized."""
-        grid, h2 = self.grid, 2 * self.grid.ht
+        grid, two_ht = self.grid, 2 * self.grid.ht
         g, (m_r, m_i), q, det = frame
         res_a, res_b = np.empty_like(lhs_a), np.empty_like(lhs_a)
         for j in range(len(lhs_a)):           # grid t-plane i0 + j
@@ -322,9 +324,9 @@ class CheckPass:
             # third-order jets: wirt_z(a), wirt_zbar(b), each on one pad of
             # its plane, and the central t-differences of dt1; strip frame,
             # Im(zeta)-independent, so d/dzeta = d/dzetabar = (d/dt)/2
-            u = (0.5 * ((a_w[j + 2] - a_w[j]) / h2),
+            u = (0.5 * ((a_w[j + 2] - a_w[j]) / two_ht),
                  wirt_z(grid, a_j, _wrap(a_j))[0])
-            w = (0.5 * ((b_w[j + 2] - b_w[j]) / h2),
+            w = (0.5 * ((b_w[j + 2] - b_w[j]) / two_ht),
                  wirt_zbar(grid, b_j, _wrap(b_j))[0])
             (x, y), (xw, yw) = _adj_h(*f, *u), _adj_h(*f, *map(np.conj, w))
             # h^{ij*} a_i a_j* + h^{ij*} b_j* conj(b)_i, and h^{ij*} a_i b_j*
@@ -353,14 +355,6 @@ class CheckPass:
                 f"{self.least.node}")
 
 
-def _pass_for(solution, name: str) -> CheckPass:
-    """The CheckPass run_checks passes in place of the solution, else one
-    made for the named check alone."""
-    if isinstance(solution, CheckPass):
-        return solution
-    return CheckPass(solution, (name,))
-
-
 # --- individual checks -------------------------------------------------------
 
 def check_converged(solution: Solution) -> CheckRecord:
@@ -386,33 +380,29 @@ def check_converged(solution: Solution) -> CheckRecord:
         extra={"iterations": solution.iterations, "boundary_gap": gap})
 
 
-def check_convexity(solution) -> CheckRecord:
+def check_convexity(p: CheckPass) -> CheckRecord:
     """Interior slices stay strictly omega_0-convex: |b| < 1+a and 1+a > 0."""
-    p = _pass_for(solution, "convexity")
     min_opa = float(p.opa.value)
     measured = float(p.gap.value)
-    h2 = C_H2 * _h_scale(p.grid) ** 2
-    passed = measured < h2 and min_opa > -h2
+    passed = measured < p.h2 and min_opa > -p.h2
     return CheckRecord(
         name="convexity", passed=passed, measured=measured, bound=0.0,
-        tolerance=h2, worst_node=p.gap.node,
+        tolerance=p.h2, worst_node=p.gap.node,
         extra={"min_one_plus_a": min_opa})
 
 
-def check_max_principle_Q(solution) -> CheckRecord:
+def check_max_principle_Q(p: CheckPass) -> CheckRecord:
     """max interior Q against max boundary Q, plus the factor-2 variant."""
-    p = _pass_for(solution, "max_principle_Q")
     measured = float(p.q.value)
     bound = p.max_bnd_q
-    h2 = C_H2 * _h_scale(p.grid) ** 2
-    plain = measured <= bound * (1.0 + REL_SLACK) + h2
-    factor2 = measured <= 2.0 * bound + h2
+    plain = measured <= bound * (1.0 + REL_SLACK) + p.h2
+    factor2 = _within_factor2(measured, bound, p.h2)
     note = p.degenerate_note()
     return CheckRecord(
         name="max_principle_Q", passed=plain and factor2 and not note,
-        measured=measured, bound=bound, tolerance=h2,
+        measured=measured, bound=bound, tolerance=p.h2,
         worst_node=p.q.node, note=note,
-        extra={"factor2_pass": bool(factor2), "factor2_bound": 2.0 * bound})
+        extra={"factor2_pass": factor2, "factor2_bound": 2.0 * bound})
 
 
 def weight_u(tau: np.ndarray, d_R: float) -> np.ndarray:
@@ -438,9 +428,8 @@ def check_u_identity(d_R: float) -> CheckRecord:
                        bound=0.0, tolerance=1e-6)
 
 
-def check_weighted_max_principle(solution) -> CheckRecord:
+def check_weighted_max_principle(p: CheckPass) -> CheckRecord:
     """Max principle for Q/u on the annulus image tau = e^{t+is}."""
-    p = _pass_for(solution, "weighted_max_principle")
     if not isinstance(p.solution.profile, AnnulusProfile):
         return _vacuous("weighted_max_principle", "requires annulus profile")
     ident = check_u_identity(D_R)
@@ -453,41 +442,36 @@ def check_weighted_max_principle(solution) -> CheckRecord:
     ratio = p.plane_q / u.min(axis=1)
     measured = float(ratio[1:-1].max())
     bound = float(ratio[[0, -1]].max())
-    h2 = C_H2 * _h_scale(p.grid) ** 2
     note = p.degenerate_note()
-    passed = (measured <= bound * (1.0 + REL_SLACK) + h2 and ident.passed
+    passed = (measured <= bound * (1.0 + REL_SLACK) + p.h2 and ident.passed
               and not note)
     return CheckRecord(
         name="weighted_max_principle", passed=passed, measured=measured,
-        bound=bound, tolerance=h2, note=note,
+        bound=bound, tolerance=p.h2, note=note,
         extra={"u_identity_rel_err": ident.measured, "d_R": D_R})
 
 
-def check_metric_lower_bound(solution) -> CheckRecord:
+def check_metric_lower_bound(p: CheckPass) -> CheckRecord:
     """min interior (1+a) stays above the boundary gap delta, up to C h^2."""
-    p = _pass_for(solution, "metric_lower_bound")
     measured = float(p.opa.value)
-    h2 = C_H2 * _h_scale(p.grid) ** 2
     if p.delta is None:
         return _vacuous("metric_lower_bound", p.delta_note,
-                        measured=measured, tolerance=h2)
+                        measured=measured, tolerance=p.h2)
     return CheckRecord(
-        name="metric_lower_bound", passed=measured > p.delta - h2,
-        measured=measured, bound=p.delta, tolerance=h2,
+        name="metric_lower_bound", passed=measured > p.delta - p.h2,
+        measured=measured, bound=p.delta, tolerance=p.h2,
         worst_node=p.opa.node)
 
 
-def check_upper_bound(solution) -> CheckRecord:
+def check_upper_bound(p: CheckPass) -> CheckRecord:
     """max interior (|b| + a + 1) against the boundary quantity S."""
-    p = _pass_for(solution, "upper_bound")
     measured = float(p.val.value)
-    h2 = C_H2 * _h_scale(p.grid) ** 2
     return CheckRecord(
-        name="upper_bound", passed=measured <= p.S + h2, measured=measured,
-        bound=p.S, tolerance=h2, worst_node=p.val.node)
+        name="upper_bound", passed=measured <= p.S + p.h2, measured=measured,
+        bound=p.S, tolerance=p.h2, worst_node=p.val.node)
 
 
-def check_ab_equations(solution) -> CheckRecord:
+def check_ab_equations(p: CheckPass) -> CheckRecord:
     """Residuals of the derived second-order equations for a and b.
 
     h^{ij*} a_{ij*} = h^{ij*}(a_i a_j* + b_j* conj(b)_i)/(1+a) and
@@ -495,7 +479,6 @@ def check_ab_equations(solution) -> CheckRecord:
     so the band is C * h * scale.  The contractions, third-order jets and
     right-hand sides are made one t-chunk at a time (CheckPass).
     """
-    p = _pass_for(solution, "ab_equations")
     p.check_admissible()
     scale = max(1.0, float(p.lhs_a.value), float(p.lhs_b.value))
     tol = C_H1 * _h_scale(p.grid) * scale
@@ -508,11 +491,10 @@ def check_ab_equations(solution) -> CheckRecord:
                "scale": scale})
 
 
-def check_ekq_subharmonic(solution) -> CheckRecord:
+def check_ekq_subharmonic(p: CheckPass) -> CheckRecord:
     """Discrete h^{ij*}-subharmonicity of e^{KQ} where Q < sigma_2(K); the
     allowance reads W = e^{KQ}'s a, Phi_tz and Phi_tt one t-chunk at a
     time (CheckPass)."""
-    p = _pass_for(solution, "ekq_subharmonic")
     if not p.ekq:       # also NaN, where 1 + a = b = 0
         return _vacuous("ekq_subharmonic",
                         f"boundary Q = {p.max_bnd_q} >= 1")
@@ -522,7 +504,7 @@ def check_ekq_subharmonic(solution) -> CheckRecord:
                         "no interior node inside the hypothesis region")
     measured = float(p.hw.value)
     scale = max(1.0, float(p.peak.value))
-    tol = C_H2 * _h_scale(p.grid) ** 2 * scale
+    tol = p.h2 * scale
     return CheckRecord(
         name="ekq_subharmonic", passed=measured >= -tol, measured=measured,
         bound=0.0, tolerance=tol,
@@ -530,10 +512,9 @@ def check_ekq_subharmonic(solution) -> CheckRecord:
                "out_of_hypothesis_nodes": p.n_out})
 
 
-def lq_ratio_report(solution) -> CheckRecord:
+def lq_ratio_report(p: CheckPass) -> CheckRecord:
     """Diagnostic ratio rho = min interior LQ/(eps_tilde Q) for composite Q,
     over the nodes where Q exceeds Q_FLOOR."""
-    p = _pass_for(solution, "lq_ratio")
     if not p.q_finite:
         return _vacuous("lq_ratio", "composite Q not finite")
     p.check_admissible()
@@ -551,8 +532,8 @@ class LadderFold:
     whether the interior max Q stays within the factor-2 band of the
     boundary's, and the least interior 1 + a; per pair of neighbouring
     rungs the largest phi_prev - phi_next and the max-norm gap.  Only the
-    last rung's phi is kept, for the next gap.  The sweep checks take a
-    LadderFold in place of a list of solutions.
+    last rung's phi is kept, for the next gap.  LadderFold(solutions)
+    folds a list.
     """
 
     def __init__(self, rungs=()):
@@ -570,8 +551,8 @@ class LadderFold:
         a, b = spatial_ab(grid, values)
         Q = q_from_ab(a, b)
         self.max_q.append(float(Q.max()))
-        h2 = C_H2 * _h_scale(grid) ** 2
-        self.factor2.append(not Q[1:-1].max() > 2.0 * Q[[0, -1]].max() + h2)
+        self.factor2.append(_within_factor2(
+            Q[1:-1].max(), Q[[0, -1]].max(), C_H2 * _h_scale(grid) ** 2))
         del Q, b
         self.min_one_plus_a.append(float((1.0 + a[1:-1]).min()))
         del a
@@ -582,20 +563,14 @@ class LadderFold:
         self.last = values
 
 
-def _fold_of(sweep) -> LadderFold:
-    """The LadderFold the CLI passes, else one folded from the solutions."""
-    return sweep if isinstance(sweep, LadderFold) else LadderFold(sweep)
-
-
-def check_lambda_monotonicity(
-        sweep: LadderFold | list[Solution]) -> CheckRecord:
+def check_lambda_monotonicity(fold: LadderFold) -> CheckRecord:
     """max-grid Q is non-decreasing along a lambda ladder; Prop-1 band holds."""
-    fold = _fold_of(sweep)
     if len(fold) <= 1:
         return _vacuous("lambda_monotonicity", "ladder of length <= 1",
                         tolerance=MONOTONE_SLACK)
     seq, rung_ok = fold.max_q, all(fold.factor2)
-    worst_drop = max(a - b for a, b in zip(seq, seq[1:]))
+    # np.max, not max: a NaN rung (Q = 0/0) must not be skipped
+    worst_drop = float(np.max(np.subtract(seq[:-1], seq[1:])))
     return CheckRecord(
         name="lambda_monotonicity",
         passed=worst_drop <= MONOTONE_SLACK and rung_ok,
@@ -604,10 +579,8 @@ def check_lambda_monotonicity(
                "factor2_each_rung": bool(rung_ok)})
 
 
-def check_eps_monotone_limit(
-        sweep: LadderFold | list[Solution]) -> CheckRecord:
+def check_eps_monotone_limit(fold: LadderFold) -> CheckRecord:
     """Potentials increase pointwise as epsilon decreases; gaps shrink."""
-    fold = _fold_of(sweep)
     if len(fold) <= 1:
         return _vacuous("eps_monotone_limit", "schedule of length <= 1",
                         tolerance=MONOTONE_SLACK)
@@ -620,10 +593,8 @@ def check_eps_monotone_limit(
         extra={"max_norm_gaps": gaps, "gaps_decreasing": bool(cauchy)})
 
 
-def check_metric_lower_bound_stability(
-        sweep: LadderFold | list[Solution]) -> CheckRecord:
+def check_metric_lower_bound_stability(fold: LadderFold) -> CheckRecord:
     """min interior (1+a) moves by at most STABILITY_SPREAD along a ladder."""
-    fold = _fold_of(sweep)
     if len(fold) <= 1:
         return _vacuous("metric_lower_bound_stability",
                         "schedule of length <= 1", bound=STABILITY_SPREAD)
@@ -635,12 +606,10 @@ def check_metric_lower_bound_stability(
         extra={"min_one_plus_a_per_rung": minima})
 
 
-def jet_map_record(solution) -> CheckRecord:
+def jet_map_record(p: CheckPass) -> CheckRecord:
     """The jet map's record: every interior jet point (Re b, Im b, a) lies
     in C_0, in the intersection of C_gamma over |gamma| <= delta, and in
     {|b| < S - 1 - a}, within the C h^2 band."""
-    p = _pass_for(solution, "jet_map")
-    h2 = C_H2 * _h_scale(p.grid) ** 2
     margin_c0 = float(p.gap.value)
     extra = {"margin_C0": margin_c0, "S": p.S}
     worst = margin_c0
@@ -654,8 +623,8 @@ def jet_map_record(solution) -> CheckRecord:
     margin_s = float(p.upper.value)
     extra["margin_upper"] = margin_s
     worst = max(worst, margin_s)
-    return CheckRecord(name="jet_map", passed=worst <= h2, measured=worst,
-                       bound=0.0, tolerance=h2, extra=extra)
+    return CheckRecord(name="jet_map", passed=worst <= p.h2, measured=worst,
+                       bound=0.0, tolerance=p.h2, extra=extra)
 
 
 def jet_map_export(solution: Solution):

@@ -4,10 +4,16 @@ import pytest
 from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile, make_grid,
                   newton_solve)
 from hcma.grid import CHUNK_NODES
+from hcma.verify import run_checks
 from oracle import FieldRhs
 
 COS_AMP = 0.005
 COS_BOUNDARY = BoundarySpec(phi1=((1, 0, COS_AMP),))
+
+
+def run_check(solution, name):
+    """The record of the one named check, as run_checks makes it."""
+    return run_checks(solution, names=[name])[name]
 
 
 def chunk_grids(modulus):

@@ -12,17 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import (COS_BOUNDARY, closed_form_annulus,
-                      closed_form_constant, manufactured)
+                      closed_form_constant, manufactured, run_check)
 from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile,
                   continuation_solve, lambda_sweep, make_grid, newton_solve)
 from hcma.leaves import leaf_fields, qb_along_leaf, trace_leaf
 from hcma.quantities import sigma_roots
-from hcma.verify import (check_ab_equations, check_convexity,
-                         check_ekq_subharmonic, check_eps_monotone_limit,
-                         check_lambda_monotonicity, check_max_principle_Q,
-                         check_metric_lower_bound, check_u_identity,
-                         check_upper_bound, check_weighted_max_principle,
-                         lq_ratio_report, q_field)
+from hcma.verify import (LadderFold, check_eps_monotone_limit,
+                         check_lambda_monotonicity, check_u_identity)
 from oracle import (FlatJet, TorusPointState, general_flat_state, m_matrix,
                     rk4_path)
 
@@ -87,7 +83,7 @@ def test_criterion_02_manufactured_convergence():
 def test_criterion_03_convexity_preservation(eps_runs):
     worst = []
     for eps, sol in eps_runs.items():
-        rec = check_convexity(sol)
+        rec = run_check(sol, "convexity")
         worst.append((eps, rec.passed, rec.measured))
     ok = all(p for _, p, _ in worst)
     report(3, "convexity preservation", ok,
@@ -99,8 +95,8 @@ def test_criterion_04_max_principle_Q(eps_runs):
     ident = check_u_identity(2 * np.e)
     ok &= ident.passed
     for eps, sol in eps_runs.items():
-        plain = check_max_principle_Q(sol)
-        weighted = check_weighted_max_principle(sol)
+        plain = run_check(sol, "max_principle_Q")
+        weighted = run_check(sol, "weighted_max_principle")
         ok &= plain.passed and plain.extra["factor2_pass"] and weighted.passed
         details.append(f"eps={eps:g} Q {plain.measured:.2e} <= "
                        f"{plain.bound:.2e}+tol")
@@ -111,7 +107,7 @@ def test_criterion_04_max_principle_Q(eps_runs):
 def test_criterion_05_lower_bound(eps_runs):
     minima, ok = [], True
     for eps, sol in eps_runs.items():
-        rec = check_metric_lower_bound(sol)
+        rec = run_check(sol, "metric_lower_bound")
         ok &= rec.passed
         minima.append(rec.measured)
     spread = max(abs(a - b) for a in minima for b in minima)
@@ -124,7 +120,7 @@ def test_criterion_05_lower_bound(eps_runs):
 def test_criterion_06_upper_bound(eps_runs):
     ok, details = True, []
     for eps, sol in eps_runs.items():
-        rec = check_upper_bound(sol)
+        rec = run_check(sol, "upper_bound")
         ok &= rec.passed
         details.append(f"eps={eps:g} {rec.measured:.4f} <= "
                        f"{rec.bound:.4f}+{rec.tolerance:.1e}")
@@ -163,7 +159,7 @@ def test_criterion_08_derived_pde_residuals():
     for nt, nx, ny in [(9, 16, 16), (17, 32, 32)]:
         g = make_grid(nt, nx, ny)
         sol = newton_solve(g, COS_BOUNDARY, AnnulusProfile(1e-3))
-        rec = check_ab_equations(sol)
+        rec = run_check(sol, "ab_equations")
         res.append(rec.measured)
         assert rec.passed
     slope = np.log2(res[0] / res[1])
@@ -175,7 +171,7 @@ def test_criterion_08_derived_pde_residuals():
 def test_criterion_09_ekq_subharmonic(eps_runs):
     ok, details = True, []
     for eps, sol in eps_runs.items():
-        rec = check_ekq_subharmonic(sol)
+        rec = run_check(sol, "ekq_subharmonic")
         ok &= rec.passed and not rec.vacuous
         details.append(f"eps={eps:g} K={rec.extra['K']} "
                        f"min {rec.measured:.2e} >= -{rec.tolerance:.1e}")
@@ -185,8 +181,8 @@ def test_criterion_09_ekq_subharmonic(eps_runs):
 def test_criterion_10_continuity_machinery(grid_mid, eps_sweep):
     sols = lambda_sweep(grid_mid, COS_BOUNDARY, [0, 0.25, 0.5, 0.75, 1.0],
                         AnnulusProfile(1e-3))
-    lam = check_lambda_monotonicity(sols)
-    eps = check_eps_monotone_limit(eps_sweep)
+    lam = check_lambda_monotonicity(LadderFold(sols))
+    eps = check_eps_monotone_limit(LadderFold(eps_sweep))
     ok = lam.passed and eps.passed and eps.extra["gaps_decreasing"]
     report(10, "continuity machinery (lambda ladder, eps schedule)", ok,
            f"max-Q drops {lam.measured:.1e} <= 1e-8; eps worst increase "
@@ -198,7 +194,7 @@ def test_criterion_11_lq_ratio_stability(eps_sweep):
     # witness of LQ >= -C eps Q: C_k = max(0, -rho_k) per rung; the implied
     # constants must agree across the schedule within a factor 2 (plus a
     # floor so that all-zero constants trivially agree)
-    rhos = [lq_ratio_report(sol).measured for sol in eps_sweep]
+    rhos = [run_check(sol, "lq_ratio").measured for sol in eps_sweep]
     consts = [max(0.0, -r) for r in rhos]
     floor = 1e-6
     ok = max(consts) <= 2.0 * min(consts) + floor
