@@ -110,15 +110,15 @@ def cmd_solve(args) -> int:
             os.path.join(out, "summary.json"))
         return _fail(EXIT_SOLVER, f"solver failed: {last.message}")
 
-    a, b = spatial_ab(last.grid, last.phi.values)
+    fold = LadderFold([last])
     summary = {
         "meta": solution_meta(last, config.seed),
         "checks": [],
         "summary": {
             "final_residual": last.final_residual,
             "iterations": last.iterations,
-            "min_one_plus_a": float((1.0 + a[1:-1]).min()),
-            "max_Q": float(q_from_ab(a, b).max()),
+            "min_one_plus_a": fold.min_one_plus_a[0],
+            "max_Q": fold.max_q[0],
             "snapshots": names,
         },
     }

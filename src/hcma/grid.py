@@ -195,13 +195,15 @@ def dt2(grid: Grid, v: np.ndarray) -> np.ndarray:
 
 # --- Wirtinger combinations --------------------------------------------------
 
-def wirt_z(grid: Grid, v: np.ndarray, p: np.ndarray | None = None):
+def wirt_z(grid: Grid, v: np.ndarray):
     c1, c2 = grid.lattice.dz_coefficients
+    p = _wrap(v)
     return c1 * dx1(grid, v, p) + c2 * dy1(grid, v, p)
 
 
-def wirt_zbar(grid: Grid, v: np.ndarray, p: np.ndarray | None = None):
+def wirt_zbar(grid: Grid, v: np.ndarray):
     c1, c2 = grid.lattice.dz_coefficients
+    p = _wrap(v)
     return np.conj(c1) * dx1(grid, v, p) + np.conj(c2) * dy1(grid, v, p)
 
 

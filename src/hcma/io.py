@@ -37,6 +37,8 @@ from .solver import (AnnulusProfile, BoundarySpec, ConstantProfile, Solution,
 
 MAGIC = b"HCMASNAP"
 SNAPSHOT_VERSION = 1
+# the header: the module docstring's fields up to the config echo
+_HEADER = struct.Struct("<8s4I2d2IdI")
 
 
 class ConfigError(ValueError):
@@ -256,13 +258,10 @@ class Snapshot:
     def save(self, path) -> None:
         cfg = self.config_text.encode("utf-8")
         with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<IIII", SNAPSHOT_VERSION,
-                                 self.nt, self.nx, self.ny))
-            fh.write(struct.pack("<dd", self.modulus.real, self.modulus.imag))
-            fh.write(struct.pack("<IId", int(self.converged),
-                                 self.iterations, self.final_residual))
-            fh.write(struct.pack("<I", len(cfg)))
+            fh.write(_HEADER.pack(
+                MAGIC, SNAPSHOT_VERSION, self.nt, self.nx, self.ny,
+                self.modulus.real, self.modulus.imag, int(self.converged),
+                self.iterations, self.final_residual, len(cfg)))
             fh.write(cfg)
             # the array's own buffer: no copy unless it is strided or not
             # little-endian float64
@@ -270,29 +269,30 @@ class Snapshot:
 
     @classmethod
     def load(cls, path) -> "Snapshot":
+        """The snapshot at path; its values are a read-only view of the
+        file's bytes, so the payload is held once."""
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
         except OSError as exc:
             raise SnapshotError(f"cannot read snapshot {path}: {exc}") from None
-        if len(raw) < 60 or raw[:8] != MAGIC:
+        if len(raw) < _HEADER.size or raw[:8] != MAGIC:
             raise SnapshotError("bad snapshot magic")
-        version, nt, nx, ny = struct.unpack_from("<IIII", raw, 8)
+        (_, version, nt, nx, ny, mre, mim, conv, iters, res,
+         cfg_len) = _HEADER.unpack_from(raw)
         if version != SNAPSHOT_VERSION:
             raise SnapshotError(f"unsupported snapshot version {version}")
-        mre, mim = struct.unpack_from("<dd", raw, 24)
-        conv, iters, res = struct.unpack_from("<IId", raw, 40)
-        (cfg_len,) = struct.unpack_from("<I", raw, 56)
+        # where the payload starts; an echo length past the end leaves none
+        offset = min(_HEADER.size + cfg_len, len(raw))
         try:
-            cfg = raw[60:60 + cfg_len].decode("utf-8")
+            cfg = raw[_HEADER.size:offset].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SnapshotError(f"config echo is not UTF-8: {exc}") from None
         n = nt * nx * ny
-        body = raw[60 + cfg_len:]
-        if len(body) != 8 * n:
-            raise SnapshotError(
-                f"snapshot payload {len(body)} bytes, expected {8 * n}")
-        values = np.frombuffer(body, dtype="<f8").reshape(nt, nx, ny).copy()
+        if len(raw) - offset != 8 * n:
+            raise SnapshotError(f"snapshot payload {len(raw) - offset} bytes, "
+                                f"expected {8 * n}")
+        values = np.frombuffer(raw, "<f8", n, offset).reshape(nt, nx, ny)
         return cls(config_text=cfg, nt=nt, nx=nx, ny=ny,
                    modulus=complex(mre, mim), converged=bool(conv),
                    iterations=iters, final_residual=res, values=values)

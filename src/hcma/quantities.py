@@ -28,29 +28,21 @@ class InfeasibleKError(ValueError):
     """No K can dominate a boundary Q that reaches 1."""
 
 
-def _a_abs_b(boundary_jets):
-    """(a, |b|) arrays of boundary (a, b) pairs: an (N, 2) array or a list."""
-    pairs = np.asarray(boundary_jets, dtype=complex).reshape(-1, 2)
-    if not len(pairs):
-        raise ValueError("empty boundary jet list")
-    return pairs[:, 0].real, np.abs(pairs[:, 1])
+def boundary_S(a, b) -> float:
+    """max over boundary of (a + 1 + |b|) from the boundary planes' a and
+    b; bounds |b| + a + 1 in the interior."""
+    return float((a + 1.0 + np.abs(b)).max())
 
 
-def boundary_S(boundary_jets) -> float:
-    """max over boundary of (a + 1 + |b|); bounds |b| + a + 1 in the interior."""
-    a, abs_b = _a_abs_b(boundary_jets)
-    return float((a + 1.0 + abs_b).max())
-
-
-def boundary_delta(boundary_jets) -> float:
-    """Boundary gap delta = min over boundary of ((1 + a) - |b|).
+def boundary_delta(a, b) -> float:
+    """Boundary gap delta = min over boundary of ((1 + a) - |b|), from the
+    boundary planes' a and b.
 
     For every |gamma| <= gamma' < delta the shifted quantity q_gamma stays
     below 1 on the whole boundary; the interior metric bound 1 + a > delta
     follows.  Raises when the boundary is not strictly omega_0-convex.
     """
-    a, abs_b = _a_abs_b(boundary_jets)
-    delta = float(((1.0 + a) - abs_b).min())
+    delta = float(((1.0 + a) - np.abs(b)).min())
     if delta <= 0.0:
         raise NonConvexBoundaryError(
             f"boundary gap {delta} <= 0: data not strictly omega_0-convex")

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (_wrap, plane_jets, spatial_ab, strip_jets, t_chunks,
-                   wirt_parts, wirt_z, wirt_zbar)
+from .grid import (plane_jets, spatial_ab, strip_jets, t_chunks, wirt_parts,
+                   wirt_z, wirt_zbar)
 from .quantities import (InadmissibleError, NonConvexBoundaryError, apply_L,
                          boundary_S, boundary_delta, check_frame, choose_K,
                          h_contract, sigma_roots, strip_frame)
@@ -188,13 +188,11 @@ class CheckPass:
         names = set(names)
         # boundary planes t = 0 and t = 1: spatial jets only
         a_bnd, b_bnd = spatial_ab(grid, values[[0, -1]])
-        pairs = np.column_stack([a_bnd.ravel(), b_bnd.ravel()])
-        self.S = boundary_S(pairs)
+        self.S = boundary_S(a_bnd, b_bnd)
         try:
-            self.delta, self.delta_note = boundary_delta(pairs), ""
+            self.delta, self.delta_note = boundary_delta(a_bnd, b_bnd), ""
         except NonConvexBoundaryError as exc:
             self.delta, self.delta_note = None, str(exc)
-        del pairs
         self.plane_q = np.empty(grid.nt)        # max Q of each t-plane
         self.plane_q[[0, -1]] = q_from_ab(a_bnd, b_bnd).max(axis=(1, 2))
         self.max_bnd_q = float(self.plane_q[[0, -1]].max())
@@ -321,13 +319,13 @@ class CheckPass:
         for j in range(len(lhs_a)):           # grid t-plane i0 + j
             f = g[j], m_r[j] + 1j * m_i[j], q[j]
             a_j, b_j = a_w[j + 1:j + 2], b_w[j + 1:j + 2]
-            # third-order jets: wirt_z(a), wirt_zbar(b), each on one pad of
-            # its plane, and the central t-differences of dt1; strip frame,
+            # third-order jets: wirt_z(a), wirt_zbar(b) of its plane, and
+            # the central t-differences of dt1; strip frame,
             # Im(zeta)-independent, so d/dzeta = d/dzetabar = (d/dt)/2
             u = (0.5 * ((a_w[j + 2] - a_w[j]) / two_ht),
-                 wirt_z(grid, a_j, _wrap(a_j))[0])
+                 wirt_z(grid, a_j)[0])
             w = (0.5 * ((b_w[j + 2] - b_w[j]) / two_ht),
-                 wirt_zbar(grid, b_j, _wrap(b_j))[0])
+                 wirt_zbar(grid, b_j)[0])
             (x, y), (xw, yw) = _adj_h(*f, *u), _adj_h(*f, *map(np.conj, w))
             # h^{ij*} a_i a_j* + h^{ij*} b_j* conj(b)_i, and h^{ij*} a_i b_j*
             rhs_a = (((np.conj(u[0]) * x + np.conj(u[1]) * y) / det[j]).real

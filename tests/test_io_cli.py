@@ -568,6 +568,23 @@ class TestCliEndToEnd:
         assert cli.main(["plotdata", "--snapshot", snap, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "jetmap.csv"))
 
+    @pytest.mark.parametrize("modulus", ["0.0+1.0j", "0.3+1.1j"])
+    def test_solve_summary_reads_the_snapshot(self, tmp_path, modulus):
+        """summary.json's min_one_plus_a (interior) and max_Q (whole grid)
+        are those of the a and b of the snapshot it names, bitwise."""
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace(
+            "[grid]\n", f"[grid]\nmodulus = {modulus}\n"))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())["summary"]
+        snap = Snapshot.load(out / summary["snapshots"][-1])
+        grid = make_grid(snap.nt, snap.nx, snap.ny, snap.modulus)
+        a, b = wirt_zzbar(grid, snap.values), wirt_zz(grid, snap.values)
+        assert snap.modulus == complex(modulus)
+        assert summary["min_one_plus_a"] == float((1.0 + a[1:-1]).min())
+        assert summary["max_Q"] == float(
+            (np.abs(b) ** 2 / (1.0 + a) ** 2).max())
+
     def test_jetmap_cells_are_plain_floats(self, tmp_path):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")

@@ -207,6 +207,23 @@ def test_snapshot_save_copies_no_grid(tmp_path, sol_cos):
         sol_cos.phi.values.tobytes())
 
 
+def test_snapshot_load_holds_the_payload_once(tmp_path):
+    """Snapshot.load views the payload in the file's bytes: its peak on a
+    33x64x64 snapshot is 1.00 payloads, where a slice of the payload and a
+    copy of that made it 3.00.  The bound leaves a 10% margin."""
+    values = np.random.default_rng(0).standard_normal((33, 64, 64))
+    Snapshot(ExperimentConfig().serialize(), *values.shape, 1j, True, 3,
+             1e-12, values).save(tmp_path / "a.snap")
+    tracemalloc.start()
+    try:
+        back = Snapshot.load(tmp_path / "a.snap")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * values.nbytes
+    assert back.values.tobytes() == values.tobytes()
+
+
 def test_rhs_floor_copies_no_grid():
     """rhs_floor reads the broadcast right-hand side in place: 8 B per
     node would be its copy."""

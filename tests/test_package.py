@@ -74,3 +74,15 @@ def test_a_failing_hypothesis_test_reads_as_one_failure(tmp_path):
     out = proc.stdout + proc.stderr
     assert "INTERNALERROR" not in out
     assert "1 failed" in out and proc.returncode == 1, out
+
+
+def test_no_module_of_the_package_imports_a_private_name():
+    """A name with a leading underscore stays in the hcma module that
+    defines it: no other module of the package imports one."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("hcma")):
+                private = [a.name for a in node.names
+                           if a.name.startswith("_")]
+                assert not private, f"{path.name} imports {private}"

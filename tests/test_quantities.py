@@ -62,23 +62,25 @@ class TestQGammaAndCones:
 
 class TestBoundaryQuantities:
     def test_S(self):
-        assert boundary_S([(0, 0)]) == 1.0
-        assert boundary_S([(0, 0.2)]) == pytest.approx(1.2)
-        assert boundary_S([(-0.1, 0.0), (0.3, 0.4 + 0.3j)]) == pytest.approx(1.8)
+        assert boundary_S(np.zeros(1), np.zeros(1)) == 1.0
+        assert boundary_S(np.zeros(1), np.array([0.2])) == pytest.approx(1.2)
+        assert boundary_S(np.array([-0.1, 0.3]),
+                          np.array([0.0, 0.4 + 0.3j])) == pytest.approx(1.8)
 
     def test_delta(self):
-        assert boundary_delta([(0, 0)]) == 1.0
-        assert boundary_delta([(0.0, 0.2), (-0.1, 0.0)]) == pytest.approx(0.8)
+        assert boundary_delta(np.zeros(1), np.zeros(1)) == 1.0
+        assert boundary_delta(np.array([0.0, -0.1]),
+                              np.array([0.2, 0.0])) == pytest.approx(0.8)
 
     def test_delta_nonconvex(self):
         with pytest.raises(NonConvexBoundaryError):
-            boundary_delta([(0, 1.0)])
+            boundary_delta(np.zeros(1), np.ones(1))
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            boundary_S([])
+            boundary_S(np.zeros(0), np.zeros(0))
         with pytest.raises(ValueError):
-            boundary_delta([])
+            boundary_delta(np.zeros(0), np.zeros(0))
 
 
 class TestSigmaAlgebra:

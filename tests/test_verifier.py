@@ -587,10 +587,9 @@ def whole_grid_records(sol):
     a, b = wirt_zzbar(grid, v), wirt_zz(grid, v)
     opa = 1.0 + a
     Q = q_of(sol)
-    pairs = np.column_stack([a[[0, -1]].ravel(), b[[0, -1]].ravel()])
-    S = boundary_S(pairs)
+    S = boundary_S(a[[0, -1]], b[[0, -1]])
     try:
-        delta, delta_note = boundary_delta(pairs), ""
+        delta, delta_note = boundary_delta(a[[0, -1]], b[[0, -1]]), ""
     except NonConvexBoundaryError as exc:
         delta, delta_note = None, str(exc)
     least = np.unravel_index(np.argmin(opa), opa.shape)
