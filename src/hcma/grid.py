@@ -144,23 +144,20 @@ def _wrap(*blocks: np.ndarray) -> np.ndarray:
     return p
 
 
-# dx1, dy1 and second_diffs take an optional p, v's _wrap(v) copy, so one
-# padded copy serves all three stencils; without it each pads v itself.
+# dx1, dy1 and second_diffs difference p, the _wrap copy of the array
+# they act on, so one pad serves all three; each jet reader pads its input.
 
-def dx1(grid: Grid, v: np.ndarray, p: np.ndarray | None = None):
-    p = _wrap(v) if p is None else p
+def dx1(grid: Grid, p: np.ndarray):
     return (p[:, 2:, 1:-1] - p[:, :-2, 1:-1]) / (2 * grid.hx)
 
 
-def dy1(grid: Grid, v: np.ndarray, p: np.ndarray | None = None):
-    p = _wrap(v) if p is None else p
+def dy1(grid: Grid, p: np.ndarray):
     return (p[:, 1:-1, 2:] - p[:, 1:-1, :-2]) / (2 * grid.hy)
 
 
-def second_diffs(grid: Grid, v: np.ndarray, p: np.ndarray | None = None):
-    """(d_xx, d_xy, d_yy) of v from one periodically padded copy: central
-    second differences and the 4-point centered cross stencil."""
-    p = _wrap(v) if p is None else p
+def second_diffs(grid: Grid, p: np.ndarray):
+    """(d_xx, d_xy, d_yy) of v from p = _wrap(v): central second
+    differences and the 4-point centered cross stencil."""
     c = p[:, 1:-1, 1:-1]                                # v itself
     return ((p[:, 2:, 1:-1] - 2 * c + p[:, :-2, 1:-1]) / grid.hx**2,
             (p[:, 2:, 2:] - p[:, 2:, :-2] - p[:, :-2, 2:]
@@ -198,13 +195,13 @@ def dt2(grid: Grid, v: np.ndarray) -> np.ndarray:
 def wirt_z(grid: Grid, v: np.ndarray):
     c1, c2 = grid.lattice.dz_coefficients
     p = _wrap(v)
-    return c1 * dx1(grid, v, p) + c2 * dy1(grid, v, p)
+    return c1 * dx1(grid, p) + c2 * dy1(grid, p)
 
 
 def wirt_zbar(grid: Grid, v: np.ndarray):
     c1, c2 = grid.lattice.dz_coefficients
     p = _wrap(v)
-    return np.conj(c1) * dx1(grid, v, p) + np.conj(c2) * dy1(grid, v, p)
+    return np.conj(c1) * dx1(grid, p) + np.conj(c2) * dy1(grid, p)
 
 
 def wirt_parts(grid: Grid, px, py):
@@ -215,46 +212,44 @@ def wirt_parts(grid: Grid, px, py):
     return c1.real * px + c2.real * py, c1.imag * px + c2.imag * py
 
 
-# wirt_zz and wirt_zzbar take an optional diffs, v's second_diffs, so a
-# caller that needs both takes the differences of v once.
-
-def wirt_zz(grid: Grid, v: np.ndarray, diffs=None) -> np.ndarray:
+def wirt_zz(grid: Grid, diffs) -> np.ndarray:
+    """Phi_zz from the second_diffs triple of Phi."""
     c1, c2 = grid.lattice.dz_coefficients
-    xx, xy, yy = second_diffs(grid, v) if diffs is None else diffs
+    xx, xy, yy = diffs
     return c1**2 * xx + 2 * c1 * c2 * xy + c2**2 * yy
 
 
-def wirt_zzbar(grid: Grid, v: np.ndarray, diffs=None) -> np.ndarray:
+def wirt_zzbar(grid: Grid, diffs) -> np.ndarray:
+    """Phi_zzbar from the second_diffs triple of Phi."""
     c1, c2 = grid.lattice.dz_coefficients
-    xx, xy, yy = second_diffs(grid, v) if diffs is None else diffs
+    xx, xy, yy = diffs
     return (abs(c1)**2 * xx + 2 * (c1 * np.conj(c2)).real * xy
             + abs(c2)**2 * yy)
 
 
 def spatial_ab(grid: Grid, v: np.ndarray):
-    """(a, b) = (wirt_zzbar, wirt_zz) of v, from one second_diffs."""
-    diffs = second_diffs(grid, v)
-    return wirt_zzbar(grid, v, diffs), wirt_zz(grid, v, diffs)
+    """(a, b) = (Phi_zzbar, Phi_zz) of v, from one periodic pad of v."""
+    diffs = second_diffs(grid, _wrap(v))
+    return wirt_zzbar(grid, diffs), wirt_zz(grid, diffs)
 
 
 def plane_jets(grid: Grid, w: np.ndarray):
     """(a, b, d_x, d_y) of a real field on the t-planes w: bitwise the
-    whole-grid wirt_zzbar, wirt_zz, dx1 and dy1, differenced on one
-    periodic pad of w."""
+    whole-grid spatial_ab, dx1 and dy1, differenced on one periodic pad
+    of w."""
     p = _wrap(w)
-    diffs = second_diffs(grid, w, p)
-    return (wirt_zzbar(grid, w, diffs), wirt_zz(grid, w, diffs),
-            dx1(grid, w, p), dy1(grid, w, p))
+    diffs = second_diffs(grid, p)
+    return (wirt_zzbar(grid, diffs), wirt_zz(grid, diffs),
+            dx1(grid, p), dy1(grid, p))
 
 
 def strip_jets(grid: Grid, window: np.ndarray):
     """(a, d_x, d_y) of a real field on an (n+2)-plane window of its
-    values: wirt_zzbar on the planes 1..n, dx1 and dy1 on every plane, all
-    from one periodic pad of the window, bitwise the whole-grid values."""
+    values: a on the planes 1..n, d_x and d_y on every plane, all from
+    one periodic pad of the window, bitwise the whole-grid values."""
     p = _wrap(window)
-    w = window[1:-1]
-    return (wirt_zzbar(grid, w, second_diffs(grid, w, p[1:-1])),
-            dx1(grid, window, p), dy1(grid, window, p))
+    return (wirt_zzbar(grid, second_diffs(grid, p[1:-1])),
+            dx1(grid, p), dy1(grid, p))
 
 
 def second_order_stencil(grid: Grid, g, m, q):
@@ -341,7 +336,11 @@ def second_order_stencil(grid: Grid, g, m, q):
 # --- fields ------------------------------------------------------------------
 
 class ScalarField:
-    """Real-valued function sampled on a Grid; immutable after construction."""
+    """Real-valued function sampled on a Grid; immutable after construction.
+
+    It holds a copy of the values, unless they are already immutable: a
+    read-only view of a bytes object, as Snapshot.load gives, is held as
+    it is, since no alias of it can write."""
 
     def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -350,20 +349,15 @@ class ScalarField:
                 f"value count {values.size} != node count {grid.n_nodes}")
         if not np.all(np.isfinite(values)):
             raise GridError("field contains non-finite values")
-        values = values.reshape(grid.shape).copy()
-        values.setflags(write=False)
+        values = values.reshape(grid.shape)
+        root = values
+        while isinstance(root, np.ndarray):
+            root = root.base
+        if values.flags.writeable or not isinstance(root, bytes):
+            values = values.copy()
+            values.setflags(write=False)
         self.grid = grid
         self.values = values
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarField":
-        return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        t, x, y = np.meshgrid(grid.t_values, grid.x_values, grid.y_values,
-                              indexing="ij")
-        return cls(grid, fn(t, x, y))
 
 
 def interpolate_array(grid: Grid, values: np.ndarray, t: float, x: float,

@@ -326,14 +326,12 @@ def _finite_or_null(obj):
     return obj
 
 
-def report_json(report_dict: dict, timestamp: bool = True) -> str:
+def report_json(report_dict: dict) -> str:
     """Deterministic, strict JSON: a non-finite number is written as null.
     The timestamp lives in its own meta field so comparisons can strip it."""
     out = dict(report_dict)
-    meta = dict(out.get("meta", {}))
-    if timestamp:
-        meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-    out["meta"] = meta
+    out["meta"] = {**out.get("meta", {}),
+                   "timestamp": datetime.now(timezone.utc).isoformat()}
     return json.dumps(_finite_or_null(out), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
 

@@ -16,8 +16,7 @@ import math
 
 import numpy as np
 
-from .grid import (ScalarField, second_order_stencil, strip_jets, t_chunks,
-                   wirt_parts)
+from .grid import second_order_stencil, strip_jets, t_chunks, wirt_parts
 
 
 class NonConvexBoundaryError(ValueError):
@@ -113,33 +112,25 @@ def check_frame(frame, g_floor: float = 0.0, det_floor: float = 0.0):
     return frame
 
 
-def admissible_frame(phi: ScalarField):
-    """strip_h of phi's interior, checked by check_frame."""
-    return check_frame(strip_h(phi.grid, phi.values))
-
-
 def h_contract(grid, values, frame):
-    """h^{ij*} w_{ij*} of a (possibly complex) array w on the planes of a
-    strip frame.
+    """h^{ij*} w_{ij*} of each (possibly complex) array w of the tuple
+    values on the planes of a strip frame, as a tuple in the same order.
 
     Second derivatives of w are realized through the strip identities
     w_zetazetabar = w_tt/4, w_zeta zbar = w_tzbar/2 (w s-independent);
     the contraction is tr(inv(H) @ W) with the h-matrix of the frame the
-    caller passes: admissible_frame(phi) for the interior, or the
-    strip_frame of one t-chunk's window.  w is the window of those planes and
-    their two neighbours; the stencil raises ValueError on any other shape.
-    values may be a tuple of arrays: they share one stencil, and a tuple of
-    results comes back.
+    caller passes: the checked strip_h of the interior, or the strip_frame
+    of one t-chunk's window.  Each w is the window of those planes and
+    their two neighbours; the stencil raises ValueError on any other
+    shape.  The arrays share one stencil.
     """
-    many = isinstance(values, tuple)
-    values = values if many else (values,)
     apply = second_order_stencil(grid, *frame[:3])
     out = [apply(v[1:-1], v[0], v[-1]) for v in values]
     del apply           # its arrays, before 4 det h is made
     det4 = 4.0 * frame[3]
     for o in out:
         o /= det4
-    return tuple(out) if many else out[0]
+    return tuple(out)
 
 
 def apply_L(grid, values: np.ndarray, frame, eps_tilde):

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field as dc_field, fields as dc_fields
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grid import (Grid, GridError, ScalarField, dx1, dy1,
-                   second_order_stencil, wirt_parts, wirt_zzbar)
+from .grid import (Grid, GridError, ScalarField, plane_jets,
+                   second_order_stencil, wirt_parts)
 from .quantities import (InadmissibleError, NonConvexBoundaryError,
-                         admissible_frame, check_frame, strip_h)
+                         check_frame, strip_h)
 
 LINEAR_RTOL = 1e-12    # floor of the forcing term of each Newton linear solve
 
@@ -198,7 +198,7 @@ class Solution:
     @property
     def admissible(self) -> bool:
         try:
-            admissible_frame(self.phi)
+            check_frame(strip_h(self.grid, self.phi.values))
         except InadmissibleError:
             return False
         return True
@@ -308,7 +308,7 @@ class _SeparablePreconditioner:
 
 def _solve_linear(jacobian, preconditioner, rhs, rtol: float) -> np.ndarray:
     """Solve jacobian(x) = rhs to relative residual <= rtol, Newton's
-    forcing term, by GMRES restarted every 20 iterations, 60 times at most,
+    forcing term, by GMRES restarted every 10 iterations, 120 times at most,
     with preconditioner.solve: the pair linearize returns.  The only code
     that builds scipy operators.
 
@@ -326,10 +326,10 @@ def _solve_linear(jacobian, preconditioner, rhs, rtol: float) -> np.ndarray:
         return np.zeros_like(rhs)
     A, M = (spla.LinearOperator((rhs.size,) * 2, matvec=f, dtype=float)
             for f in (jacobian, preconditioner.solve))
-    restart = 20
+    restart = 10
     try:
         x, info = spla.gmres(A, rhs, M=M, rtol=rtol, atol=0.0,
-                             restart=restart, maxiter=60)
+                             restart=restart, maxiter=120)
     except MemoryError as exc:
         raise SolverError(f"out of memory for a gmres workspace of "
                           f"{(restart + 1) * rhs.size * 8} bytes") from exc
@@ -351,18 +351,19 @@ def default_initial_guess(grid: Grid, boundary: BoundarySpec, profile) -> Scalar
 
     On each interior t-plane the dt2 second difference of psi is the plane
     max of (eps_tilde + 4|m|^2)/g over the blend's strip_h frame, read off
-    the boundary planes as the blend is linear in t: g = 1 + a blends
-    theirs, 4|m|^2 = |d_z (phi1 - phi0)|^2.  psi depends on t only, so it
+    the boundary planes as the blend is linear in t (one plane_jets of
+    phi0, phi1 and phi1 - phi0): g = 1 + a blends theirs, 4|m|^2 =
+    |d_z (phi1 - phi0)|^2.  psi depends on t only, so it
     leaves g and m unchanged, and 4 det h = Phi_tt g - 4|m|^2 >= eps_tilde
     at every interior node: the start is admissible wherever the blend has
     1 + a > 0.  Where it has not, check_frame rejects the start.
     """
     t = grid.t_values[:, None, None]
-    p0, p1 = boundary.evaluate(grid, 0)[None], boundary.evaluate(grid, 1)[None]
-    tz = wirt_parts(grid, dx1(grid, p1 - p0), dy1(grid, p1 - p0))  # Phi_tz
+    p0, p1 = boundary.evaluate(grid, 0), boundary.evaluate(grid, 1)
+    a, _, d_x, d_y = plane_jets(grid, np.stack([p0, p1, p1 - p0]))
+    tz = wirt_parts(grid, d_x[2], d_y[2])                   # Phi_tz
     need = (tz[0] * tz[0] + tz[1] * tz[1]) + profile.rhs_on(grid)[1:-1]
-    g = 1.0 + ((1.0 - t[1:-1]) * wirt_zzbar(grid, p0)
-               + t[1:-1] * wirt_zzbar(grid, p1))
+    g = 1.0 + ((1.0 - t[1:-1]) * a[0] + t[1:-1] * a[1])
     np.divide(need, g, out=need, where=g > 0.0)   # no psi helps where g <= 0
     # psi's second differences are ht^2 times the plane maxima: summed once
     # they are its first differences (up to a constant), summed twice psi

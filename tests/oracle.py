@@ -12,7 +12,8 @@ and the non-negative terms E, P, T for an arbitrary complex dimension n
 with flat background metric; at n = 1 it must agree with the torus layer.
 composite_q_field, rk4_path and FieldRhs are the whole-grid composite Q,
 a plain RK4 path and a field-valued right-hand side for manufactured
-solutions, which only tests use.
+solutions; field_from, zero_field and admissible_frame build a sampled
+field and the checked strip frame of its interior.  Only tests use them.
 
 Index conventions: g^{ab*} is stored as the matrix conj(inv(G)) where
 G[a, b] = g_{ab*}; with that choice any contraction h^{ij*} X_{ij*} of
@@ -29,6 +30,7 @@ import numpy as np
 from hcma.grid import (Grid, GridError, ScalarField, dt1, dt2, plane_jets,
                        wirt_parts, wirt_z, wirt_zbar)
 from hcma.leaves import _rk4_steps
+from hcma.quantities import check_frame, strip_h
 from hcma.solver import Solution
 from hcma.verify import _composite_q
 
@@ -306,6 +308,22 @@ def flat_jet_from_torus(jet: Jet) -> FlatJet:
 
 
 # --- whole-grid references --------------------------------------------------
+
+def field_from(grid: Grid, fn) -> ScalarField:
+    """The field fn(t, x, y) sampled on the grid's nodes."""
+    t, x, y = np.meshgrid(grid.t_values, grid.x_values, grid.y_values,
+                          indexing="ij")
+    return ScalarField(grid, fn(t, x, y))
+
+
+def zero_field(grid: Grid) -> ScalarField:
+    return ScalarField(grid, np.zeros(grid.shape))
+
+
+def admissible_frame(phi: ScalarField):
+    """strip_h of phi's interior, checked by check_frame."""
+    return check_frame(strip_h(phi.grid, phi.values))
+
 
 def composite_q_field(solution: Solution) -> np.ndarray:
     """Composite Q = Q_A + Q_B + Q_G on the whole grid (spatial jets only);

@@ -11,13 +11,9 @@ from conftest import chunk_grids
 from hcma.grid import (DegenerateLatticeError, DimensionTooSmallError,
                        ScalarField, _wrap, dt1, dt2, dx1, dy1,
                        interpolate_array, make_grid, plane_jets,
-                       second_order_stencil, strip_jets, t_chunks,
-                       wirt_parts, wirt_z, wirt_zbar, wirt_zz, wirt_zzbar)
-from oracle import wirtinger_jet
-
-
-def field_from(grid, fn):
-    return ScalarField.from_function(grid, fn)
+                       second_order_stencil, spatial_ab, strip_jets,
+                       t_chunks, wirt_parts, wirt_z, wirt_zbar)
+from oracle import field_from, wirtinger_jet, zero_field
 
 
 class TestMakeGrid:
@@ -61,6 +57,28 @@ class TestMakeGrid:
         # d/dz = (d/dx - i d/dy)/2 on the square lattice
         assert c1 == pytest.approx(0.5)
         assert c2 == pytest.approx(-0.5j)
+
+
+class TestScalarField:
+    def test_holds_only_an_immutable_buffer_without_a_copy(self):
+        # a writeable array, a read-only view of one and a read-only view
+        # of a bytearray can all be changed through an alias, so each is
+        # copied; a read-only view of bytes cannot, so it is held as given
+        g = make_grid(3, 4, 4)
+        v = np.arange(48.0).reshape(g.shape)
+        ro = v.view()
+        ro.setflags(write=False)
+        buf = bytearray(v.tobytes())
+        for arr in (v, ro, np.frombuffer(buf).reshape(g.shape)):
+            arr.setflags(write=False)
+            fld = ScalarField(g, arr)
+            assert not np.shares_memory(fld.values, arr)
+            assert not fld.values.flags.writeable
+            assert fld.values.tobytes() == v.tobytes()
+        held = np.frombuffer(v.tobytes()).reshape(g.shape)
+        fld = ScalarField(g, held)
+        assert np.shares_memory(fld.values, held)
+        assert not fld.values.flags.writeable
 
 
 def roll_reference(grid, v):
@@ -116,7 +134,7 @@ class TestStencilPrimitives:
         if dtype is complex:
             v += 1j * rng.standard_normal(shape)
         for name, want in roll_reference(g, v).items():
-            got = getattr(hcma.grid, name)(g, v)
+            got = getattr(hcma.grid, name)(g, _wrap(v))
             if name != "second_diffs":
                 got, want = (got,), (want,)
             assert len(got) == len(want), name
@@ -127,10 +145,11 @@ class TestStencilPrimitives:
     def test_complex_jets_built_from_the_real_pairs(self, modulus):
         g = make_grid(5, 8, 6, modulus)
         v = np.random.default_rng(4).standard_normal(g.shape)
-        z_r, z_i = wirt_parts(g, dx1(g, v), dy1(g, v))
+        d_x, d_y = dx1(g, _wrap(v)), dy1(g, _wrap(v))
+        z_r, z_i = wirt_parts(g, d_x, d_y)
         assert np.array_equal(z_r + 1j * z_i, wirt_z(g, v))
         ref = dt1(g, wirt_z(g, v))             # Phi_tz, differenced complex
-        tz_r, tz_i = wirt_parts(g, dt1(g, dx1(g, v)), dt1(g, dy1(g, v)))
+        tz_r, tz_i = wirt_parts(g, dt1(g, d_x), dt1(g, d_y))
         assert np.allclose(tz_r + 1j * tz_i, ref, rtol=0,
                            atol=1e-14 * abs(ref).max())
 
@@ -138,7 +157,7 @@ class TestStencilPrimitives:
     def test_plane_jets_are_the_whole_grid_jets(self, modulus):
         g = make_grid(5, 8, 6, modulus)
         v = np.random.default_rng(7).standard_normal(g.shape)
-        whole = (wirt_zzbar(g, v), wirt_zz(g, v), dx1(g, v), dy1(g, v))
+        whole = (*spatial_ab(g, v), dx1(g, _wrap(v)), dy1(g, _wrap(v)))
         for lo, hi in ((0, 5), (2, 3)):
             got = plane_jets(g, v[lo:hi])
             for x, want in zip(got, whole):
@@ -300,7 +319,7 @@ class TestWirtingerJet:
 
     def test_out_of_range_node(self):
         g = make_grid(5, 8, 8)
-        fld = ScalarField.zeros(g)
+        fld = zero_field(g)
         with pytest.raises(Exception):
             wirtinger_jet(fld, (5, 0, 0))
 
@@ -366,9 +385,10 @@ class TestWirtingerJet:
     def test_every_node_class_bitwise_equal_to_whole_grid(self, nt, modulus):
         g = make_grid(nt, 8, 6, modulus)
         v = np.random.default_rng(nt).standard_normal(g.shape)
-        a, b = wirt_zzbar(g, v), wirt_zz(g, v)
-        tz_r, tz_i = wirt_parts(g, dt1(g, dx1(g, v)), dt1(g, dy1(g, v)))
-        z_r, z_i = wirt_parts(g, dx1(g, v), dy1(g, v))
+        a, b = spatial_ab(g, v)
+        d_x, d_y = dx1(g, _wrap(v)), dy1(g, _wrap(v))
+        tz_r, tz_i = wirt_parts(g, dt1(g, d_x), dt1(g, d_y))
+        z_r, z_i = wirt_parts(g, d_x, d_y)
         whole = {"value": v, "d_t": dt1(g, v), "d_tt": dt2(g, v),
                  "d_z": z_r + 1j * z_i, "a": a, "b": b,
                  "d_tz": tz_r + 1j * tz_i, "d_tzb": tz_r - 1j * tz_i}
@@ -433,7 +453,7 @@ class TestInterpolate:
 
     def test_t_out_of_range(self):
         g = make_grid(5, 8, 8)
-        fld = ScalarField.zeros(g)
+        fld = zero_field(g)
         with pytest.raises(Exception):
             interpolate_array(fld.grid, fld.values, 1.5, 0.0, 0.0)
 

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 import hcma.io
 from hcma import AnnulusProfile, BoundarySpec, cli, make_grid
-from hcma.grid import ScalarField, wirt_zz, wirt_zzbar
+from hcma.grid import ScalarField, spatial_ab
 from hcma.io import (_SCHEMA, MAGIC, ConfigError, ExperimentConfig, Snapshot,
                      SnapshotError, load_config, report_json, write_csv,
                      write_fields_csv, write_leaf_csv)
 from hcma.leaves import leaf_fields, trace_leaf
 from hcma.solver import Solution
 from hcma.verify import CHECKS, jet_map_export
+from oracle import field_from
 
 SMALL_CONFIG = """\
 [grid]
@@ -454,7 +455,7 @@ class TestReports:
 
     def test_leaf_csv_bytes(self, tmp_path, monkeypatch, grid_small):
         # 1 + a < 0 near t = 1 along x = 0, so the leaf aborts
-        phi = ScalarField.from_function(
+        phi = field_from(
             grid_small, lambda t, x, y: 0.15 * np.cos(2 * np.pi * x) * t**2)
         path = trace_leaf(grid_small, leaf_fields(phi), (0.0, 0.5j), 0.05)
         assert path.aborted and path.n_samples > 7
@@ -579,7 +580,7 @@ class TestCliEndToEnd:
         summary = json.loads((out / "summary.json").read_text())["summary"]
         snap = Snapshot.load(out / summary["snapshots"][-1])
         grid = make_grid(snap.nt, snap.nx, snap.ny, snap.modulus)
-        a, b = wirt_zzbar(grid, snap.values), wirt_zz(grid, snap.values)
+        a, b = spatial_ab(grid, snap.values)
         assert snap.modulus == complex(modulus)
         assert summary["min_one_plus_a"] == float((1.0 + a[1:-1]).min())
         assert summary["max_Q"] == float(
@@ -659,7 +660,7 @@ class TestCliEndToEnd:
                          "--out", out]) == 3
         assert capsys.readouterr().err == (
             "error: solver failed: linear-solve-failure: out of memory for a "
-            f"gmres workspace of {21 * 7 * 16 * 16 * 8} bytes\n")
+            f"gmres workspace of {11 * 7 * 16 * 16 * 8} bytes\n")
 
     def test_unconverged_snapshot_verify_exit_4(self, tmp_path):
         text = SMALL_CONFIG + "\n[solver]\nmax_newton_iters = 0\n"
@@ -1004,8 +1005,7 @@ class TestCliFrontDoor:
         snap, v = str(tmp_path / "solution.snap"), tmp_path / "v"
         assert cli.main(["verify", "--snapshot", snap, "--out", str(v)]) == 0
         sol, _ = Snapshot.load(snap).to_solution()
-        a, b = wirt_zzbar(sol.grid, sol.phi.values), wirt_zz(
-            sol.grid, sol.phi.values)
+        a, b = spatial_ab(sol.grid, sol.phi.values)
         want = {"a": a, "abs_b": np.abs(b),
                 "Q": np.abs(b) ** 2 / (1.0 + a) ** 2}
         with open(v / "fields.csv", newline="") as fh:

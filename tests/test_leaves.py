@@ -3,10 +3,10 @@ import pytest
 
 from conftest import COS_BOUNDARY
 from hcma import AnnulusProfile, make_grid, newton_solve
-from hcma.grid import ScalarField, dt1, dx1, dy1, spatial_ab
+from hcma.grid import ScalarField, _wrap, dt1, dx1, dy1, spatial_ab
 from hcma.leaves import (LeafError, LeafPath, leaf_fields, qb_along_leaf,
                          trace_leaf)
-from oracle import rk4_path
+from oracle import field_from, rk4_path
 
 
 def test_leaf_fields_are_the_whole_grid_differences():
@@ -17,8 +17,8 @@ def test_leaf_fields_are_the_whole_grid_differences():
         rng = np.random.default_rng(0)
         phi = ScalarField(grid, rng.standard_normal(grid.shape))
         v = phi.values
-        want = (*spatial_ab(grid, v), dt1(grid, dx1(grid, v)),
-                dt1(grid, dy1(grid, v)))
+        want = (*spatial_ab(grid, v), dt1(grid, dx1(grid, _wrap(v))),
+                dt1(grid, dy1(grid, _wrap(v))))
         got = leaf_fields(phi)
         assert len(got) == 4
         for g_arr, w_arr in zip(got, want):
@@ -126,10 +126,9 @@ class TestTraceLeaf:
 
     def test_abort_keeps_partial_path(self, grid_small):
         from hcma import BoundarySpec
-        from hcma.grid import ScalarField
         from hcma.solver import Solution
         # hand-built field with 1 + a < 0 near t = 1 along x = 0
-        fld = ScalarField.from_function(
+        fld = field_from(
             grid_small,
             lambda t, x, y: 0.15 * np.cos(2 * np.pi * x) * t**2)
         sol = Solution(phi=fld, grid=grid_small, profile=AnnulusProfile(1e-3),

@@ -13,10 +13,10 @@ from conftest import COS_BOUNDARY
 from hcma import AnnulusProfile, cli, make_grid, newton_solve
 from hcma.grid import ScalarField, spatial_ab
 from hcma.io import ExperimentConfig, Snapshot, write_fields_csv
-from hcma.quantities import admissible_frame
 from hcma.solver import (default_initial_guess, linearize, residual,
                          rhs_floor)
 from hcma.verify import q_from_ab, run_checks
+from oracle import admissible_frame
 
 # run_checks on the 33x64x64 cos solution peaks at 46.5 B per node on the
 # square lattice and at 48.4 on modulus 0.3+1.1j (numpy 2.4): one t-chunk's
@@ -28,12 +28,12 @@ RUN_CHECKS_PEAK_B_PER_NODE = {1j: 51.2, 0.3 + 1.1j: 53.3}
 # on the square lattice and at 40.5 on modulus 0.3+1.1j; the bounds leave
 # a 10% margin.
 LQ_RATIO_PEAK_B_PER_NODE = {1j: 42.4, 0.3 + 1.1j: 44.5}
-# newton_solve on the 33x64x64 cos problem peaks at 264.4 B per node on
-# both lattices (numpy 2.4), inside GMRES: its workspace, the Jacobian's
-# five coefficient grids and the preconditioner's factors.  The bounds
-# leave a 4% margin, below the 279.6 a stencil with six planes and a
-# zero-bordered copy of its argument reached.
-SOLVE_PEAK_B_PER_NODE = {1j: 275.0, 0.3 + 1.1j: 275.0}
+# newton_solve on the 33x64x64 cos problem peaks at 185.3 B per node on
+# both lattices (numpy 2.4), inside GMRES: its 11-vector workspace, the
+# Jacobian's five coefficient grids and the preconditioner's factors.  The
+# bounds leave a 4% margin, below the 260.5 that GMRES(20)'s 21 vectors
+# reached.
+SOLVE_PEAK_B_PER_NODE = {1j: 193.0, 0.3 + 1.1j: 193.0}
 # linearize of the 33x64x64 cos problem's default guess peaks at 86.6 B
 # per node on both lattices (numpy 2.4), the strip frame it is given
 # included: the frame's five grids, the stencil's own five and the
@@ -222,6 +222,29 @@ def test_snapshot_load_holds_the_payload_once(tmp_path):
         tracemalloc.stop()
     assert peak < 1.1 * values.nbytes
     assert back.values.tobytes() == values.tobytes()
+
+
+def test_loaded_solution_holds_the_payload_once(tmp_path):
+    """Snapshot.load and to_solution share the file's immutable bytes with
+    the field: on a 33x64x64 snapshot they peak at 1.20 payloads, where a
+    field that copied them reached 2.02.  A writeable array is still
+    copied, so no alias can change a field."""
+    values = np.random.default_rng(0).standard_normal((33, 64, 64))
+    Snapshot(ExperimentConfig().serialize(), *values.shape, 1j, True, 3,
+             1e-12, values).save(tmp_path / "a.snap")
+    tracemalloc.start()
+    try:
+        sol, _ = Snapshot.load(tmp_path / "a.snap").to_solution()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * values.nbytes
+    assert sol.phi.values.tobytes() == values.tobytes()
+    assert not sol.phi.values.flags.writeable
+    phi = ScalarField(sol.grid, values)
+    values[0, 0, 0] = np.inf
+    assert not np.shares_memory(phi.values, values)
+    assert phi.values.tobytes() == sol.phi.values.tobytes()
 
 
 def test_rhs_floor_copies_no_grid():

@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 from conftest import COS_BOUNDARY, chunk_grids
 from hcma import AnnulusProfile, make_grid, newton_solve
 from hcma.grid import (ScalarField, _wrap, dt1, dt2, dx1, dy1, second_diffs,
-                       second_order_stencil, t_chunks, wirt_parts, wirt_zzbar)
+                       second_order_stencil, spatial_ab, t_chunks, wirt_parts)
 from hcma.quantities import (InfeasibleKError, NonConvexBoundaryError,
-                             admissible_frame, apply_L, boundary_S,
-                             boundary_delta, choose_K, h_contract, sigma_roots,
-                             strip_h)
+                             apply_L, boundary_S, boundary_delta, choose_K,
+                             h_contract, sigma_roots, strip_h)
 from hcma.solver import Solution, linearize
 from oracle import (DegenerateMetricError, FlatJet, TorusPointState,
-                    composite_q_field, cone_membership, flat_jet_from_torus,
-                    general_flat_state, m_matrix, n_matrix, q_gamma,
-                    sigma2_prime, torus_state, wirtinger_jet)
+                    admissible_frame, composite_q_field, cone_membership,
+                    field_from, flat_jet_from_torus, general_flat_state,
+                    m_matrix, n_matrix, q_gamma, sigma2_prime, torus_state,
+                    wirtinger_jet)
 
 
 def state(a, b):
@@ -305,9 +305,9 @@ def reference_strip_h(phi):
     """The strip frame from whole-grid jets (a, d_tx, d_ty, d_tt), as it
     was built before it went chunk by chunk."""
     grid, v = phi.grid, phi.values
-    g = 1.0 + wirt_zzbar(grid, v)[1:-1]
-    m_r, m_i = wirt_parts(grid, dt1(grid, dx1(grid, v))[1:-1],
-                          dt1(grid, dy1(grid, v))[1:-1])
+    g = 1.0 + spatial_ab(grid, v)[0][1:-1]
+    m_r, m_i = wirt_parts(grid, dt1(grid, dx1(grid, _wrap(v)))[1:-1],
+                          dt1(grid, dy1(grid, _wrap(v)))[1:-1])
     m_r *= 0.5
     m_i *= -0.5
     q = 0.25 * dt2(grid, v)[1:-1]
@@ -344,14 +344,14 @@ def interior_eps(solution):
 
 class TestApplyL:
     def test_constant_field(self, sol_cos):
-        out = apply_L(sol_cos.grid, ScalarField.from_function(
+        out = apply_L(sol_cos.grid, field_from(
             sol_cos.grid, lambda t, x, y: 0 * t + 3.0).values,
             admissible_frame(sol_cos.phi), interior_eps(sol_cos))
         assert np.abs(out).max() == pytest.approx(0.0, abs=1e-10)
 
     def test_t_squared_on_closed_form(self, sol_zero_const):
         # Phi_tzbar = 0, so L[t^2] = (t^2)_zetazetabar = 1/2
-        out = apply_L(sol_zero_const.grid, ScalarField.from_function(
+        out = apply_L(sol_zero_const.grid, field_from(
             sol_zero_const.grid, lambda t, x, y: t**2 + 0 * x).values,
             admissible_frame(sol_zero_const.phi), interior_eps(sol_zero_const))
         assert np.allclose(out, 0.5, atol=1e-9)
@@ -426,21 +426,21 @@ class TestChunkWindows:
     def test_h_contract(self, modulus, case, padded):
         grid, frame, w, wc = chunk_problem(modulus, case)
         want = h_contract(grid, (w, wc), frame)
-        assert_bitwise(h_contract(grid, w, frame), want[0])
+        assert_bitwise(h_contract(grid, (w,), frame)[0], want[0])
         for c0, c1 in t_chunks(grid):
             k, part = slice(c0 - 1, c1 - 1), chunk_frame(frame, c0, c1)
             windows = [x[c0 - 1:c1 + 1] for x in (w, wc)]
             if padded:
                 for x in windows:
                     with pytest.raises(ValueError):
-                        h_contract(grid, _wrap(x), part)
+                        h_contract(grid, (_wrap(x),), part)
                 continue
             got = h_contract(grid, tuple(windows), part)
             assert isinstance(got, tuple) and len(got) == 2
             for x, y in zip(got, want):
                 assert_bitwise(x, y[k])
             for x, y in zip(windows, want):
-                assert_bitwise(h_contract(grid, x, part), y[k])
+                assert_bitwise(h_contract(grid, (x,), part)[0], y[k])
 
     @MODULI
     @CHUNK_CASES
@@ -469,7 +469,7 @@ class TestChunkWindows:
             good = wc[c0 - 1:c1 + 1]
             assert len(v) == len(part[0]) + 2 + extra
             with pytest.raises(ValueError):
-                h_contract(grid, v, part)
+                h_contract(grid, (v,), part)
             with pytest.raises(ValueError):
                 h_contract(grid, (good, v), part)
             with pytest.raises(ValueError):
@@ -501,9 +501,10 @@ def reference_h_planes(grid, g, m, q):
 def reference_apply(grid, planes, w):
     """Interior sum of each plane times the matching second difference of
     the grid array w, from the grid's own stencils."""
-    xx, xy, yy = second_diffs(grid, w)
+    p = _wrap(w)
+    xx, xy, yy = second_diffs(grid, p)
     diffs = {"tt": dt2(grid, w), "xx": xx, "xy": xy, "yy": yy,
-             "tx": dt1(grid, dx1(grid, w)), "ty": dt1(grid, dy1(grid, w))}
+             "tx": dt1(grid, dx1(grid, p)), "ty": dt1(grid, dy1(grid, p))}
     return sum(plane * diffs[key][1:-1] for key, plane in planes.items())
 
 

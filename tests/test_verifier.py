@@ -9,31 +9,32 @@ import hcma.verify
 from conftest import COS_AMP, COS_BOUNDARY, chunk_grids, run_check
 from hcma import (AnnulusProfile, BoundarySpec, lambda_sweep, make_grid,
                   newton_solve)
-from hcma.grid import (ScalarField, dt1, dt2, dx1, dy1, plane_jets,
-                       spatial_ab, t_chunks, wirt_parts, wirt_z, wirt_zbar,
-                       wirt_zz, wirt_zzbar)
+from hcma.grid import (ScalarField, _wrap, dt1, dt2, dx1, dy1, plane_jets,
+                       spatial_ab, t_chunks, wirt_parts, wirt_z, wirt_zbar)
 from hcma.io import report_json
 from hcma.quantities import (InadmissibleError, InfeasibleKError,
-                             NonConvexBoundaryError, admissible_frame, apply_L,
+                             NonConvexBoundaryError, apply_L,
                              boundary_delta, boundary_S, choose_K, h_contract,
                              sigma_roots, strip_frame, strip_h)
 from hcma.solver import Solution, residual
 from hcma.verify import (BOUNDARY_ROUND_OFF, C_H1, C_H2, D_R, FRAME_CHECKS,
-                         N_ANGLES, Q_FLOOR, REL_SLACK, STABILITY_SPREAD,
+                         MONOTONE_SLACK, N_ANGLES, Q_FLOOR, REL_SLACK,
+                         STABILITY_SPREAD,
                          CheckPass, CheckRecord, LadderFold, check_converged,
                          check_eps_monotone_limit, check_lambda_monotonicity,
                          check_metric_lower_bound_stability, check_u_identity,
                          jet_map_export, q_from_ab, run_checks, weight_u)
-from oracle import (DegenerateMetricError, composite_q_field, torus_state,
-                    wirtinger_jet)
+from oracle import (DegenerateMetricError, admissible_frame,
+                    composite_q_field, field_from, flat_jet_from_torus,
+                    general_flat_state, torus_state, wirtinger_jet)
 
 
-def spike_solution(grid):
-    """1/256 at node (0, 3, 5) of a zero t = 0 plane: 1 + a = b = 0 there,
-    so Q is 0/0."""
+def spike_solution(grid, plane=0):
+    """1/256 at node (plane, 3, 5) of a zero t = 0 or t = 1 plane: 1 + a =
+    b = 0 there, so Q is 0/0."""
     t = grid.t_values[:, None, None]
     values = 0.05 * t * (t - 1.0) * np.ones(grid.shape)
-    values[0, 3, 5] = 1.0 / 256.0
+    values[plane, 3, 5] = 1.0 / 256.0
     return Solution(phi=ScalarField(grid, values), grid=grid,
                     profile=AnnulusProfile(1e-3), boundary=BoundarySpec(),
                     converged=True, final_residual=0.0, iterations=0)
@@ -47,7 +48,7 @@ def q_of(sol):
 def synthetic_solution(grid, fn, profile=None):
     """Wrap an arbitrary field as a Solution for adversarial checks."""
     return Solution(
-        phi=ScalarField.from_function(grid, fn), grid=grid,
+        phi=field_from(grid, fn), grid=grid,
         profile=profile or AnnulusProfile(1e-3), boundary=BoundarySpec(),
         converged=True, final_residual=0.0, iterations=0)
 
@@ -118,6 +119,17 @@ class TestConvexity:
         rec = run_check(sol, "convexity")
         assert not rec.passed
 
+    def test_gap_alone_fails(self, grid_small):
+        # a = -pi^2 c cos 2 pi x and |b| = |a| on the square lattice: at
+        # c = 0.07, 1 + a stays above 0.3 but |b| passes it near x = 0
+        sol = synthetic_solution(
+            grid_small,
+            lambda t, x, y: 0.07 * np.cos(2 * np.pi * x) * np.ones_like(t))
+        rec = run_check(sol, "convexity")
+        assert rec.extra["min_one_plus_a"] > 0.3
+        assert rec.measured > rec.tolerance
+        assert not rec.passed
+
 
 class TestMaxPrinciple:
     def test_zero_boundary(self, sol_zero_const):
@@ -128,6 +140,14 @@ class TestMaxPrinciple:
     def test_cos_boundary(self, sol_cos):
         rec = run_check(sol_cos, "max_principle_Q")
         assert rec.passed and rec.extra["factor2_pass"]
+
+    def test_degenerate_node_on_the_t1_plane(self, grid_small):
+        # the least 1 + a of the whole grid lies on the last t-plane only
+        rec = run_check(spike_solution(grid_small, plane=-1),
+                        "max_principle_Q")
+        assert not rec.passed
+        assert rec.note == ("1 + a = 0.000e+00 <= 0 at node "
+                            f"({grid_small.nt - 1}, 3, 5)")
 
     def test_boundary_Q_matches_analytic(self, sol_cos):
         # analytic boundary jets: a = b = -pi^2 c cos(2 pi x)
@@ -206,7 +226,7 @@ def ab_residuals_reference(sol):
     as its real and imaginary parts, every product on full interior
     arrays."""
     grid, v = sol.grid, sol.phi.values
-    a, b = wirt_zzbar(grid, v), wirt_zz(grid, v)
+    a, b = spatial_ab(grid, v)
     frame = admissible_frame(sol.phi)
     g, (m_r, m_i), q, det = frame
     m = m_r + 1j * m_i
@@ -218,9 +238,8 @@ def ab_residuals_reference(sol):
         return (g * u0 * w0 - m * u1 * w0 - np.conj(m) * u0 * w1
                 + q * u1 * w1) / det
 
-    lhs_a = h_contract(grid, a, frame)
-    lhs_b = (h_contract(grid, b.real, frame)
-             + 1j * h_contract(grid, b.imag, frame))
+    lhs_a, lhs_b_re, lhs_b_im = h_contract(grid, (a, b.real, b.imag), frame)
+    lhs_b = lhs_b_re + 1j * lhs_b_im
     rhs_a = (h_bilinear(a_zeta, a_z, np.conj(a_zeta), np.conj(a_z))
              + h_bilinear(np.conj(b_zetabar), np.conj(b_zbar), b_zetabar,
                           b_zbar)).real / g
@@ -299,11 +318,11 @@ def ekq_tolerance_reference(sol):
     K = choose_K(float(Q[[0, -1]].max()))
     W = np.exp(np.minimum(K * Q, 700.0))
     g, (m_r, m_i), q, det = admissible_frame(sol.phi)
-    w_tz = wirt_parts(grid, dt1(grid, dx1(grid, W))[1:-1],
-                      dt1(grid, dy1(grid, W))[1:-1])
+    w_tz = wirt_parts(grid, dt1(grid, dx1(grid, _wrap(W)))[1:-1],
+                      dt1(grid, dy1(grid, _wrap(W)))[1:-1])
     mixed = np.hypot(m_r, m_i) * (0.5 * np.hypot(*w_tz))
     mag = (g * np.abs(0.25 * dt2(grid, W)[1:-1]) + mixed + mixed
-           + q * np.abs(wirt_zzbar(grid, W)[1:-1])) / det
+           + q * np.abs(spatial_ab(grid, W)[0][1:-1])) / det
     return C_H2 * max(grid.ht, grid.hx, grid.hy) ** 2 * max(1.0, float(
         mag.max()))
 
@@ -395,6 +414,38 @@ class TestSweepChecks:
         assert not rec.passed and not rec.extra["factor2_each_rung"]
         assert np.isnan(rec.measured)
         assert np.isnan(rec.extra["max_Q_sequence"][0 if spike_first else -1])
+
+    def test_factor2_flag_alone_fails_the_lambda_ladder(self, grid_small):
+        # the bump rung has zero boundary planes, so boundary Q = 0, and
+        # phi = 0.05 cos 2 pi x at t = 1/2, where Q reaches about 0.93:
+        # above the factor-2 band C_H2 h^2, below C_H2 / h^2.  Max Q only
+        # grows along the ladder, so the bump's factor-2 flag alone fails.
+        flat = synthetic_solution(grid_small,
+                                  lambda t, x, y: 0.05 * t * (t - 1.0))
+        bump = synthetic_solution(
+            grid_small,
+            lambda t, x, y: -0.2 * t * (t - 1.0) * np.cos(2 * np.pi * x))
+        h = max(grid_small.ht, grid_small.hx, grid_small.hy)
+        Q = q_of(bump)
+        assert Q[[0, -1]].max() == 0.0
+        assert C_H2 * h**2 < Q[1:-1].max() < C_H2 / h**2
+        fold = LadderFold([flat, flat, bump])
+        assert fold.factor2 == [True, True, False]
+        rec = check_lambda_monotonicity(fold)
+        assert rec.measured <= MONOTONE_SLACK
+        assert not rec.extra["factor2_each_rung"]
+        assert not rec.passed
+
+    def test_growing_gaps_alone_fail_the_eps_ladder(self, grid_small):
+        # phi rises by 1e-3, then by 1e-2: monotone, but the gaps grow
+        rungs = [synthetic_solution(
+            grid_small, lambda t, x, y, c=c: 0.05 * t * (t - 1.0) + c)
+            for c in (0.0, 1e-3, 1.1e-2)]
+        rec = check_eps_monotone_limit(LadderFold(rungs))
+        assert rec.measured <= MONOTONE_SLACK
+        assert rec.extra["max_norm_gaps"] == pytest.approx([1e-3, 1e-2])
+        assert not rec.extra["gaps_decreasing"]
+        assert not rec.passed
 
 
 def blind_spot(sol, case):
@@ -525,7 +576,7 @@ class TestRunChecks:
 
         def strict(token):
             raise ValueError(f"non-standard JSON token {token}")
-        text = report_json(report.to_dict(), timestamp=False)
+        text = report_json(report.to_dict())
         checks = json.loads(text, parse_constant=strict)["checks"]
         assert [c["bound"] for c in checks] == [None, None]
 
@@ -577,6 +628,38 @@ def test_worst_nodes_equal_the_pointwise_oracle(fixture, request):
         assert worst <= sign * measured + ORACLE_REL * abs(measured), name
 
 
+@pytest.mark.parametrize("fixture", ["sol_cos", "sol_cos_skew"])
+def test_lq_ratio_equals_the_oracle(fixture, request):
+    """lq_ratio's measured is the least LQ/(eps_tilde Q) over the interior
+    nodes where Q > Q_FLOOR, for the oracle's composite_q_field, which at
+    that node and at 20 seeded interior nodes is the general-n flat layer's
+    Q_A + Q_B + Q_G of the node's jet; each term is present at some of
+    them."""
+    sol = request.getfixturevalue(fixture)
+    grid = sol.grid
+    Q = composite_q_field(sol)
+    eps = sol.profile.rhs_on(grid)[1:-1]
+    LQ = apply_L(grid, Q, admissible_frame(sol.phi), eps)
+    mask = Q[1:-1] > Q_FLOOR
+    ratio = np.full(LQ.shape, np.inf)
+    ratio[mask] = LQ[mask] / (eps[mask] * Q[1:-1][mask])
+    rec = run_check(sol, "lq_ratio")
+    assert rec.measured == ratio.min()
+    assert rec.extra["nodes"] == mask.sum()
+    it, ix, iy = np.unravel_index(np.argmin(ratio), ratio.shape)
+    rng = np.random.default_rng(1)
+    nodes = [(int(it) + 1, int(ix), int(iy))] + list(zip(*(
+        rng.integers(lo, hi, 20) for lo, hi in
+        ((1, grid.nt - 1), (0, grid.nx), (0, grid.ny)))))
+    terms = []
+    for node in nodes:
+        flat = general_flat_state(
+            flat_jet_from_torus(wirtinger_jet(sol.phi, node, order=3)), 0.0)
+        terms.append((flat.Q_A, flat.Q_B, flat.Q_G))
+        assert Q[node] == pytest.approx(flat.Q, rel=1e-12, abs=0.0), node
+    assert min(np.max(terms, axis=0)) > 0.0
+
+
 def whole_grid_records(sol):
     """Every run_checks record but converged, made as the checks made them
     before they were folded chunk by chunk: from whole-grid jets,
@@ -584,7 +667,7 @@ def whole_grid_records(sol):
     h-operator check on an inadmissible solution maps to None."""
     grid, v = sol.grid, sol.phi.values
     h2 = C_H2 * max(grid.ht, grid.hx, grid.hy) ** 2
-    a, b = wirt_zzbar(grid, v), wirt_zz(grid, v)
+    a, b = spatial_ab(grid, v)
     opa = 1.0 + a
     Q = q_of(sol)
     S = boundary_S(a[[0, -1]], b[[0, -1]])
@@ -663,7 +746,7 @@ def h_bilinear(g, m, q, det, u0, u1, w0, w1):
 def whole_grid_frame_records(sol, Q):
     """The three h-operator records of whole_grid_records."""
     grid, v = sol.grid, sol.phi.values
-    a, b = wirt_zzbar(grid, v), wirt_zz(grid, v)
+    a, b = spatial_ab(grid, v)
     h = max(grid.ht, grid.hx, grid.hy)
     out = {}
     max_bnd = float(Q[[0, -1]].max())
@@ -681,7 +764,7 @@ def whole_grid_frame_records(sol, Q):
                 note="composite Q not finite")
         return out
     g, (m_r, m_i), q, det = frame
-    lhs_a, lhs_b = h_contract(grid, a, frame), h_contract(grid, b, frame)
+    lhs_a, lhs_b = h_contract(grid, (a, b), frame)
     res_a, res_b = np.empty_like(g), np.empty_like(g)
     third = wirt_zbar(grid, b), wirt_z(grid, a), dt1(grid, b), dt1(grid, a)
     for k in range(len(g)):
@@ -705,7 +788,7 @@ def whole_grid_frame_records(sol, Q):
     in_hyp = Q[1:-1] < sigma2
     W = np.exp(np.minimum(K * Q, 700.0))
     tol = ekq_tolerance_reference(sol)
-    hW = float(h_contract(grid, W, frame)[in_hyp].min())
+    hW = float(h_contract(grid, (W,), frame)[0][in_hyp].min())
     out["ekq_subharmonic"] = CheckRecord(
         "ekq_subharmonic", hW >= -tol, hW, 0.0, tol,
         extra={"K": K, "sigma2": sigma2,
@@ -816,7 +899,7 @@ def test_tied_extrema_pick_the_first_node_in_c_order():
     sol = admissible_tie_solution(chunk_grids(1j)[0])
     assert len(list(hcma.grid.t_chunks(sol.grid))) == 2
     grid, v = sol.grid, sol.phi.values
-    a, b = wirt_zzbar(grid, v), wirt_zz(grid, v)
+    a, b = spatial_ab(grid, v)
     assert all(np.array_equal(a[i], a[0]) and np.array_equal(b[i], b[0])
                for i in range(sol.grid.nt))
     report = run_checks(sol, seed=0)
@@ -843,7 +926,7 @@ def test_inadmissible_pass_fails_every_frame_check():
 def test_jet_map_points_equal_whole_grid():
     for _, sol in pass_cases()[:3]:
         grid, v = sol.grid, sol.phi.values
-        a, b = wirt_zzbar(grid, v), wirt_zz(grid, v)
+        a, b = spatial_ab(grid, v)
         points, _ = jet_map_export(sol)
         want = np.column_stack([b[1:-1].real.ravel(), b[1:-1].imag.ravel(),
                                 a[1:-1].ravel()])
