@@ -33,7 +33,6 @@ REL_SLACK = 1e-3
 MONOTONE_SLACK = 1e-8
 STABILITY_SPREAD = 0.05  # allowed spread of min(1+a) along an eps ladder
 U_FD_STEP = 1e-3  # finite-difference step of the u-identity check
-N_ANGLES = 16     # annulus angles sampled by the weighted max principle
 Q_FLOOR = 1e-12   # lq_ratio skips nodes with Q at or below this
 D_R = 2.0 * math.e  # d_R of the weight u in the weighted max principle
 # converged: phi's Dirichlet planes may differ from the boundary data they
@@ -74,9 +73,6 @@ class VerificationReport:
     meta: dict
     checks: list = dc_field(default_factory=list)
 
-    def add(self, record: CheckRecord) -> None:
-        self.checks.append(record)
-
     @property
     def all_pass(self) -> bool:
         return all(c.passed or c.vacuous for c in self.checks)
@@ -104,15 +100,14 @@ def q_from_ab(a, b):
         return np.abs(b) ** 2 / (1.0 + a) ** 2
 
 
-def _composite_q(grid, a, b, d_x, d_y):
-    """Composite Q = Q_A + Q_B + Q_G of spatial jets (valid on all planes);
-    inf or NaN, without a warning, where 1 + a = 0."""
+def _composite_q(grid, a, q_b, d_x, d_y):
+    """Composite Q = Q_A + Q_B + Q_G of spatial jets (valid on all planes),
+    with Q_B = q_b, q_from_ab's array, which it leaves alone; inf or NaN,
+    without a warning, where 1 + a = 0."""
     opa = 1.0 + a
     with np.errstate(divide="ignore", invalid="ignore"):
-        opa2 = opa ** 2                 # Q_A + Q_B + Q_G, summed in place
-        Q = a ** 2 / opa2
-        Q += np.abs(b) ** 2 / opa2
-        del opa2
+        Q = a ** 2 / opa ** 2           # Q_A + Q_B + Q_G, summed in place
+        Q += q_b
         z_r, z_i = wirt_parts(grid, d_x, d_y)    # Phi_z
         Q += (z_r * z_r + z_i * z_i) / opa
     return Q
@@ -242,8 +237,9 @@ class CheckPass:
                 check_frame(frame)
             except InadmissibleError:
                 frame = None
+        Q = q_from_ab(a_w, b_w)
         if self.lq and self.q_finite:
-            Qc = _composite_q(grid, a_w, b_w, d_x, d_y)
+            Qc = _composite_q(grid, a_w, Q, d_x, d_y)
             del d_x, d_y
             self.q_finite = bool(np.isfinite(Qc).all())
             if frame is not None and self.q_finite:
@@ -258,7 +254,6 @@ class CheckPass:
             del Qc
         else:
             del d_x, d_y
-        Q = q_from_ab(a_w, b_w)
         a, b, Qi = a_w[1:-1], b_w[1:-1], Q[1:-1]
         opa, abs_b = 1.0 + a, np.abs(b)
         self.opa.add(opa, i0)
@@ -427,17 +422,17 @@ def check_u_identity(d_R: float) -> CheckRecord:
 
 
 def check_weighted_max_principle(p: CheckPass) -> CheckRecord:
-    """Max principle for Q/u on the annulus image tau = e^{t+is}."""
+    """Max principle for Q/u on the annulus image tau = e^{t+is}.
+
+    On the circle |tau| = e^t, u = cos(k cos s) cos(k sin s) with k =
+    pi e^t / (4 d_R) <= pi/8; ln cos sqrt(x) is concave, so u is least on
+    the axes, u(e^t).  Q >= 0 and u > 0, so the max of Q/u over a t-plane's
+    nodes and its circle is the plane's max Q over u(e^t).
+    """
     if not isinstance(p.solution.profile, AnnulusProfile):
         return _vacuous("weighted_max_principle", "requires annulus profile")
     ident = check_u_identity(D_R)
-    t = p.grid.t_values
-    s = np.arange(N_ANGLES) * 2.0 * math.pi / N_ANGLES
-    tau = np.exp(t[:, None] + 1j * s[None, :])
-    u = weight_u(tau, D_R)                 # (nt, N_ANGLES), positive
-    # max of Q/u over each t-plane's nodes and angles: Q >= 0 and u > 0,
-    # and division is monotone, so it is the plane's max Q over its min u
-    ratio = p.plane_q / u.min(axis=1)
+    ratio = p.plane_q / weight_u(np.exp(p.grid.t_values + 0j), D_R)
     measured = float(ratio[1:-1].max())
     bound = float(ratio[[0, -1]].max())
     note = p.degenerate_note()
@@ -681,17 +676,11 @@ def run_checks(solution: Solution, names=None,
         # an inadmissible solution fails; each check returns its own
         # vacuous records; any other exception is a defect and propagates
         try:
-            if name == "jet_map":
-                record = jet_map_record(check_pass)
-            elif name == "weighted_max_principle":
-                # through the module global, which perfbench's tracer wraps
-                record = check_weighted_max_principle(check_pass)
-            else:
-                record = CHECKS[name](solution if name == "converged"
-                                      else check_pass)
+            record = (jet_map_record if name == "jet_map" else CHECKS[name])(
+                solution if name == "converged" else check_pass)
         except InadmissibleError as exc:
             record = CheckRecord(name=name, passed=False, measured=0.0,
                                  bound=0.0, tolerance=0.0,
                                  note=f"inadmissible solution: {exc}")
-        report.add(record)
+        report.checks.append(record)
     return report

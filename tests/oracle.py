@@ -10,10 +10,11 @@ layer (general_flat_state), which evaluates the composite Q = Q_A + Q_B +
 Q_G with the coefficient matrices of the scaled product-space Laplacian
 and the non-negative terms E, P, T for an arbitrary complex dimension n
 with flat background metric; at n = 1 it must agree with the torus layer.
-composite_q_field, rk4_path and FieldRhs are the whole-grid composite Q,
-a plain RK4 path and a field-valued right-hand side for manufactured
-solutions; field_from, zero_field and admissible_frame build a sampled
-field and the checked strip frame of its interior.  Only tests use them.
+composite_q_field, u_identity_error, rk4_path and FieldRhs are the
+whole-grid composite Q, the weight u's finite-difference error, a plain RK4
+path and a field-valued right-hand side for manufactured solutions;
+field_from, zero_field and admissible_frame build a sampled field and the
+checked strip frame of its interior.  Only tests use them.
 
 Index conventions: g^{ab*} is stored as the matrix conj(inv(G)) where
 G[a, b] = g_{ab*}; with that choice any contraction h^{ij*} X_{ij*} of
@@ -32,7 +33,6 @@ from hcma.grid import (Grid, GridError, ScalarField, dt1, dt2, plane_jets,
 from hcma.leaves import _rk4_steps
 from hcma.quantities import check_frame, strip_h
 from hcma.solver import Solution
-from hcma.verify import _composite_q
 
 
 # --- one node's jet ----------------------------------------------------------
@@ -326,10 +326,41 @@ def admissible_frame(phi: ScalarField):
 
 
 def composite_q_field(solution: Solution) -> np.ndarray:
-    """Composite Q = Q_A + Q_B + Q_G on the whole grid (spatial jets only);
-    inf or NaN, without a warning, where 1 + a = 0."""
-    return _composite_q(solution.grid,
-                        *plane_jets(solution.grid, solution.phi.values))
+    """Composite Q = Q_A + Q_B + Q_G on the whole grid (spatial jets only):
+    a^2/(1+a)^2 + |b|^2/(1+a)^2 + |Phi_z|^2/(1+a), summed in that order
+    from the whole grid's plane_jets; inf or NaN, without a warning, where
+    1 + a = 0."""
+    grid = solution.grid
+    a, b, d_x, d_y = plane_jets(grid, solution.phi.values)
+    z_r, z_i = wirt_parts(grid, d_x, d_y)          # Phi_z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_a = a ** 2 / (1.0 + a) ** 2
+        q_b = np.abs(b) ** 2 / (1.0 + a) ** 2
+        q_g = (z_r * z_r + z_i * z_i) / (1.0 + a)
+    return q_a + q_b + q_g
+
+
+def u_identity_error(d_R: float, step: float) -> float:
+    """The u-identity's relative error in real coordinates: the largest
+    |U/4 + (pi^2/(32 d_R^2)) u| over the largest |(pi^2/(32 d_R^2)) u|, for
+    u(x, y) = cos(kx) cos(ky), k = pi/(4 d_R), and U its five-point
+    Laplacian of the given step, at x + iy = e^{t+is} on the 7 x 9 samples
+    t = 0.05..0.95, s = 0..2 pi.  For this separable u, U/4 is exactly
+    (cos(k step) - 1)/step^2 u, so the error is |1 - 2(1 - cos(k step))/
+    (k step)^2| up to round-off."""
+    k = math.pi / (4.0 * d_R)
+    t, s = np.meshgrid(np.linspace(0.05, 0.95, 7),
+                       np.linspace(0.0, 2.0 * math.pi, 9), indexing="ij")
+    tau = np.exp(t + 1j * s)
+    x, y = tau.real, tau.imag
+
+    def u(x, y):
+        return np.cos(k * x) * np.cos(k * y)
+
+    lap = (u(x + step, y) + u(x - step, y) + u(x, y + step)
+           + u(x, y - step) - 4.0 * u(x, y)) / step ** 2
+    c_u = (math.pi ** 2 / (32.0 * d_R ** 2)) * u(x, y)
+    return float(np.abs(0.25 * lap + c_u).max() / np.abs(c_u).max())
 
 
 def rk4_path(velocity, t0: float, z0: complex, step: float = 0.01):

@@ -18,15 +18,19 @@ from hcma.quantities import (InadmissibleError, InfeasibleKError,
                              sigma_roots, strip_frame, strip_h)
 from hcma.solver import Solution, residual
 from hcma.verify import (BOUNDARY_ROUND_OFF, C_H1, C_H2, D_R, FRAME_CHECKS,
-                         MONOTONE_SLACK, N_ANGLES, Q_FLOOR, REL_SLACK,
-                         STABILITY_SPREAD,
+                         MONOTONE_SLACK, Q_FLOOR, REL_SLACK,
+                         STABILITY_SPREAD, U_FD_STEP,
                          CheckPass, CheckRecord, LadderFold, check_converged,
                          check_eps_monotone_limit, check_lambda_monotonicity,
                          check_metric_lower_bound_stability, check_u_identity,
                          jet_map_export, q_from_ab, run_checks, weight_u)
 from oracle import (DegenerateMetricError, admissible_frame,
                     composite_q_field, field_from, flat_jet_from_torus,
-                    general_flat_state, torus_state, wirtinger_jet)
+                    general_flat_state, torus_state, u_identity_error,
+                    wirtinger_jet)
+
+# annulus angles the references sample u at, for the weighted max principle
+N_ANGLES = 16
 
 
 def spike_solution(grid, plane=0):
@@ -161,6 +165,37 @@ class TestWeightedMaxPrinciple:
     def test_u_identity(self):
         rec = check_u_identity(2 * np.e)
         assert rec.passed and rec.measured <= 1e-6
+
+    @pytest.mark.parametrize("step", [U_FD_STEP, 0.1])
+    def test_u_identity_measured_equals_the_oracle(self, monkeypatch, step):
+        # bitwise the oracle's real-coordinate error; at step 0.1 the
+        # truncation error dominates round-off, so it is also the closed
+        # form for the separable cosine
+        monkeypatch.setattr(hcma.verify, "U_FD_STEP", step)
+        rec = check_u_identity(D_R)
+        assert rec.measured == u_identity_error(D_R, step)
+        if step == 0.1:
+            kh = np.pi / (4.0 * D_R) * step
+            closed = abs(1.0 - 2.0 * (1.0 - np.cos(kh)) / kh ** 2)
+            assert rec.measured == pytest.approx(closed, rel=1e-5)
+
+    def test_circle_minimum_is_u_on_the_real_axis(self):
+        # u(e^t) is bitwise the least of the N_ANGLES angles sampled on
+        # |tau| = e^t, which always include s = 0
+        s = np.arange(N_ANGLES) * 2.0 * np.pi / N_ANGLES
+        for nt in [*range(3, 300), 513, 1025, 4097]:
+            t = make_grid(nt, 4, 4).t_values
+            least = weight_u(np.exp(t[:, None] + 1j * s), D_R).min(axis=1)
+            assert np.array_equal(weight_u(np.exp(t + 0j), D_R), least), nt
+
+    def test_circle_minimum_is_no_more_than_dense_angles(self):
+        # u(e^t) <= u at 4096 angles of |tau| = e^t, 4097 circles
+        t = make_grid(4097, 4, 4).t_values
+        on_axis = weight_u(np.exp(t + 0j), D_R)
+        s = np.arange(4096) * 2.0 * np.pi / 4096
+        for i in range(0, t.size, 512):
+            tau = np.exp(t[i:i + 512, None] + 1j * s)
+            assert (on_axis[i:i + 512] <= weight_u(tau, D_R).min(axis=1)).all()
 
     def test_cos_boundary(self, sol_cos):
         rec = run_check(sol_cos, "weighted_max_principle")
@@ -871,6 +906,20 @@ def test_pass_equals_checks_alone_and_whole_grid(case):
                  else hcma.verify.CHECKS[rec.name](
                      CheckPass(sol, (rec.name,))))
         assert record_text(rec) == record_text(alone), rec.name
+
+
+@pytest.mark.parametrize("planes", [1, 2, "interior"])
+def test_report_is_the_same_for_every_chunk_size(monkeypatch, planes):
+    # chunk seams move no number: one t-plane, two and the whole interior
+    # per chunk give the default chunking's report, byte for byte
+    for case, sol in pass_cases():
+        grid = sol.grid
+        want = json.dumps(run_checks(sol, seed=0).to_dict(), sort_keys=True)
+        n = grid.nt - 2 if planes == "interior" else planes
+        monkeypatch.setattr(hcma.grid, "CHUNK_NODES", n * grid.nx * grid.ny)
+        got = json.dumps(run_checks(sol, seed=0).to_dict(), sort_keys=True)
+        monkeypatch.undo()
+        assert got == want, case
 
 
 def flat_frame(frame):
