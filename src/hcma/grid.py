@@ -252,7 +252,7 @@ def strip_jets(grid: Grid, window: np.ndarray):
             dx1(grid, p), dy1(grid, p))
 
 
-def second_order_stencil(grid: Grid, g, m, q):
+def second_order_stencil(grid: Grid, g, m, q, out):
     """Stencil of 4 adj(h) = 4 [[g, -m], [-m*, q]] for a strip h-matrix
     [[q, m], [m*, g]] on n t-planes, from real (n, nx, ny) arrays g, m =
     (Re m, Im m) and q: with w_zetazetabar = w_tt/4, w_z zetabar = w_tz/2
@@ -260,9 +260,15 @@ def second_order_stencil(grid: Grid, g, m, q):
     w_xy + 4|k2|^2 w_yy) - 4 Re(m k1) w_tx - 4 Re(m k2) w_ty, through the
     differences of dt2, second_diffs, dt1(dx1) and dt1(dy1).  Every
     constant is real, so it is exact on complex w; a zero one drops its
-    term (w_xy on the square lattice).  It keeps five arrays of its own,
-    the coefficients of its four legs and of the centre, and leaves g, m
-    and q as they are.
+    term (w_xy on the square lattice).
+
+    It writes the coefficients of its four legs and of the centre into
+    out, a real (5, n, nx, ny) block, and keeps no grid of its own.  out
+    is either apart from g, m and q, which it then leaves as they are, or
+    strip_h's block of their frame, slots (g, Re m, Im m, q, det), which
+    it then turns into the coefficients in place: each t-chunk's m legs
+    are formed before either m slot is written, and the centre goes into
+    the det slot.
 
     apply(w, below, above) takes w on the n planes and the planes below
     and above them (zero planes for a Newton correction, a window's ends
@@ -277,20 +283,24 @@ def second_order_stencil(grid: Grid, g, m, q):
     chunks = [slice(c0 - 1, c1 - 1) for c0, c1 in t_chunks(grid, n)]
     cxx, cyy = 4.0 * abs(k1)**2 / hx**2, 4.0 * abs(k2)**2 / hy**2
     cxy = 2.0 * (k1 * np.conj(k2)).real / (hx * hy)
-    g, q = g * (1.0 / ht**2), q * cxx
-    centre = q * (1.0 + cyy / cxx)
-    centre += g
-    centre *= -2.0
     # the coefficients of w_tx and w_ty, -4 Re(m k1) and -4 Re(m k2) over
     # 4 ht hx and 4 ht hy
     (rx, ix), (ry, iy) = ((-k.real / (ht * h), k.imag / (ht * h))
                           for k, h in ((k1, hx), (k2, hy)))
-    tx, ty = rx * m[0] + ix * m[1], ry * m[0] + iy * m[1]
+    gt, tx, ty, qs, centre = out
+    for k in chunks:
+        tx[k], ty[k] = (rx * m[0][k] + ix * m[1][k],
+                        ry * m[0][k] + iy * m[1][k])
+    np.multiply(q, cxx, out=qs)
+    np.multiply(qs, 1.0 + cyy / cxx, out=centre)
+    np.multiply(g, 1.0 / ht**2, out=gt)
+    centre += gt
+    centre *= -2.0
     # per leg its array and per term the (t, x, y) offsets d, e of the +-d
     # added and +-e subtracted, then a scale; summed Horner-wise, last first
     xy = [((0, 1, 1), (0, 1, -1), cxy / cyy)] if cxy else []
-    legs = ((g, [((1, 0, 0), None, 1.0)]),
-            (q, xy + [((0, 0, 1), None, cyy / cxx), ((0, 1, 0), None, 1.0)]),
+    legs = ((gt, [((1, 0, 0), None, 1.0)]),
+            (qs, xy + [((0, 0, 1), None, cyy / cxx), ((0, 1, 0), None, 1.0)]),
             (tx, [((1, 1, 0), (1, -1, 0), 1.0)]),
             (ty, [((1, 0, 1), (1, 0, -1), 1.0)]))
 
@@ -338,9 +348,13 @@ def second_order_stencil(grid: Grid, g, m, q):
 class ScalarField:
     """Real-valued function sampled on a Grid; immutable after construction.
 
-    It holds a copy of the values, unless they are already immutable: a
-    read-only view of a bytes object, as Snapshot.load gives, is held as
-    it is, since no alias of it can write."""
+    It holds the values without a copy when no writeable array can reach
+    them: a read-only array that owns its memory, or a read-only view of
+    one or of a bytes object (Snapshot.load's payload).  A caller hands a
+    fresh array over by marking it read-only and keeping no writeable view
+    of it, as newton_solve does with each start and line-search candidate
+    it builds.  Any other array, a writeable one or a read-only view of a
+    writeable one, is copied."""
 
     def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -351,9 +365,9 @@ class ScalarField:
             raise GridError("field contains non-finite values")
         values = values.reshape(grid.shape)
         root = values
-        while isinstance(root, np.ndarray):
+        while isinstance(root, np.ndarray) and not root.flags.writeable:
             root = root.base
-        if values.flags.writeable or not isinstance(root, bytes):
+        if not (root is None or isinstance(root, bytes)):
             values = values.copy()
             values.setflags(write=False)
         self.grid = grid

@@ -89,12 +89,14 @@ def strip_frame(grid, window, a, d_x, d_y):
     return g, (m_r, m_i), q, q * g - (m_r * m_r + m_i * m_i)
 
 
-def strip_h(grid, window):
+def strip_h(grid, window, out):
     """strip_frame of an (n+2)-plane window of a field's values (phi.values:
-    the interior), one t-chunk at a time from its strip_jets."""
-    shape = (len(window) - 2, grid.nx, grid.ny)
-    g, m_r, m_i, q, det = (np.empty(shape) for _ in range(5))
-    for i0, i1 in t_chunks(grid, shape[0]):
+    the interior), one t-chunk at a time from its strip_jets, written into
+    out, a real (5, n, nx, ny) block whose slots g, Re m, Im m, q and det
+    the returned frame views.  Whatever out held before is overwritten, so
+    a block can be reused from field to field."""
+    g, m_r, m_i, q, det = out
+    for i0, i1 in t_chunks(grid, len(window) - 2):
         k, w = slice(i0 - 1, i1 - 1), window[i0 - 1:i1 + 1]
         g[k], (m_r[k], m_i[k]), q[k], det[k] = strip_frame(
             grid, w, *strip_jets(grid, w))
@@ -122,9 +124,11 @@ def h_contract(grid, values, frame):
     caller passes: the checked strip_h of the interior, or the strip_frame
     of one t-chunk's window.  Each w is the window of those planes and
     their two neighbours; the stencil raises ValueError on any other
-    shape.  The arrays share one stencil.
+    shape.  The arrays share one stencil, built in a fresh block, so the
+    frame is left as it is.
     """
-    apply = second_order_stencil(grid, *frame[:3])
+    apply = second_order_stencil(grid, *frame[:3],
+                                 np.empty((5, *frame[0].shape)))
     out = [apply(v[1:-1], v[0], v[-1]) for v in values]
     del apply           # its arrays, before 4 det h is made
     det4 = 4.0 * frame[3]
@@ -141,11 +145,13 @@ def apply_L(grid, values: np.ndarray, frame, eps_tilde):
     adj(h~)/g for h~ = [[q~, m], [m*, g]] with q~ = (|m|^2 + eps_tilde/4)/g,
     so det h~ = eps_tilde/4: the stencil of 4 adj(h~), divided by 4g.  The
     caller passes the frame and w's window as for h_contract, and
-    eps_tilde on the frame's planes.
+    eps_tilde on the frame's planes; the stencil is built in a fresh block,
+    so the frame is left as it is.
     """
     g, (m_r, m_i) = frame[:2]
     q_tilde = (m_r * m_r + m_i * m_i + 0.25 * eps_tilde) / g
-    apply = second_order_stencil(grid, *frame[:2], q_tilde)
+    apply = second_order_stencil(grid, *frame[:2], q_tilde,
+                                 np.empty((5, *g.shape)))
     out = apply(values[1:-1], values[0], values[-1])
     del apply           # and its arrays, before 4g is made
     out /= 4.0 * g

@@ -197,8 +197,10 @@ class Solution:
 
     @property
     def admissible(self) -> bool:
+        g = self.grid
         try:
-            check_frame(strip_h(self.grid, self.phi.values))
+            check_frame(strip_h(g, self.phi.values,
+                                np.empty((5, g.nt - 2, g.nx, g.ny))))
         except InadmissibleError:
             return False
         return True
@@ -209,13 +211,21 @@ class Solution:
 def residual(phi: ScalarField, profile) -> ScalarField:
     """Residual Phi_tt (1+a) - |Phi_tzbar|^2 - eps_tilde, that is 4 det h -
     eps_tilde, on the interior t-planes; 0 on the two Dirichlet planes."""
-    r = _det_residual(phi.grid, strip_h(phi.grid, phi.values)[3], profile)
-    return ScalarField(phi.grid, np.pad(r, ((1, 1), (0, 0), (0, 0))))
+    grid = phi.grid
+    det = strip_h(grid, phi.values,
+                  np.empty((5, grid.nt - 2, grid.nx, grid.ny)))[3]
+    r = np.zeros(grid.shape)
+    _det_residual(grid, det, profile, r[1:-1])
+    r.setflags(write=False)         # handed over to the field
+    return ScalarField(grid, r)
 
 
-def _det_residual(grid: Grid, det, profile) -> np.ndarray:
-    """Interior 4 det h - eps_tilde of the field whose strip_h det this is."""
-    return 4.0 * det - profile.rhs_on(grid)[1:-1]
+def _det_residual(grid: Grid, det, profile, out) -> np.ndarray:
+    """Interior 4 det h - eps_tilde of the field whose strip_h det this is,
+    written into out and returned."""
+    np.multiply(4.0, det, out=out)
+    out -= profile.rhs_on(grid)[1:-1]
+    return out
 
 
 def rhs_floor(profile, grid: Grid) -> float:
@@ -233,7 +243,7 @@ def rhs_floor(profile, grid: Grid) -> float:
     return lo
 
 
-def linearize(grid: Grid, frame):
+def linearize(grid: Grid, block):
     """(jacobian, preconditioner) of the interior residual in the (nt-2)
     nx ny interior unknowns, since a Newton correction vanishes on the
     Dirichlet planes.
@@ -243,12 +253,14 @@ def linearize(grid: Grid, frame):
     the residual uses, so Newton is exactly quadratic.  Applied matrix-free
     to x where it lies, with one zero plane for both Dirichlet neighbours:
     it is 4 det(h) times the verifier's h_contract, the same stencil of 4
-    adj(h).  frame is the iterate's strip_h frame, checked by check_frame;
-    the _SeparablePreconditioner takes its plane means from g and q.
+    adj(h).  block is the iterate's strip_h block, whose frame check_frame
+    has passed, and linearize takes it over: the _SeparablePreconditioner
+    takes its plane means from g and q, then the stencil turns the block in
+    place into its five coefficient grids, so no grid is made here.
     """
-    g, m, q = frame[:3]
+    g, m_r, m_i, q = block[:4]
     preconditioner = _SeparablePreconditioner(grid, g, q)
-    apply = second_order_stencil(grid, g, m, q)
+    apply = second_order_stencil(grid, g, (m_r, m_i), q, block)
     shape, zero = g.shape, np.zeros(g.shape[1:])
 
     def jacobian(x):
@@ -374,7 +386,9 @@ def default_initial_guess(grid: Grid, boundary: BoundarySpec, profile) -> Scalar
     psi = np.zeros(grid.nt)
     np.cumsum(slope, out=psi[1:])
     psi -= grid.t_values * psi[-1]
-    return ScalarField(grid, (1.0 - t) * p0 + t * p1 + psi[:, None, None])
+    vals = (1.0 - t) * p0 + t * p1 + psi[:, None, None]
+    vals.setflags(write=False)          # handed over to the field
+    return ScalarField(grid, vals)
 
 
 def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
@@ -388,6 +402,13 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
     finite, or whose residual overflows, is passed over like an
     inadmissible one; such a cold start raises SolverError.
 
+    The solve keeps one working set: a (5, nt-2, nx, ny) block and one
+    residual array, those of the start it takes (each start is evaluated
+    into its own).  The block holds the iterate's frame until linearize
+    turns it into the Jacobian's coefficients; after GMRES each line-search
+    candidate's frame is written into it, and its residual over the
+    iterate's, so the accepted candidate's are in place for the next step.
+
     initial is a warm start or a tuple of them.  Each is lifted onto the
     exact Dirichlet data by a linear-in-t correction, so different boundary
     values stay smooth in t, and the admissible lifted start of least
@@ -398,16 +419,17 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
     min_rhs = rhs_floor(profile, grid)
     if isinstance(initial, ScalarField):
         initial = (initial,)
+    shape = (grid.nt - 2, grid.nx, grid.ny)       # the interior t-planes
 
-    def frame_and_residual(phi):    # GridError if the residual overflows
-        frame = strip_h(grid, phi.values)
-        r = _det_residual(grid, frame[3], profile)
-        rn = float(np.abs(r).max())
+    def frame_and_residual(phi, block, r):  # GridError: residual overflows
+        frame = strip_h(grid, phi.values, block)
+        _det_residual(grid, frame[3], profile, r)
+        rn = float(max(r.max(), -r.min()))
         if not rn < np.inf:
             raise GridError("field contains non-finite values")
-        return phi, frame, r, rn
+        return frame, rn
 
-    start = None        # (phi, frame, r, rn)
+    start = None        # (phi, block, r, frame, rn)
     if initial:
         p0, p1 = boundary.evaluate(grid, 0), boundary.evaluate(grid, 1)
         t = grid.t_values[:, None, None]
@@ -415,22 +437,26 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
             vals = (warm.values + (1.0 - t) * (p0 - warm.values[0])
                     + t * (p1 - warm.values[-1]))
             vals[0], vals[-1] = p0, p1
+            vals.setflags(write=False)      # handed over to the field
+            block, r = np.empty((5, *shape)), np.empty(shape)
             try:
-                lifted = frame_and_residual(ScalarField(grid, vals))
-                check_frame(lifted[1])
+                phi = ScalarField(grid, vals)
+                frame, rn = frame_and_residual(phi, block, r)
+                check_frame(frame)
             except (InadmissibleError, GridError):  # GridError: not finite
                 continue
-            if start is None or lifted[3] < start[3]:
-                start = lifted
-        vals = lifted = None    # only the start stays alive
+            if start is None or rn < start[4]:
+                start = phi, block, r, frame, rn
+        vals = phi = block = r = frame = None   # only the start stays alive
     if start is None:
         try:
-            start = frame_and_residual(default_initial_guess(grid, boundary,
-                                                             profile))
+            phi = default_initial_guess(grid, boundary, profile)
+            block, r = np.empty((5, *shape)), np.empty(shape)
+            start = (phi, block, r, *frame_and_residual(phi, block, r))
         except GridError as exc:
             raise SolverError(f"cold start not finite: {exc}") from None
-    phi, frame, r, rn = start
-    del start           # frees the start's frame once linearize is done
+    phi, block, r, frame, rn = start
+    del start
 
     margin = config.admissibility_margin
     det_floor = 0.25 * margin * min_rhs     # 4 det h = eps_tilde when solved
@@ -448,10 +474,10 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         if k == config.max_newton_iters:
             return finish("max-iterations-exceeded", rn, k)
         try:
-            jacobian, preconditioner = linearize(grid, check_frame(frame))
+            check_frame(frame)
         except InadmissibleError as exc:
             return finish(f"inadmissible iterate: {exc}", rn, k)
-        del frame               # freed before GMRES allocates
+        jacobian, preconditioner = linearize(grid, block)
         # of order rn, so the convergence stays quadratic, but no smaller
         # than a linear residual of newton_tol / 2 in the 2-norm needs
         rtol = min(1e-2, max(rn, LINEAR_RTOL,
@@ -461,20 +487,22 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         except SolverError as exc:
             return finish(f"linear-solve-failure: {exc}", rn, k)
         del jacobian, preconditioner    # freed before the line search
-        step = step.reshape(r.shape)    # J step = r: Newton's move is -step
+        step = step.reshape(shape)      # J step = r: Newton's move is -step
         for halvings in range(config.max_halvings + 1):
             vals = np.array(phi.values)
             vals[1:-1] -= 0.5 ** halvings * step
+            vals.setflags(write=False)      # handed over to the field
             try:                # margin-floored: stricter than admissibility
-                cand = frame_and_residual(ScalarField(grid, vals))
-                check_frame(cand[1], margin, det_floor)
+                cand = ScalarField(grid, vals)
+                frame, cand_rn = frame_and_residual(cand, block, r)
+                check_frame(frame, margin, det_floor)
             except (InadmissibleError, GridError):
                 continue
-            if cand[3] < rn:
+            if cand_rn < rn:
                 break
         else:
             return finish("line-search-exhausted", rn, k)
-        phi, frame, r, rn = cand
+        phi, rn = cand, cand_rn
         del step, cand, vals            # freed before the next GMRES
         history.append(rn)
 

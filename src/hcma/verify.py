@@ -32,7 +32,7 @@ C_H1 = 10.0     # third-derivative checks (a/b equations), relative to scale
 REL_SLACK = 1e-3
 MONOTONE_SLACK = 1e-8
 STABILITY_SPREAD = 0.05  # allowed spread of min(1+a) along an eps ladder
-U_FD_STEP = 1e-3  # finite-difference step of the u-identity check
+U_FD_STEP = 1e-2  # finite-difference step of the u-identity check
 Q_FLOOR = 1e-12   # lq_ratio skips nodes with Q at or below this
 D_R = 2.0 * math.e  # d_R of the weight u in the weighted max principle
 # converged: phi's Dirichlet planes may differ from the boundary data they

@@ -13,8 +13,10 @@ with flat background metric; at n = 1 it must agree with the torus layer.
 composite_q_field, u_identity_error, rk4_path and FieldRhs are the
 whole-grid composite Q, the weight u's finite-difference error, a plain RK4
 path and a field-valued right-hand side for manufactured solutions;
-field_from, zero_field and admissible_frame build a sampled field and the
-checked strip frame of its interior.  Only tests use them.
+field_from, zero_field, fresh_frame, admissible_frame and
+admissible_block build a sampled field, the strip frame of a window, the
+checked strip frame of a field's interior and the block that frame is
+written into.  Only tests use them.
 
 Index conventions: g^{ab*} is stored as the matrix conj(inv(G)) where
 G[a, b] = g_{ab*}; with that choice any contraction h^{ij*} X_{ij*} of
@@ -320,9 +322,27 @@ def zero_field(grid: Grid) -> ScalarField:
     return ScalarField(grid, np.zeros(grid.shape))
 
 
+def fresh_frame(grid: Grid, window: np.ndarray):
+    """strip_h of an (n+2)-plane window, written into a fresh block;
+    admissibility unchecked."""
+    return strip_h(grid, window,
+                   np.empty((5, len(window) - 2, grid.nx, grid.ny)))
+
+
+def admissible_block(phi: ScalarField) -> np.ndarray:
+    """The (5, nt-2, nx, ny) block strip_h writes phi's interior frame
+    into, slots g, Re m, Im m, q and det, once check_frame passes it: what
+    linearize takes over."""
+    grid = phi.grid
+    block = np.empty((5, grid.nt - 2, grid.nx, grid.ny))
+    check_frame(strip_h(grid, phi.values, block))
+    return block
+
+
 def admissible_frame(phi: ScalarField):
     """strip_h of phi's interior, checked by check_frame."""
-    return check_frame(strip_h(phi.grid, phi.values))
+    g, m_r, m_i, q, det = admissible_block(phi)
+    return g, (m_r, m_i), q, det
 
 
 def composite_q_field(solution: Solution) -> np.ndarray:

@@ -80,6 +80,32 @@ class TestScalarField:
         assert np.shares_memory(fld.values, held)
         assert not fld.values.flags.writeable
 
+    def test_takes_over_a_read_only_array_that_owns_its_memory(self):
+        # a caller hands a fresh array over by marking it read-only: no
+        # writeable array reaches it, so it is held as given, as is a
+        # read-only view of it
+        g = make_grid(3, 4, 4)
+        for shape in (g.shape, (48,)):
+            owner = np.arange(48.0).reshape(shape).copy()
+            owner.setflags(write=False)
+            for arr in (owner, owner[...]):
+                fld = ScalarField(g, arr)
+                assert np.shares_memory(fld.values, owner)
+                assert fld.values.shape == g.shape
+                assert not fld.values.flags.writeable
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        # the writeable base is an alias that could change the field
+        g = make_grid(3, 4, 4)
+        base = np.zeros(g.shape)
+        view = base[...]
+        view.setflags(write=False)
+        fld = ScalarField(g, view)
+        base[0, 0, 0] = 1.0
+        assert not np.shares_memory(fld.values, base)
+        assert fld.values[0, 0, 0] == 0.0
+        assert not fld.values.flags.writeable
+
 
 def roll_reference(grid, v):
     """The x, y stencils written with np.roll, one copy per shift: dx1,
@@ -240,7 +266,9 @@ class TestChunkedStencil:
                 v += 1j * rng.standard_normal(g.shape)
 
             def stencil(k):     # the stencil of the arrays' planes k
-                return second_order_stencil(g, g_[k], (m_r[k], m_i[k]), q[k])
+                return second_order_stencil(
+                    g, g_[k], (m_r[k], m_i[k]), q[k],
+                    np.empty((5, *g_[k].shape)))
 
             want = whole_grid_apply(g, g_, (m_r, m_i), q, v)
             apply = stencil(slice(None))
@@ -261,6 +289,33 @@ class TestChunkedStencil:
                 assert part.dtype == got.dtype
                 assert part.tobytes() == got[k].tobytes()
 
+    @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_built_in_the_frames_block_applies_as_in_fresh_arrays(
+            self, modulus, dtype):
+        # a stencil that turns strip_h's block (slots g, Re m, Im m, q,
+        # det) into its coefficients in place applies bitwise like one
+        # built beside it in a fresh block, which leaves the frame alone
+        for g in chunk_grids(modulus):
+            rng = np.random.default_rng(g.nt)
+            block = rng.standard_normal((5, g.nt - 2, g.nx, g.ny))
+            v = rng.standard_normal(g.shape).astype(dtype)
+            if dtype is complex:
+                v += 1j * rng.standard_normal(g.shape)
+            frame = block.tobytes()
+            fresh = second_order_stencil(g, block[0], (block[1], block[2]),
+                                         block[3], np.empty_like(block))
+            assert block.tobytes() == frame
+            in_place = second_order_stencil(
+                g, block[0], (block[1], block[2]), block[3], block)
+            assert block.tobytes() != frame
+            zero = np.zeros((g.nx, g.ny))
+            for ends in ((v[0], v[-1]), (zero, zero)):
+                want = fresh(v[1:-1], *ends)
+                got = in_place(v[1:-1], *ends)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("extra", [-1, 1], ids=["n+1", "n+3"])
     def test_window_of_another_length_raises(self, extra):
         # n planes and their two neighbours make a window of n+2; one
@@ -268,7 +323,8 @@ class TestChunkedStencil:
         g = make_grid(9, 16, 16)
         n, plane = g.nt - 2, np.zeros((g.nx, g.ny))
         g_, m_r, m_i, q = np.ones((4, n, g.nx, g.ny))
-        apply = second_order_stencil(g, g_, (m_r, m_i), q)
+        apply = second_order_stencil(g, g_, (m_r, m_i), q,
+                                     np.empty((5, n, g.nx, g.ny)))
         assert apply(np.zeros((n, g.nx, g.ny)), plane, plane).shape == (
             n, g.nx, g.ny)
         with pytest.raises(ValueError):

@@ -16,30 +16,34 @@ from hcma.io import ExperimentConfig, Snapshot, write_fields_csv
 from hcma.solver import (default_initial_guess, linearize, residual,
                          rhs_floor)
 from hcma.verify import q_from_ab, run_checks
-from oracle import admissible_frame
+from oracle import admissible_block
 
-# run_checks on the 33x64x64 cos solution peaks at 46.5 B per node on the
-# square lattice and at 48.4 on modulus 0.3+1.1j (numpy 2.4): one t-chunk's
-# strip frame, jets and temporaries, with no frame of the whole interior;
-# the bounds leave a 10% margin.  The solution carries no jets, so every
-# jet the checks read is counted here.
+# run_checks on the 33x64x64 cos solution peaks at 44.6 B per node on both
+# lattices (numpy 2.4): one t-chunk's strip frame, jets and temporaries,
+# with no frame of the whole interior; the bounds left a 10% margin over
+# the 46.5 and 48.4 it once reached.  The solution carries no jets, so
+# every jet the checks read is counted here.
 RUN_CHECKS_PEAK_B_PER_NODE = {1j: 51.2, 0.3 + 1.1j: 53.3}
-# lq_ratio alone on a fresh 33x64x64 cos solution peaks at 38.6 B per node
-# on the square lattice and at 40.5 on modulus 0.3+1.1j; the bounds leave
-# a 10% margin.
+# lq_ratio alone on a fresh 33x64x64 cos solution peaks at 41.0 B per node
+# on both lattices, the window's Q and the composite Q held together; the
+# bounds left a 10% margin over the 38.6 and 40.5 it once reached.
 LQ_RATIO_PEAK_B_PER_NODE = {1j: 42.4, 0.3 + 1.1j: 44.5}
 # newton_solve on the 33x64x64 cos problem peaks at 185.3 B per node on
 # both lattices (numpy 2.4), inside GMRES: its 11-vector workspace, the
-# Jacobian's five coefficient grids and the preconditioner's factors.  The
-# bounds leave a 4% margin, below the 260.5 that GMRES(20)'s 21 vectors
-# reached.
+# Jacobian's five coefficient grids (the solve's one working block, the
+# iterate's frame turned into them) and the preconditioner's factors.  The
+# peak did not move when that block replaced a frame and five grids of the
+# stencil's own, which never lived through GMRES together.  The bounds
+# leave a 4% margin, below the 260.5 that GMRES(20)'s 21 vectors reached.
 SOLVE_PEAK_B_PER_NODE = {1j: 193.0, 0.3 + 1.1j: 193.0}
-# linearize of the 33x64x64 cos problem's default guess peaks at 86.6 B
-# per node on both lattices (numpy 2.4), the strip frame it is given
-# included: the frame's five grids, the stencil's own five and the
-# temporaries of its t-mixed coefficients.  The bounds leave a 10% margin;
-# the solve's own peak, above, is three times as high.
-LINEARIZE_PEAK_B_PER_NODE = {1j: 95.2, 0.3 + 1.1j: 95.2}
+# linearize of the 33x64x64 cos problem's default guess peaks at 48.3 B
+# per node on both lattices (numpy 2.4), the block it takes over included:
+# the frame's five grids, which the stencil turns into its coefficients in
+# place, the preconditioner's factors and their temporaries, and one
+# t-chunk's t-mixed coefficients.  With a stencil that kept five grids of
+# its own beside the frame it was 86.6.  The bounds leave a 10% margin;
+# the solve's own peak, above, is nearly four times as high.
+LINEARIZE_PEAK_B_PER_NODE = {1j: 53.1, 0.3 + 1.1j: 53.1}
 # default_initial_guess on the 2049x4x4 cos problem peaks at 32.6 B per
 # node, a handful of grid arrays and no strip frame; the bound leaves a 10%
 # margin.  One dense (nt-2)^2 float matrix alone would take 1022 B per node
@@ -111,26 +115,25 @@ def test_newton_solve_peak_bytes_per_node(modulus):
 
 
 @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j], ids=["square", "skew"])
-def test_linearize_keeps_five_grids(modulus):
-    """The pair linearize returns holds the stencil's five interior grids,
-    the coefficients of its four legs and of the centre, beside the
-    preconditioner's one array of pivot reciprocals: the frame goes when
-    its caller drops it, and no plane or bordered grid is made."""
+def test_linearize_keeps_no_grid_of_its_own(modulus):
+    """The pair linearize returns holds the block it takes over, the
+    frame's five interior grids turned into the stencil's coefficients of
+    its four legs and of the centre, beside the preconditioner's one array
+    of pivot reciprocals: counted from after the frame is made, it keeps
+    no grid and no bordered grid of its own."""
     grid = make_grid(17, 32, 32, modulus)
     phi = default_initial_guess(grid, COS_BOUNDARY, AnnulusProfile(1e-3))
+    block = admissible_block(phi)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        frame = admissible_frame(phi)
-        jacobian, preconditioner = linearize(grid, frame)
-        del frame
+        jacobian, preconditioner = linearize(grid, block)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    grid_bytes = (grid.nt - 2) * grid.nx * grid.ny * 8
     factors = preconditioner.inv.nbytes
     # and one zero plane, with a few small objects
-    assert kept <= 5 * grid_bytes + factors + 2 * grid.nx * grid.ny * 8
+    assert kept <= factors + 2 * grid.nx * grid.ny * 8
 
 
 @pytest.mark.parametrize("modulus", list(LINEARIZE_PEAK_B_PER_NODE),
@@ -140,9 +143,9 @@ def test_linearize_peak_bytes_per_node(modulus):
     phi = default_initial_guess(grid, COS_BOUNDARY, AnnulusProfile(1e-3))
     tracemalloc.start()
     try:
-        frame = admissible_frame(phi)
+        block = admissible_block(phi)
         tracemalloc.reset_peak()
-        linearize(grid, frame)
+        linearize(grid, block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

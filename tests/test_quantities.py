@@ -12,12 +12,12 @@ from hcma.grid import (ScalarField, _wrap, dt1, dt2, dx1, dy1, second_diffs,
 from hcma.quantities import (InfeasibleKError, NonConvexBoundaryError,
                              apply_L, boundary_S, boundary_delta, choose_K,
                              h_contract, sigma_roots, strip_h)
-from hcma.solver import Solution, linearize
+from hcma.solver import Solution
 from oracle import (DegenerateMetricError, FlatJet, TorusPointState,
                     admissible_frame, composite_q_field, cone_membership,
-                    field_from, flat_jet_from_torus, general_flat_state,
-                    m_matrix, n_matrix, q_gamma, sigma2_prime, torus_state,
-                    wirtinger_jet)
+                    field_from, flat_jet_from_torus, fresh_frame,
+                    general_flat_state, m_matrix, n_matrix, q_gamma,
+                    sigma2_prime, torus_state, wirtinger_jet)
 
 
 def state(a, b):
@@ -328,12 +328,33 @@ class TestChunkedStripFrame:
         values = (0.05 * t * (t - 1.0) + 0.01 * np.cos(2 * np.pi * (x + y))
                   + 1e-4 * rng.standard_normal(grid.shape))
         phi = ScalarField(grid, values)
-        g, (m_r, m_i), q, det = strip_h(grid, phi.values)
+        g, (m_r, m_i), q, det = fresh_frame(grid, phi.values)
         want_g, (want_r, want_i), want_q, want_det = reference_strip_h(phi)
         for got, want in ((g, want_g), (m_r, want_r), (m_i, want_i),
                           (q, want_q), (det, want_det)):
             assert np.array_equal(got, want)
         assert vars(phi).keys() == {"grid", "values"}
+
+    @pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j])
+    def test_reused_block_equals_a_fresh_one(self, modulus):
+        # as in Newton's line search: the block holds another field's
+        # frame, turned into the stencil's coefficients in place, before
+        # this field's frame is written over it
+        for grid in chunk_grids(modulus):
+            rng = np.random.default_rng(grid.nt)
+            t = grid.t_values[:, None, None]
+            values, other = (0.05 * t * (t - 1.0)
+                             + 1e-4 * rng.standard_normal(grid.shape)
+                             for _ in range(2))
+            block = np.empty((5, grid.nt - 2, grid.nx, grid.ny))
+            g, m, q, _ = strip_h(grid, other, block)
+            second_order_stencil(grid, g, m, q, block)
+            fresh = np.empty_like(block)
+            strip_h(grid, values, fresh)
+            g, (m_r, m_i), q, det = strip_h(grid, values, block)
+            for x, slot in zip((g, m_r, m_i, q, det), block):
+                assert x.base is block and np.shares_memory(x, slot)
+            assert block.tobytes() == fresh.tobytes()
 
 
 def interior_eps(solution):
@@ -558,22 +579,24 @@ class TestOnePlaneBuilder:
         w = np.random.default_rng(5).standard_normal(grid.shape)
         want = reference_apply(grid, reference_h_planes(grid, g, (m_r, m_i), q),
                                w)
-        got = second_order_stencil(grid, g, (m_r, m_i), q)(w[1:-1], w[0],
-                                                            w[-1])
+        apply = second_order_stencil(grid, g, (m_r, m_i), q,
+                                     np.empty((5, *g.shape)))
+        got = apply(w[1:-1], w[0], w[-1])
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_operators_leave_the_frame_alone(self, strip_field):
-        # the stencil, linearize, h_contract and apply_L leave every array
-        # they are given as it was, bit for bit: the frame, the window and
-        # eps_tilde
+        # the stencil built in a block of its own, h_contract and apply_L
+        # leave every array they are given as it was, bit for bit: the
+        # frame, the window and eps_tilde.  linearize is not among them: it
+        # takes over the block its frame is written in
         grid = strip_field.grid
         frame = admissible_frame(strip_field.phi)
         g, (m_r, m_i), q, det = frame
         Q, eps = composite_q_field(strip_field), interior_eps(strip_field)
         arrays = (g, m_r, m_i, q, det, Q, eps)
         before = [x.tobytes() for x in arrays]
-        second_order_stencil(grid, g, (m_r, m_i), q)(Q[1:-1], Q[0], Q[-1])
-        linearize(grid, frame)[0](Q[1:-1].ravel())
+        second_order_stencil(grid, g, (m_r, m_i), q, np.empty((5, *g.shape)))(
+            Q[1:-1], Q[0], Q[-1])
         h_contract(grid, (Q, Q + 1j), frame)
         apply_L(grid, Q, frame, eps)
         assert [x.tobytes() for x in arrays] == before

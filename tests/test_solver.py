@@ -10,12 +10,13 @@ from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile,
                   continuation_solve, lambda_sweep, make_grid, newton_solve)
 from hcma.grid import ScalarField, spatial_ab
 from hcma.quantities import (InadmissibleError, NonConvexBoundaryError,
-                             check_frame, strip_h)
+                             check_frame)
 from hcma.solver import (LINEAR_RTOL, ContinuationFailure,
                          SolverConfig, SolverError, _SeparablePreconditioner,
                          _det_residual, check_lambdas, check_schedule,
                          default_initial_guess, linearize, residual)
-from oracle import FieldRhs, admissible_frame, field_from, zero_field
+from oracle import (FieldRhs, admissible_block, admissible_frame, field_from,
+                    fresh_frame, zero_field)
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -221,7 +222,7 @@ class TestLinearize:
         eps0 = 0.8
         base = field_from(
             g, lambda t, x, y: (eps0 / 2) * t**2 + 0 * x)
-        jacobian = linearize(g, admissible_frame(base))[0]
+        jacobian = linearize(g, admissible_block(base))[0]
         interior = (g.nt - 2, g.nx, g.ny)
         # inputs vanish on both Dirichlet planes: t(t-1) has d_tt = 2
         v_t = field_from(g, lambda t, x, y: t * (t - 1) + 0 * x)
@@ -244,7 +245,7 @@ class TestLinearize:
         prof = ConstantProfile(0.3)
         v = rng.standard_normal(g.shape)
         v[0] = v[-1] = 0.0
-        jacobian = linearize(g, admissible_frame(base))[0]
+        jacobian = linearize(g, admissible_block(base))[0]
         jv = jacobian(v[1:-1].ravel()).reshape(g.nt - 2, g.nx, g.ny)
         errs = []
         for s in (1e-3, 5e-4, 2.5e-4):
@@ -259,13 +260,13 @@ class TestLinearize:
         g = make_grid(5, 8, 8)
         fld = field_from(g, lambda t, x, y: -2.0 * t**2 + 0 * x)
         with pytest.raises(InadmissibleError):
-            linearize(g, admissible_frame(fld))
+            linearize(g, admissible_block(fld))
 
     def test_interior_unknowns_only(self, sol_cos):
         # a correction vanishes on the Dirichlet planes: no identity rows
         g = sol_cos.grid
         n = (g.nt - 2) * g.nx * g.ny
-        jacobian, preconditioner = linearize(g, admissible_frame(sol_cos.phi))
+        jacobian, preconditioner = linearize(g, admissible_block(sol_cos.phi))
         # plain functions: only _solve_linear wraps them for scipy
         assert not any(type(f).__module__.startswith("scipy")
                        for f in (jacobian, preconditioner))
@@ -276,9 +277,9 @@ class TestLinearize:
             jacobian(np.zeros(n + g.nx * g.ny))
 
     def test_builds_no_strip_frame(self, sol_cos, strip_h_calls):
-        frame = admissible_frame(sol_cos.phi)
+        block = admissible_block(sol_cos.phi)
         strip_h_calls.clear()
-        linearize(sol_cos.grid, frame)
+        linearize(sol_cos.grid, block)
         assert strip_h_calls == []
 
 
@@ -303,7 +304,7 @@ class TestNewtonSolve:
     def test_admissibility_invariant(self, sol_cos):
         assert (1.0 + spatial_ab(sol_cos.grid, sol_cos.phi.values[1:-1])[0]
                 ).min() > 0
-        assert strip_h(sol_cos.grid, sol_cos.phi.values)[3].min() > 0
+        assert fresh_frame(sol_cos.grid, sol_cos.phi.values)[3].min() > 0
 
     def test_manufactured_solution(self):
         g = make_grid(9, 16, 16)
@@ -395,7 +396,8 @@ class TestInitialGuess:
                        1.5 + np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)))
                    }[kind]
         phi = default_initial_guess(grid, boundary, profile)
-        r = _det_residual(grid, strip_h(grid, phi.values)[3], profile)
+        det = fresh_frame(grid, phi.values)[3]
+        r = _det_residual(grid, det, profile, np.empty(det.shape))
         tol = 1e-13 * profile.rhs_on(grid).max()
         assert r.min() >= -tol
         # psi_tt is the plane max itself: each plane touches 0
@@ -428,7 +430,7 @@ class TestInitialGuess:
                                     BoundarySpec(phi1=((1, 0, 0.2),)),
                                     AnnulusProfile(1e-3))
         with pytest.raises(InadmissibleError, match=r"min\(1\+a\)=-"):
-            check_frame(strip_h(phi.grid, phi.values))
+            check_frame(fresh_frame(phi.grid, phi.values))
 
 
 class TestLineSearch:
@@ -449,6 +451,30 @@ class TestLineSearch:
                             initial=cold.phi)
         assert warm.converged and warm.iterations == 3
         assert len(strip_h_calls) == 4
+
+    def test_each_field_holds_the_array_newton_wrote(self, grid_small,
+                                                     monkeypatch):
+        # the cold start, the lifted start and every candidate are fresh
+        # arrays handed over read-only, so each field holds its array as
+        # it was written, with no second copy
+        import hcma.solver
+        made = []
+
+        class Recorded(ScalarField):
+            def __init__(self, grid, values):
+                super().__init__(grid, values)
+                made.append((values, self))
+
+        monkeypatch.setattr(hcma.solver, "ScalarField", Recorded)
+        cold = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(1e-3))
+        n_cold = len(made)
+        warm = newton_solve(grid_small, COS_BOUNDARY, AnnulusProfile(5e-4),
+                            initial=cold.phi)
+        assert (n_cold, len(made)) == (3, 7)    # as many as strip frames
+        assert cold.phi is made[n_cold - 1][1] and warm.phi is made[-1][1]
+        for values, field in made:
+            assert not values.flags.writeable
+            assert np.shares_memory(field.values, values)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -695,8 +721,8 @@ class TestSecantPredictor:
 
         # a secant rung's first frame, its prediction's, is made
         # inadmissible with its small residual kept
-        def strip_h(grid, window):
-            g, m, q, det = real_strip_h(grid, window)
+        def strip_h(grid, window, out):
+            g, m, q, det = real_strip_h(grid, window, out)
             if predicting:
                 predicting.clear()
                 rejected.append(window)
@@ -769,7 +795,9 @@ class TestSharedOperator:
         rng = np.random.default_rng(7)
         w = rng.standard_normal(g.shape)
         w[0] = w[-1] = 0.0                      # zero on the Dirichlet planes
-        jw = linearize(g, frame)[0](w[1:-1].ravel()).reshape(det.shape)
+        # linearize takes over a block of its own: the frame stays
+        jw = linearize(g, admissible_block(phi))[0](
+            w[1:-1].ravel()).reshape(det.shape)
         hw, = h_contract(g, (w,), frame)
         assert np.allclose(jw, 4.0 * det * hw, rtol=1e-13,
                            atol=1e-13 * np.abs(jw).max())
@@ -818,8 +846,8 @@ class TestLinearSolve:
         applies, calls = [], []
         linearize_, gmres = hcma.solver.linearize, no_splu.gmres
 
-        def counting_linearize(grid, frame):
-            jacobian, preconditioner = linearize_(grid, frame)
+        def counting_linearize(grid, block):
+            jacobian, preconditioner = linearize_(grid, block)
 
             def counted(x):
                 applies.append(x.size)
