@@ -144,10 +144,12 @@ def cmd_verify(args) -> int:
     # top-level import would bind the unwrapped function
     from .solver import residual
     a, b = spatial_ab(solution.grid, solution.phi.values)
+    res = np.zeros(solution.grid.shape)     # 0 on the Dirichlet planes
     try:
-        res = residual(solution.phi, solution.profile).values
+        residual(solution.grid, solution.phi.values, solution.profile,
+                 np.empty((5, *res[1:-1].shape)), res[1:-1])
     except GridError:                   # 4 det h - eps_tilde overflowed
-        res = np.full(solution.grid.shape, np.nan)
+        res.fill(np.nan)
     hio.write_fields_csv(
         os.path.join(out, "fields.csv"), solution.grid,
         {"Q": q_from_ab(a, b), "a": a, "abs_b": np.abs(b),

@@ -4,10 +4,11 @@ strip_frame is the one formula of the frame (g, m, q, det) on a t-window
 of a field, from the jets its reader already has; strip_h frames a window
 one t-chunk at a time, and check_frame is the admissibility rule.  Through
 the one stencil of 4 adj(h) (grid.second_order_stencil) the frame gives
-Newton's Jacobian, the h-Laplacian (h_contract) and L = adj(h~)/g
-(apply_L).  The boundary quantities S and delta and the constant K of the
-e^{KQ} argument (boundary_S, boundary_delta, sigma_roots, choose_K) are
-the scalars the verifier's pass reads off the boundary planes.
+Newton's Jacobian and the h-Laplacian (h_contract), and h_contract on the
+frame of h~ gives L = adj(h~)/g (apply_L).  The boundary quantities S and
+delta and the constant K of the e^{KQ} argument (boundary_S,
+boundary_delta, sigma_roots, choose_K) are the scalars the verifier's
+pass reads off the boundary planes.
 """
 
 from __future__ import annotations
@@ -143,16 +144,11 @@ def apply_L(grid, values: np.ndarray, frame, eps_tilde):
 
     At n = 1 on the strip eps b/g = eps_tilde / (4 (1+a)), and L equals
     adj(h~)/g for h~ = [[q~, m], [m*, g]] with q~ = (|m|^2 + eps_tilde/4)/g,
-    so det h~ = eps_tilde/4: the stencil of 4 adj(h~), divided by 4g.  The
-    caller passes the frame and w's window as for h_contract, and
-    eps_tilde on the frame's planes; the stencil is built in a fresh block,
-    so the frame is left as it is.
+    so det h~ = eps_tilde/4: h_contract of w on the h~ frame with g in its
+    det slot, (g, m, q~, g), is the stencil of 4 adj(h~) divided by 4g.
+    The caller passes the frame and w's window as for h_contract, and
+    eps_tilde on the frame's planes; the frame is left as it is.
     """
     g, (m_r, m_i) = frame[:2]
     q_tilde = (m_r * m_r + m_i * m_i + 0.25 * eps_tilde) / g
-    apply = second_order_stencil(grid, *frame[:2], q_tilde,
-                                 np.empty((5, *g.shape)))
-    out = apply(values[1:-1], values[0], values[-1])
-    del apply           # and its arrays, before 4g is made
-    out /= 4.0 * g
-    return out
+    return h_contract(grid, (values,), (g, frame[1], q_tilde, g))[0]

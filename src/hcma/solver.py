@@ -20,9 +20,9 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .grid import (Grid, GridError, ScalarField, plane_jets,
-                   second_order_stencil, wirt_parts)
+                   second_order_stencil, strip_jets, t_chunks, wirt_parts)
 from .quantities import (InadmissibleError, NonConvexBoundaryError,
-                         check_frame, strip_h)
+                         check_frame, strip_frame, strip_h)
 
 LINEAR_RTOL = 1e-12    # floor of the forcing term of each Newton linear solve
 
@@ -197,10 +197,12 @@ class Solution:
 
     @property
     def admissible(self) -> bool:
-        g = self.grid
+        """check_frame of each t-chunk's strip frame in turn, so no frame
+        of the whole interior is held."""
+        g, v = self.grid, self.phi.values
         try:
-            check_frame(strip_h(g, self.phi.values,
-                                np.empty((5, g.nt - 2, g.nx, g.ny))))
+            for w in (v[i0 - 1:i1 + 1] for i0, i1 in t_chunks(g)):
+                check_frame(strip_frame(g, w, *strip_jets(g, w)))
         except InadmissibleError:
             return False
         return True
@@ -208,24 +210,19 @@ class Solution:
 
 # --- residual and linearization ---------------------------------------------
 
-def residual(phi: ScalarField, profile) -> ScalarField:
-    """Residual Phi_tt (1+a) - |Phi_tzbar|^2 - eps_tilde, that is 4 det h -
-    eps_tilde, on the interior t-planes; 0 on the two Dirichlet planes."""
-    grid = phi.grid
-    det = strip_h(grid, phi.values,
-                  np.empty((5, grid.nt - 2, grid.nx, grid.ny)))[3]
-    r = np.zeros(grid.shape)
-    _det_residual(grid, det, profile, r[1:-1])
-    r.setflags(write=False)         # handed over to the field
-    return ScalarField(grid, r)
-
-
-def _det_residual(grid: Grid, det, profile, out) -> np.ndarray:
-    """Interior 4 det h - eps_tilde of the field whose strip_h det this is,
-    written into out and returned."""
-    np.multiply(4.0, det, out=out)
-    out -= profile.rhs_on(grid)[1:-1]
-    return out
+def residual(grid: Grid, values, profile, block, r):
+    """The one field evaluator: (frame, max|r|) of a field's values
+    (phi.values).  The strip_h frame goes into block, a (5, nt-2, nx, ny)
+    array, and the residual Phi_tt (1+a) - |Phi_tzbar|^2 - eps_tilde, that
+    is 4 det h - eps_tilde, on the interior t-planes into r, over whatever
+    both held.  GridError if the max-norm is not finite."""
+    frame = strip_h(grid, values, block)
+    np.multiply(4.0, frame[3], out=r)
+    r -= profile.rhs_on(grid)[1:-1]
+    rn = float(max(r.max(), -r.min()))
+    if not rn < np.inf:
+        raise GridError("field contains non-finite values")
+    return frame, rn
 
 
 def rhs_floor(profile, grid: Grid) -> float:
@@ -396,11 +393,11 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
                  initial: ScalarField | tuple[ScalarField, ...] | None = None
                  ) -> Solution:
     """Damped Newton with admissibility-guarded backtracking line search.
-    One evaluation per field (each start, each candidate) makes its strip_h
-    frame, which gives its admissibility and residual, and an accepted
-    field's frame its Jacobian.  A lifted start or a candidate that is not
-    finite, or whose residual overflows, is passed over like an
-    inadmissible one; such a cold start raises SolverError.
+    One residual() call per field (each start, each candidate) makes its
+    strip_h frame, which gives its admissibility and residual, and an
+    accepted field's frame its Jacobian.  A lifted start or a candidate
+    that is not finite, or whose residual overflows, is passed over like
+    an inadmissible one; such a cold start raises SolverError.
 
     The solve keeps one working set: a (5, nt-2, nx, ny) block and one
     residual array, those of the start it takes (each start is evaluated
@@ -421,14 +418,6 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         initial = (initial,)
     shape = (grid.nt - 2, grid.nx, grid.ny)       # the interior t-planes
 
-    def frame_and_residual(phi, block, r):  # GridError: residual overflows
-        frame = strip_h(grid, phi.values, block)
-        _det_residual(grid, frame[3], profile, r)
-        rn = float(max(r.max(), -r.min()))
-        if not rn < np.inf:
-            raise GridError("field contains non-finite values")
-        return frame, rn
-
     start = None        # (phi, block, r, frame, rn)
     if initial:
         p0, p1 = boundary.evaluate(grid, 0), boundary.evaluate(grid, 1)
@@ -441,7 +430,7 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
             block, r = np.empty((5, *shape)), np.empty(shape)
             try:
                 phi = ScalarField(grid, vals)
-                frame, rn = frame_and_residual(phi, block, r)
+                frame, rn = residual(grid, phi.values, profile, block, r)
                 check_frame(frame)
             except (InadmissibleError, GridError):  # GridError: not finite
                 continue
@@ -452,7 +441,8 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
         try:
             phi = default_initial_guess(grid, boundary, profile)
             block, r = np.empty((5, *shape)), np.empty(shape)
-            start = (phi, block, r, *frame_and_residual(phi, block, r))
+            start = (phi, block, r,
+                     *residual(grid, phi.values, profile, block, r))
         except GridError as exc:
             raise SolverError(f"cold start not finite: {exc}") from None
     phi, block, r, frame, rn = start
@@ -494,7 +484,8 @@ def newton_solve(grid: Grid, boundary: BoundarySpec, profile,
             vals.setflags(write=False)      # handed over to the field
             try:                # margin-floored: stricter than admissibility
                 cand = ScalarField(grid, vals)
-                frame, cand_rn = frame_and_residual(cand, block, r)
+                frame, cand_rn = residual(grid, cand.values, profile,
+                                          block, r)
                 check_frame(frame, margin, det_floor)
             except (InadmissibleError, GridError):
                 continue

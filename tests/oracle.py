@@ -34,7 +34,7 @@ from hcma.grid import (Grid, GridError, ScalarField, dt1, dt2, plane_jets,
                        wirt_parts, wirt_z, wirt_zbar)
 from hcma.leaves import _rk4_steps
 from hcma.quantities import check_frame, strip_h
-from hcma.solver import Solution
+from hcma.solver import Solution, residual
 
 
 # --- one node's jet ----------------------------------------------------------
@@ -327,6 +327,16 @@ def fresh_frame(grid: Grid, window: np.ndarray):
     admissibility unchecked."""
     return strip_h(grid, window,
                    np.empty((5, len(window) - 2, grid.nx, grid.ny)))
+
+
+def residual_grid(phi: ScalarField, profile):
+    """(r, max|r|): solver.residual of phi written into the interior of a
+    zero grid, as hcma verify writes fields.csv's residual column."""
+    grid = phi.grid
+    r = np.zeros(grid.shape)
+    rn = residual(grid, phi.values, profile,
+                  np.empty((5, *r[1:-1].shape)), r[1:-1])[1]
+    return r, rn
 
 
 def admissible_block(phi: ScalarField) -> np.ndarray:

@@ -21,7 +21,7 @@ from hcma.io import (_SCHEMA, MAGIC, ConfigError, ExperimentConfig, Snapshot,
 from hcma.leaves import leaf_fields, trace_leaf
 from hcma.solver import Solution
 from hcma.verify import CHECKS, jet_map_export
-from oracle import field_from
+from oracle import field_from, residual_grid
 
 SMALL_CONFIG = """\
 [grid]
@@ -531,6 +531,36 @@ def test_readme_quick_start_runs(capsys):
     exec(readme_quick_start(), namespace)
     assert namespace["report"].all_pass
     assert capsys.readouterr().out == "True\n"
+
+
+@pytest.mark.parametrize("rung", ["cold", "lambda"])
+def test_final_residual_is_the_evaluators(tmp_path, monkeypatch, rung):
+    # Newton's final_residual is solver.residual's max-norm on the returned
+    # phi, bitwise, and the largest |residual| of hcma verify's fields.csv,
+    # which calls solver.residual once, looked up at call time
+    import hcma.solver
+    config = load_config(write_config(tmp_path))
+    grid, boundary = config.make_grid(), config.make_boundary()
+    profile = config.make_profile()
+    if rung == "cold":
+        sol = hcma.solver.newton_solve(grid, boundary, profile)
+    else:       # the last rung starts from the secant prediction
+        *_, sol = hcma.solver.lambda_sweep(grid, boundary, [0.0, 0.5, 1.0],
+                                           profile)
+    assert sol.converged and sol.iterations > 0
+    assert residual_grid(sol.phi, profile)[1] == sol.final_residual
+    snap = str(tmp_path / "a.snap")
+    Snapshot.from_solution(sol, config).save(snap)
+    calls = []
+    real = hcma.solver.residual
+    monkeypatch.setattr(hcma.solver, "residual",
+                        lambda *args: calls.append(args) or real(*args))
+    assert cli.main(["verify", "--snapshot", snap,
+                     "--out", str(tmp_path / "v")]) == 0
+    assert len(calls) == 1
+    with open(tmp_path / "v" / "fields.csv", newline="") as fh:
+        res = [abs(float(row["residual"])) for row in csv.DictReader(fh)]
+    assert max(res) == sol.final_residual
 
 
 class TestCliEndToEnd:

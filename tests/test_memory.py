@@ -13,10 +13,10 @@ from conftest import COS_BOUNDARY
 from hcma import AnnulusProfile, cli, make_grid, newton_solve
 from hcma.grid import ScalarField, spatial_ab
 from hcma.io import ExperimentConfig, Snapshot, write_fields_csv
-from hcma.solver import (default_initial_guess, linearize, residual,
+from hcma.solver import (Solution, default_initial_guess, linearize,
                          rhs_floor)
 from hcma.verify import q_from_ab, run_checks
-from oracle import admissible_block
+from oracle import admissible_block, residual_grid
 
 # run_checks on the 33x64x64 cos solution peaks at 44.6 B per node on both
 # lattices (numpy 2.4): one t-chunk's strip frame, jets and temporaries,
@@ -49,6 +49,12 @@ LINEARIZE_PEAK_B_PER_NODE = {1j: 53.1, 0.3 + 1.1j: 53.1}
 # margin.  One dense (nt-2)^2 float matrix alone would take 1022 B per node
 # there.
 GUESS_PEAK_B_PER_NODE = 36.0
+# Solution.admissible on a 33x64x64 and a 49x96x96 field peaks at 20.4
+# and 6.0 B per node on both lattices (numpy 2.4): one t-chunk's jets and
+# strip frame, judged before the next chunk's are made.  A frame of the
+# whole interior in one (5, nt-2, nx, ny) block took it to 58.0 and 44.4.
+# The bounds leave a 10% margin.
+ADMISSIBLE_PEAK_B_PER_NODE = {33: 22.5, 49: 6.7}
 # write_fields_csv of hcma verify's four fields on the 33x64x64 cos
 # solution peaks at 13.5 B per node: the int32 node indices (12) and one
 # block of each column as Python values; the bound leaves a 10% margin.
@@ -180,12 +186,29 @@ def test_initial_guess_peak_bytes_per_node():
     assert peak / grid.n_nodes < GUESS_PEAK_B_PER_NODE
 
 
+@pytest.mark.parametrize("modulus", [1j, 0.3 + 1.1j], ids=["square", "skew"])
+@pytest.mark.parametrize("nt, n", [(33, 64), (49, 96)])
+def test_admissible_peak_bytes_per_node(modulus, nt, n):
+    grid = make_grid(nt, n, n, modulus)
+    profile = AnnulusProfile(1e-3)
+    sol = Solution(default_initial_guess(grid, COS_BOUNDARY, profile), grid,
+                   profile, COS_BOUNDARY, False, 0.0, 0)
+    tracemalloc.start()
+    try:
+        ok = sol.admissible
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak / grid.n_nodes < ADMISSIBLE_PEAK_B_PER_NODE[nt]
+
+
 def test_fields_csv_peak_bytes_per_node(tmp_path):
     grid = make_grid(33, 64, 64)
     sol = newton_solve(grid, COS_BOUNDARY, AnnulusProfile(1e-3))
     a, b = spatial_ab(grid, sol.phi.values)
     fields = {"Q": q_from_ab(a, b), "a": a, "abs_b": np.abs(b),
-              "residual": residual(sol.phi, sol.profile).values}
+              "residual": residual_grid(sol.phi, sol.profile)[0]}
     tracemalloc.start()
     try:
         write_fields_csv(tmp_path / "fields.csv", grid, fields)

@@ -1,22 +1,24 @@
+import dataclasses
 import math
 import weakref
 
 import numpy as np
 import pytest
 
+import hcma.grid
 from conftest import (COS_AMP, COS_BOUNDARY, closed_form_annulus,
                       closed_form_constant, manufactured)
 from hcma import (AnnulusProfile, BoundarySpec, ConstantProfile,
                   continuation_solve, lambda_sweep, make_grid, newton_solve)
-from hcma.grid import ScalarField, spatial_ab
+from hcma.grid import GridError, ScalarField, spatial_ab
 from hcma.quantities import (InadmissibleError, NonConvexBoundaryError,
                              check_frame)
 from hcma.solver import (LINEAR_RTOL, ContinuationFailure,
                          SolverConfig, SolverError, _SeparablePreconditioner,
-                         _det_residual, check_lambdas, check_schedule,
+                         check_lambdas, check_schedule,
                          default_initial_guess, linearize, residual)
 from oracle import (FieldRhs, admissible_block, admissible_frame, field_from,
-                    fresh_frame, zero_field)
+                    fresh_frame, residual_grid, zero_field)
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -180,25 +182,51 @@ class TestBoundarySpec:
 
 class TestResidual:
     def test_zero_field(self):
+        # written into a zero grid's interior, the Dirichlet planes stay 0
         g = make_grid(5, 8, 8)
-        r = residual(zero_field(g), ConstantProfile(1.0))
-        assert np.allclose(r.values[1:-1], -1.0)
-        assert np.allclose(r.values[[0, -1]], 0.0)
+        r, rn = residual_grid(zero_field(g), ConstantProfile(1.0))
+        assert np.allclose(r[1:-1], -1.0)
+        assert np.allclose(r[[0, -1]], 0.0)
+        assert rn == np.abs(r).max()
 
     def test_parabola_zero_residual(self):
         g = make_grid(9, 8, 8)
         eps0 = 0.25
         fld = field_from(
             g, lambda t, x, y: (eps0 / 2) * t**2 + 0.7 * t + 0 * x)
-        r = residual(fld, ConstantProfile(eps0))
-        assert np.abs(r.values[1:-1]).max() < 1e-13
+        r, rn = residual_grid(fld, ConstantProfile(eps0))
+        assert np.abs(r[1:-1]).max() < 1e-13
+        assert rn == np.abs(r).max()
 
     def test_t_independent_field(self):
         g = make_grid(5, 16, 16)
         fld = field_from(
             g, lambda t, x, y: 0.01 * np.cos(2 * np.pi * x) + 0 * t)
-        r = residual(fld, ConstantProfile(0.3))
-        assert np.allclose(r.values[1:-1], -0.3)
+        r, rn = residual_grid(fld, ConstantProfile(0.3))
+        assert np.allclose(r[1:-1], -0.3)
+        assert rn == np.abs(r).max()
+
+    def test_frame_is_strip_h(self):
+        # the frame it returns is strip_h's, in the block it was given
+        g = make_grid(9, 16, 16, 0.3 + 1.1j)
+        fld = field_from(g, lambda t, x, y: 0.2 * t**2 + 0.01 * np.cos(
+            2 * np.pi * x) * np.sin(2 * np.pi * y))
+        block = np.full((5, g.nt - 2, g.nx, g.ny), np.nan)
+        frame = residual(g, fld.values, ConstantProfile(0.3), block,
+                         np.empty(block.shape[1:]))[0]
+        assert frame[0].base is block
+        want = fresh_frame(g, fld.values)
+        for got, ref in zip(block, (want[0], *want[1], *want[2:])):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflow_raises_grid_error(self):
+        # 1e308 t^2 is finite, its second t-difference is not
+        g = make_grid(9, 8, 8)
+        fld = field_from(g, lambda t, x, y: 1e308 * t * t + 0 * x)
+        with pytest.raises(GridError, match="non-finite"):
+            residual_grid(fld, ConstantProfile(0.3))
 
 
 class TestSolverConfig:
@@ -249,8 +277,8 @@ class TestLinearize:
         jv = jacobian(v[1:-1].ravel()).reshape(g.nt - 2, g.nx, g.ny)
         errs = []
         for s in (1e-3, 5e-4, 2.5e-4):
-            fd = (residual(ScalarField(g, base.values + s * v), prof).values
-                  - residual(base, prof).values) / s
+            fd = (residual_grid(ScalarField(g, base.values + s * v), prof)[0]
+                  - residual_grid(base, prof)[0]) / s
             errs.append(np.abs(fd[1:-1] - jv).max())
         # first-order in s (the residual is quadratic in phi)
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.1)
@@ -396,8 +424,7 @@ class TestInitialGuess:
                        1.5 + np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)))
                    }[kind]
         phi = default_initial_guess(grid, boundary, profile)
-        det = fresh_frame(grid, phi.values)[3]
-        r = _det_residual(grid, det, profile, np.empty(det.shape))
+        r = residual_grid(phi, profile)[0][1:-1]
         tol = 1e-13 * profile.rhs_on(grid).max()
         assert r.min() >= -tol
         # psi_tt is the plane max itself: each plane touches 0
@@ -433,6 +460,21 @@ class TestInitialGuess:
             check_frame(fresh_frame(phi.grid, phi.values))
 
 
+class TestAdmissible:
+    @pytest.mark.parametrize("plane", [None, 1, -2],
+                             ids=["none", "first", "last"])
+    def test_each_chunk_is_judged(self, sol_cos, monkeypatch, plane):
+        # one plane per chunk; a bump on the first or the last interior
+        # plane drops Phi_tt there by 2 / ht^2, so det h < 0 in that chunk
+        grid = sol_cos.grid
+        vals = np.array(sol_cos.phi.values)
+        if plane is not None:
+            vals[plane, 3, 5] += 1.0
+        sol = dataclasses.replace(sol_cos, phi=ScalarField(grid, vals))
+        monkeypatch.setattr(hcma.grid, "CHUNK_NODES", grid.nx * grid.ny)
+        assert sol.admissible is (plane is None)
+
+
 class TestLineSearch:
     def test_one_strip_frame_per_candidate(self, grid_small, strip_h_calls):
         # the start, then one per candidate, whose frame gives its
@@ -451,6 +493,24 @@ class TestLineSearch:
                             initial=cold.phi)
         assert warm.converged and warm.iterations == 3
         assert len(strip_h_calls) == 4
+
+    def test_every_frame_is_made_by_residual(self, grid_small,
+                                             strip_h_calls, monkeypatch):
+        # each lifted start, the cold start and each candidate go through
+        # the one field evaluator, looked up at call time
+        import hcma.solver
+        calls = []
+        real = hcma.solver.residual
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(hcma.solver, "residual", counted)
+        sols = list(lambda_sweep(grid_small, COS_BOUNDARY, [0.0, 0.5, 1.0],
+                                 AnnulusProfile(1e-3)))
+        assert all(s.converged for s in sols)
+        assert len(calls) == len(strip_h_calls) > 3
 
     def test_each_field_holds_the_array_newton_wrote(self, grid_small,
                                                      monkeypatch):

@@ -75,4 +75,7 @@ def test_tracer_wraps_every_name_and_restores_it(grid_small, capsys):
         BENCHMARK.read_text())["per_layer"]]
     assert [m for m in per_layer if metrics.get(m) is None] == []
     assert metrics["solver.linearize_calls"] == metrics["solver.newton_steps"]
+    # Newton evaluates every field through hcma.solver.residual
+    assert metrics["solver.residual_per_step"] > 0
+    assert metrics["solver.residual_s"] > 0
     assert capsys.readouterr().out == ""

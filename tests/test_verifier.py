@@ -16,7 +16,7 @@ from hcma.quantities import (InadmissibleError, InfeasibleKError,
                              NonConvexBoundaryError, apply_L,
                              boundary_delta, boundary_S, choose_K, h_contract,
                              sigma_roots, strip_frame)
-from hcma.solver import Solution, residual
+from hcma.solver import Solution
 from hcma.verify import (BOUNDARY_ROUND_OFF, C_H1, C_H2, D_R, FRAME_CHECKS,
                          MONOTONE_SLACK, Q_FLOOR, REL_SLACK,
                          STABILITY_SPREAD, U_FD_STEP,
@@ -26,8 +26,8 @@ from hcma.verify import (BOUNDARY_ROUND_OFF, C_H1, C_H2, D_R, FRAME_CHECKS,
                          jet_map_export, q_from_ab, run_checks, weight_u)
 from oracle import (DegenerateMetricError, admissible_frame,
                     composite_q_field, field_from, flat_jet_from_torus,
-                    fresh_frame, general_flat_state, torus_state,
-                    u_identity_error, wirtinger_jet)
+                    fresh_frame, general_flat_state, residual_grid,
+                    torus_state, u_identity_error, wirtinger_jet)
 
 # annulus angles the references sample u at, for the weighted max principle
 N_ANGLES = 16
@@ -507,7 +507,7 @@ class TestBlindSpots:
     @pytest.mark.parametrize("case", CASES)
     def test_is_not_a_solution(self, sol_cos, case):
         mutant = blind_spot(sol_cos, case)
-        assert np.abs(residual(mutant.phi, mutant.profile).values).max() > 1e-4
+        assert residual_grid(mutant.phi, mutant.profile)[1] > 1e-4
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
     @pytest.mark.parametrize("case", CASES)
